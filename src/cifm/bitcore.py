@@ -1,4 +1,4 @@
-"""Fixed-width bit vectors plus adder primitives and gate-level netlists.
+"""Fixed-width bit vectors, the width classifier and gate-level netlists.
 
 Everything downstream, from the block multiplier to the reversible
 expansion, is built on the two abstractions in this module:
@@ -21,9 +21,6 @@ import numpy as np
 
 __all__ = [
     "BitVec",
-    "half_add",
-    "full_add",
-    "add",
     "classify_width",
     "CellKind",
     "Cell",
@@ -81,40 +78,6 @@ class BitVec:
 
     def __str__(self) -> str:
         return f"{self.value:#0{2 + (self.width + 3) // 4}x}/{self.width}"
-
-
-def _as_bit(x: int, name: str) -> int:
-    if x not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {x!r}")
-    return x
-
-
-def half_add(a: int, b: int) -> tuple[int, int]:
-    """(sum, carry) of two bits."""
-    a = _as_bit(a, "a")
-    b = _as_bit(b, "b")
-    return a ^ b, a & b
-
-
-def full_add(a: int, b: int, cin: int) -> tuple[int, int]:
-    """(sum, carry) of three bits."""
-    a = _as_bit(a, "a")
-    b = _as_bit(b, "b")
-    cin = _as_bit(cin, "cin")
-    return a ^ b ^ cin, (a & b) | (a & cin) | (b & cin)
-
-
-def add(a: BitVec, b: BitVec, width: int) -> BitVec:
-    """Add two equal-width vectors, returning a width+1 result.
-
-    The extra bit keeps the carry out; callers that want wraparound must
-    truncate explicitly.
-    """
-    if a.width != width or b.width != width:
-        raise ValueError(
-            f"add expects both operands of width {width}, got {a.width} and {b.width}"
-        )
-    return BitVec(a.value + b.value, width + 1)
 
 
 def classify_width(x: BitVec, classes: Sequence[int]) -> int:

@@ -16,21 +16,36 @@ the faulty block itself is powered off.
 
 Every 4x4 block is simulated bit-accurately through a fixed three-level
 cell netlist (16 AND cells feeding two parallel adder chains, then a
-low/high merge, then final carry resolution). The full truth table of that
-netlist is computed once by vectorised netlist evaluation and reused, so
-repeated multiplies stay cheap without ever bypassing the gate-level
-structure.
+low/high merge, then final carry resolution). The netlist's truth table
+for all 256 operand pairs is computed once by vectorised netlist
+evaluation, and every block product is a lookup in it.
+
+One numpy engine evaluates the quadrant and top levels for a batch of
+operand pairs (:func:`mul24_batch`, :func:`mul12_batch`). Operand groups
+are laid out on a grid, one 4-bit group of a per row and one of b per
+column, so a single table gather yields all 36 block products. A
+vectorised width classifier marks the powered rows and columns. The
+call's fault and repair plan is validated once, before any operand is
+looked at. Faults are applied with ``np.where``; a repaired block's share
+is the true block product, reported under its quadrant's spare. Each
+quadrant sums its blocks modulo 2**24 and the top level sums the
+quadrants modulo 2**48. Besides the products the engine returns per pair
+a 40-bit mask of the powered blocks and a mask of the faulty blocks that
+drove their forced value, bit k standing for ``BLOCK_IDS[k]``. Batches
+run in chunks of :data:`CHUNK` pairs, which bounds the temporaries.
+:func:`mul12` and :func:`mul24` run a batch of one and unpack its masks
+into an :class:`ActivityReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitcore import BitVec, CellKind, CellNetlist, NetlistBuilder, add, classify_width
+from .bitcore import BitVec, CellKind, CellNetlist, NetlistBuilder
 
 __all__ = [
     "Quadrant",
@@ -42,7 +57,11 @@ __all__ = [
     "mul4",
     "mul12",
     "mul24",
-    "activity_of",
+    "mul12_batch",
+    "mul24_batch",
+    "BlockBatch",
+    "BLOCK_IDS",
+    "CHUNK",
     "export_netlist",
     "cost_report",
     "INNER_CLASSES",
@@ -74,6 +93,9 @@ class Quadrant(Enum):
         return 12 * (int(self.a_high) + int(self.b_high))
 
 
+_QUADRANT_INDEX = {q: k for k, q in enumerate(Quadrant)}
+
+
 @dataclass(frozen=True)
 class ModuleId:
     """Identity of one 4x4 block. Spares carry redundant=True and row=col=0."""
@@ -84,12 +106,21 @@ class ModuleId:
     redundant: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.quadrant, Quadrant):
+            raise ValueError(f"quadrant must be a Quadrant, got {self.quadrant!r}")
         if self.redundant:
             if (self.row, self.col) != (0, 0):
                 object.__setattr__(self, "row", 0)
                 object.__setattr__(self, "col", 0)
         elif not (0 <= self.row <= 2 and 0 <= self.col <= 2):
             raise ValueError(f"row/col must be in 0..2, got {self.row},{self.col}")
+        # Cached, since every activity report hashes up to 40 ids. Built from
+        # ints only, so an unpickled id hashes the same in another process.
+        key = (_QUADRANT_INDEX[self.quadrant], self.row, self.col, self.redundant)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def spare(cls, quadrant: Quadrant) -> "ModuleId":
@@ -188,10 +219,6 @@ class MulResult:
     unrepaired_faults: tuple[ModuleId, ...] = ()
 
 
-def activity_of(result: MulResult) -> ActivityReport:
-    return result.activity
-
-
 # ---------------------------------------------------------------------------
 # 4x4 block netlist
 # ---------------------------------------------------------------------------
@@ -248,8 +275,9 @@ def _mul4_netlist() -> CellNetlist:
     return b.build()
 
 
-# Truth tables of the 4x4 netlist: product and per-level activity for all
-# 65536 operand pairs, derived by one vectorised netlist evaluation.
+# Truth tables of the 4x4 netlist: product and active adder levels for all
+# 256 operand pairs (index b << 4 | a), derived by one vectorised netlist
+# evaluation.
 _MUL4_TABLES: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -272,142 +300,326 @@ def _mul4_tables() -> tuple[np.ndarray, np.ndarray]:
                     for net in cell.inputs:
                         seen |= values[net]
             levels += seen
-        _MUL4_TABLES = (product.astype(np.int32), levels.astype(np.int8))
+        _MUL4_TABLES = (product, levels.astype(np.int8))
     return _MUL4_TABLES
 
 
-def _mul4_fast(a: int, b: int) -> tuple[int, int]:
-    """(product, active level count) via the precomputed netlist tables."""
-    product, levels = _mul4_tables()
-    idx = (b << 4) | a
-    return int(product[idx]), int(levels[idx])
-
-
-def _coerce(x: BitVec | int, width: int, name: str) -> BitVec:
+def _coerce(x: BitVec | int, width: int, name: str) -> int:
+    """The value of one scalar operand: a ``width``-bit BitVec or a fitting int."""
     if isinstance(x, BitVec):
         if x.width != width:
             raise ValueError(f"{name} must be {width} bits wide, got {x.width}")
-        return x
-    return BitVec(x, width)
+        return x.value
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+        raise ValueError(f"{name} must be an int or a BitVec, got {type(x).__name__}")
+    if not 0 <= x < 1 << width:
+        raise ValueError(f"{name}={int(x):#x} does not fit in {width} bits")
+    return int(x)
+
+
+def _operands(a, b, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-shape int64 arrays of ``width``-bit operands, or ValueError."""
+    out = []
+    for name, x in (("a", a), ("b", b)):
+        arr = np.asarray(x)
+        if arr.size:
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+            if arr.min() < 0 or arr.max() >= 1 << width:
+                raise ValueError(f"{name} has elements outside 0..2**{width}-1")
+        out.append(arr.astype(np.int64))
+    if out[0].shape != out[1].shape:
+        raise ValueError(f"a and b differ in shape: {out[0].shape} vs {out[1].shape}")
+    return out[0], out[1]
 
 
 def mul4(a: BitVec | int, b: BitVec | int, trace: bool = False) -> MulResult:
-    """Multiply two 4-bit operands through the block netlist.
+    """Multiply two 4-bit operands through the block netlist's truth table.
 
     A standalone block has no grid identity, so the activity report carries
     only the adder level count (keyed by None) and an empty block partition.
     """
-    av = _coerce(a, 4, "a")
-    bv = _coerce(b, 4, "b")
-    product, levels = _mul4_fast(av.value, bv.value)
+    x = _coerce(a, 4, "a")
+    y = _coerce(b, 4, "b")
+    product, levels = _mul4_tables()
+    idx = (y << 4) | x
     nets = None
     if trace:
-        nets = export_netlist("mul4").evaluate_nets({"a": av.value, "b": bv.value})
+        nets = export_netlist("mul4").evaluate_nets({"a": x, "b": y})
     report = ActivityReport(
         active_mul4=frozenset(),
         gated_mul4=frozenset(),
         disabled_faulty=frozenset(),
-        adder_levels_active={None: levels},
+        adder_levels_active={None: int(levels[idx])},
     )
-    return MulResult(BitVec(product, 8), report, nets)
+    return MulResult(BitVec(int(product[idx]), 8), report, nets)
 
 
 # ---------------------------------------------------------------------------
-# 12x12 quadrant module
+# Batched block engine
 # ---------------------------------------------------------------------------
 
-def _check_faults(
-    faults: Sequence[FaultSpec], quadrant: Quadrant
-) -> dict[ModuleId, int]:
-    fault_map: dict[ModuleId, int] = {}
+# Bit k of an energised or unrepaired mask stands for BLOCK_IDS[k]: the nine
+# grid blocks of each quadrant in Quadrant order, row-major (bit 9*q + 3*row
+# + col), then the four spares (bit 36 + q).
+BLOCK_IDS: tuple[ModuleId, ...] = tuple(
+    GRID_IDS[q][(i, j)] for q in Quadrant for i in range(3) for j in range(3)
+) + tuple(SPARE_IDS[q] for q in Quadrant)
+_BIT = {m: k for k, m in enumerate(BLOCK_IDS)}
+
+# Operand pairs per engine pass: bounds the (blocks x pairs) temporaries.
+CHUNK = 1024
+
+_MASK48 = (1 << 48) - 1
+
+
+class BlockBatch(NamedTuple):
+    """Per-pair results of the block engine, int64 arrays shaped like the operands."""
+
+    products: np.ndarray    # mod 2**48 for mul24, 2**24 for mul12
+    energised: np.ndarray   # bit k set: BLOCK_IDS[k] was powered
+    unrepaired: np.ndarray  # bit k set: faulty BLOCK_IDS[k] drove its forced value
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One call's faults and repairs, validated and placed on the block grid."""
+
+    bits: np.ndarray                    # (g, g, 1) mask bit per grid block; a
+                                        # repaired block reports as its spare
+    pos: Mapping[int, tuple[int, int]]  # mask bit -> grid block it multiplies
+    faulty: np.ndarray | None           # (g, g, 1) bool: unrepaired faulty blocks
+    forced: np.ndarray | None           # (g, g, 1) their forced outputs
+    fault_bits: int                     # mask bits of the unrepaired faulty blocks
+    repaired: tuple[ModuleId, ...]      # blocks a spare stands in for
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where one datapath's quadrants sit on the grid of operand groups.
+
+    Grid row r multiplies 4-bit group r of a and column c group c of b, so
+    block (i, j) of the quadrant on halves (ha, hb) sits at (3*ha + i,
+    3*hb + j) and all blocks' operands come from one table gather.
+    """
+
+    halves: int                       # 12-bit halves per operand
+    group_shift: np.ndarray           # (g, 1) bit offset 4*r of operand group r
+    group_mask: np.ndarray            # (g, 1) bits from group r to the top of its half
+    ids: frozenset[ModuleId]          # every instantiated block, spares included
+    quad_bits: Mapping[Quadrant, int]  # mask bits of each placed quadrant's ten blocks
+    block_shift: np.ndarray           # (g, g, 1) weight 4*(i + j) inside the quadrant
+    quad_shift: np.ndarray            # (h, h, 1) weight 12*(ha + hb) of each quadrant
+    plain: _Plan                      # no faults, no repairs: the grid's own bits
+
+
+def _layout(placed: Mapping[Quadrant, tuple[int, int]]) -> _Layout:
+    halves = 1 + max(max(p) for p in placed.values())
+    g = 3 * halves
+    bits = np.zeros((g, g, 1), dtype=np.int64)
+    pos = {}
+    for q, (ha, hb) in placed.items():
+        for (i, j), mid in GRID_IDS[q].items():
+            r, c = 3 * ha + i, 3 * hb + j
+            bits[r, c] = _BIT[mid]
+            pos[_BIT[mid]] = (r, c)
+    k = np.arange(g) % 3
+    h = np.arange(halves)
+    return _Layout(
+        halves=halves,
+        group_shift=4 * np.arange(g, dtype=np.int64)[:, None],
+        group_mask=(0xFFF >> 4 * k)[:, None],
+        ids=frozenset(BLOCK_IDS[b] for q in placed for b in _quad_bits(q)),
+        quad_bits={q: sum(1 << b for b in _quad_bits(q)) for q in placed},
+        block_shift=(4 * (k[:, None] + k[None, :]))[:, :, None],
+        quad_shift=(12 * (h[:, None] + h[None, :]))[:, :, None],
+        plain=_Plan(bits, pos, None, None, 0, ()),
+    )
+
+
+def _quad_bits(q: Quadrant) -> list[int]:
+    return [_BIT[m] for m in GRID_IDS[q].values()] + [_BIT[SPARE_IDS[q]]]
+
+
+_MUL24 = _layout({q: (int(q.a_high), int(q.b_high)) for q in Quadrant})
+_MUL12 = {q: _layout({q: (0, 0)}) for q in Quadrant}
+
+
+def _plan(
+    layout: _Layout,
+    faults: Sequence[FaultSpec],
+    repairs: Iterable[ModuleId],
+) -> _Plan:
+    """Validate faults against the layout and route repairs to the spares.
+
+    Runs once per call, before any operand is looked at, so a bad plan is
+    rejected whichever quadrants the operands would switch on.
+    """
+    forced: dict[ModuleId, int] = {}
     for f in faults:
-        if f.target.quadrant is not quadrant:
+        if f.target.quadrant not in layout.quad_bits:
+            (quadrant,) = layout.quad_bits
             raise ValueError(
                 f"fault target {f.target} is outside quadrant {quadrant.value}"
             )
-        if f.target in fault_map:
+        if f.target in forced:
             raise ValueError(f"duplicate fault target {f.target}")
-        fault_map[f.target] = f.forced_output.value
-    return fault_map
+        forced[f.target] = f.forced_output.value
+    repaired = tuple(repairs)
+    if not forced and not repaired:
+        return layout.plain
+
+    grid = layout.plain.pos
+    bits = layout.plain.bits.copy()
+    pos = dict(grid)
+    for target in repaired:
+        spare = _BIT[SPARE_IDS[target.quadrant]]
+        pos[spare] = grid[_BIT[target]]
+        bits[pos[spare]] = spare
+    live = {m: v for m, v in forced.items() if m not in repaired}
+    if not live:
+        return _Plan(bits, pos, None, None, 0, repaired)
+    faulty = np.zeros(bits.shape, dtype=bool)
+    values = np.zeros(bits.shape, dtype=np.int64)
+    for mid, value in live.items():
+        faulty[grid[_BIT[mid]]] = True
+        values[grid[_BIT[mid]]] = value
+    fault_bits = sum(1 << _BIT[m] for m in live)
+    return _Plan(bits, pos, faulty, values, fault_bits, repaired)
 
 
-def _weighted_sum(parts: Sequence[tuple[int, int]], width: int) -> BitVec:
-    """Sum (value, shift) contributions with ripple adds, wrapping at width."""
-    acc = BitVec(0, width)
-    for value, shift in parts:
-        term = BitVec((value << shift) & ((1 << width) - 1), width)
-        acc = add(acc, term, width).truncate(width)
-    return acc
+def _plan24(
+    faults: Sequence[FaultSpec], repair: Mapping[Quadrant, RepairConfig] | None
+) -> _Plan:
+    targets = []
+    for q, cfg in (repair or {}).items():
+        if cfg.target is not None:
+            if cfg.target.quadrant is not q:
+                raise ValueError(f"repair target {cfg.target} filed under {q.value}")
+            targets.append(cfg.target)
+    return _plan(_MUL24, faults, targets)
 
 
-@dataclass
-class _QuadrantOutcome:
-    contributions: list[tuple[int, int]]
-    active: set[ModuleId]
-    gated: set[ModuleId]
-    disabled: set[ModuleId]
-    levels: dict[ModuleId | None, int]
-    unrepaired: list[ModuleId]
+def _plan12(
+    faults: Sequence[FaultSpec], repair: RepairConfig, quadrant: Quadrant
+) -> _Plan:
+    target = repair.target
+    if target is not None and target.quadrant is not quadrant:
+        raise ValueError(f"repair target {target} is outside quadrant {quadrant.value}")
+    return _plan(_MUL12[quadrant], faults, () if target is None else (target,))
 
 
-def _run_quadrant(
-    a: BitVec,
-    b: BitVec,
-    quadrant: Quadrant,
-    fault_map: Mapping[ModuleId, int],
-    repair: RepairConfig,
-    gating: bool,
-) -> _QuadrantOutcome:
-    """Evaluate one 12x12 module's nine blocks plus its spare."""
-    if repair.target is not None and repair.target.quadrant is not quadrant:
-        raise ValueError(
-            f"repair target {repair.target} is outside quadrant {quadrant.value}"
-        )
+def _blocks(
+    layout: _Layout, plan: _Plan, ab: np.ndarray, gating: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One engine pass over a (2, n) array of operand pairs.
 
-    ga = a.split(4)
-    gb = b.split(4)
+    Returns products, energised and unrepaired masks, and the (g, g, n)
+    mul4 table index of every grid block. The width checkers' rule: group i
+    of a 12-bit half is powered when the half shifted right by 4*i is
+    non-zero (its class exceeds 4*i). Group 0 of the low half is powered even
+    for zero, since class 4 is the narrowest; a zero high half is cut off
+    whole by the outer checker, which is the same as all its groups dark.
+    """
+    shifted = ab[:, None, :] >> layout.group_shift
+    groups = shifted & 0xF
+    idx = (groups[1] << 4)[None, :, :] | groups[0][:, None, :]
+    value = _mul4_tables()[0][idx]
     if gating:
-        rows = classify_width(a, INNER_CLASSES) // 4
-        cols = classify_width(b, INNER_CLASSES) // 4
+        powered = (shifted & layout.group_mask) != 0
+        powered[:, 0] = True
+        on = powered[0][:, None, :] & powered[1][None, :, :]
+        value *= on
     else:
-        rows = cols = 3
+        on = np.ones(idx.shape, dtype=bool)
+    if plan.faulty is not None:
+        value = np.where(plan.faulty & on, plan.forced, value)
+    h = layout.halves
+    quads = (value << layout.block_shift).reshape(h, 3, h, 3, -1).sum(axis=(1, 3))
+    products = ((quads & 0xFFFFFF) << layout.quad_shift).sum(axis=(0, 1)) & _MASK48
+    energised = (on << plan.bits).sum(axis=(0, 1))
+    return products, energised, energised & plan.fault_bits, idx
 
-    out = _QuadrantOutcome([], set(), set(), set(), {}, [])
-    spare = SPARE_IDS[quadrant]
-    spare_used = False
 
-    for i in range(3):
-        for j in range(3):
-            mid = GRID_IDS[quadrant][(i, j)]
-            energised = i < rows and j < cols
-            shift = 4 * (i + j)
-            if mid == repair.target:
-                # Spare computes this block's share; the block itself is dark.
-                out.disabled.add(mid)
-                spare_used = True
-                if energised:
-                    value, lv = _mul4_fast(ga[i].value, gb[j].value)
-                    out.contributions.append((value, shift))
-                    out.active.add(spare)
-                    out.levels[spare] = lv
-                else:
-                    out.gated.add(spare)
-                continue
-            if not energised:
-                # Powered off: even a faulty block drives nothing.
-                out.gated.add(mid)
-                continue
-            out.active.add(mid)
-            value, lv = _mul4_fast(ga[i].value, gb[j].value)
-            out.levels[mid] = lv
-            if mid in fault_map:
-                value = fault_map[mid]
-                out.unrepaired.append(mid)
-            out.contributions.append((value, shift))
+def _run_batch(
+    layout: _Layout, plan: _Plan, a: np.ndarray, b: np.ndarray, gating: bool
+) -> BlockBatch:
+    ab = np.stack([a.ravel(), b.ravel()])
+    out = np.empty((3, a.size), dtype=np.int64)
+    for lo in range(0, a.size, CHUNK):
+        chunk = slice(lo, lo + CHUNK)
+        out[:, chunk] = _blocks(layout, plan, ab[:, chunk], gating)[:3]
+    return BlockBatch(*(row.reshape(a.shape) for row in out))
 
-    if not spare_used:
-        out.gated.add(spare)
-    return out
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def _run_scalar(
+    layout: _Layout, plan: _Plan, x: int, y: int, gating: bool
+) -> tuple[int, ActivityReport, tuple[ModuleId, ...]]:
+    """A batch of one, with its masks unpacked into block ids."""
+    products, energised, unrepaired, idx = _blocks(
+        layout, plan, np.array([[x], [y]]), gating
+    )
+    mask = int(energised[0])
+    levels_of = _mul4_tables()[1][idx[:, :, 0]].tolist()
+    levels = {}
+    for k in _set_bits(mask):
+        r, c = plan.pos[k]
+        levels[BLOCK_IDS[k]] = levels_of[r][c]
+    active = frozenset(levels)
+    disabled = frozenset(
+        t for t in plan.repaired if mask & layout.quad_bits[t.quadrant]
+    )
+    report = ActivityReport(
+        active_mul4=active,
+        gated_mul4=layout.ids - active - disabled,
+        disabled_faulty=disabled,
+        adder_levels_active=levels,
+    )
+    faulty = tuple(BLOCK_IDS[k] for k in _set_bits(int(unrepaired[0])))
+    return int(products[0]), report, faulty
+
+
+# ---------------------------------------------------------------------------
+# 12x12 quadrant module and 24x24 top level
+# ---------------------------------------------------------------------------
+
+def mul12_batch(
+    a,
+    b,
+    faults: Sequence[FaultSpec] = (),
+    repair: RepairConfig = RepairConfig(),
+    *,
+    quadrant: Quadrant = Quadrant.LL,
+    gating: bool = True,
+) -> BlockBatch:
+    """:func:`mul12` over integer arrays of 12-bit operands, one quadrant."""
+    a, b = _operands(a, b, 12)
+    plan = _plan12(faults, repair, quadrant)
+    return _run_batch(_MUL12[quadrant], plan, a, b, gating)
+
+
+def mul24_batch(
+    a,
+    b,
+    faults: Sequence[FaultSpec] = (),
+    repair: Mapping[Quadrant, RepairConfig] | None = None,
+    *,
+    gating: bool = True,
+) -> BlockBatch:
+    """:func:`mul24` over integer arrays of 24-bit operands."""
+    a, b = _operands(a, b, 24)
+    plan = _plan24(faults, repair)
+    return _run_batch(_MUL24, plan, a, b, gating)
 
 
 def mul12(
@@ -425,27 +637,15 @@ def mul12(
     Standalone use defaults to quadrant LL; embedded use passes the real
     quadrant so fault and repair targets resolve against it.
     """
-    av = _coerce(a, 12, "a")
-    bv = _coerce(b, 12, "b")
-    fault_map = _check_faults(faults, quadrant)
-    q = _run_quadrant(av, bv, quadrant, fault_map, repair, gating)
-
-    product = _weighted_sum(q.contributions, 24)
+    x = _coerce(a, 12, "a")
+    y = _coerce(b, 12, "b")
+    plan = _plan12(faults, repair, quadrant)
+    product, report, unrepaired = _run_scalar(_MUL12[quadrant], plan, x, y, gating)
     nets = None
     if trace:
-        nets = export_netlist("mul12").evaluate_nets({"a": av.value, "b": bv.value})
-    report = ActivityReport(
-        active_mul4=frozenset(q.active),
-        gated_mul4=frozenset(q.gated),
-        disabled_faulty=frozenset(q.disabled),
-        adder_levels_active=dict(q.levels),
-    )
-    return MulResult(product, report, nets, tuple(q.unrepaired))
+        nets = export_netlist("mul12").evaluate_nets({"a": x, "b": y})
+    return MulResult(BitVec(product, 24), report, nets, unrepaired)
 
-
-# ---------------------------------------------------------------------------
-# 24x24 top level
-# ---------------------------------------------------------------------------
 
 def mul24(
     a: BitVec | int,
@@ -463,66 +663,14 @@ def mul24(
     checkers then gate individual blocks. A fully gated quadrant is dark:
     faults in it are invisible and its repair configuration is moot.
     """
-    av = _coerce(a, 24, "a")
-    bv = _coerce(b, 24, "b")
-    repair = dict(repair) if repair else {}
-    for q, cfg in repair.items():
-        if cfg.target is not None and cfg.target.quadrant is not q:
-            raise ValueError(f"repair target {cfg.target} filed under {q.value}")
-
-    by_quadrant: dict[Quadrant, list[FaultSpec]] = {q: [] for q in Quadrant}
-    for f in faults:
-        by_quadrant[f.target.quadrant].append(f)
-
-    if gating:
-        a_cls = classify_width(av, OUTER_CLASSES)
-        b_cls = classify_width(bv, OUTER_CLASSES)
-    else:
-        a_cls = b_cls = 24
-
-    halves_a = {False: av.truncate(12), True: BitVec(av.value >> 12, 12)}
-    halves_b = {False: bv.truncate(12), True: BitVec(bv.value >> 12, 12)}
-
-    contributions: list[tuple[int, int]] = []
-    active: set[ModuleId] = set()
-    gated: set[ModuleId] = set()
-    disabled: set[ModuleId] = set()
-    levels: dict[ModuleId | None, int] = {}
-    unrepaired: list[ModuleId] = []
-
-    for quad in Quadrant:
-        quad_on = (not quad.a_high or a_cls == 24) and (not quad.b_high or b_cls == 24)
-        if not quad_on:
-            gated.update(GRID_IDS[quad].values())
-            gated.add(SPARE_IDS[quad])
-            continue
-        sub = _run_quadrant(
-            halves_a[quad.a_high],
-            halves_b[quad.b_high],
-            quad,
-            _check_faults(by_quadrant[quad], quad),
-            repair.get(quad, RepairConfig()),
-            gating,
-        )
-        quad_product = _weighted_sum(sub.contributions, 24)
-        contributions.append((quad_product.value, quad.shift))
-        active |= sub.active
-        gated |= sub.gated
-        disabled |= sub.disabled
-        levels.update(sub.levels)
-        unrepaired.extend(sub.unrepaired)
-
-    product = _weighted_sum(contributions, 48)
+    x = _coerce(a, 24, "a")
+    y = _coerce(b, 24, "b")
+    plan = _plan24(faults, repair)
+    product, report, unrepaired = _run_scalar(_MUL24, plan, x, y, gating)
     nets = None
     if trace:
-        nets = export_netlist("mul24").evaluate_nets({"a": av.value, "b": bv.value})
-    report = ActivityReport(
-        active_mul4=frozenset(active),
-        gated_mul4=frozenset(gated),
-        disabled_faulty=frozenset(disabled),
-        adder_levels_active=levels,
-    )
-    return MulResult(product, report, nets, tuple(unrepaired))
+        nets = export_netlist("mul24").evaluate_nets({"a": x, "b": y})
+    return MulResult(BitVec(product, 48), report, nets, unrepaired)
 
 
 # ---------------------------------------------------------------------------

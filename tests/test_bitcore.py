@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from cifm.bitcore import (
     BitVec,
@@ -8,10 +6,7 @@ from cifm.bitcore import (
     CellKind,
     CellNetlist,
     NetlistBuilder,
-    add,
     classify_width,
-    full_add,
-    half_add,
 )
 
 
@@ -38,40 +33,6 @@ def test_bitvec_split():
 
 def test_bitvec_truncate():
     assert BitVec(0x1F, 6).truncate(4).value == 0xF
-
-
-def test_half_add_truth_table():
-    assert [half_add(a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))] == [
-        (0, 0), (1, 0), (1, 0), (0, 1)
-    ]
-
-
-def test_full_add_truth_table():
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                s, cy = full_add(a, b, c)
-                assert s + 2 * cy == a + b + c
-
-
-def test_adder_bits_reject_non_bits():
-    with pytest.raises(ValueError):
-        half_add(2, 0)
-    with pytest.raises(ValueError):
-        full_add(0, 0, -1)
-
-
-@given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))
-def test_add_matches_integer_addition(x, y):
-    out = add(BitVec(x, 12), BitVec(y, 12), 12)
-    assert out.width == 13
-    assert out.value == x + y
-
-
-@given(st.integers(0, 2**24 - 1), st.integers(0, 2**24 - 1))
-def test_add_then_truncate_wraps(x, y):
-    out = add(BitVec(x, 24), BitVec(y, 24), 24).truncate(24)
-    assert out.value == (x + y) % 2**24
 
 
 def test_classify_width_table():

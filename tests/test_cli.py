@@ -63,9 +63,9 @@ def test_fpmul_truncate_flag():
 def test_verify_passes_and_reports():
     r = run("verify", "mul4-exhaustive")
     assert r.returncode == 0
-    assert "65536/65536 pass" in r.stderr
+    assert "256/256 pass" in r.stderr
     doc = json.loads(r.stdout)
-    assert doc["ok"] is True and doc["total"] == 65536
+    assert doc["ok"] is True and doc["total"] == 256
 
 
 def test_metrics_full_adders():

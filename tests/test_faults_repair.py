@@ -10,6 +10,7 @@ from cifm.multiplier import (
     RepairConfig,
     mul12,
     mul24,
+    mul24_batch,
 )
 
 LL00 = GRID_IDS[Quadrant.LL][(0, 0)]
@@ -35,6 +36,11 @@ def test_repair_config_validation():
         RepairConfig(enabled=True, target=None)
     with pytest.raises(ValueError):
         RepairConfig(enabled=True, target=SPARE_IDS[Quadrant.LL])
+
+
+def test_module_id_rejects_non_quadrant():
+    with pytest.raises(ValueError):
+        ModuleId("LL", 0, 0)
 
 
 def test_module_id_spare_normalised():
@@ -114,6 +120,16 @@ def test_two_faults_one_spare():
 def test_duplicate_fault_target_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         mul12(1, 1, faults=[FaultSpec(LL00, 0x01), FaultSpec(LL00, 0x02)])
+
+
+@pytest.mark.parametrize("operand", [1, 1 << 20])
+def test_duplicate_fault_rejected_whatever_the_operands(operand):
+    # 1 x 1 leaves quadrant HH dark, 2**20 x 2**20 powers it: both reject
+    faults = [FaultSpec(HH00, 0x01), FaultSpec(HH00, 0x02)]
+    with pytest.raises(ValueError, match="duplicate"):
+        mul24(operand, operand, faults=faults)
+    with pytest.raises(ValueError, match="duplicate"):
+        mul24_batch([operand], [operand], faults=faults)
 
 
 def test_fault_outside_quadrant_rejected():
