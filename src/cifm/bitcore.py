@@ -7,15 +7,25 @@ expansion, is built on the two abstractions in this module:
 * :class:`CellNetlist` -- an ordered list of AND / half-adder / full-adder
   cells over named nets, evaluable bit by bit.
 
-Netlist evaluation accepts plain ints or numpy integer arrays for every
-input, so a single netlist can be swept over many operand pairs at once.
+It also holds the evaluation engine that cell netlists and reversible
+circuits share. A netlist is compiled once into levelized steps: elements
+of one topological level that compute the same function form one step,
+and each output bit of that function is an XOR of AND monomials (its
+algebraic normal form), derived from a truth table. A step runs as a few
+fancy-indexed numpy operations on a [rows x words] uint64 state that
+holds 64 vectors per word (bitslicing). Batches run CHUNK_WORDS words at
+a time; a scalar is a batch of one. Netlist evaluation accepts plain ints
+or numpy integer arrays for every input, so a single netlist can be swept
+over many operand pairs at once.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +36,7 @@ __all__ = [
     "Cell",
     "CellNetlist",
     "NetlistBuilder",
+    "CHUNK_WORDS",
 ]
 
 
@@ -99,6 +110,228 @@ def classify_width(x: BitVec, classes: Sequence[int]) -> int:
     )
 
 
+# ---------------------------------------------------------------------------
+# Levelized, bit-sliced evaluation
+# ---------------------------------------------------------------------------
+
+# Words of 64 vectors per engine pass: bounds the [rows x words] state and
+# the per-pass temporaries for any batch size.
+CHUNK_WORDS = 64
+
+
+def truth_table(fn, n_in: int, n_out: int) -> tuple[int, ...]:
+    """Entry i is the output pattern of ``fn`` for input pattern i.
+
+    The first input (and the first output) is the most significant bit,
+    the convention of :class:`cifm.revlogic.RevGate` mappings.
+    """
+    table = []
+    for i in range(1 << n_in):
+        bits = tuple((i >> (n_in - 1 - k)) & 1 for k in range(n_in))
+        out = fn(*bits)
+        table.append(sum(v << (n_out - 1 - k) for k, v in enumerate(out)))
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
+def anf_program(table: tuple[int, ...], n_in: int, n_out: int) -> tuple:
+    """A straight-line AND/XOR program for a truth table, from its ANF.
+
+    Each output bit is written in algebraic normal form, an XOR of AND
+    monomials over the inputs, by the Moebius transform of its column.
+    Registers 0..n_in-1 hold the inputs. ``products`` lists register pairs
+    whose AND becomes the next register, so every monomial of degree two
+    or more is one AND of a shorter monomial and an input. ``outputs``
+    gives per output bit ``(invert, registers)``: the XOR of the registers,
+    complemented when the ANF has the constant term.
+    """
+    regs = {(k,): k for k in range(n_in)}
+    products: list[tuple[int, int]] = []
+
+    def reg(mono: tuple[int, ...]) -> int:
+        if mono not in regs:
+            products.append((reg(mono[:-1]), mono[-1]))
+            regs[mono] = n_in + len(products) - 1
+        return regs[mono]
+
+    outputs = []
+    for j in range(n_out):
+        coef = [(v >> (n_out - 1 - j)) & 1 for v in table]
+        for b in range(n_in):
+            for i in range(len(coef)):
+                if i >> b & 1:
+                    coef[i] ^= coef[i ^ (1 << b)]
+        monos = [
+            tuple(k for k in range(n_in) if s >> (n_in - 1 - k) & 1)
+            for s in range(1, len(coef)) if coef[s]
+        ]
+        outputs.append((bool(coef[0]), tuple(reg(m) for m in monos)))
+    return tuple(products), tuple(outputs)
+
+
+class Step(NamedTuple):
+    """One levelized step: the same program on every column of ``ins``.
+
+    ``ins`` is [inputs x elements] of state row ids. ``outs`` selects, per
+    program output, the state rows it writes, one per element: a slice or
+    an index array. ``products`` and ``outputs`` are an :func:`anf_program`.
+    """
+
+    ins: np.ndarray
+    outs: tuple
+    products: tuple
+    outputs: tuple
+
+
+def levelized(placed: Iterable[tuple]) -> list[tuple]:
+    """Group ``(level, key, item)`` triples by (level, key).
+
+    Returns ``(level, key, items)`` per group in ascending level order,
+    groups of one level in order of first appearance.
+    """
+    groups: dict = {}
+    for level, key, item in placed:
+        groups.setdefault((level, key), []).append(item)
+    return [
+        (level, key, items)
+        for (level, key), items in sorted(groups.items(), key=lambda kv: kv[0][0])
+    ]
+
+
+class SlicedPlan(NamedTuple):
+    """A netlist compiled for :func:`run_sliced`.
+
+    The state has ``rows`` rows of uint64 words, bit v of a word holding
+    vector v. State row ``load_rows[i]`` starts as bit ``load_shift[i]``
+    (bit 0 when ``load_shift`` is None) of operand row ``load_src[i]``;
+    rows in ``ones`` start all ones and every other row all zeros.
+    ``depth[r]`` is the level of the last step that writes row r, 0 if
+    none does.
+    """
+
+    rows: int
+    steps: tuple[Step, ...]
+    load_rows: np.ndarray
+    load_src: np.ndarray
+    load_shift: np.ndarray | None
+    ones: np.ndarray
+    depth: tuple[int, ...]
+
+
+def _run_steps(state: np.ndarray, steps: Sequence[Step]) -> None:
+    for ins, outs, products, outputs in steps:
+        regs = list(state.take(ins, axis=0))
+        for a, b in products:
+            regs.append(regs[a] & regs[b])
+        for rows, (invert, terms) in zip(outs, outputs):
+            acc = regs[terms[0]]
+            for t in terms[1:]:
+                acc = acc ^ regs[t]
+            state[rows] = ~acc if invert else acc
+
+
+def run_sliced(plan: SlicedPlan, values: np.ndarray, read: np.ndarray):
+    """Evaluate ``plan`` on the vectors of ``values``, CHUNK_WORDS words at a time.
+
+    ``values`` is [operand rows x vectors] of integers. Yields
+    ``(lo, hi, bits)``: bits is a uint8 array [len(read) x (hi - lo)] with
+    the final 0/1 values of state rows ``read`` for vectors lo..hi-1.
+    """
+    span = 64 * CHUNK_WORDS
+    for lo in range(0, values.shape[1], span):
+        hi = min(values.shape[1], lo + span)
+        words = -(-(hi - lo) // 64)
+        block = values[plan.load_src, lo:hi]
+        if plan.load_shift is not None:
+            block = (block >> plan.load_shift[:, None]) & 1
+        packed = np.zeros((len(plan.load_rows), 8 * words), dtype=np.uint8)
+        packed[:, : -(-(hi - lo) // 8)] = np.packbits(block, axis=1, bitorder="little")
+        state = np.zeros((plan.rows, words), dtype=np.uint64)
+        state[plan.load_rows] = packed.view(np.uint64)
+        state[plan.ones] = ~np.uint64(0)
+        _run_steps(state, plan.steps)
+        bits = np.unpackbits(state[read].view(np.uint8), axis=1, bitorder="little")
+        yield lo, hi, bits[:, : hi - lo]
+
+
+class PlanSlot:
+    """Holds a netlist's plan while the netlist's element counts equal ``key``.
+
+    Netlists only grow by appending, so their element counts tell whether
+    a plan is still current. Netlists of equal structure may share a slot.
+    """
+
+    __slots__ = ("key", "plan")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.plan = None
+
+
+def plan_slot(owner, attr: str, key: tuple) -> PlanSlot:
+    """The slot ``owner`` keeps under ``attr``, replaced by an empty one
+    unless it is for ``key``."""
+    slot = owner.__dict__.get(attr)
+    if slot is None or slot.key != key:
+        slot = PlanSlot(key)
+        setattr(owner, attr, slot)
+    return slot
+
+
+def cached_plan(owner, key: tuple, build):
+    """The plan ``build()`` makes for ``owner``: built on first use, and
+    again once ``owner`` has grown. It lives in ``owner._plan_slot``."""
+    slot = plan_slot(owner, "_plan_slot", key)
+    if slot.plan is None:
+        slot.plan = build()
+    return slot.plan
+
+
+def uint_rows(
+    values: Sequence, widths: Sequence[int], name: Callable[[int], str]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Stack integer operands into one array [len(values) x vectors].
+
+    Returns it with the operands' broadcast shape. Raises ValueError unless
+    every operand is an int or an integer array (an empty array of any
+    dtype passes), the shapes broadcast, and every element of row i lies in
+    0..2**widths[i]-1; ``name(i)`` names operand i in the message. The range
+    check runs once over the whole stack. The dtype is the operands' common
+    integer type.
+    """
+    arrs = [np.asarray(v) for v in values]
+    seen = {(a.dtype, a.shape) for a in arrs}
+    if any(d.kind not in "iu" and 0 not in shape for d, shape in seen):
+        i = next(i for i, a in enumerate(arrs) if a.size and a.dtype.kind not in "iu")
+        raise ValueError(f"{name(i)} must hold integers, got dtype {arrs[i].dtype}")
+    shapes = {shape for _, shape in seen}
+    try:
+        shape = np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ValueError(f"operand shapes do not broadcast: {sorted(shapes)}") from None
+    dtype = np.result_type(*{d for d, _ in seen}) if seen else np.dtype(np.int64)
+    if dtype.kind not in "iu":          # int64 with uint64, or an empty float
+        dtype = np.dtype(np.int64)
+    rows = np.empty((len(arrs),) + shape, dtype=dtype)
+    for i, arr in enumerate(arrs):
+        rows[i] = arr
+    flat = rows.reshape(len(arrs), math.prod(shape))
+    if flat.size:
+        limits = np.left_shift(1, np.minimum(widths, 63), dtype=np.int64) - 1
+        bad = flat.max(axis=1) > limits
+        if flat.min() < 0:
+            bad |= flat.min(axis=1) < 0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{name(i)} has elements outside 0..2**{widths[i]}-1")
+    return flat, shape
+
+
+def is_scalar_call(values: Iterable) -> bool:
+    """True when no operand is an array or sequence: results are Python ints."""
+    return all(np.ndim(v) == 0 and not isinstance(v, np.ndarray) for v in values)
+
+
 class CellKind(Enum):
     AND = "AND"
     HA = "HA"
@@ -106,6 +339,16 @@ class CellKind(Enum):
 
 
 _CELL_ARITY = {CellKind.AND: (2, 1), CellKind.HA: (2, 2), CellKind.FA: (3, 2)}
+
+# What each cell computes; HA and FA outputs are (sum, carry).
+_CELL_PROGRAMS = {
+    kind: anf_program(truth_table(fn, *_CELL_ARITY[kind]), *_CELL_ARITY[kind])
+    for kind, fn in (
+        (CellKind.AND, lambda a, b: (a & b,)),
+        (CellKind.HA, lambda a, b: (a ^ b, a & b)),
+        (CellKind.FA, lambda a, b, c: (a ^ b ^ c, (a & b) | (a & c) | (b & c))),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -131,6 +374,13 @@ class Cell:
                 f"{self.kind.value} cell needs {n_in} inputs and {n_out} outputs, "
                 f"got {len(self.inputs)}/{len(self.outputs)}"
             )
+
+
+class _CompiledCells(NamedTuple):
+    plan: SlicedPlan
+    nets: tuple[str, ...]       # every net, in definition order
+    net_rows: np.ndarray        # state row per net of ``nets``
+    outputs: np.ndarray         # state row per output bit, LSB first
 
 
 @dataclass
@@ -168,56 +418,105 @@ class CellNetlist:
             if net not in defined:
                 raise ValueError(f"output {name} reads undriven net {net}")
 
+    def _compiled(self) -> "_CompiledCells":
+        key = (len(self.inputs), len(self.cells), len(self.outputs))
+        return cached_plan(self, key, self._compile)
+
+    def _compile(self) -> "_CompiledCells":
+        """Levelize the cells: one step per (topological level, kind).
+
+        Each step's outputs get consecutive state rows, so a step writes
+        slices of the state.
+        """
+        self.validate()
+        row: dict[str, int] = {}
+        src, shift = [], []
+        for bus, (_, nets) in enumerate(self.inputs):
+            for k, net in enumerate(nets):
+                row[net] = len(row)
+                src.append(bus)
+                shift.append(k)
+        level_of = dict.fromkeys(row, 0)
+        placed = []
+        for cell in self.cells:
+            level = 1 + max(level_of[n] for n in cell.inputs)
+            for n in cell.outputs:
+                level_of[n] = level
+            placed.append((level, cell.kind, cell))
+        depth = [0] * len(src)
+        steps = []
+        for level, kind, cells in levelized(placed):
+            ins = np.array([[row[n] for n in c.inputs] for c in cells], dtype=np.intp)
+            outs = []
+            for j in range(_CELL_ARITY[kind][1]):
+                base = len(row)
+                outs.append(slice(base, base + len(cells)))
+                row.update((c.outputs[j], base + i) for i, c in enumerate(cells))
+            depth += [level] * (len(row) - len(depth))
+            steps.append(Step(ins.T, tuple(outs), *_CELL_PROGRAMS[kind]))
+        plan = SlicedPlan(
+            rows=len(row),
+            steps=tuple(steps),
+            load_rows=np.arange(len(src), dtype=np.intp),
+            load_src=np.array(src, dtype=np.intp),
+            load_shift=np.array(shift, dtype=np.int64),
+            ones=np.zeros(0, dtype=np.intp),
+            depth=tuple(depth),
+        )
+        nets = tuple(level_of)
+        return _CompiledCells(
+            plan,
+            nets,
+            np.array([row[n] for n in nets], dtype=np.intp),
+            np.array([row[net] for _, net in self.outputs], dtype=np.intp),
+        )
+
+    def _operand_rows(self, operands: Mapping) -> tuple[np.ndarray, tuple | None]:
+        """Operand buses as int64 rows [buses x vectors], and the result shape
+        (None when every operand is a scalar)."""
+        for name, _ in self.inputs:
+            if name not in operands:
+                raise ValueError(f"missing operand {name!r}")
+        values = [operands[name] for name, _ in self.inputs]
+        rows, shape = uint_rows(
+            values, [len(nets) for _, nets in self.inputs], lambda i: self.inputs[i][0]
+        )
+        return rows.astype(np.int64, copy=False), None if is_scalar_call(values) else shape
+
     def evaluate_nets(self, operands: Mapping[str, int | np.ndarray]) -> dict:
         """Evaluate every net. Operand values are ints or int arrays.
 
-        Returns a dict mapping net name to bit value (int or array).
+        Returns a dict mapping net name to bit value: Python ints when every
+        operand is an int, else int64 arrays of the broadcast operand shape.
+        Raises ValueError for a missing operand, a non-integer one, or an
+        element outside its bus width.
         """
-        values: dict = {}
-        for name, nets in self.inputs:
-            if name not in operands:
-                raise ValueError(f"missing operand {name!r}")
-            v = operands[name]
-            if isinstance(v, np.ndarray):
-                v = v.astype(np.int64, copy=False)
-            for k, net in enumerate(nets):
-                values[net] = (v >> k) & 1
-        for cell in self.cells:
-            ins = [values[n] for n in cell.inputs]
-            if cell.kind is CellKind.AND:
-                values[cell.outputs[0]] = ins[0] & ins[1]
-            elif cell.kind is CellKind.HA:
-                a, b = ins
-                values[cell.outputs[0]] = a ^ b
-                values[cell.outputs[1]] = a & b
-            else:
-                a, b, c = ins
-                values[cell.outputs[0]] = a ^ b ^ c
-                values[cell.outputs[1]] = (a & b) | (a & c) | (b & c)
-        return values
+        compiled = self._compiled()
+        values, shape = self._operand_rows(operands)
+        out = np.empty((len(compiled.nets), values.shape[1]), dtype=np.int64)
+        for lo, hi, bits in run_sliced(compiled.plan, values, compiled.net_rows):
+            out[:, lo:hi] = bits
+        if shape is None:
+            return dict(zip(compiled.nets, out[:, 0].tolist()))
+        return dict(zip(compiled.nets, out.reshape((len(compiled.nets),) + shape)))
 
     def evaluate(self, operands: Mapping[str, int | np.ndarray]) -> int | np.ndarray:
-        """Evaluate and assemble the output bits into one integer (or array)."""
-        values = self.evaluate_nets(operands)
-        total = 0
-        for k, (_, net) in enumerate(self.outputs):
-            total = total + (values[net] << k)
-        return total
+        """Evaluate and assemble the output bits into one integer (or int64 array)."""
+        compiled = self._compiled()
+        values, shape = self._operand_rows(operands)
+        weights = np.left_shift(1, np.arange(len(compiled.outputs), dtype=np.int64))
+        total = np.zeros(values.shape[1], dtype=np.int64)
+        for lo, hi, bits in run_sliced(compiled.plan, values, compiled.outputs):
+            total[lo:hi] = weights @ bits
+        return int(total[0]) if shape is None else total.reshape(shape)
 
     def cell_count(self) -> int:
         return len(self.cells)
 
     def unit_delay(self) -> int:
         """Longest cell chain from any input to any output, one per cell."""
-        ready: dict[str, int] = {}
-        for _, nets in self.inputs:
-            for n in nets:
-                ready[n] = 0
-        for cell in self.cells:
-            t = 1 + max((ready[n] for n in cell.inputs), default=0)
-            for n in cell.outputs:
-                ready[n] = t
-        return max((ready[net] for _, net in self.outputs), default=0)
+        compiled = self._compiled()
+        return max((compiled.plan.depth[r] for r in compiled.outputs), default=0)
 
     def to_json(self) -> dict:
         """Deterministic JSON-ready form."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Sequence
 
 from .multiplier import (
@@ -196,8 +197,10 @@ def cmd_fpmul(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
+    start = time.perf_counter()
     result = run_suite(args.suite, seed=args.seed)
-    print(result.summary(), file=sys.stderr)
+    elapsed = time.perf_counter() - start
+    print(f"{result.summary()} in {elapsed:.3f} s", file=sys.stderr)
     for note in result.notes:
         print(f"  {note}", file=sys.stderr)
     json.dump(result.to_json(), sys.stdout, indent=2)

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitcore import BitVec, CellKind, CellNetlist, NetlistBuilder
+from .bitcore import BitVec, CellKind, CellNetlist, NetlistBuilder, uint_rows
 
 __all__ = [
     "Quadrant",
@@ -187,7 +187,7 @@ class ActivityReport:
     power_proxy is simply the number of energised blocks.
     adder_levels_active maps each energised block to how many of its three
     internal adder levels saw a nonzero input net (a standalone 4x4 call has
-    no block identity and uses the key None).
+    no block identity and uses the key None, written as null in JSON).
     """
 
     active_mul4: frozenset[ModuleId]
@@ -208,6 +208,12 @@ class ActivityReport:
             "gated": ids(self.gated_mul4),
             "disabled_faulty": ids(self.disabled_faulty),
             "power_proxy": self.power_proxy,
+            "adder_levels_active": [
+                {"block": None if m is None else m.to_json(), "levels": n}
+                for m, n in sorted(
+                    self.adder_levels_active.items(), key=lambda kv: str(kv[0])
+                )
+            ],
         }
 
 
@@ -319,18 +325,11 @@ def _coerce(x: BitVec | int, width: int, name: str) -> int:
 
 def _operands(a, b, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-shape int64 arrays of ``width``-bit operands, or ValueError."""
-    out = []
-    for name, x in (("a", a), ("b", b)):
-        arr = np.asarray(x)
-        if arr.size:
-            if arr.dtype.kind not in "iu":
-                raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
-            if arr.min() < 0 or arr.max() >= 1 << width:
-                raise ValueError(f"{name} has elements outside 0..2**{width}-1")
-        out.append(arr.astype(np.int64))
-    if out[0].shape != out[1].shape:
-        raise ValueError(f"a and b differ in shape: {out[0].shape} vs {out[1].shape}")
-    return out[0], out[1]
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"a and b differ in shape: {np.shape(a)} vs {np.shape(b)}")
+    rows, shape = uint_rows((a, b), (width, width), "ab".__getitem__)
+    rows = rows.astype(np.int64, copy=False)
+    return rows[0].reshape(shape), rows[1].reshape(shape)
 
 
 def mul4(a: BitVec | int, b: BitVec | int, trace: bool = False) -> MulResult:

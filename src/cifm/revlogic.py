@@ -17,18 +17,34 @@ is built from:
 :func:`expand` rewrites any AND/HA/FA cell netlist into reversible form:
 Toffoli per AND, NG per HA, TSG per FA, and a Feynman copy per extra
 consumer of a net. Simulation accepts ints or numpy arrays per input line,
-so exhaustive and bulk random equivalence sweeps stay fast.
+so exhaustive and bulk random equivalence sweeps stay fast: the circuit is
+layered into gates on disjoint lines and run on the bit-sliced engine in
+:mod:`cifm.bitcore`, each gate as the algebraic normal form of its mapping
+(or of the inverse mapping, backwards).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitcore import CellKind, CellNetlist
+from .bitcore import (
+    CellKind,
+    CellNetlist,
+    SlicedPlan,
+    Step,
+    anf_program,
+    cached_plan,
+    is_scalar_call,
+    levelized,
+    plan_slot,
+    run_sliced,
+    truth_table,
+    uint_rows,
+)
 
 __all__ = [
     "RevGate",
@@ -71,26 +87,17 @@ class RevGate:
         size = 1 << self.arity
         if len(self.mapping) != size or sorted(self.mapping) != list(range(size)):
             raise ValueError(f"gate {self.name} mapping is not a bijection")
-        object.__setattr__(
-            self, "_array", np.array(self.mapping, dtype=np.uint8)
-        )
-        inv = [0] * size
-        for i, o in enumerate(self.mapping):
-            inv[o] = i
-        object.__setattr__(self, "_inverse_array", np.array(inv, dtype=np.uint8))
 
     def inverse_mapping(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self._inverse_array)  # type: ignore[attr-defined]
+        inv = [0] * len(self.mapping)
+        for i, o in enumerate(self.mapping):
+            inv[o] = i
+        return tuple(inv)
 
 
 def _gate_from_function(name: str, arity: int, fn) -> RevGate:
     """Build a gate from a bit-tuple function (checked for bijectivity)."""
-    mapping = []
-    for i in range(1 << arity):
-        bits = tuple((i >> (arity - 1 - k)) & 1 for k in range(arity))
-        out = fn(*bits)
-        mapping.append(sum(v << (arity - 1 - k) for k, v in enumerate(out)))
-    return RevGate(name, arity, tuple(mapping))
+    return RevGate(name, arity, truth_table(fn, arity, arity))
 
 
 def make_not() -> RevGate:
@@ -257,68 +264,110 @@ class SimResult:
     outputs: dict
 
 
-def _initial_values(n: RevNetlist, inputs: Mapping) -> list:
-    values = []
-    for line in n.lines:
-        if line.tag is LineTag.PRIMARY_INPUT:
-            if line.name not in inputs:
-                raise ValueError(f"missing value for input line {line.name!r}")
-            values.append(inputs[line.name])
-        else:
-            values.append(line.const)
-    return values
+def _gate_program(table: tuple[int, ...], arity: int) -> tuple[tuple, tuple[int, ...]]:
+    """The gate's :func:`anf_program` without the outputs that pass their
+    line through unchanged, and the positions of the outputs kept."""
+    products, outputs = anf_program(table, arity, arity)
+    kept = tuple(j for j, out in enumerate(outputs) if out != (False, (j,)))
+    return (products, tuple(outputs[j] for j in kept)), kept
 
 
-def _apply_gates(values: list, gates: Iterable[tuple[np.ndarray, tuple[int, ...]]]):
-    for table, lines in gates:
-        idx = values[lines[0]]
-        for l in lines[1:]:
-            idx = (idx << 1) | values[l]
-        out = table[idx]
-        for k, l in enumerate(lines):
-            values[l] = (out >> (len(lines) - 1 - k)) & 1
+class _CompiledRev(NamedTuple):
+    forward: SlicedPlan
+    inverse: SlicedPlan
+    names: tuple[str, ...]      # distinct input line names, first use first
 
 
-def _is_vector(inputs: Mapping) -> bool:
-    return any(isinstance(v, np.ndarray) for v in inputs.values())
+def _compiled(n: RevNetlist) -> _CompiledRev:
+    return cached_plan(n, (len(n.lines), len(n.gates)), lambda: _compile(n))
 
 
-def _broadcast(values: list) -> list:
-    size = max(v.shape[0] for v in values if isinstance(v, np.ndarray))
-    return [
-        v if isinstance(v, np.ndarray) else np.full(size, v, dtype=np.int64)
-        for v in values
-    ]
+def _compile(n: RevNetlist) -> _CompiledRev:
+    """Layer the gates, one step per (layer, gate), both directions.
+
+    A gate's layer is one more than the latest layer among its lines, so
+    the gates of one layer touch disjoint lines. The inverse runs the
+    layers backwards with each gate's inverse mapping.
+    """
+    depth = [0] * len(n.lines)
+    placed = []
+    for app in n.gates:
+        level = 1 + max(depth[l] for l in app.lines)
+        for l in app.lines:
+            depth[l] = level
+        placed.append((level, app.gate, app.lines))
+    forward, inverse = [], []
+    for _, gate, lines in levelized(placed):
+        ins = np.array(lines, dtype=np.intp).T
+        for steps, table in ((forward, gate.mapping), (inverse, gate.inverse_mapping())):
+            program, kept = _gate_program(table, gate.arity)
+            steps.append(Step(ins, tuple(ins[j] for j in kept), *program))
+    inverse.reverse()
+
+    inputs = [(i, l.name) for i, l in enumerate(n.lines) if l.tag is LineTag.PRIMARY_INPUT]
+    names = tuple(dict.fromkeys(name for _, name in inputs))
+    index = {name: k for k, name in enumerate(names)}
+    fwd = SlicedPlan(
+        rows=len(n.lines),
+        steps=tuple(forward),
+        load_rows=np.array([i for i, _ in inputs], dtype=np.intp),
+        load_src=np.array([index[name] for _, name in inputs], dtype=np.intp),
+        load_shift=None,
+        ones=np.array([i for i, l in enumerate(n.lines)
+                       if l.tag is LineTag.ANCILLA and l.const == 1], dtype=np.intp),
+        depth=tuple(depth),
+    )
+    every = np.arange(len(n.lines), dtype=np.intp)
+    inv = fwd._replace(
+        steps=tuple(inverse), load_rows=every, load_src=every, ones=every[:0]
+    )
+    return _CompiledRev(fwd, inv, names)
+
+
+def _run_lines(plan: SlicedPlan, values: Sequence, name: Callable[[int], str]) -> list:
+    """Every line's final value: Python ints when every value is an int,
+    else uint8 arrays of the broadcast shape. Values must be 0 or 1;
+    ``name(i)`` names value i in the error."""
+    rows, shape = uint_rows(values, [1] * len(values), name)
+    out = np.empty((plan.rows, rows.shape[1]), dtype=np.uint8)
+    for lo, hi, bits in run_sliced(plan, rows, np.arange(plan.rows)):
+        out[:, lo:hi] = bits
+    if is_scalar_call(values):
+        return out[:, 0].tolist()
+    return list(out.reshape((plan.rows,) + shape))
 
 
 def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
-    """Run the circuit forward. Input values may be ints or int arrays."""
-    values = _initial_values(n, inputs)
-    if _is_vector(inputs):
-        values = _broadcast(values)
-    _apply_gates(
-        values,
-        ((g.gate._array, g.lines) for g in n.gates),  # type: ignore[attr-defined]
+    """Run the circuit forward. Input values may be ints or int arrays of 0/1.
+
+    Line values are Python ints when every input is an int, else uint8
+    arrays of the broadcast input shape. Raises ValueError for a missing
+    input or a value other than 0 or 1.
+    """
+    compiled = _compiled(n)
+    for name in compiled.names:
+        if name not in inputs:
+            raise ValueError(f"missing value for input line {name!r}")
+    values = _run_lines(
+        compiled.forward,
+        [inputs[name] for name in compiled.names],
+        compiled.names.__getitem__,
     )
     outputs = {name: values[i] for name, i in n.outputs()}
     return SimResult(tuple(values), outputs)
 
 
 def simulate_inverse(n: RevNetlist, final_values: Sequence) -> list:
-    """Run the circuit backward from a complete final line assignment."""
+    """Run the circuit backward from a complete final line assignment.
+
+    Values follow :func:`simulate`; a value other than 0 or 1 raises
+    ValueError.
+    """
     if len(final_values) != len(n.lines):
         raise ValueError(
             f"expected {len(n.lines)} line values, got {len(final_values)}"
         )
-    values = list(final_values)
-    _apply_gates(
-        values,
-        (
-            (g.gate._inverse_array, g.lines)  # type: ignore[attr-defined]
-            for g in reversed(n.gates)
-        ),
-    )
-    return values
+    return _run_lines(_compiled(n).inverse, final_values, "line {}".format)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +508,9 @@ def expand(netlist: CellNetlist) -> RevNetlist:
 
     for name, net in netlist.outputs:
         rev.set_output(slots[net][-1], name)
+    # Expansions of one netlist are equal, so they share one plan slot: the
+    # first simulation of any of them compiles the plan.
+    rev._plan_slot = plan_slot(netlist, "_expansion_slot", (len(rev.lines), len(rev.gates)))
     return rev
 
 
@@ -489,14 +541,12 @@ def metrics_of(n: RevNetlist) -> Metrics:
     lines ending at a primary output; a gate depends on every line it
     touches, control or data.
     """
-    ready = [0] * len(n.lines)
-    for g in n.gates:
-        t = 1 + max(ready[l] for l in g.lines)
-        for l in g.lines:
-            ready[l] = t
-    out_lines = [i for i, (role, _) in enumerate(n.output_roles)
-                 if role is OutputRole.PRIMARY_OUTPUT]
-    delay = max((ready[i] for i in out_lines), default=0)
+    depth = _compiled(n).forward.depth
+    delay = max(
+        (depth[i] for i, (role, _) in enumerate(n.output_roles)
+         if role is OutputRole.PRIMARY_OUTPUT),
+        default=0,
+    )
     garbage = sum(
         1 for role, _ in n.output_roles if role is OutputRole.GARBAGE
     )

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -66,6 +67,14 @@ def test_verify_passes_and_reports():
     assert "256/256 pass" in r.stderr
     doc = json.loads(r.stdout)
     assert doc["ok"] is True and doc["total"] == 256
+
+
+def test_verify_times_itself_on_stderr_only():
+    from cifm.verify import run_suite
+
+    r = run("verify", "rev-expand", "--seed", "3")
+    assert re.search(r"rev-expand: 1256/1256 pass in \d+\.\d{3} s", r.stderr)
+    assert r.stdout == json.dumps(run_suite("rev-expand", 3).to_json(), indent=2) + "\n"
 
 
 def test_metrics_full_adders():

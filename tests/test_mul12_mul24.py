@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from cifm.multiplier import (
     SPARE_IDS,
     Quadrant,
     export_netlist,
+    mul4,
     mul12,
     mul24,
 )
@@ -121,6 +124,19 @@ def test_levels_reported_only_for_active_blocks():
     act = mul24(0xFFF, 0xFFF).activity
     assert set(act.adder_levels_active) == set(act.active_mul4)
     assert all(0 <= v <= 3 for v in act.adder_levels_active.values())
+
+
+def test_activity_json_carries_adder_levels():
+    act = mul24(0xABCDEF, 0x123).activity
+    doc = json.loads(json.dumps(act.to_json()))
+    assert doc["adder_levels_active"] == [
+        {"block": m.to_json(), "levels": act.adder_levels_active[m]}
+        for m in sorted(act.active_mul4, key=str)
+    ]
+    assert set(doc) == {"active", "gated", "disabled_faulty", "power_proxy",
+                        "adder_levels_active"}
+    text = json.dumps(mul4(15, 15).activity.to_json())
+    assert '"adder_levels_active": [{"block": null, "levels": 3}]' in text
 
 
 def test_quadrant_placement():
