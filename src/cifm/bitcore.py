@@ -287,6 +287,23 @@ def cached_plan(owner, key: tuple, build):
     return slot.plan
 
 
+def uint_value(x: BitVec | int, width: int, name: str) -> int:
+    """The value of one scalar operand: a ``width``-bit BitVec or a fitting int.
+
+    Raises ValueError for anything else: floats, strings, None, bools,
+    BitVecs of another width and ints outside 0..2**width-1.
+    """
+    if isinstance(x, BitVec):
+        if x.width != width:
+            raise ValueError(f"{name} must be {width} bits wide, got {x.width}")
+        return x.value
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+        raise ValueError(f"{name} must be an int or a BitVec, got {type(x).__name__}")
+    if not 0 <= x < 1 << width:
+        raise ValueError(f"{name}={int(x):#x} does not fit in {width} bits")
+    return int(x)
+
+
 def uint_rows(
     values: Sequence, widths: Sequence[int], name: Callable[[int], str]
 ) -> tuple[np.ndarray, tuple[int, ...]]:

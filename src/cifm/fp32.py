@@ -1,15 +1,27 @@
 """IEEE-754 single-precision multiply on top of the 24x24 block datapath.
 
-The significand product is computed by :func:`cifm.multiplier.mul24` on the
-two 24-bit significands (hidden bit restored), so fault injection and the
-gating/repair machinery flow through to float results. Exponents are added
-with the bias removed. The 48-bit raw product is normalised by at most one
-position and the retained 23 fraction bits are rounded to nearest even (or
-truncated on request).
+The significand product is computed by the block engine of
+:mod:`cifm.multiplier` on the two 24-bit significands (hidden bit restored),
+so fault injection and the gating/repair machinery flow through to float
+results. Exponents are added with the bias removed. The 48-bit raw product
+is normalised by at most one position and the retained 23 fraction bits are
+rounded to nearest even (or truncated on request).
+
+:func:`fp_mul` multiplies one pair and returns an :class:`FpMulTrace` of
+every pipeline stage; :func:`fp_mul_batch` multiplies arrays of patterns
+through one :func:`cifm.multiplier.mul24_batch` call. Both run the same
+specials table (:func:`_special_codes`) and the same exponent, normalisation,
+rounding and range rules (:func:`_finish`), written with operators that
+Python ints and int64 arrays share.
 
 Flush-to-zero behaviour: subnormal inputs are treated as zero before the
-specials table is consulted, and results whose exponent falls to or below
-zero flush to a signed zero. Gradual underflow is deliberately out of scope.
+specials table is consulted. Tininess is detected before rounding: a
+product whose exact value lies below 2**-126 (biased exponent 0 or less
+after normalisation) flushes to a signed zero, even when rounding to
+nearest even would lift it to the smallest normal, 0x00800000. IEEE 754
+arithmetic with gradual underflow, numpy's float32 among it, returns
+0x00800000 or a subnormal there. Gradual underflow is deliberately out of
+scope.
 """
 
 from __future__ import annotations
@@ -18,7 +30,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .bitcore import BitVec
+import numpy as np
+
+from .bitcore import BitVec, uint_rows, uint_value
 from .multiplier import (
     ActivityReport,
     FaultSpec,
@@ -26,6 +40,7 @@ from .multiplier import (
     Quadrant,
     RepairConfig,
     mul24,
+    mul24_batch,
 )
 from .softfloat import CANONICAL_QNAN
 
@@ -37,7 +52,12 @@ __all__ = [
     "unpack",
     "pack",
     "fp_mul",
+    "fp_mul_batch",
 ]
+
+
+_FRAC_MASK = (1 << 23) - 1
+_HIDDEN = 1 << 23
 
 
 class Fp32Class(Enum):
@@ -62,21 +82,24 @@ class Fp32Parts:
 
 
 def unpack(bits: BitVec | int) -> Fp32Parts:
-    """Split a 32-bit pattern into sign, exponent, fraction and class."""
-    if isinstance(bits, int):
-        bits = BitVec(bits, 32)
-    elif bits.width != 32:
-        raise ValueError(f"expected a 32-bit pattern, got width {bits.width}")
-    sign = bits.bit(31)
-    exponent = (bits.value >> 23) & 0xFF
-    fraction = bits.truncate(23)
+    """Split a 32-bit pattern into sign, exponent, fraction and class.
+
+    Raises ValueError unless ``bits`` is a 32-bit BitVec or an int in
+    0..2**32-1.
+    """
+    return _parts(uint_value(bits, 32, "bits"))
+
+
+def _parts(value: int) -> Fp32Parts:
+    exponent = (value >> 23) & 0xFF
+    fraction = value & _FRAC_MASK
     if exponent == 0xFF:
-        cls = Fp32Class.NAN if fraction.value else Fp32Class.INF
+        cls = Fp32Class.NAN if fraction else Fp32Class.INF
     elif exponent == 0:
-        cls = Fp32Class.SUBNORMAL if fraction.value else Fp32Class.ZERO
+        cls = Fp32Class.SUBNORMAL if fraction else Fp32Class.ZERO
     else:
         cls = Fp32Class.NORMAL
-    return Fp32Parts(sign, exponent, fraction, cls)
+    return Fp32Parts(value >> 31, exponent, BitVec(fraction, 23), cls)
 
 
 def pack(sign: int, exponent: int, fraction: int) -> BitVec:
@@ -134,23 +157,76 @@ class FpMulTrace:
         }
 
 
-def _special_result(
-    a: Fp32Parts, b: Fp32Parts, sign: int
-) -> tuple[BitVec, str] | None:
-    """The NaN/Inf/zero table, applied after subnormal flush."""
-    if a.cls is Fp32Class.NAN or b.cls is Fp32Class.NAN:
-        return BitVec(CANONICAL_QNAN, 32), "nan-propagation"
-    a_inf = a.cls is Fp32Class.INF
-    b_inf = b.cls is Fp32Class.INF
-    a_zero = a.cls is Fp32Class.ZERO
-    b_zero = b.cls is Fp32Class.ZERO
-    if a_inf or b_inf:
-        if a_zero or b_zero:
-            return BitVec(CANONICAL_QNAN, 32), "inf-times-zero"
-        return pack(sign, 0xFF, 0), "infinity"
-    if a_zero or b_zero:
-        return pack(sign, 0, 0), "zero-operand"
-    return None
+# The NaN/Inf/zero table. Each operand is first put in one of four classes,
+# subnormals flushing to zero: 0 finite nonzero, 1 zero, 2 infinity, 3 NaN.
+# A pair's entry is at 4 * class(a) + class(b): its label (None for a pair
+# the datapath multiplies), its result pattern, and whether the result
+# takes the product's sign.
+def _special_entry(ca: int, cb: int) -> tuple[str | None, int, bool]:
+    if 3 in (ca, cb):
+        return "nan-propagation", CANONICAL_QNAN, False
+    if 2 in (ca, cb):
+        if 1 in (ca, cb):
+            return "inf-times-zero", CANONICAL_QNAN, False
+        return "infinity", 0xFF << 23, True
+    if 1 in (ca, cb):
+        return "zero-operand", 0, True
+    return None, 0, False
+
+
+_SPECIALS = tuple(_special_entry(ca, cb) for ca in range(4) for cb in range(4))
+_SPECIAL_BITS = np.array([bits for _, bits, _ in _SPECIALS], dtype=np.int64)
+_SPECIAL_SIGNED = np.array([signed for _, _, signed in _SPECIALS], dtype=np.int64)
+
+
+def _operand_class(bits):
+    exponent = (bits >> 23) & 0xFF
+    return (exponent == 0) + (exponent == 0xFF) * (2 + ((bits & _FRAC_MASK) != 0))
+
+
+def _special_codes(x, y):
+    """Index into the specials table for patterns ``x`` and ``y``.
+
+    Entry 0 is the only one whose pair reaches the datapath. Written with
+    operators that Python ints and int64 arrays share.
+    """
+    return 4 * _operand_class(x) + _operand_class(y)
+
+
+def _finish(exponent_sum, raw, nearest_even):
+    """The unsigned result pattern of a finite nonzero product, with flags.
+
+    ``exponent_sum`` is the sum of the two biased exponent fields and ``raw``
+    the 48-bit product of the two significands. Returns ``(magnitude,
+    increment, overflow, underflow)``: the pattern without its sign bit,
+    whether rounding added one to the kept significand, and whether the
+    result saturated to infinity or flushed to zero.
+
+    Tininess is detected before rounding: the underflow test reads the
+    exponent after normalisation and before the rounding carry, so a
+    product below 2**-126 flushes even when it would round up to
+    0x00800000. Overflow is tested after the carry. Written with operators
+    that Python ints and int64 arrays share, so :func:`fp_mul` and
+    :func:`fp_mul_batch` run the same rule.
+    """
+    normalized = raw >> 47
+    exponent = exponent_sum - 127 + normalized
+    drop = 23 + normalized                  # keep 23 bits below the hidden bit
+    kept = raw >> drop
+    half = 1 << (drop - 1)
+    rest = raw & (2 * half - 1)
+    underflow = exponent <= 0
+    in_range = (exponent > 0) & (exponent < 255)
+    round_up = (rest > half) | ((rest == half) & (kept & 1))
+    increment = round_up & in_range & nearest_even
+    kept = kept + increment
+    carry = kept >> 24                      # rounded up to the next power of two
+    exponent = exponent + carry
+    overflow = exponent >= 255
+    normal = in_range & (exponent < 255)
+    field = exponent * normal + 0xFF * overflow
+    magnitude = (field << 23) | ((kept >> carry) & _FRAC_MASK) * normal
+    return magnitude, increment, overflow, underflow
 
 
 def fp_mul(
@@ -160,10 +236,18 @@ def fp_mul(
     repair: Mapping[Quadrant, RepairConfig] | None = None,
     rounding: Rounding = Rounding.NEAREST_EVEN,
 ) -> tuple[BitVec, FpMulTrace]:
-    """Multiply two float32 bit patterns through the block datapath."""
-    pa = unpack(a)
-    pb = unpack(b)
+    """Multiply two float32 bit patterns through the block datapath.
+
+    Each operand is a 32-bit BitVec or an int in 0..2**32-1; anything else
+    raises ValueError. The trace records every stage; for many pairs,
+    :func:`fp_mul_batch` gives the same products without traces.
+    """
+    x = uint_value(a, 32, "a")
+    y = uint_value(b, 32, "b")
+    pa = _parts(x)
+    pb = _parts(y)
     sign = pa.sign ^ pb.sign
+    code = _special_codes(x, y)
 
     flushed = []
     if pa.cls is Fp32Class.SUBNORMAL:
@@ -173,63 +257,65 @@ def fp_mul(
         pb = Fp32Parts(pb.sign, 0, BitVec(0, 23), Fp32Class.ZERO)
         flushed.append("b")
 
-    special = _special_result(pa, pb, sign)
-    if special is not None:
-        result, label = special
-        return result, FpMulTrace(
+    label, bits, signed = _SPECIALS[code]
+    if label is not None:
+        return BitVec(bits | (sign << 31) * signed, 32), FpMulTrace(
             a=pa, b=pb, special=label, flushed_inputs=tuple(flushed)
         )
 
-    sig_a = BitVec((1 << 23) | pa.fraction.value, 24)
-    sig_b = BitVec((1 << 23) | pb.fraction.value, 24)
+    sig_a = BitVec(_HIDDEN | pa.fraction.value, 24)
+    sig_b = BitVec(_HIDDEN | pb.fraction.value, 24)
     mres: MulResult = mul24(sig_a, sig_b, faults=faults, repair=repair)
-    raw = mres.product                     # 48 bits, in [2^46, 2^48)
-
+    raw = mres.product                     # 48 bits, in [2^46, 2^48) unless faulty
     exponent_pre_bias = pa.exponent + pb.exponent
-    normalized = bool(raw.bit(47))
-    exponent = exponent_pre_bias - 127 + (1 if normalized else 0)
-
-    def finish(result: BitVec, **kw) -> tuple[BitVec, FpMulTrace]:
-        return result, FpMulTrace(
-            a=pa,
-            b=pb,
-            significand_a=sig_a,
-            significand_b=sig_b,
-            raw_product=raw,
-            normalized=normalized,
-            exponent_pre_bias=exponent_pre_bias,
-            flushed_inputs=tuple(flushed),
-            activity=mres.activity,
-            **kw,
-        )
-
-    if exponent >= 255:
-        return finish(pack(sign, 0xFF, 0), exponent_final=255, overflow=True)
-    if exponent <= 0:
-        return finish(pack(sign, 0, 0), exponent_final=0, underflow=True)
-
-    # keep 23 fraction bits below the hidden bit
-    drop = 24 if normalized else 23
-    kept = raw.value >> drop
-    rounding_applied = "none"
-    if rounding is Rounding.NEAREST_EVEN:
-        round_bit = (raw.value >> (drop - 1)) & 1
-        sticky = (raw.value & ((1 << (drop - 1)) - 1)) != 0
-        if round_bit and (sticky or (kept & 1)):
-            kept += 1
-            rounding_applied = "increment"
-            if kept == (1 << 24):          # rounded up to the next power of two
-                kept >>= 1
-                exponent += 1
-                if exponent >= 255:
-                    return finish(
-                        pack(sign, 0xFF, 0),
-                        exponent_final=255,
-                        overflow=True,
-                        rounding_applied=rounding_applied,
-                    )
-
-    result = pack(sign, exponent, kept & ((1 << 23) - 1))
-    return finish(
-        result, exponent_final=exponent, rounding_applied=rounding_applied
+    magnitude, increment, overflow, underflow = _finish(
+        exponent_pre_bias, raw.value, rounding is Rounding.NEAREST_EVEN
     )
+    return BitVec((sign << 31) | magnitude, 32), FpMulTrace(
+        a=pa,
+        b=pb,
+        significand_a=sig_a,
+        significand_b=sig_b,
+        raw_product=raw,
+        normalized=bool(raw.bit(47)),
+        exponent_pre_bias=exponent_pre_bias,
+        exponent_final=magnitude >> 23,
+        rounding_applied="increment" if increment else "none",
+        flushed_inputs=tuple(flushed),
+        overflow=bool(overflow),
+        underflow=bool(underflow),
+        activity=mres.activity,
+    )
+
+
+def fp_mul_batch(
+    a,
+    b,
+    faults: Sequence[FaultSpec] = (),
+    repair: Mapping[Quadrant, RepairConfig] | None = None,
+    rounding: Rounding = Rounding.NEAREST_EVEN,
+) -> np.ndarray:
+    """:func:`fp_mul` over arrays of float32 bit patterns, without traces.
+
+    ``a`` and ``b`` are ints or integer arrays whose shapes broadcast; every
+    element must lie in 0..2**32-1. Float, bool and object arrays, elements
+    out of range and shapes that do not broadcast raise ValueError; an empty
+    batch is allowed. Returns the int64 result patterns in the broadcast
+    shape. The significands of all finite nonzero pairs are multiplied by
+    one :func:`cifm.multiplier.mul24_batch` call, with ``faults`` and
+    ``repair`` passed through.
+    """
+    rows, shape = uint_rows((a, b), (32, 32), "ab".__getitem__)
+    x, y = rows.astype(np.int64, copy=False)
+    sign = (x ^ y) >> 31
+    code = _special_codes(x, y)
+    out = _SPECIAL_BITS[code] | (sign << 31) * _SPECIAL_SIGNED[code]
+    live = np.flatnonzero(code == 0)
+    x, y, sign = x[live], y[live], sign[live]
+    raw = mul24_batch(
+        _HIDDEN | (x & _FRAC_MASK), _HIDDEN | (y & _FRAC_MASK), faults, repair
+    ).products
+    exponent_sum = ((x >> 23) & 0xFF) + ((y >> 23) & 0xFF)
+    magnitude = _finish(exponent_sum, raw, rounding is Rounding.NEAREST_EVEN)[0]
+    out[live] = (sign << 31) | magnitude
+    return out.reshape(shape)

@@ -45,7 +45,14 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitcore import BitVec, CellKind, CellNetlist, NetlistBuilder, uint_rows
+from .bitcore import (
+    BitVec,
+    CellKind,
+    CellNetlist,
+    NetlistBuilder,
+    uint_rows,
+    uint_value,
+)
 
 __all__ = [
     "Quadrant",
@@ -310,19 +317,6 @@ def _mul4_tables() -> tuple[np.ndarray, np.ndarray]:
     return _MUL4_TABLES
 
 
-def _coerce(x: BitVec | int, width: int, name: str) -> int:
-    """The value of one scalar operand: a ``width``-bit BitVec or a fitting int."""
-    if isinstance(x, BitVec):
-        if x.width != width:
-            raise ValueError(f"{name} must be {width} bits wide, got {x.width}")
-        return x.value
-    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
-        raise ValueError(f"{name} must be an int or a BitVec, got {type(x).__name__}")
-    if not 0 <= x < 1 << width:
-        raise ValueError(f"{name}={int(x):#x} does not fit in {width} bits")
-    return int(x)
-
-
 def _operands(a, b, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-shape int64 arrays of ``width``-bit operands, or ValueError."""
     if np.shape(a) != np.shape(b):
@@ -338,8 +332,8 @@ def mul4(a: BitVec | int, b: BitVec | int, trace: bool = False) -> MulResult:
     A standalone block has no grid identity, so the activity report carries
     only the adder level count (keyed by None) and an empty block partition.
     """
-    x = _coerce(a, 4, "a")
-    y = _coerce(b, 4, "b")
+    x = uint_value(a, 4, "a")
+    y = uint_value(b, 4, "b")
     product, levels = _mul4_tables()
     idx = (y << 4) | x
     nets = None
@@ -636,8 +630,8 @@ def mul12(
     Standalone use defaults to quadrant LL; embedded use passes the real
     quadrant so fault and repair targets resolve against it.
     """
-    x = _coerce(a, 12, "a")
-    y = _coerce(b, 12, "b")
+    x = uint_value(a, 12, "a")
+    y = uint_value(b, 12, "b")
     plan = _plan12(faults, repair, quadrant)
     product, report, unrepaired = _run_scalar(_MUL12[quadrant], plan, x, y, gating)
     nets = None
@@ -662,8 +656,8 @@ def mul24(
     checkers then gate individual blocks. A fully gated quadrant is dark:
     faults in it are invisible and its repair configuration is moot.
     """
-    x = _coerce(a, 24, "a")
-    y = _coerce(b, 24, "b")
+    x = uint_value(a, 24, "a")
+    y = uint_value(b, 24, "b")
     plan = _plan24(faults, repair)
     product, report, unrepaired = _run_scalar(_MUL24, plan, x, y, gating)
     nets = None
@@ -798,7 +792,6 @@ _ZERO12 = 11 + 1
 _CHECKER12 = 2 * _ZERO4 + 3
 _CHECKER12_DEPTH = 3 + 1            # OR tree depth 2 + inverter + encode
 _REPAIR_PER_QUADRANT = 9 + 2 * 4 * 8 + 9 * 8 + 1
-_SPARE_CELLS = 33                   # one idle 4x4 block
 
 
 @dataclass(frozen=True)
@@ -842,7 +835,8 @@ def cost_report(level: str, with_features: bool = False) -> CostReport:
         # per-level activity detects plus one power switch per level
         extra = 3 * (7 + 1)
         return CostReport(level, True, base, extra, delay + 1)
-    per_quadrant = 2 * _CHECKER12 + 10 + _REPAIR_PER_QUADRANT + _SPARE_CELLS
+    spare = export_netlist("mul4").cell_count()     # one idle 4x4 block
+    per_quadrant = 2 * _CHECKER12 + 10 + _REPAIR_PER_QUADRANT + spare
     if level == "mul12":
         return CostReport(level, True, base, per_quadrant, delay + _CHECKER12_DEPTH + 1)
     extra = 4 * per_quadrant + 2 * _ZERO12 + 4

@@ -6,9 +6,17 @@ are multiplied as plain Python integers and normalised via bit_length;
 round-to-nearest-even compares the discarded remainder against the half
 point. Subnormal inputs are treated as zero and subnormal results flush
 to zero, matching the wrapper's flush-to-zero behaviour.
+
+Tininess is detected before rounding: a product whose exact value lies
+below 2**-126 flushes to a signed zero, even when rounding to nearest even
+would lift it to the smallest normal, 0x00800000. IEEE 754 arithmetic with
+gradual underflow (numpy's float32, for one) returns 0x00800000 or a
+subnormal there.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 __all__ = ["softfloat_mul", "CANONICAL_QNAN"]
 
@@ -19,6 +27,9 @@ _FRAC_MASK = 0x7FFFFF
 
 
 def _parts(bits: int) -> tuple[int, int, int]:
+    if isinstance(bits, bool) or not isinstance(bits, Integral):
+        raise ValueError(f"not a 32-bit pattern: {bits!r}")
+    bits = int(bits)
     if not 0 <= bits < (1 << 32):
         raise ValueError(f"not a 32-bit pattern: {bits:#x}")
     return (bits >> 31) & 1, (bits >> 23) & _EXP_MASK, bits & _FRAC_MASK
@@ -29,7 +40,10 @@ def softfloat_mul(x: int, y: int, truncate: bool = False) -> int:
 
     Rounds to nearest even unless ``truncate`` is set. NaN inputs, and
     Inf times zero, give the canonical quiet NaN. Subnormals count as zero.
-    Overflow gives a signed infinity, underflow a signed zero.
+    Overflow gives a signed infinity, underflow a signed zero. Underflow
+    means an exact product below 2**-126, tested before rounding. Operands
+    other than ints in 0..2**32-1 (floats, strings, None, bools) raise
+    ValueError.
     """
     sx, ex, fx = _parts(x)
     sy, ey, fy = _parts(y)

@@ -98,13 +98,22 @@ def _random_pairs(rng: np.random.Generator, width: int, n: int) -> np.ndarray:
     return np.array([_random_operands(rng, width, n), _random_operands(rng, width, n)])
 
 
+def _failures(a, b, got, want, ok: np.ndarray) -> tuple[str, ...]:
+    """Up to three failing cases, as notes that reproduce them."""
+    return tuple(
+        f"a=0x{int(a[i]):X} b=0x{int(b[i]):X} got=0x{int(got[i]):X} want=0x{int(want[i]):X}"
+        for i in np.flatnonzero(~ok)[:3].tolist()
+    )
+
+
 def _int_sweep(name: str, width: int, fn, seed: int, n: int) -> SuiteResult:
     a, b = _random_pairs(np.random.default_rng(seed), width, n)
     fits = [v for v in BOUNDARY_VALUES if v < (1 << width)]
     a = np.concatenate([a, np.repeat(fits, len(fits))])
     b = np.concatenate([b, np.tile(fits, len(fits))])
-    passed = np.count_nonzero(fn(a, b).products == a * b)
-    return SuiteResult(name, int(passed), a.size)
+    got, want = fn(a, b).products, a * b
+    ok = got == want
+    return SuiteResult(name, int(np.count_nonzero(ok)), a.size, _failures(a, b, got, want, ok))
 
 
 def suite_mul12_random(seed: int = 0) -> SuiteResult:
@@ -131,32 +140,38 @@ def suite_gating_safety(seed: int = 0) -> SuiteResult:
 
 
 def suite_fp32_oracle(seed: int = 0) -> SuiteResult:
-    """Round-to-nearest-even datapath against the soft-float oracle."""
+    """Round-to-nearest-even datapath against the soft-float oracle.
+
+    Random normal operand pairs are drawn in bulk; the first 10 000 whose
+    soft-float product is normal are kept, the special cases appended, and
+    the datapath runs them all as one batch.
+    """
     rng = np.random.default_rng(seed)
     wanted = 10_000
-    passed = total = 0
-    while total < wanted:
-        bits_a = _random_normal_bits(rng)
-        bits_b = _random_normal_bits(rng)
-        want = softfloat.softfloat_mul(bits_a, bits_b)
-        if not _is_normal(want):
-            continue
-        total += 1
-        got, _ = fp32.fp_mul(bits_a, bits_b)
-        passed += int(got) == want
-    for bits_a, bits_b, want in _SPECIAL_CASES:
-        total += 1
-        got, _ = fp32.fp_mul(bits_a, bits_b)
-        ok = int(got) == want == softfloat.softfloat_mul(bits_a, bits_b)
-        passed += ok
-    return SuiteResult("fp32-oracle", passed, total)
-
-
-def _random_normal_bits(rng: np.random.Generator) -> int:
-    sign = int(rng.integers(0, 2))
-    exponent = int(rng.integers(1, 255))
-    fraction = int(rng.integers(0, 1 << 23))
-    return (sign << 31) | (exponent << 23) | fraction
+    xs, ys, want = [], [], []
+    while len(want) < wanted:
+        n = wanted - len(want)
+        sign = rng.integers(0, 2, size=(2, n))
+        exponent = rng.integers(1, 255, size=(2, n))
+        fraction = rng.integers(0, 1 << 23, size=(2, n))
+        bits_a, bits_b = ((sign << 31) | (exponent << 23) | fraction).tolist()
+        for x, y in zip(bits_a, bits_b):
+            w = softfloat.softfloat_mul(x, y)
+            if _is_normal(w):
+                xs.append(x)
+                ys.append(y)
+                want.append(w)
+    # the table's expectations must agree with the oracle as well
+    oracle_ok = [True] * wanted
+    for x, y, w in _SPECIAL_CASES:
+        xs.append(x)
+        ys.append(y)
+        want.append(w)
+        oracle_ok.append(softfloat.softfloat_mul(x, y) == w)
+    got = fp32.fp_mul_batch(np.array(xs), np.array(ys))
+    ok = (got == np.array(want)) & np.array(oracle_ok)
+    notes = _failures(xs, ys, got, want, ok)
+    return SuiteResult("fp32-oracle", int(np.count_nonzero(ok)), len(want), notes)
 
 
 def _is_normal(bits: int) -> bool:

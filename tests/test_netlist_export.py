@@ -3,7 +3,7 @@ import json
 import numpy as np
 
 from cifm.bitcore import CellNetlist
-from cifm.multiplier import export_netlist, mul24
+from cifm.multiplier import cost_report, export_netlist, mul24
 from cifm.revlogic import RevNetlist, expand, simulate
 
 
@@ -65,3 +65,17 @@ def test_rev_json_roundtrip_simulates():
 def test_export_levels_cached_but_equal():
     assert export_netlist("mul4") is export_netlist("mul4")
     assert export_netlist("mul4").to_json() == export_netlist("mul4").to_json()
+
+
+def test_feature_cost_counts():
+    """Pinned with-features costs; each quadrant's spare counts as one mul4 netlist."""
+    want = {
+        "mul4": (57, 33, 24, 10),
+        "mul12": (586, 375, 211, 38),
+        "mul24": (2445, 1573, 872, 66),
+    }
+    for level, (cells, datapath, features, delay) in want.items():
+        doc = cost_report(level, with_features=True).to_json()
+        assert doc == {"circuit": level, "with_features": True, "cells": cells,
+                       "datapath_cells": datapath, "feature_cells": features,
+                       "unit_delay": delay}

@@ -1,0 +1,77 @@
+"""Sweep documents: a red sweep names the cases that failed, a green one
+names none."""
+
+import re
+
+import numpy as np
+import pytest
+
+from cifm import verify
+from cifm.multiplier import BlockBatch
+from cifm.softfloat import softfloat_mul
+
+NOTE = re.compile(r"a=0x([0-9A-F]+) b=0x([0-9A-F]+) got=0x([0-9A-F]+) want=0x([0-9A-F]+)")
+
+
+def _parsed(notes):
+    cases = []
+    for note in notes:
+        m = NOTE.fullmatch(note)
+        assert m, note
+        cases.append(tuple(int(g, 16) for g in m.groups()))
+    return cases
+
+
+@pytest.mark.parametrize("suite", ["mul24-random", "fp32-oracle"])
+def test_green_sweep_has_no_notes(suite):
+    r = verify.run_suite(suite, seed=1)
+    assert r.ok and r.notes == ()
+
+
+def test_int_sweep_names_failing_inputs(monkeypatch):
+    real = verify.mul24_batch
+
+    def off_by_one_below_2_12(a, b, *args, **kwargs):
+        r = real(a, b, *args, **kwargs)
+        return BlockBatch(r.products + ((a < 1 << 12) & (b > 0)), r.energised, r.unrepaired)
+
+    monkeypatch.setattr(verify, "mul24_batch", off_by_one_below_2_12)
+    r = verify.run_suite("mul24-random", seed=2)
+    assert not r.ok and r.total - r.passed > 3
+    cases = _parsed(r.notes)
+    assert len(cases) == 3
+    for a, b, got, want in cases:
+        assert want == a * b and got == want + 1 and a < 1 << 12
+
+
+def test_fp32_sweep_names_failing_inputs(monkeypatch):
+    real = verify.fp32.fp_mul_batch
+
+    def sign_flipped_when_negative_a(a, b, *args, **kwargs):
+        return real(a, b, *args, **kwargs) ^ (np.asarray(a) & (1 << 31))
+
+    monkeypatch.setattr(verify.fp32, "fp_mul_batch", sign_flipped_when_negative_a)
+    r = verify.run_suite("fp32-oracle", seed=3)
+    assert not r.ok
+    cases = _parsed(r.notes)
+    assert len(cases) == 3
+    for a, b, got, want in cases:
+        assert want == softfloat_mul(a, b) and got == want ^ (1 << 31)
+
+
+def _is_nan(bits: int) -> bool:
+    return (bits >> 23) & 0xFF == 0xFF and bits & 0x7FFFFF != 0
+
+
+def test_fp32_sweep_checks_its_special_cases_against_the_oracle(monkeypatch):
+    real = verify.softfloat.softfloat_mul
+
+    def nan_payload_kept(x, y, *args, **kwargs):
+        if _is_nan(x) or _is_nan(y):
+            return 0x7FC00001
+        return real(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(verify.softfloat, "softfloat_mul", nan_payload_kept)
+    r = verify.run_suite("fp32-oracle", seed=4)
+    nan_cases = sum(_is_nan(x) or _is_nan(y) for x, y, _ in verify._SPECIAL_CASES)
+    assert nan_cases == 2 and r.total - r.passed == nan_cases
