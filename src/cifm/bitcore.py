@@ -255,7 +255,8 @@ def run_sliced(plan: SlicedPlan, values: np.ndarray, read: np.ndarray):
 
 
 class PlanSlot:
-    """Holds a netlist's plan while the netlist's element counts equal ``key``.
+    """Holds what is built from a netlist, its plan or its reversible
+    expansion, while the netlist's element counts equal ``key``.
 
     Netlists only grow by appending, so their element counts tell whether
     a plan is still current. Netlists of equal structure may share a slot.
@@ -435,9 +436,12 @@ class CellNetlist:
             if net not in defined:
                 raise ValueError(f"output {name} reads undriven net {net}")
 
+    def _plan_key(self) -> tuple[int, int, int]:
+        """The element counts that the plan and the expansion are kept for."""
+        return (len(self.inputs), len(self.cells), len(self.outputs))
+
     def _compiled(self) -> "_CompiledCells":
-        key = (len(self.inputs), len(self.cells), len(self.outputs))
-        return cached_plan(self, key, self._compile)
+        return cached_plan(self, self._plan_key(), self._compile)
 
     def _compile(self) -> "_CompiledCells":
         """Levelize the cells: one step per (topological level, kind).

@@ -44,6 +44,7 @@ from .bitcore import (
     run_sliced,
     truth_table,
     uint_rows,
+    uint_value,
 )
 
 __all__ = [
@@ -170,8 +171,10 @@ class RevLine:
     def __post_init__(self) -> None:
         if self.tag is LineTag.PRIMARY_INPUT and self.name is None:
             raise ValueError("primary input line needs a name")
-        if self.tag is LineTag.ANCILLA and self.const not in (0, 1):
-            raise ValueError("ancilla line needs a 0/1 constant")
+        if self.tag is LineTag.ANCILLA and (
+            type(self.const) is not int or self.const not in (0, 1)
+        ):
+            raise ValueError(f"ancilla line needs a 0/1 int constant, got {self.const!r}")
 
 
 @dataclass(frozen=True)
@@ -195,25 +198,35 @@ class RevNetlist:
         return len(self.lines) - 1
 
     def add_ancilla(self, const: int) -> int:
+        const = uint_value(const, 1, "ancilla constant")
         self.lines.append(RevLine(LineTag.ANCILLA, const=const))
         self.output_roles.append((OutputRole.GARBAGE, None))
         return len(self.lines) - 1
 
+    def _line(self, line: int) -> int:
+        """``line`` as an index into ``lines``; ValueError for anything but
+        an int in range."""
+        if type(line) is not int:       # bools fail this too
+            if not isinstance(line, np.integer):
+                raise ValueError(f"line index must be an int, got {type(line).__name__}")
+            line = int(line)
+        if not 0 <= line < len(self.lines):
+            raise ValueError(f"line index {line} out of range")
+        return line
+
     def apply(self, gate: RevGate, *line_ids: int) -> None:
-        if len(line_ids) != gate.arity or len(set(line_ids)) != gate.arity:
+        lines = tuple(map(self._line, line_ids))
+        if len(lines) != gate.arity or len(set(lines)) != gate.arity:
             raise ValueError(
-                f"{gate.name} touches {gate.arity} distinct lines, got {line_ids}"
+                f"{gate.name} touches {gate.arity} distinct lines, got {lines}"
             )
-        for l in line_ids:
-            if not 0 <= l < len(self.lines):
-                raise ValueError(f"line index {l} out of range")
-        self.gates.append(GateApp(gate, tuple(line_ids)))
+        self.gates.append(GateApp(gate, lines))
 
     def set_output(self, line: int, name: str) -> None:
-        self.output_roles[line] = (OutputRole.PRIMARY_OUTPUT, name)
+        self.output_roles[self._line(line)] = (OutputRole.PRIMARY_OUTPUT, name)
 
     def set_restored(self, line: int) -> None:
-        self.output_roles[line] = (OutputRole.RESTORED_CONSTANT, None)
+        self.output_roles[self._line(line)] = (OutputRole.RESTORED_CONSTANT, None)
 
     def outputs(self) -> list[tuple[str, int]]:
         return [
@@ -246,15 +259,17 @@ class RevNetlist:
         lib = gate_library()
         n = cls()
         for d in doc["lines"]:
-            if d["tag"] == LineTag.PRIMARY_INPUT.value:
+            if LineTag(d["tag"]) is LineTag.PRIMARY_INPUT:
                 n.add_input(d["name"])
             else:
                 n.add_ancilla(d["const"])
         for d in sorted(doc["gates"], key=lambda g: g["ordinal"]):
+            if d["name"] not in lib:
+                raise ValueError(f"unknown gate {d['name']!r}; choose from {sorted(lib)}")
             n.apply(lib[d["name"]], *d["lines"])
         for d in doc["output_roles"]:
             role = OutputRole(d["role"])
-            n.output_roles[d["line"]] = (role, d.get("name"))
+            n.output_roles[n._line(d["line"])] = (role, d.get("name"))
         return n
 
 
@@ -278,8 +293,12 @@ class _CompiledRev(NamedTuple):
     names: tuple[str, ...]      # distinct input line names, first use first
 
 
+def _plan_key(n: RevNetlist) -> tuple[int, int]:
+    return (len(n.lines), len(n.gates))
+
+
 def _compiled(n: RevNetlist) -> _CompiledRev:
-    return cached_plan(n, (len(n.lines), len(n.gates)), lambda: _compile(n))
+    return cached_plan(n, _plan_key(n), lambda: _compile(n))
 
 
 def _compile(n: RevNetlist) -> _CompiledRev:
@@ -455,8 +474,29 @@ def expand(netlist: CellNetlist) -> RevNetlist:
     ancilla, carry on the carry-in's line). A net consumed by n places gets
     n-1 Feynman copies onto fresh 0-ancillas, made while the producing line
     still holds the value; a primary output counts as one more consumer so
-    its line is never handed to a gate.
+    its line is never handed to a gate. A netlist that fails
+    ``validate`` raises ValueError.
+
+    The circuit is built once per netlist and kept on it, keyed on the
+    netlist's input, cell and output counts as its plan is, so appending a
+    bus, cell or output builds it again. Each call returns a copy with its
+    own ``lines``, ``gates`` and ``output_roles`` lists: appending to one
+    copy leaves later expansions alone. The copies share one plan slot, so
+    the first simulation of any of them compiles the plan for all.
     """
+    slot = plan_slot(netlist, "_expansion_slot", netlist._plan_key())
+    if slot.plan is None:
+        slot.plan = _build_expansion(netlist)
+    template = slot.plan
+    rev = RevNetlist(
+        list(template.lines), list(template.gates), list(template.output_roles)
+    )
+    rev._plan_slot = plan_slot(template, "_plan_slot", _plan_key(template))
+    return rev
+
+
+def _build_expansion(netlist: CellNetlist) -> RevNetlist:
+    netlist.validate()
     lib = gate_library()
     rev = RevNetlist()
 
@@ -508,9 +548,6 @@ def expand(netlist: CellNetlist) -> RevNetlist:
 
     for name, net in netlist.outputs:
         rev.set_output(slots[net][-1], name)
-    # Expansions of one netlist are equal, so they share one plan slot: the
-    # first simulation of any of them compiles the plan.
-    rev._plan_slot = plan_slot(netlist, "_expansion_slot", (len(rev.lines), len(rev.gates)))
     return rev
 
 

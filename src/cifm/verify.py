@@ -127,15 +127,20 @@ def suite_mul24_random(seed: int = 0) -> SuiteResult:
 def suite_gating_safety(seed: int = 0) -> SuiteResult:
     """Width gating must never change the product, only the activity."""
     a, b = _random_pairs(np.random.default_rng(seed), 24, 10_000)
+    want = a * b
     gated = mul24_batch(a, b, gating=True).products
     plain = mul24_batch(a, b, gating=False).products
-    passed = int(np.count_nonzero((gated == plain) & (gated == a * b)))
+    ok = (gated == plain) & (gated == want)
+    passed = int(np.count_nonzero(ok))
     total = a.size
     narrow = mul24(0xF, 0xF).activity.power_proxy
     wide = mul24(2**24 - 1, 2**24 - 1).activity.power_proxy
     passed += (narrow == 1) + (wide == 36)
     total += 2
-    notes = (f"power_proxy narrow={narrow} wide={wide}",)
+    # a failing case shows the gated product, or the ungated one when only
+    # that is wrong
+    got = np.where(gated != want, gated, plain)
+    notes = (f"power_proxy narrow={narrow} wide={wide}",) + _failures(a, b, got, want, ok)
     return SuiteResult("gating-safety", passed, total, notes)
 
 
@@ -270,19 +275,21 @@ def suite_repair_all(seed: int = 0) -> SuiteResult:
     ).T
     want = a * b
     passed = total = 0
-    notes = []
+    notes, failures = [], []
     for quadrant in Quadrant:
         for position, target in sorted(GRID_IDS[quadrant].items()):
             fault = [FaultSpec(target, 0xFF)]
             repair = {quadrant: RepairConfig(enabled=True, target=target)}
             r = mul24_batch(a, b, faults=fault, repair=repair)
-            passed += int(np.count_nonzero((r.products == want) & (r.unrepaired == 0)))
+            ok = (r.products == want) & (r.unrepaired == 0)
+            passed += int(np.count_nonzero(ok))
+            failures += [f"{target} {note}" for note in _failures(a, b, r.products, want, ok)]
             total += a.size + 1
             exposed = bool(np.any(mul24_batch(a, b, faults=fault).products != want))
             passed += exposed
             if not exposed:
                 notes.append(f"fault at {target} never observable")
-    return SuiteResult("repair-all", passed, total, tuple(notes))
+    return SuiteResult("repair-all", passed, total, tuple(notes + failures[:3]))
 
 
 SUITES = {
@@ -298,8 +305,13 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
-    try:
-        fn = SUITES[name]
-    except KeyError:
+    """Run the suite called ``name`` with ``seed``.
+
+    Raises ValueError for a name that is not a key of SUITES and for a
+    seed that is not an int (bools included).
+    """
+    if not isinstance(name, str) or name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return fn(seed)
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an int, got {type(seed).__name__}")
+    return SUITES[name](seed)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,3 +265,56 @@ def test_expanded_mul24_random_spot():
     res = simulate(rev, ins)
     got = sum(res.outputs[f"p{k}"].astype(np.int64) << k for k in range(48))
     assert np.array_equal(got, a * b)
+
+
+def _small_circuit() -> RevNetlist:
+    n = RevNetlist()
+    n.add_input("x")
+    n.add_ancilla(0)
+    return n
+
+
+def _doc_with_gate(name: str) -> dict:
+    doc = _small_circuit().to_json()
+    doc["gates"] = [{"name": name, "lines": [0, 1], "ordinal": 0}]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda n: n.apply(gate_library()["FEYNMAN"], 0.0, 1),
+        lambda n: n.apply(gate_library()["FEYNMAN"], True, 0),
+        lambda n: n.apply(gate_library()["NOT"], "a"),
+        lambda n: n.apply(gate_library()["FEYNMAN"], 0, 2),
+        lambda n: n.set_output(2, "p"),
+        lambda n: n.set_output(-1, "p"),
+        lambda n: n.set_restored(5),
+        lambda n: n.set_restored(1.0),
+        lambda n: n.add_ancilla(True),
+        lambda n: n.add_ancilla(2),
+        lambda n: n.add_ancilla(0.0),
+        lambda n: RevNetlist.from_json(_doc_with_gate("SWAP")),
+        lambda n: RevNetlist.from_json(
+            {"lines": [{"tag": "bogus", "const": 0}], "gates": [], "output_roles": []}),
+    ],
+    ids=["float-line", "bool-line", "str-line", "line-out-of-range",
+         "output-out-of-range", "output-negative", "restored-out-of-range",
+         "restored-float", "bool-ancilla", "ancilla-2", "float-ancilla",
+         "unknown-gate", "unknown-line-tag"],
+)
+def test_bad_circuit_input_is_value_error(bad):
+    n = _small_circuit()
+    before = n.to_json()
+    with pytest.raises(ValueError):
+        bad(n)
+    assert n.to_json() == before
+
+
+def test_numpy_ints_are_accepted_as_lines_and_constants():
+    n = _small_circuit()
+    z = n.add_ancilla(np.int64(1))
+    n.apply(gate_library()["FEYNMAN"], np.int64(z), np.intp(0))
+    n.set_output(np.int64(0), "x_xor_1")
+    assert RevNetlist.from_json(json.loads(json.dumps(n.to_json()))) == n
+    assert simulate(n, {"x": 0}).outputs == {"x_xor_1": 1}

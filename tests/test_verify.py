@@ -22,7 +22,7 @@ def _parsed(notes):
     return cases
 
 
-@pytest.mark.parametrize("suite", ["mul24-random", "fp32-oracle"])
+@pytest.mark.parametrize("suite", ["mul24-random", "fp32-oracle", "repair-all"])
 def test_green_sweep_has_no_notes(suite):
     r = verify.run_suite(suite, seed=1)
     assert r.ok and r.notes == ()
@@ -75,3 +75,63 @@ def test_fp32_sweep_checks_its_special_cases_against_the_oracle(monkeypatch):
     r = verify.run_suite("fp32-oracle", seed=4)
     nan_cases = sum(_is_nan(x) or _is_nan(y) for x, y, _ in verify._SPECIAL_CASES)
     assert nan_cases == 2 and r.total - r.passed == nan_cases
+
+
+@pytest.mark.parametrize("name", [[], None, 3, b"mul4-exhaustive", "no-such-suite"])
+def test_run_suite_rejects_a_bad_name(name):
+    with pytest.raises(ValueError, match="unknown suite"):
+        verify.run_suite(name)
+
+
+@pytest.mark.parametrize("seed", ["x", 1.0, None, True, False])
+def test_run_suite_rejects_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ValueError, match="seed must be an int"):
+        verify.run_suite("mul4-exhaustive", seed=seed)
+
+
+def test_run_suite_takes_numpy_int_seeds():
+    assert verify.run_suite("mul12-random", seed=np.int64(5)) == verify.run_suite(
+        "mul12-random", seed=5)
+
+
+def test_green_gating_safety_notes_only_its_power_proxy():
+    r = verify.run_suite("gating-safety", seed=1)
+    assert r.ok and r.notes == ("power_proxy narrow=1 wide=36",)
+
+
+def test_gating_safety_names_failing_inputs(monkeypatch):
+    real = verify.mul24_batch
+
+    def gated_off_by_one_for_odd_a(a, b, *args, gating=True, **kwargs):
+        r = real(a, b, *args, gating=gating, **kwargs)
+        return BlockBatch(r.products + (gating & (a % 2 == 1)), r.energised, r.unrepaired)
+
+    monkeypatch.setattr(verify, "mul24_batch", gated_off_by_one_for_odd_a)
+    r = verify.run_suite("gating-safety", seed=2)
+    assert not r.ok and r.total - r.passed > 3
+    assert r.notes[0] == "power_proxy narrow=1 wide=36"
+    cases = _parsed(r.notes[1:])
+    assert len(cases) == 3
+    for a, b, got, want in cases:
+        assert want == a * b and got == want + 1 and a % 2 == 1
+
+
+def test_repair_all_names_failing_inputs_with_their_block(monkeypatch):
+    real = verify.mul24_batch
+    broken = verify.GRID_IDS[verify.Quadrant.LH][(1, 2)]
+
+    def spare_off_by_one_at_one_position(a, b, faults=(), repair=None, **kwargs):
+        r = real(a, b, faults, repair, **kwargs)
+        if repair and faults[0].target == broken:
+            return BlockBatch(r.products ^ (b & 1), r.energised, r.unrepaired)
+        return r
+
+    monkeypatch.setattr(verify, "mul24_batch", spare_off_by_one_at_one_position)
+    r = verify.run_suite("repair-all", seed=3)
+    assert not r.ok and r.total - r.passed > 3
+    assert len(r.notes) == 3
+    prefix = f"{broken} "
+    for note in r.notes:
+        assert note.startswith(prefix)
+    for a, b, got, want in _parsed(n[len(prefix):] for n in r.notes):
+        assert want == a * b and got == want ^ 1 and b & 1
