@@ -8,15 +8,16 @@ expansion, is built on the two abstractions in this module:
   cells over named nets, evaluable bit by bit.
 
 It also holds the evaluation engine that cell netlists and reversible
-circuits share. A netlist is compiled once into levelized steps: elements
-of one topological level that compute the same function form one step,
-and each output bit of that function is an XOR of AND monomials (its
-algebraic normal form), derived from a truth table. A step runs as a few
-fancy-indexed numpy operations on a [rows x words] uint64 state that
-holds 64 vectors per word (bitslicing). Batches run CHUNK_WORDS words at
-a time; a scalar is a batch of one. Netlist evaluation accepts plain ints
-or numpy integer arrays for every input, so a single netlist can be swept
-over many operand pairs at once.
+circuits share. A netlist is compiled once into one step per cell or gate,
+in netlist order: a small kernel for the element's function and the state
+rows it reads and writes. Each output bit of the function is an XOR of AND
+monomials (its algebraic normal form), derived from a truth table, and one
+kernel is generated per distinct form. The state is a list of Python-int
+bit planes, bit v of a plane holding vector v's value (bitslicing), so
+every AND and XOR in a kernel works on a whole chunk of vectors. Batches
+run CHUNK_VECTORS vectors at a time; a scalar is a batch of one. Netlist
+evaluation accepts plain ints or numpy integer arrays for every input, so
+a single netlist can be swept over many operand pairs at once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ __all__ = [
     "Cell",
     "CellNetlist",
     "NetlistBuilder",
-    "CHUNK_WORDS",
+    "CHUNK_VECTORS",
 ]
 
 
@@ -60,26 +62,6 @@ class BitVec:
         if not 0 <= i < self.width:
             raise ValueError(f"bit index {i} out of range for width {self.width}")
         return (self.value >> i) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        """All bits, LSB first."""
-        return tuple((self.value >> i) & 1 for i in range(self.width))
-
-    def truncate(self, width: int) -> "BitVec":
-        """Keep the low ``width`` bits. Truncation is always deliberate."""
-        return BitVec(self.value & ((1 << width) - 1), width)
-
-    def split(self, group_width: int) -> tuple["BitVec", ...]:
-        """Split into equal groups, least significant group first."""
-        if self.width % group_width != 0:
-            raise ValueError(
-                f"width {self.width} is not a multiple of group width {group_width}"
-            )
-        mask = (1 << group_width) - 1
-        return tuple(
-            BitVec((self.value >> (k * group_width)) & mask, group_width)
-            for k in range(self.width // group_width)
-        )
 
     def __int__(self) -> int:
         return self.value
@@ -111,12 +93,12 @@ def classify_width(x: BitVec, classes: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Levelized, bit-sliced evaluation
+# Bit-plane evaluation
 # ---------------------------------------------------------------------------
 
-# Words of 64 vectors per engine pass: bounds the [rows x words] state and
-# the per-pass temporaries for any batch size.
-CHUNK_WORDS = 64
+# Vectors per engine pass: bounds the bit planes (one int of CHUNK_VECTORS
+# bits per net or line) and the packing temporaries for any batch size.
+CHUNK_VECTORS = 1 << 13
 
 
 def truth_table(fn, n_in: int, n_out: int) -> tuple[int, ...]:
@@ -169,89 +151,100 @@ def anf_program(table: tuple[int, ...], n_in: int, n_out: int) -> tuple:
     return tuple(products), tuple(outputs)
 
 
-class Step(NamedTuple):
-    """One levelized step: the same program on every column of ``ins``.
+@functools.lru_cache(maxsize=None)
+def kernel(n_in: int, products: tuple, outputs: tuple, targets: tuple) -> Callable:
+    """One element's work as a function ``k(s, ONES, rows)``.
 
-    ``ins`` is [inputs x elements] of state row ids. ``outs`` selects, per
-    program output, the state rows it writes, one per element: a slice or
-    an index array. ``products`` and ``outputs`` are an :func:`anf_program`.
+    The kernel reads bit planes ``s[rows[0]]``..``s[rows[n_in - 1]]`` into
+    the registers of an :func:`anf_program` (``products``, ``outputs``),
+    then writes output j to ``s[rows[targets[j]]]``. Every input is read
+    before any output is written, so an output may go to an input's row.
+    ``ONES`` has a one bit per vector.
     """
-
-    ins: np.ndarray
-    outs: tuple
-    products: tuple
-    outputs: tuple
-
-
-def levelized(placed: Iterable[tuple]) -> list[tuple]:
-    """Group ``(level, key, item)`` triples by (level, key).
-
-    Returns ``(level, key, items)`` per group in ascending level order,
-    groups of one level in order of first appearance.
-    """
-    groups: dict = {}
-    for level, key, item in placed:
-        groups.setdefault((level, key), []).append(item)
-    return [
-        (level, key, items)
-        for (level, key), items in sorted(groups.items(), key=lambda kv: kv[0][0])
-    ]
+    names = [f"x{k}" for k in range(max((n_in, *(t + 1 for t in targets))))]
+    body = [f"{', '.join(names)}, = rows"]
+    body += [f"r{k} = s[x{k}]" for k in range(n_in)]
+    body += [f"r{n_in + m} = r{a} & r{b}" for m, (a, b) in enumerate(products)]
+    for t, (invert, terms) in zip(targets, outputs):
+        expr = [f"r{i}" for i in terms] + ["ONES"] * invert
+        body.append(f"s[x{t}] = {' ^ '.join(expr) or '0'}")
+    namespace: dict = {}
+    exec("def k(s, ONES, rows):\n    " + "\n    ".join(body), namespace)
+    return namespace["k"]
 
 
-class SlicedPlan(NamedTuple):
-    """A netlist compiled for :func:`run_sliced`.
+class KernelPlan(NamedTuple):
+    """A netlist compiled for :func:`run_kernels`.
 
-    The state has ``rows`` rows of uint64 words, bit v of a word holding
-    vector v. State row ``load_rows[i]`` starts as bit ``load_shift[i]``
+    The state is a list of ``rows`` bit planes, ints whose bit v is vector
+    v's value. State row ``load_rows[i]`` starts as bit ``load_shift[i]``
     (bit 0 when ``load_shift`` is None) of operand row ``load_src[i]``;
-    rows in ``ones`` start all ones and every other row all zeros.
-    ``depth[r]`` is the level of the last step that writes row r, 0 if
-    none does.
+    rows in ``ones`` start all ones and every other row zero. ``steps``
+    holds one ``(kernel, rows)`` pair per element in netlist order, run as
+    ``kernel(state, ONES, rows)``. ``depth[r]`` counts the elements on the
+    longest chain that ends at the last element touching row r, 0 if none
+    does.
     """
 
     rows: int
-    steps: tuple[Step, ...]
-    load_rows: np.ndarray
+    steps: tuple[tuple[Callable, tuple[int, ...]], ...]
+    load_rows: tuple[int, ...]
     load_src: np.ndarray
     load_shift: np.ndarray | None
-    ones: np.ndarray
+    ones: tuple[int, ...]
     depth: tuple[int, ...]
 
 
-def _run_steps(state: np.ndarray, steps: Sequence[Step]) -> None:
-    for ins, outs, products, outputs in steps:
-        regs = list(state.take(ins, axis=0))
-        for a, b in products:
-            regs.append(regs[a] & regs[b])
-        for rows, (invert, terms) in zip(outs, outputs):
-            acc = regs[terms[0]]
-            for t in terms[1:]:
-                acc = acc ^ regs[t]
-            state[rows] = ~acc if invert else acc
+def _to_planes(bits: np.ndarray) -> list[int]:
+    """Bit planes of the 0/1 rows of ``bits`` [rows x n]: column v is bit v.
+
+    Up to 63 columns are summed as int64 words; more go through bytes.
+    """
+    n = bits.shape[1]
+    if n < 64:
+        return (bits.astype(np.int64, copy=False) << np.arange(n)).sum(axis=1).tolist()
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    size = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i * size : (i + 1) * size], "little")
+            for i in range(len(packed))]
 
 
-def run_sliced(plan: SlicedPlan, values: np.ndarray, read: np.ndarray):
-    """Evaluate ``plan`` on the vectors of ``values``, CHUNK_WORDS words at a time.
+def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
+    """The inverse of :func:`_to_planes`: uint8 [len(planes) x n]."""
+    if n < 64:
+        words = np.array(planes, dtype=np.int64).reshape(len(planes), 1)
+        return ((words >> np.arange(n)) & 1).astype(np.uint8)
+    size = -(-n // 8)
+    data = b"".join(map(int.to_bytes, planes, repeat(size), repeat("little")))
+    return np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8).reshape(len(planes), size),
+        axis=1, bitorder="little", count=n,
+    )
+
+
+def run_kernels(plan: KernelPlan, values: np.ndarray, read: Sequence[int]):
+    """Evaluate ``plan`` on the vectors of ``values``, CHUNK_VECTORS at a time.
 
     ``values`` is [operand rows x vectors] of integers. Yields
     ``(lo, hi, bits)``: bits is a uint8 array [len(read) x (hi - lo)] with
     the final 0/1 values of state rows ``read`` for vectors lo..hi-1.
     """
-    span = 64 * CHUNK_WORDS
-    for lo in range(0, values.shape[1], span):
-        hi = min(values.shape[1], lo + span)
-        words = -(-(hi - lo) // 64)
-        block = values[plan.load_src, lo:hi]
+    for lo in range(0, values.shape[1], CHUNK_VECTORS):
+        hi = min(values.shape[1], lo + CHUNK_VECTORS)
+        block = values[plan.load_src, lo:hi]     # a copy: shifted in place
         if plan.load_shift is not None:
-            block = (block >> plan.load_shift[:, None]) & 1
-        packed = np.zeros((len(plan.load_rows), 8 * words), dtype=np.uint8)
-        packed[:, : -(-(hi - lo) // 8)] = np.packbits(block, axis=1, bitorder="little")
-        state = np.zeros((plan.rows, words), dtype=np.uint64)
-        state[plan.load_rows] = packed.view(np.uint64)
-        state[plan.ones] = ~np.uint64(0)
-        _run_steps(state, plan.steps)
-        bits = np.unpackbits(state[read].view(np.uint8), axis=1, bitorder="little")
-        yield lo, hi, bits[:, : hi - lo]
+            block >>= plan.load_shift[:, None]
+            block &= 1
+        state = [0] * plan.rows
+        for row, plane in zip(plan.load_rows, _to_planes(block)):
+            state[row] = plane
+        ones = (1 << (hi - lo)) - 1
+        for row in plan.ones:
+            state[row] = ones
+        for k, rows in plan.steps:
+            k(state, ones, rows)
+        yield lo, hi, _from_planes([state[row] for row in read], hi - lo)
 
 
 class PlanSlot:
@@ -347,7 +340,10 @@ def uint_rows(
 
 def is_scalar_call(values: Iterable) -> bool:
     """True when no operand is an array or sequence: results are Python ints."""
-    return all(np.ndim(v) == 0 and not isinstance(v, np.ndarray) for v in values)
+    return all(
+        type(v) is int or (np.ndim(v) == 0 and not isinstance(v, np.ndarray))
+        for v in values
+    )
 
 
 class CellKind(Enum):
@@ -358,9 +354,17 @@ class CellKind(Enum):
 
 _CELL_ARITY = {CellKind.AND: (2, 1), CellKind.HA: (2, 2), CellKind.FA: (3, 2)}
 
+def _cell_kernel(kind: CellKind, fn) -> Callable:
+    """The kernel of a cell computing ``fn``; its output rows follow its
+    input rows."""
+    n_in, n_out = _CELL_ARITY[kind]
+    products, outputs = anf_program(truth_table(fn, n_in, n_out), n_in, n_out)
+    return kernel(n_in, products, outputs, tuple(range(n_in, n_in + n_out)))
+
+
 # What each cell computes; HA and FA outputs are (sum, carry).
-_CELL_PROGRAMS = {
-    kind: anf_program(truth_table(fn, *_CELL_ARITY[kind]), *_CELL_ARITY[kind])
+_CELL_KERNELS = {
+    kind: _cell_kernel(kind, fn)
     for kind, fn in (
         (CellKind.AND, lambda a, b: (a & b,)),
         (CellKind.HA, lambda a, b: (a ^ b, a & b)),
@@ -395,10 +399,9 @@ class Cell:
 
 
 class _CompiledCells(NamedTuple):
-    plan: SlicedPlan
-    nets: tuple[str, ...]       # every net, in definition order
-    net_rows: np.ndarray        # state row per net of ``nets``
-    outputs: np.ndarray         # state row per output bit, LSB first
+    plan: KernelPlan
+    nets: tuple[str, ...]       # every net in definition order, net i in row i
+    outputs: tuple[int, ...]    # state row per output bit, LSB first
 
 
 @dataclass
@@ -444,11 +447,8 @@ class CellNetlist:
         return cached_plan(self, self._plan_key(), self._compile)
 
     def _compile(self) -> "_CompiledCells":
-        """Levelize the cells: one step per (topological level, kind).
-
-        Each step's outputs get consecutive state rows, so a step writes
-        slices of the state.
-        """
+        """One step per cell in cell order; net i of definition order gets
+        state row i."""
         self.validate()
         row: dict[str, int] = {}
         src, shift = [], []
@@ -457,40 +457,24 @@ class CellNetlist:
                 row[net] = len(row)
                 src.append(bus)
                 shift.append(k)
-        level_of = dict.fromkeys(row, 0)
-        placed = []
-        for cell in self.cells:
-            level = 1 + max(level_of[n] for n in cell.inputs)
-            for n in cell.outputs:
-                level_of[n] = level
-            placed.append((level, cell.kind, cell))
-        depth = [0] * len(src)
+        depth = [0] * len(row)
         steps = []
-        for level, kind, cells in levelized(placed):
-            ins = np.array([[row[n] for n in c.inputs] for c in cells], dtype=np.intp)
-            outs = []
-            for j in range(_CELL_ARITY[kind][1]):
-                base = len(row)
-                outs.append(slice(base, base + len(cells)))
-                row.update((c.outputs[j], base + i) for i, c in enumerate(cells))
-            depth += [level] * (len(row) - len(depth))
-            steps.append(Step(ins.T, tuple(outs), *_CELL_PROGRAMS[kind]))
-        plan = SlicedPlan(
+        for cell in self.cells:
+            ins = tuple(map(row.__getitem__, cell.inputs))
+            outs = tuple(range(len(row), len(row) + len(cell.outputs)))
+            row.update(zip(cell.outputs, outs))
+            depth += [1 + max(map(depth.__getitem__, ins))] * len(outs)
+            steps.append((_CELL_KERNELS[cell.kind], ins + outs))
+        plan = KernelPlan(
             rows=len(row),
             steps=tuple(steps),
-            load_rows=np.arange(len(src), dtype=np.intp),
+            load_rows=tuple(range(len(src))),
             load_src=np.array(src, dtype=np.intp),
             load_shift=np.array(shift, dtype=np.int64),
-            ones=np.zeros(0, dtype=np.intp),
+            ones=(),
             depth=tuple(depth),
         )
-        nets = tuple(level_of)
-        return _CompiledCells(
-            plan,
-            nets,
-            np.array([row[n] for n in nets], dtype=np.intp),
-            np.array([row[net] for _, net in self.outputs], dtype=np.intp),
-        )
+        return _CompiledCells(plan, tuple(row), tuple(row[net] for _, net in self.outputs))
 
     def _operand_rows(self, operands: Mapping) -> tuple[np.ndarray, tuple | None]:
         """Operand buses as int64 rows [buses x vectors], and the result shape
@@ -515,7 +499,7 @@ class CellNetlist:
         compiled = self._compiled()
         values, shape = self._operand_rows(operands)
         out = np.empty((len(compiled.nets), values.shape[1]), dtype=np.int64)
-        for lo, hi, bits in run_sliced(compiled.plan, values, compiled.net_rows):
+        for lo, hi, bits in run_kernels(compiled.plan, values, range(len(compiled.nets))):
             out[:, lo:hi] = bits
         if shape is None:
             return dict(zip(compiled.nets, out[:, 0].tolist()))
@@ -527,7 +511,7 @@ class CellNetlist:
         values, shape = self._operand_rows(operands)
         weights = np.left_shift(1, np.arange(len(compiled.outputs), dtype=np.int64))
         total = np.zeros(values.shape[1], dtype=np.int64)
-        for lo, hi, bits in run_sliced(compiled.plan, values, compiled.outputs):
+        for lo, hi, bits in run_kernels(compiled.plan, values, compiled.outputs):
             total[lo:hi] = weights @ bits
         return int(total[0]) if shape is None else total.reshape(shape)
 
@@ -561,20 +545,24 @@ class CellNetlist:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "CellNetlist":
-        nl = cls(
-            inputs=[(d["name"], list(d["nets"])) for d in doc["inputs"]],
-            cells=[
-                Cell(
-                    kind=CellKind(d["kind"]),
-                    inputs=tuple(d["ins"]),
-                    outputs=tuple(d["outs"]),
-                    level=d["level"],
-                    module_id=d["module_id"],
-                )
-                for d in doc["cells"]
-            ],
-            outputs=[(d["name"], d["net"]) for d in doc["outputs"]],
-        )
+        """The netlist :meth:`to_json` wrote; ValueError for a malformed document."""
+        try:
+            nl = cls(
+                inputs=[(d["name"], list(d["nets"])) for d in doc["inputs"]],
+                cells=[
+                    Cell(
+                        kind=CellKind(d["kind"]),
+                        inputs=tuple(d["ins"]),
+                        outputs=tuple(d["outs"]),
+                        level=d["level"],
+                        module_id=d["module_id"],
+                    )
+                    for d in doc["cells"]
+                ],
+                outputs=[(d["name"], d["net"]) for d in doc["outputs"]],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed netlist document: {exc!r}") from None
         nl.validate()
         return nl
 

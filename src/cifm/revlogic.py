@@ -17,14 +17,15 @@ is built from:
 :func:`expand` rewrites any AND/HA/FA cell netlist into reversible form:
 Toffoli per AND, NG per HA, TSG per FA, and a Feynman copy per extra
 consumer of a net. Simulation accepts ints or numpy arrays per input line,
-so exhaustive and bulk random equivalence sweeps stay fast: the circuit is
-layered into gates on disjoint lines and run on the bit-sliced engine in
-:mod:`cifm.bitcore`, each gate as the algebraic normal form of its mapping
-(or of the inverse mapping, backwards).
+so exhaustive and bulk random equivalence sweeps stay fast: the circuit
+runs gate by gate on the bit-plane engine in :mod:`cifm.bitcore`, each
+gate as the kernel of the algebraic normal form of its mapping (or of the
+inverse mapping, with the gates in reverse order).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -34,14 +35,13 @@ import numpy as np
 from .bitcore import (
     CellKind,
     CellNetlist,
-    SlicedPlan,
-    Step,
+    KernelPlan,
     anf_program,
     cached_plan,
     is_scalar_call,
-    levelized,
+    kernel,
     plan_slot,
-    run_sliced,
+    run_kernels,
     truth_table,
     uint_rows,
     uint_value,
@@ -159,7 +159,6 @@ class LineTag(Enum):
 class OutputRole(Enum):
     PRIMARY_OUTPUT = "output"
     GARBAGE = "garbage"
-    RESTORED_CONSTANT = "restored_constant"
 
 
 @dataclass(frozen=True)
@@ -225,9 +224,6 @@ class RevNetlist:
     def set_output(self, line: int, name: str) -> None:
         self.output_roles[self._line(line)] = (OutputRole.PRIMARY_OUTPUT, name)
 
-    def set_restored(self, line: int) -> None:
-        self.output_roles[self._line(line)] = (OutputRole.RESTORED_CONSTANT, None)
-
     def outputs(self) -> list[tuple[str, int]]:
         return [
             (name, i)
@@ -256,20 +252,24 @@ class RevNetlist:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "RevNetlist":
+        """The circuit :meth:`to_json` wrote; ValueError for a malformed document."""
         lib = gate_library()
         n = cls()
-        for d in doc["lines"]:
-            if LineTag(d["tag"]) is LineTag.PRIMARY_INPUT:
-                n.add_input(d["name"])
-            else:
-                n.add_ancilla(d["const"])
-        for d in sorted(doc["gates"], key=lambda g: g["ordinal"]):
-            if d["name"] not in lib:
-                raise ValueError(f"unknown gate {d['name']!r}; choose from {sorted(lib)}")
-            n.apply(lib[d["name"]], *d["lines"])
-        for d in doc["output_roles"]:
-            role = OutputRole(d["role"])
-            n.output_roles[n._line(d["line"])] = (role, d.get("name"))
+        try:
+            for d in doc["lines"]:
+                if LineTag(d["tag"]) is LineTag.PRIMARY_INPUT:
+                    n.add_input(d["name"])
+                else:
+                    n.add_ancilla(d["const"])
+            for d in sorted(doc["gates"], key=lambda g: g["ordinal"]):
+                if d["name"] not in lib:
+                    raise ValueError(f"unknown gate {d['name']!r}; choose from {sorted(lib)}")
+                n.apply(lib[d["name"]], *d["lines"])
+            for d in doc["output_roles"]:
+                role = OutputRole(d["role"])
+                n.output_roles[n._line(d["line"])] = (role, d.get("name"))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed circuit document: {exc!r}") from None
         return n
 
 
@@ -279,17 +279,23 @@ class SimResult:
     outputs: dict
 
 
-def _gate_program(table: tuple[int, ...], arity: int) -> tuple[tuple, tuple[int, ...]]:
-    """The gate's :func:`anf_program` without the outputs that pass their
-    line through unchanged, and the positions of the outputs kept."""
-    products, outputs = anf_program(table, arity, arity)
-    kept = tuple(j for j, out in enumerate(outputs) if out != (False, (j,)))
-    return (products, tuple(outputs[j] for j in kept)), kept
+@functools.lru_cache(maxsize=None)
+def _gate_kernels(gate: RevGate) -> tuple[Callable, Callable]:
+    """The gate's forward and inverse kernels, each writing back to the
+    gate's lines only the outputs that do not pass their line through."""
+    kernels = []
+    for table in (gate.mapping, gate.inverse_mapping()):
+        products, outputs = anf_program(table, gate.arity, gate.arity)
+        kept = tuple(j for j, out in enumerate(outputs) if out != (False, (j,)))
+        kernels.append(
+            kernel(gate.arity, products, tuple(outputs[j] for j in kept), kept)
+        )
+    return tuple(kernels)
 
 
 class _CompiledRev(NamedTuple):
-    forward: SlicedPlan
-    inverse: SlicedPlan
+    forward: KernelPlan
+    inverse: KernelPlan
     names: tuple[str, ...]      # distinct input line names, first use first
 
 
@@ -302,54 +308,48 @@ def _compiled(n: RevNetlist) -> _CompiledRev:
 
 
 def _compile(n: RevNetlist) -> _CompiledRev:
-    """Layer the gates, one step per (layer, gate), both directions.
+    """One step per gate application, both directions; line i is state row i.
 
-    A gate's layer is one more than the latest layer among its lines, so
-    the gates of one layer touch disjoint lines. The inverse runs the
-    layers backwards with each gate's inverse mapping.
+    The inverse runs the gates backwards with each gate's inverse mapping.
     """
     depth = [0] * len(n.lines)
-    placed = []
+    forward, inverse = [], []
     for app in n.gates:
-        level = 1 + max(depth[l] for l in app.lines)
+        level = 1 + max(map(depth.__getitem__, app.lines))
         for l in app.lines:
             depth[l] = level
-        placed.append((level, app.gate, app.lines))
-    forward, inverse = [], []
-    for _, gate, lines in levelized(placed):
-        ins = np.array(lines, dtype=np.intp).T
-        for steps, table in ((forward, gate.mapping), (inverse, gate.inverse_mapping())):
-            program, kept = _gate_program(table, gate.arity)
-            steps.append(Step(ins, tuple(ins[j] for j in kept), *program))
+        k_forward, k_inverse = _gate_kernels(app.gate)
+        forward.append((k_forward, app.lines))
+        inverse.append((k_inverse, app.lines))
     inverse.reverse()
 
     inputs = [(i, l.name) for i, l in enumerate(n.lines) if l.tag is LineTag.PRIMARY_INPUT]
     names = tuple(dict.fromkeys(name for _, name in inputs))
     index = {name: k for k, name in enumerate(names)}
-    fwd = SlicedPlan(
+    fwd = KernelPlan(
         rows=len(n.lines),
         steps=tuple(forward),
-        load_rows=np.array([i for i, _ in inputs], dtype=np.intp),
+        load_rows=tuple(i for i, _ in inputs),
         load_src=np.array([index[name] for _, name in inputs], dtype=np.intp),
         load_shift=None,
-        ones=np.array([i for i, l in enumerate(n.lines)
-                       if l.tag is LineTag.ANCILLA and l.const == 1], dtype=np.intp),
+        ones=tuple(i for i, l in enumerate(n.lines)
+                   if l.tag is LineTag.ANCILLA and l.const == 1),
         depth=tuple(depth),
     )
-    every = np.arange(len(n.lines), dtype=np.intp)
+    every = tuple(range(len(n.lines)))
     inv = fwd._replace(
-        steps=tuple(inverse), load_rows=every, load_src=every, ones=every[:0]
+        steps=tuple(inverse), load_rows=every, load_src=np.arange(len(n.lines)), ones=()
     )
     return _CompiledRev(fwd, inv, names)
 
 
-def _run_lines(plan: SlicedPlan, values: Sequence, name: Callable[[int], str]) -> list:
+def _run_lines(plan: KernelPlan, values: Sequence, name: Callable[[int], str]) -> list:
     """Every line's final value: Python ints when every value is an int,
     else uint8 arrays of the broadcast shape. Values must be 0 or 1;
     ``name(i)`` names value i in the error."""
     rows, shape = uint_rows(values, [1] * len(values), name)
     out = np.empty((plan.rows, rows.shape[1]), dtype=np.uint8)
-    for lo, hi, bits in run_sliced(plan, rows, np.arange(plan.rows)):
+    for lo, hi, bits in run_kernels(plan, rows, range(plan.rows)):
         out[:, lo:hi] = bits
     if is_scalar_call(values):
         return out[:, 0].tolist()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fp32, revlogic, softfloat
+from . import fp32, softfloat
 from .multiplier import (  # noqa: F401  (perfbench wraps verify.mul12 by name)
     GRID_IDS,
     FaultSpec,
@@ -74,13 +74,16 @@ def suite_mul4_exhaustive(seed: int = 0) -> SuiteResult:
     a, b = _mul4_index_space()
     want = a * b
     net_prod = export_netlist("mul4").evaluate({"a": a, "b": b})
-    good = net_prod == want
     fast = np.array(
         [int(mul4(x, y).product) for y in range(16) for x in range(16)],
         dtype=np.int64,
-    )
-    good &= fast[(b << 4) | a] == want
-    return SuiteResult("mul4-exhaustive", int(np.count_nonzero(good)), a.size)
+    )[(b << 4) | a]
+    ok = (net_prod == want) & (fast == want)
+    # a failing case shows the netlist's product, or the table's when only
+    # that is wrong
+    got = np.where(net_prod != want, net_prod, fast)
+    notes = _failures(a, b, got, want, ok)
+    return SuiteResult("mul4-exhaustive", int(np.count_nonzero(ok)), a.size, notes)
 
 
 def _random_operands(rng: np.random.Generator, width: int, n: int) -> list[int]:
@@ -201,25 +204,12 @@ _SPECIAL_CASES = (
 )
 
 
-def suite_rev_roundtrip(seed: int = 0) -> SuiteResult:
-    """Inverse simulation recovers inputs and ancilla constants exactly."""
-    passed = total = 0
-    for gate in gate_library().values():
-        total += 1
-        passed += sorted(gate.mapping) == list(range(1 << gate.arity))
-
-    a, b = _mul4_index_space()
-    rev4 = expand(export_netlist("mul4"))
-    passed += _roundtrip_count(rev4, _bit_inputs(a, b, 4))
-    total += a.size
-
+def _rev_cases(seed: int):
+    """(level, width, a, b): every mul4 pair, then 1000 random mul24 pairs."""
     rng = np.random.default_rng(seed)
     a24 = rng.integers(0, 1 << 24, size=1000, dtype=np.int64)
     b24 = rng.integers(0, 1 << 24, size=1000, dtype=np.int64)
-    rev24 = expand(export_netlist("mul24"))
-    passed += _roundtrip_count(rev24, _bit_inputs(a24, b24, 24))
-    total += a24.size
-    return SuiteResult("rev-roundtrip", passed, total)
+    return (("mul4", 4) + _mul4_index_space(), ("mul24", 24, a24, b24))
 
 
 def _bit_inputs(a: np.ndarray, b: np.ndarray, width: int) -> dict[str, np.ndarray]:
@@ -230,41 +220,52 @@ def _bit_inputs(a: np.ndarray, b: np.ndarray, width: int) -> dict[str, np.ndarra
     return ins
 
 
-def _roundtrip_count(rev: revlogic.RevNetlist, ins: dict[str, np.ndarray]) -> int:
-    fwd = simulate(rev, ins)
-    back = simulate_inverse(rev, fwd.line_values)
-    size = next(iter(ins.values())).size
-    good = np.ones(size, dtype=bool)
-    for i, line in enumerate(rev.lines):
-        want = ins[line.name] if line.name is not None else line.const
-        good &= back[i] == want
-    return int(np.count_nonzero(good))
+def suite_rev_roundtrip(seed: int = 0) -> SuiteResult:
+    """Inverse simulation recovers inputs and ancilla constants exactly.
+
+    A failing pair's note names the first line it does not recover, with
+    the recovered value as got and the starting one as want.
+    """
+    passed = total = 0
+    for gate in gate_library().values():
+        total += 1
+        passed += sorted(gate.mapping) == list(range(1 << gate.arity))
+
+    notes = []
+    for level, width, a, b in _rev_cases(seed):
+        rev = expand(export_netlist(level))
+        ins = _bit_inputs(a, b, width)
+        back = np.array(simulate_inverse(rev, simulate(rev, ins).line_values))
+        start = np.empty_like(back)
+        for i, line in enumerate(rev.lines):
+            start[i] = ins[line.name] if line.name is not None else line.const
+        bad = back != start
+        ok = ~bad.any(axis=0)
+        line = bad.argmax(axis=0)
+        cols = np.arange(a.size)
+        notes += [
+            f"line {line[i]} {note}"
+            for i, note in zip(np.flatnonzero(~ok).tolist(), _failures(
+                a, b, back[line, cols], start[line, cols], ok))
+        ]
+        passed += int(np.count_nonzero(ok))
+        total += a.size
+    return SuiteResult("rev-roundtrip", passed, total, tuple(notes[:3]))
 
 
 def suite_rev_expand(seed: int = 0) -> SuiteResult:
     """Expanded reversible circuits agree with the cell netlists they mirror."""
-    a, b = _mul4_index_space()
-    rev4 = expand(export_netlist("mul4"))
-    got = _rev_product(rev4, _bit_inputs(a, b, 4), 8)
-    passed = int(np.count_nonzero(got == a * b))
-    total = a.size
-
-    rng = np.random.default_rng(seed)
-    a24 = rng.integers(0, 1 << 24, size=1000, dtype=np.int64)
-    b24 = rng.integers(0, 1 << 24, size=1000, dtype=np.int64)
-    rev24 = expand(export_netlist("mul24"))
-    got24 = _rev_product(rev24, _bit_inputs(a24, b24, 24), 48)
-    want24 = a24.astype(object) * b24.astype(object)
-    passed += int(np.count_nonzero(got24 == want24))
-    total += a24.size
-    return SuiteResult("rev-expand", passed, total)
-
-
-def _rev_product(rev: revlogic.RevNetlist, ins: dict, out_bits: int) -> np.ndarray:
-    res = simulate(rev, ins)
-    return sum(
-        res.outputs[f"p{k}"].astype(object) << k for k in range(out_bits)
-    )
+    passed = total = 0
+    notes = []
+    for level, width, a, b in _rev_cases(seed):
+        res = simulate(expand(export_netlist(level)), _bit_inputs(a, b, width))
+        got = sum(res.outputs[f"p{k}"].astype(np.int64) << k for k in range(2 * width))
+        want = a * b
+        ok = got == want
+        notes += _failures(a, b, got, want, ok)
+        passed += int(np.count_nonzero(ok))
+        total += a.size
+    return SuiteResult("rev-expand", passed, total, tuple(notes[:3]))
 
 
 def suite_repair_all(seed: int = 0) -> SuiteResult:

@@ -13,7 +13,6 @@ from cifm.bitcore import (
 def test_bitvec_basics():
     v = BitVec(0b1011, 4)
     assert v.bit(0) == 1 and v.bit(2) == 0
-    assert v.bits() == (1, 1, 0, 1)
     assert int(v) == 11
     assert str(v) == "0xb/4"
 
@@ -23,16 +22,6 @@ def test_bitvec_rejects_out_of_range():
         BitVec(16, 4)
     with pytest.raises(ValueError):
         BitVec(-1, 4)
-
-
-def test_bitvec_split():
-    v = BitVec(0xABC, 12)
-    lo, mid, hi = v.split(4)
-    assert (lo.value, mid.value, hi.value) == (0xC, 0xB, 0xA)
-
-
-def test_bitvec_truncate():
-    assert BitVec(0x1F, 6).truncate(4).value == 0xF
 
 
 def test_classify_width_table():

@@ -47,7 +47,6 @@ def test_editing_an_expansion_leaves_the_next_alone():
     line = edited.add_ancilla(1)
     edited.apply(lib["FEYNMAN"], line, dict(edited.outputs())["p0"])
     edited.set_output(line, "extra")
-    edited.set_restored(0)
     assert edited.to_json() != want
 
     again = expand(nl)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cifm.bitcore import CellKind, NetlistBuilder
+from cifm.bitcore import CellKind, CellNetlist, NetlistBuilder
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
     FullAdderVariant,
@@ -289,8 +289,6 @@ def _doc_with_gate(name: str) -> dict:
         lambda n: n.apply(gate_library()["FEYNMAN"], 0, 2),
         lambda n: n.set_output(2, "p"),
         lambda n: n.set_output(-1, "p"),
-        lambda n: n.set_restored(5),
-        lambda n: n.set_restored(1.0),
         lambda n: n.add_ancilla(True),
         lambda n: n.add_ancilla(2),
         lambda n: n.add_ancilla(0.0),
@@ -299,9 +297,8 @@ def _doc_with_gate(name: str) -> dict:
             {"lines": [{"tag": "bogus", "const": 0}], "gates": [], "output_roles": []}),
     ],
     ids=["float-line", "bool-line", "str-line", "line-out-of-range",
-         "output-out-of-range", "output-negative", "restored-out-of-range",
-         "restored-float", "bool-ancilla", "ancilla-2", "float-ancilla",
-         "unknown-gate", "unknown-line-tag"],
+         "output-out-of-range", "output-negative", "bool-ancilla", "ancilla-2",
+         "float-ancilla", "unknown-gate", "unknown-line-tag"],
 )
 def test_bad_circuit_input_is_value_error(bad):
     n = _small_circuit()
@@ -309,6 +306,28 @@ def test_bad_circuit_input_is_value_error(bad):
     with pytest.raises(ValueError):
         bad(n)
     assert n.to_json() == before
+
+
+def _without(doc: dict, part: str, key: str) -> dict:
+    doc[part][0].pop(key)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "cls, doc",
+    [
+        (RevNetlist, {"lines": [{"tag": "input"}], "gates": [], "output_roles": []}),
+        (CellNetlist, _without(export_netlist("mul4").to_json(), "inputs", "nets")),
+        (RevNetlist, _without(_doc_with_gate("FEYNMAN"), "gates", "ordinal")),
+        (RevNetlist, []),
+        (CellNetlist, []),
+    ],
+    ids=["line-without-name", "bus-without-nets", "gate-without-ordinal",
+         "circuit-list", "netlist-list"],
+)
+def test_malformed_json_is_value_error(cls, doc):
+    with pytest.raises(ValueError, match="malformed"):
+        cls.from_json(doc)
 
 
 def test_numpy_ints_are_accepted_as_lines_and_constants():

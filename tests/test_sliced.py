@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from cifm.bitcore import CHUNK_WORDS, CellKind, NetlistBuilder
+from cifm.bitcore import CHUNK_VECTORS, CellKind, NetlistBuilder
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
     RevNetlist,
@@ -141,7 +141,8 @@ def test_random_circuits_both_ways(seed):
     assert metrics_of(n).unit_delay == max(ready[i] for _, i in n.outputs())
 
 
-@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 1000, 64 * CHUNK_WORDS + 1])
+@pytest.mark.parametrize(
+    "size", [0, 1, 63, 64, 65, 1000, CHUNK_VECTORS - 1, CHUNK_VECTORS, CHUNK_VECTORS + 1])
 def test_batch_size_does_not_matter(size):
     rng = np.random.default_rng(size)
     nl = export_netlist("mul4")

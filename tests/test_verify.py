@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from cifm import verify
+from cifm import bitcore, revlogic, verify
 from cifm.multiplier import BlockBatch
 from cifm.softfloat import softfloat_mul
 
@@ -22,7 +22,8 @@ def _parsed(notes):
     return cases
 
 
-@pytest.mark.parametrize("suite", ["mul24-random", "fp32-oracle", "repair-all"])
+@pytest.mark.parametrize("suite", ["mul24-random", "fp32-oracle", "repair-all",
+                                   "mul4-exhaustive", "rev-roundtrip", "rev-expand"])
 def test_green_sweep_has_no_notes(suite):
     r = verify.run_suite(suite, seed=1)
     assert r.ok and r.notes == ()
@@ -135,3 +136,50 @@ def test_repair_all_names_failing_inputs_with_their_block(monkeypatch):
         assert note.startswith(prefix)
     for a, b, got, want in _parsed(n[len(prefix):] for n in r.notes):
         assert want == a * b and got == want ^ 1 and b & 1
+
+
+FLIP = 0x25     # the vector whose values the broken runner inverts
+
+
+def _break_the_runner(monkeypatch):
+    """Invert every value the netlist runner reads out for vector FLIP."""
+    real = bitcore.run_kernels
+
+    def flipped(plan, values, read):
+        for lo, hi, bits in real(plan, values, read):
+            if lo <= FLIP < hi:
+                bits[:, FLIP - lo] ^= 1
+            yield lo, hi, bits
+
+    monkeypatch.setattr(bitcore, "run_kernels", flipped)
+    monkeypatch.setattr(revlogic, "run_kernels", flipped)
+
+
+def test_mul4_exhaustive_names_failing_inputs(monkeypatch):
+    verify.mul4(0, 0)       # the block's tables are built before the break
+    _break_the_runner(monkeypatch)
+    r = verify.run_suite("mul4-exhaustive")
+    a, b = FLIP & 0xF, FLIP >> 4
+    assert r.total - r.passed == 1
+    assert _parsed(r.notes) == [(a, b, (a * b) ^ 0xFF, a * b)]
+
+
+def test_rev_expand_names_failing_inputs(monkeypatch):
+    _break_the_runner(monkeypatch)
+    r = verify.run_suite("rev-expand", seed=4)
+    assert r.total - r.passed == 2
+    want = [(int(a[FLIP]), int(b[FLIP]), width) for _, width, a, b in verify._rev_cases(4)]
+    for (a, b, got, product), (x, y, width) in zip(_parsed(r.notes), want, strict=True):
+        assert (a, b, product) == (x, y, x * y) and got == product ^ ((1 << 2 * width) - 1)
+
+
+def test_rev_roundtrip_names_failing_inputs_and_line(monkeypatch):
+    _break_the_runner(monkeypatch)
+    r = verify.run_suite("rev-roundtrip", seed=4)
+    assert r.total - r.passed == 2
+    want = [(int(a[FLIP]), int(b[FLIP])) for _, _, a, b in verify._rev_cases(4)]
+    notes = [re.fullmatch(r"line (\d+) (.*)", note) for note in r.notes]
+    assert all(notes), r.notes
+    cases = _parsed(m.group(2) for m in notes)
+    assert [(a, b) for a, b, _, _ in cases] == want
+    assert all({got, start} == {0, 1} for _, _, got, start in cases)
