@@ -57,12 +57,6 @@ class BitVec:
                 f"value {self.value:#x} does not fit in {self.width} bits"
             )
 
-    def bit(self, i: int) -> int:
-        """Bit i, LSB first."""
-        if not 0 <= i < self.width:
-            raise ValueError(f"bit index {i} out of range for width {self.width}")
-        return (self.value >> i) & 1
-
     def __int__(self) -> int:
         return self.value
 

@@ -50,7 +50,6 @@ __all__ = [
     "Fp32Parts",
     "FpMulTrace",
     "unpack",
-    "pack",
     "fp_mul",
     "fp_mul_batch",
 ]
@@ -100,12 +99,6 @@ def _parts(value: int) -> Fp32Parts:
     else:
         cls = Fp32Class.NORMAL
     return Fp32Parts(value >> 31, exponent, BitVec(fraction, 23), cls)
-
-
-def pack(sign: int, exponent: int, fraction: int) -> BitVec:
-    if not (0 <= exponent <= 0xFF and 0 <= fraction < (1 << 23)):
-        raise ValueError("exponent or fraction field out of range")
-    return BitVec((sign << 31) | (exponent << 23) | fraction, 32)
 
 
 @dataclass(frozen=True)
@@ -277,7 +270,7 @@ def fp_mul(
         significand_a=sig_a,
         significand_b=sig_b,
         raw_product=raw,
-        normalized=bool(raw.bit(47)),
+        normalized=bool(raw.value >> 47),
         exponent_pre_bias=exponent_pre_bias,
         exponent_final=magnitude >> 23,
         rounding_applied="increment" if increment else "none",

@@ -39,6 +39,7 @@ into an :class:`ActivityReport`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -228,7 +229,6 @@ class ActivityReport:
 class MulResult:
     product: BitVec
     activity: ActivityReport
-    netlist_trace: dict | None = None
     unrepaired_faults: tuple[ModuleId, ...] = ()
 
 
@@ -291,30 +291,25 @@ def _mul4_netlist() -> CellNetlist:
 # Truth tables of the 4x4 netlist: product and active adder levels for all
 # 256 operand pairs (index b << 4 | a), derived by one vectorised netlist
 # evaluation.
-_MUL4_TABLES: tuple[np.ndarray, np.ndarray] | None = None
-
-
+@functools.cache
 def _mul4_tables() -> tuple[np.ndarray, np.ndarray]:
-    global _MUL4_TABLES
-    if _MUL4_TABLES is None:
-        nl = export_netlist("mul4")
-        pairs = np.arange(1 << 8, dtype=np.int64)
-        a = pairs & 0xF
-        bb = pairs >> 4
-        values = nl.evaluate_nets({"a": a, "b": bb})
-        product = np.zeros(1 << 8, dtype=np.int64)
-        for k, (_, net) in enumerate(nl.outputs):
-            product += values[net] << k
-        levels = np.zeros(1 << 8, dtype=np.int64)
-        for lvl in (1, 2, 3):
-            seen = np.zeros(1 << 8, dtype=np.int64)
-            for cell in nl.cells:
-                if cell.level == lvl and cell.kind in (CellKind.HA, CellKind.FA):
-                    for net in cell.inputs:
-                        seen |= values[net]
-            levels += seen
-        _MUL4_TABLES = (product, levels.astype(np.int8))
-    return _MUL4_TABLES
+    nl = export_netlist("mul4")
+    pairs = np.arange(1 << 8, dtype=np.int64)
+    a = pairs & 0xF
+    bb = pairs >> 4
+    values = nl.evaluate_nets({"a": a, "b": bb})
+    product = np.zeros(1 << 8, dtype=np.int64)
+    for k, (_, net) in enumerate(nl.outputs):
+        product += values[net] << k
+    levels = np.zeros(1 << 8, dtype=np.int64)
+    for lvl in (1, 2, 3):
+        seen = np.zeros(1 << 8, dtype=np.int64)
+        for cell in nl.cells:
+            if cell.level == lvl and cell.kind in (CellKind.HA, CellKind.FA):
+                for net in cell.inputs:
+                    seen |= values[net]
+        levels += seen
+    return product, levels.astype(np.int8)
 
 
 def _operands(a, b, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -326,7 +321,7 @@ def _operands(a, b, width: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[0].reshape(shape), rows[1].reshape(shape)
 
 
-def mul4(a: BitVec | int, b: BitVec | int, trace: bool = False) -> MulResult:
+def mul4(a: BitVec | int, b: BitVec | int) -> MulResult:
     """Multiply two 4-bit operands through the block netlist's truth table.
 
     A standalone block has no grid identity, so the activity report carries
@@ -336,16 +331,13 @@ def mul4(a: BitVec | int, b: BitVec | int, trace: bool = False) -> MulResult:
     y = uint_value(b, 4, "b")
     product, levels = _mul4_tables()
     idx = (y << 4) | x
-    nets = None
-    if trace:
-        nets = export_netlist("mul4").evaluate_nets({"a": x, "b": y})
     report = ActivityReport(
         active_mul4=frozenset(),
         gated_mul4=frozenset(),
         disabled_faulty=frozenset(),
         adder_levels_active={None: int(levels[idx])},
     )
-    return MulResult(BitVec(int(product[idx]), 8), report, nets)
+    return MulResult(BitVec(int(product[idx]), 8), report)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +427,7 @@ def _quad_bits(q: Quadrant) -> list[int]:
 
 
 _MUL24 = _layout({q: (int(q.a_high), int(q.b_high)) for q in Quadrant})
-_MUL12 = {q: _layout({q: (0, 0)}) for q in Quadrant}
+_MUL12 = _layout({Quadrant.LL: (0, 0)})
 
 
 def _plan(
@@ -493,13 +485,11 @@ def _plan24(
     return _plan(_MUL24, faults, targets)
 
 
-def _plan12(
-    faults: Sequence[FaultSpec], repair: RepairConfig, quadrant: Quadrant
-) -> _Plan:
+def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig) -> _Plan:
     target = repair.target
-    if target is not None and target.quadrant is not quadrant:
-        raise ValueError(f"repair target {target} is outside quadrant {quadrant.value}")
-    return _plan(_MUL12[quadrant], faults, () if target is None else (target,))
+    if target is not None and target.quadrant is not Quadrant.LL:
+        raise ValueError(f"repair target {target} is outside quadrant LL")
+    return _plan(_MUL12, faults, () if target is None else (target,))
 
 
 def _blocks(
@@ -592,13 +582,12 @@ def mul12_batch(
     faults: Sequence[FaultSpec] = (),
     repair: RepairConfig = RepairConfig(),
     *,
-    quadrant: Quadrant = Quadrant.LL,
     gating: bool = True,
 ) -> BlockBatch:
-    """:func:`mul12` over integer arrays of 12-bit operands, one quadrant."""
+    """:func:`mul12` over integer arrays of 12-bit operands."""
     a, b = _operands(a, b, 12)
-    plan = _plan12(faults, repair, quadrant)
-    return _run_batch(_MUL12[quadrant], plan, a, b, gating)
+    plan = _plan12(faults, repair)
+    return _run_batch(_MUL12, plan, a, b, gating)
 
 
 def mul24_batch(
@@ -621,23 +610,18 @@ def mul12(
     faults: Sequence[FaultSpec] = (),
     repair: RepairConfig = RepairConfig(),
     *,
-    quadrant: Quadrant = Quadrant.LL,
     gating: bool = True,
-    trace: bool = False,
 ) -> MulResult:
     """Multiply two 12-bit operands as one quadrant module.
 
-    Standalone use defaults to quadrant LL; embedded use passes the real
-    quadrant so fault and repair targets resolve against it.
+    A standalone quadrant is quadrant LL: fault and repair targets must lie
+    in it, or ValueError is raised.
     """
     x = uint_value(a, 12, "a")
     y = uint_value(b, 12, "b")
-    plan = _plan12(faults, repair, quadrant)
-    product, report, unrepaired = _run_scalar(_MUL12[quadrant], plan, x, y, gating)
-    nets = None
-    if trace:
-        nets = export_netlist("mul12").evaluate_nets({"a": x, "b": y})
-    return MulResult(BitVec(product, 24), report, nets, unrepaired)
+    plan = _plan12(faults, repair)
+    product, report, unrepaired = _run_scalar(_MUL12, plan, x, y, gating)
+    return MulResult(BitVec(product, 24), report, unrepaired)
 
 
 def mul24(
@@ -647,7 +631,6 @@ def mul24(
     repair: Mapping[Quadrant, RepairConfig] | None = None,
     *,
     gating: bool = True,
-    trace: bool = False,
 ) -> MulResult:
     """Multiply two 24-bit operands across the four quadrant modules.
 
@@ -660,10 +643,7 @@ def mul24(
     y = uint_value(b, 24, "b")
     plan = _plan24(faults, repair)
     product, report, unrepaired = _run_scalar(_MUL24, plan, x, y, gating)
-    nets = None
-    if trace:
-        nets = export_netlist("mul24").evaluate_nets({"a": x, "b": y})
-    return MulResult(BitVec(product, 48), report, nets, unrepaired)
+    return MulResult(BitVec(product, 48), report, unrepaired)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +732,6 @@ def _mul24_netlist() -> CellNetlist:
     return b.build()
 
 
-_NETLIST_CACHE: dict[str, CellNetlist] = {}
 _NETLIST_BUILDERS = {
     "mul4": _mul4_netlist,
     "mul12": _mul12_netlist,
@@ -760,6 +739,7 @@ _NETLIST_BUILDERS = {
 }
 
 
+@functools.cache
 def export_netlist(level: str) -> CellNetlist:
     """The full structural datapath netlist for 'mul4', 'mul12' or 'mul24'.
 
@@ -769,9 +749,7 @@ def export_netlist(level: str) -> CellNetlist:
     """
     if level not in _NETLIST_BUILDERS:
         raise ValueError(f"unknown netlist level {level!r}")
-    if level not in _NETLIST_CACHE:
-        _NETLIST_CACHE[level] = _NETLIST_BUILDERS[level]()
-    return _NETLIST_CACHE[level]
+    return _NETLIST_BUILDERS[level]()
 
 
 # ---------------------------------------------------------------------------

@@ -139,16 +139,12 @@ def make_standard_gates() -> dict[str, RevGate]:
     return {g.name: g for g in gates}
 
 
-_GATE_LIBRARY: dict[str, RevGate] | None = None
-
-
+@functools.cache
 def gate_library() -> dict[str, RevGate]:
-    global _GATE_LIBRARY
-    if _GATE_LIBRARY is None:
-        _GATE_LIBRARY = make_standard_gates()
-        _GATE_LIBRARY["NG"] = make_new_gate()
-        _GATE_LIBRARY["TSG"] = make_tsg()
-    return _GATE_LIBRARY
+    library = make_standard_gates()
+    library["NG"] = make_new_gate()
+    library["TSG"] = make_tsg()
+    return library
 
 
 class LineTag(Enum):

@@ -86,19 +86,13 @@ def suite_mul4_exhaustive(seed: int = 0) -> SuiteResult:
     return SuiteResult("mul4-exhaustive", int(np.count_nonzero(ok)), a.size, notes)
 
 
-def _random_operands(rng: np.random.Generator, width: int, n: int) -> list[int]:
-    """Operands spanning every magnitude class, zeros included."""
-    buckets = list(range(0, width + 1, 4))
-    ks = rng.choice(buckets, size=n)
-    out = []
-    for k in ks:
-        out.append(0 if k == 0 else int(rng.integers(0, 1 << int(k))))
-    return out
-
-
 def _random_pairs(rng: np.random.Generator, width: int, n: int) -> np.ndarray:
-    """(2, n) random operand pairs: all a operands are drawn, then all b."""
-    return np.array([_random_operands(rng, width, n), _random_operands(rng, width, n)])
+    """(2, n) random operand pairs spanning every magnitude class.
+
+    Each operand first draws a class k in 0, 4, ..., width, then a value
+    below 2**k, so class 0 is zero.
+    """
+    return rng.integers(0, 1 << rng.choice(np.arange(0, width + 1, 4), size=(2, n)))
 
 
 def _failures(a, b, got, want, ok: np.ndarray) -> tuple[str, ...]:
@@ -271,9 +265,7 @@ def suite_rev_expand(seed: int = 0) -> SuiteResult:
 def suite_repair_all(seed: int = 0) -> SuiteResult:
     """Every block position: repair restores exactness, no repair shows the fault."""
     rng = np.random.default_rng(seed)
-    a, b = np.array(
-        [(rng.integers(0, 1 << 24), rng.integers(0, 1 << 24)) for _ in range(1000)]
-    ).T
+    a, b = rng.integers(0, 1 << 24, size=(2, 1000))
     want = a * b
     passed = total = 0
     notes, failures = [], []

@@ -12,7 +12,6 @@ from cifm.bitcore import (
 
 def test_bitvec_basics():
     v = BitVec(0b1011, 4)
-    assert v.bit(0) == 1 and v.bit(2) == 0
     assert int(v) == 11
     assert str(v) == "0xb/4"
 

@@ -117,7 +117,13 @@ def test_report_verb():
 
 
 def test_bad_inputs_exit_2():
-    assert run("mul", "--width", "4", "0x1F", "0x1").returncode == 2
+    for args, named in [
+        (("mul", "--width", "4", "0x1F", "0x1"), "a=0x1f"),
+        (("mul", "--width", "12", "0xFFF", "0xFFF", "--fault", "HH:0:0=0x1"), "HH:0:0"),
+        (("fpmul", "0x0", "0x100000000"), "b=0x100000000"),
+    ]:
+        r = run(*args)
+        assert r.returncode == 2 and named in r.stderr, (args, r.stderr)
     assert run("mul", "0x1", "0x1", "--fault", "XX:0:0=0x1").returncode == 2
     assert run("mul", "0x1", "0x1", "--fault", "LL:0:0").returncode == 2
     assert run("mul", "0x1", "0x1", "--fault", "LL:9:9=0x1").returncode == 2

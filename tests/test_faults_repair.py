@@ -135,6 +135,8 @@ def test_duplicate_fault_rejected_whatever_the_operands(operand):
 def test_fault_outside_quadrant_rejected():
     with pytest.raises(ValueError, match="outside"):
         mul12(1, 1, faults=[FaultSpec(HH00, 0x01)])
+    with pytest.raises(ValueError, match="outside quadrant LL"):
+        mul12(1, 1, repair=repair_of(HH00))
 
 
 def test_repair_filed_under_wrong_quadrant_rejected():

@@ -56,12 +56,3 @@ def test_netlist_matches_native_on_full_index_space():
     idx = np.arange(1 << 8, dtype=np.int64)
     a, b = idx & 0xF, idx >> 4
     assert np.array_equal(net.evaluate({"a": a, "b": b}), a * b)
-
-
-def test_trace_exposes_every_net():
-    r = mul4(11, 5, trace=True)
-    net = export_netlist("mul4")
-    assert r.netlist_trace is not None
-    for _, nets in net.inputs:
-        for n in nets:
-            assert n in r.netlist_trace

@@ -22,11 +22,26 @@ def _parsed(notes):
     return cases
 
 
-@pytest.mark.parametrize("suite", ["mul24-random", "fp32-oracle", "repair-all",
-                                   "mul4-exhaustive", "rev-roundtrip", "rev-expand"])
+TOTALS = {"mul4-exhaustive": 256, "mul12-random": 10009, "mul24-random": 10025,
+          "fp32-oracle": 10009, "rev-roundtrip": 1262, "rev-expand": 1256,
+          "repair-all": 36036}
+
+
+@pytest.mark.parametrize("suite", TOTALS)
 def test_green_sweep_has_no_notes(suite):
-    r = verify.run_suite(suite, seed=1)
-    assert r.ok and r.notes == ()
+    for seed in range(5):
+        r = verify.run_suite(suite, seed=seed)
+        assert r.ok and r.notes == () and r.total == TOTALS[suite], (seed, r)
+
+
+@pytest.mark.parametrize("width", [12, 24])
+def test_random_pairs_draw_every_magnitude_class(width):
+    pairs = verify._random_pairs(np.random.default_rng(0), width, 1000)
+    assert pairs.shape == (2, 1000)
+    classes = {int(v).bit_length() for v in pairs.ravel()}
+    assert 0 in classes and max(classes) == width
+    for k in range(4, width + 1, 4):
+        assert classes & set(range(k - 3, k + 1)), k
 
 
 def test_int_sweep_names_failing_inputs(monkeypatch):
@@ -96,8 +111,10 @@ def test_run_suite_takes_numpy_int_seeds():
 
 
 def test_green_gating_safety_notes_only_its_power_proxy():
-    r = verify.run_suite("gating-safety", seed=1)
-    assert r.ok and r.notes == ("power_proxy narrow=1 wide=36",)
+    for seed in range(5):
+        r = verify.run_suite("gating-safety", seed=seed)
+        assert r.ok and r.total == 10002, (seed, r)
+        assert r.notes == ("power_proxy narrow=1 wide=36",), (seed, r)
 
 
 def test_gating_safety_names_failing_inputs(monkeypatch):
