@@ -50,6 +50,10 @@ class BitVec:
     width: int
 
     def __post_init__(self) -> None:
+        if type(self.value) is not int and (
+            isinstance(self.value, bool) or not isinstance(self.value, (int, np.integer))
+        ):
+            raise ValueError(f"value must be an int, got {self.value!r}")
         if self.width <= 0:
             raise ValueError(f"width must be positive, got {self.width}")
         if not 0 <= self.value < (1 << self.width):

@@ -222,6 +222,13 @@ def _finish(exponent_sum, raw, nearest_even):
     return magnitude, increment, overflow, underflow
 
 
+def _nearest_even(rounding: Rounding) -> bool:
+    """Whether ``rounding`` rounds to nearest even; ValueError unless a Rounding."""
+    if not isinstance(rounding, Rounding):
+        raise ValueError(f"rounding must be a Rounding, got {rounding!r}")
+    return rounding is Rounding.NEAREST_EVEN
+
+
 def fp_mul(
     a: BitVec | int,
     b: BitVec | int,
@@ -232,11 +239,13 @@ def fp_mul(
     """Multiply two float32 bit patterns through the block datapath.
 
     Each operand is a 32-bit BitVec or an int in 0..2**32-1; anything else
-    raises ValueError. The trace records every stage; for many pairs,
-    :func:`fp_mul_batch` gives the same products without traces.
+    raises ValueError, as does a ``rounding`` that is not a Rounding. The
+    trace records every stage; for many pairs, :func:`fp_mul_batch` gives
+    the same products without traces.
     """
     x = uint_value(a, 32, "a")
     y = uint_value(b, 32, "b")
+    nearest_even = _nearest_even(rounding)
     pa = _parts(x)
     pb = _parts(y)
     sign = pa.sign ^ pb.sign
@@ -262,7 +271,7 @@ def fp_mul(
     raw = mres.product                     # 48 bits, in [2^46, 2^48) unless faulty
     exponent_pre_bias = pa.exponent + pb.exponent
     magnitude, increment, overflow, underflow = _finish(
-        exponent_pre_bias, raw.value, rounding is Rounding.NEAREST_EVEN
+        exponent_pre_bias, raw.value, nearest_even
     )
     return BitVec((sign << 31) | magnitude, 32), FpMulTrace(
         a=pa,
@@ -292,13 +301,15 @@ def fp_mul_batch(
 
     ``a`` and ``b`` are ints or integer arrays whose shapes broadcast; every
     element must lie in 0..2**32-1. Float, bool and object arrays, elements
-    out of range and shapes that do not broadcast raise ValueError; an empty
-    batch is allowed. Returns the int64 result patterns in the broadcast
-    shape. The significands of all finite nonzero pairs are multiplied by
-    one :func:`cifm.multiplier.mul24_batch` call, with ``faults`` and
-    ``repair`` passed through.
+    out of range, shapes that do not broadcast and a ``rounding`` that is
+    not a Rounding raise ValueError; an empty batch is allowed. Returns the
+    int64 result patterns in the broadcast shape. The significands of all
+    finite nonzero pairs are multiplied by one
+    :func:`cifm.multiplier.mul24_batch` call, with ``faults`` and ``repair``
+    passed through.
     """
     rows, shape = uint_rows((a, b), (32, 32), "ab".__getitem__)
+    nearest_even = _nearest_even(rounding)
     x, y = rows.astype(np.int64, copy=False)
     sign = (x ^ y) >> 31
     code = _special_codes(x, y)
@@ -309,6 +320,6 @@ def fp_mul_batch(
         _HIDDEN | (x & _FRAC_MASK), _HIDDEN | (y & _FRAC_MASK), faults, repair
     ).products
     exponent_sum = ((x >> 23) & 0xFF) + ((y >> 23) & 0xFF)
-    magnitude = _finish(exponent_sum, raw, rounding is Rounding.NEAREST_EVEN)[0]
+    magnitude = _finish(exponent_sum, raw, nearest_even)[0]
     out[live] = (sign << 31) | magnitude
     return out.reshape(shape)

@@ -104,6 +104,12 @@ class Quadrant(Enum):
 _QUADRANT_INDEX = {q: k for k, q in enumerate(Quadrant)}
 
 
+def _check_flag(name: str, value) -> None:
+    """ValueError unless ``value`` is a bool: a truthy string is not true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModuleId:
     """Identity of one 4x4 block. Spares carry redundant=True and row=col=0."""
@@ -116,6 +122,12 @@ class ModuleId:
     def __post_init__(self) -> None:
         if not isinstance(self.quadrant, Quadrant):
             raise ValueError(f"quadrant must be a Quadrant, got {self.quadrant!r}")
+        if any(
+            isinstance(v, bool) or not isinstance(v, (int, np.integer))
+            for v in (self.row, self.col)
+        ):
+            raise ValueError(f"row/col must be ints, got {self.row!r},{self.col!r}")
+        _check_flag("redundant", self.redundant)
         if self.redundant:
             if (self.row, self.col) != (0, 0):
                 object.__setattr__(self, "row", 0)
@@ -163,9 +175,11 @@ class FaultSpec:
     forced_output: BitVec
 
     def __post_init__(self) -> None:
+        if not isinstance(self.target, ModuleId):
+            raise ValueError(f"fault target must be a ModuleId, got {self.target!r}")
         if self.target.redundant:
             raise ValueError("faults may only target non-redundant blocks")
-        if isinstance(self.forced_output, int):
+        if not isinstance(self.forced_output, BitVec):
             object.__setattr__(self, "forced_output", BitVec(self.forced_output, 8))
         if self.forced_output.width != 8:
             raise ValueError("forced output must be 8 bits wide")
@@ -179,6 +193,9 @@ class RepairConfig:
     target: ModuleId | None = None
 
     def __post_init__(self) -> None:
+        _check_flag("enabled", self.enabled)
+        if self.target is not None and not isinstance(self.target, ModuleId):
+            raise ValueError(f"repair target must be a ModuleId, got {self.target!r}")
         if self.target is not None and not self.enabled:
             raise ValueError("repair target set while repair is disabled")
         if self.enabled and self.target is None:
@@ -434,14 +451,25 @@ def _plan(
     layout: _Layout,
     faults: Sequence[FaultSpec],
     repairs: Iterable[ModuleId],
+    gating: bool,
 ) -> _Plan:
     """Validate faults against the layout and route repairs to the spares.
 
-    Runs once per call, before any operand is looked at, so a bad plan is
-    rejected whichever quadrants the operands would switch on.
+    Runs once per call, whichever quadrants the operands would switch on.
+    Also rejects a ``gating`` that is not a bool, and ``faults`` that is not
+    an iterable of FaultSpec, with ValueError.
     """
+    _check_flag("gating", gating)
+    try:
+        faults = tuple(faults)
+    except TypeError:
+        raise ValueError(
+            f"faults must be a sequence of FaultSpec, got {type(faults).__name__}"
+        ) from None
     forced: dict[ModuleId, int] = {}
     for f in faults:
+        if not isinstance(f, FaultSpec):
+            raise ValueError(f"faults must hold FaultSpec, got {f!r}")
         if f.target.quadrant not in layout.quad_bits:
             (quadrant,) = layout.quad_bits
             raise ValueError(
@@ -474,22 +502,34 @@ def _plan(
 
 
 def _plan24(
-    faults: Sequence[FaultSpec], repair: Mapping[Quadrant, RepairConfig] | None
+    faults: Sequence[FaultSpec],
+    repair: Mapping[Quadrant, RepairConfig] | None,
+    gating: bool,
 ) -> _Plan:
+    if repair is None:
+        repair = {}
+    elif not isinstance(repair, Mapping):
+        raise ValueError(
+            f"repair must map Quadrant to RepairConfig, got {type(repair).__name__}"
+        )
     targets = []
-    for q, cfg in (repair or {}).items():
+    for q, cfg in repair.items():
+        if not isinstance(q, Quadrant) or not isinstance(cfg, RepairConfig):
+            raise ValueError(f"repair must map Quadrant to RepairConfig, got {q!r}: {cfg!r}")
         if cfg.target is not None:
             if cfg.target.quadrant is not q:
                 raise ValueError(f"repair target {cfg.target} filed under {q.value}")
             targets.append(cfg.target)
-    return _plan(_MUL24, faults, targets)
+    return _plan(_MUL24, faults, targets, gating)
 
 
-def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig) -> _Plan:
+def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig, gating: bool) -> _Plan:
+    if not isinstance(repair, RepairConfig):
+        raise ValueError(f"repair must be a RepairConfig, got {repair!r}")
     target = repair.target
     if target is not None and target.quadrant is not Quadrant.LL:
         raise ValueError(f"repair target {target} is outside quadrant LL")
-    return _plan(_MUL12, faults, () if target is None else (target,))
+    return _plan(_MUL12, faults, () if target is None else (target,), gating)
 
 
 def _blocks(
@@ -586,7 +626,7 @@ def mul12_batch(
 ) -> BlockBatch:
     """:func:`mul12` over integer arrays of 12-bit operands."""
     a, b = _operands(a, b, 12)
-    plan = _plan12(faults, repair)
+    plan = _plan12(faults, repair, gating)
     return _run_batch(_MUL12, plan, a, b, gating)
 
 
@@ -600,7 +640,7 @@ def mul24_batch(
 ) -> BlockBatch:
     """:func:`mul24` over integer arrays of 24-bit operands."""
     a, b = _operands(a, b, 24)
-    plan = _plan24(faults, repair)
+    plan = _plan24(faults, repair, gating)
     return _run_batch(_MUL24, plan, a, b, gating)
 
 
@@ -615,11 +655,13 @@ def mul12(
     """Multiply two 12-bit operands as one quadrant module.
 
     A standalone quadrant is quadrant LL: fault and repair targets must lie
-    in it, or ValueError is raised.
+    in it, or ValueError is raised. So must ``faults`` that are not
+    FaultSpecs, a ``repair`` that is not a RepairConfig and a ``gating``
+    that is not a bool.
     """
     x = uint_value(a, 12, "a")
     y = uint_value(b, 12, "b")
-    plan = _plan12(faults, repair)
+    plan = _plan12(faults, repair, gating)
     product, report, unrepaired = _run_scalar(_MUL12, plan, x, y, gating)
     return MulResult(BitVec(product, 24), report, unrepaired)
 
@@ -638,10 +680,13 @@ def mul24(
     operand half is all zero (class 12 over [12, 24]); inner per-quadrant
     checkers then gate individual blocks. A fully gated quadrant is dark:
     faults in it are invisible and its repair configuration is moot.
+    ``faults`` that are not FaultSpecs, a ``repair`` that does not map
+    Quadrant to RepairConfig and a ``gating`` that is not a bool raise
+    ValueError.
     """
     x = uint_value(a, 24, "a")
     y = uint_value(b, 24, "b")
-    plan = _plan24(faults, repair)
+    plan = _plan24(faults, repair, gating)
     product, report, unrepaired = _run_scalar(_MUL24, plan, x, y, gating)
     return MulResult(BitVec(product, 48), report, unrepaired)
 
@@ -733,21 +778,21 @@ def _mul24_netlist() -> CellNetlist:
 
 
 _NETLIST_BUILDERS = {
-    "mul4": _mul4_netlist,
-    "mul12": _mul12_netlist,
-    "mul24": _mul24_netlist,
+    "mul4": functools.cache(_mul4_netlist),
+    "mul12": functools.cache(_mul12_netlist),
+    "mul24": functools.cache(_mul24_netlist),
 }
 
 
-@functools.cache
 def export_netlist(level: str) -> CellNetlist:
     """The full structural datapath netlist for 'mul4', 'mul12' or 'mul24'.
 
     This is the bare multiplier array: checkers, gating switches and repair
     routing are control logic around it and are accounted separately by
-    :func:`cost_report`.
+    :func:`cost_report`. Each level is built once; any other ``level``
+    raises ValueError.
     """
-    if level not in _NETLIST_BUILDERS:
+    if not isinstance(level, str) or level not in _NETLIST_BUILDERS:
         raise ValueError(f"unknown netlist level {level!r}")
     return _NETLIST_BUILDERS[level]()
 

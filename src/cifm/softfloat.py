@@ -27,9 +27,11 @@ _FRAC_MASK = 0x7FFFFF
 
 
 def _parts(bits: int) -> tuple[int, int, int]:
-    if isinstance(bits, bool) or not isinstance(bits, Integral):
-        raise ValueError(f"not a 32-bit pattern: {bits!r}")
-    bits = int(bits)
+    # a plain int skips the Integral test, which goes through the ABC machinery
+    if type(bits) is not int:
+        if isinstance(bits, bool) or not isinstance(bits, Integral):
+            raise ValueError(f"not a 32-bit pattern: {bits!r}")
+        bits = int(bits)
     if not 0 <= bits < (1 << 32):
         raise ValueError(f"not a 32-bit pattern: {bits:#x}")
     return (bits >> 31) & 1, (bits >> 23) & _EXP_MASK, bits & _FRAC_MASK

@@ -23,6 +23,12 @@ def test_bitvec_rejects_out_of_range():
         BitVec(-1, 4)
 
 
+@pytest.mark.parametrize("value", [1.5, True, "1", None], ids=repr)
+def test_bitvec_rejects_non_int_values(value):
+    with pytest.raises(ValueError):
+        BitVec(value, 8)
+
+
 def test_classify_width_table():
     classes = (4, 8, 12)
     cases = {0: 4, 1: 4, 15: 4, 16: 8, 255: 8, 256: 12, 4095: 12}

@@ -250,3 +250,13 @@ def test_scalar_bad_operand_is_value_error(bad):
         mul12(1, bad)
     with pytest.raises(ValueError):
         mul4(bad, 1)
+
+
+@pytest.mark.parametrize("gating", ["no", None, 1, 0.0], ids=repr)
+def test_gating_that_is_not_a_bool_is_value_error(gating):
+    for fn in (mul12, mul24):
+        with pytest.raises(ValueError, match="gating"):
+            fn(1, 1, gating=gating)
+    for fn in (mul12_batch, mul24_batch):
+        with pytest.raises(ValueError, match="gating"):
+            fn([1], [1], gating=gating)

@@ -9,6 +9,7 @@ from cifm.multiplier import (
     Quadrant,
     RepairConfig,
     mul12,
+    mul12_batch,
     mul24,
     mul24_batch,
 )
@@ -27,6 +28,10 @@ def test_fault_spec_validation():
         FaultSpec(SPARE_IDS[Quadrant.LL], 0x00)
     with pytest.raises(ValueError):
         FaultSpec(LL00, forced_output=0x100)
+    with pytest.raises(ValueError):
+        FaultSpec(LL00, 1.5)
+    with pytest.raises(ValueError):
+        FaultSpec("LL:0:0", 1)
 
 
 def test_repair_config_validation():
@@ -36,11 +41,25 @@ def test_repair_config_validation():
         RepairConfig(enabled=True, target=None)
     with pytest.raises(ValueError):
         RepairConfig(enabled=True, target=SPARE_IDS[Quadrant.LL])
+    with pytest.raises(ValueError):
+        RepairConfig(True, "LL:0:0")
+    with pytest.raises(ValueError):
+        RepairConfig("yes", LL00)
 
 
 def test_module_id_rejects_non_quadrant():
     with pytest.raises(ValueError):
         ModuleId("LL", 0, 0)
+
+
+@pytest.mark.parametrize(
+    "row, col, redundant",
+    [("0", 0, False), (1.0, 0, False), (0, True, False), (0, 0, "yes")],
+    ids=["row-str", "row-float", "col-bool", "redundant-str"],
+)
+def test_module_id_rejects_non_int_position_and_non_bool_flag(row, col, redundant):
+    with pytest.raises(ValueError):
+        ModuleId(Quadrant.LL, row, col, redundant)
 
 
 def test_module_id_spare_normalised():
@@ -137,6 +156,28 @@ def test_fault_outside_quadrant_rejected():
         mul12(1, 1, faults=[FaultSpec(HH00, 0x01)])
     with pytest.raises(ValueError, match="outside quadrant LL"):
         mul12(1, 1, repair=repair_of(HH00))
+
+
+BAD_PLANS = {
+    "faults-int": (24, dict(faults=5)),
+    "faults-spec-bare": (24, dict(faults=FaultSpec(LL00, 1))),
+    "faults-of-int": (24, dict(faults=[5])),
+    "repair-list": (24, dict(repair=[1])),
+    "repair-of-bool": (24, dict(repair={Quadrant.LL: True})),
+    "repair-by-name": (24, dict(repair={"LL": repair_of(LL00)})),
+    "mul12-repair-none": (12, dict(repair=None)),
+    "mul12-repair-map": (12, dict(repair={Quadrant.LL: repair_of(LL00)})),
+    "mul12-faults-of-int": (12, dict(faults=[5])),
+}
+
+
+@pytest.mark.parametrize("width, kwargs", BAD_PLANS.values(), ids=list(BAD_PLANS))
+def test_bad_fault_or_repair_argument_is_value_error(width, kwargs):
+    scalar, batch = (mul12, mul12_batch) if width == 12 else (mul24, mul24_batch)
+    with pytest.raises(ValueError):
+        scalar(1, 1, **kwargs)
+    with pytest.raises(ValueError):
+        batch([1], [1], **kwargs)
 
 
 def test_repair_filed_under_wrong_quadrant_rejected():

@@ -140,7 +140,11 @@ def test_batch_rejects_bad_operands(a, b):
         fp_mul_batch(a, b)
 
 
-@pytest.mark.parametrize("bad", [5.0, "x", None, True, -1, 1 << 32, BitVec(1, 31)], ids=repr)
+@pytest.mark.parametrize(
+    "bad",
+    [5.0, "x", None, True, -1, 1 << 32, BitVec(1, 31), False, np.bool_(True), np.float64(1.0)],
+    ids=repr,
+)
 def test_scalar_bad_operand_is_value_error(bad):
     with pytest.raises(ValueError):
         unpack(bad)
@@ -158,6 +162,17 @@ def test_scalar_bad_operand_is_value_error(bad):
 def test_numpy_integer_operands_are_accepted():
     one, two = np.uint32(0x3F800000), np.int64(0x40000000)
     assert int(fp_mul(one, two)[0]) == softfloat_mul(one, two) == 0x40000000
+    assert softfloat_mul(np.uint64(0x40000000), np.int16(0)) == 0
+
+
+@pytest.mark.parametrize("rounding", ["nearest-even", "truncate", None, True, 0], ids=repr)
+def test_rounding_that_is_not_a_rounding_is_value_error(rounding):
+    # the enum's own value string used to truncate: 0x3FE38E39, not ...3A
+    with pytest.raises(ValueError, match="rounding"):
+        fp_mul_batch(0x3FAAAAAB, 0x3FAAAAAB, rounding=rounding)
+    with pytest.raises(ValueError, match="rounding"):
+        fp_mul(0x3FAAAAAB, 0x3FAAAAAB, rounding=rounding)
+    assert int(fp_mul_batch(0x3FAAAAAB, 0x3FAAAAAB)) == softfloat_mul(0x3FAAAAAB, 0x3FAAAAAB)
 
 
 def _ties(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:

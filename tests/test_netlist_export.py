@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cifm.bitcore import CellNetlist
 from cifm.multiplier import cost_report, export_netlist, mul24
@@ -65,6 +66,12 @@ def test_rev_json_roundtrip_simulates():
 def test_export_levels_cached_but_equal():
     assert export_netlist("mul4") is export_netlist("mul4")
     assert export_netlist("mul4").to_json() == export_netlist("mul4").to_json()
+
+
+@pytest.mark.parametrize("level", [[], None, {}, "mul8"], ids=repr)
+def test_export_rejects_unknown_levels(level):
+    with pytest.raises(ValueError, match="unknown netlist level"):
+        export_netlist(level)
 
 
 def test_feature_cost_counts():

@@ -93,6 +93,115 @@ def test_fp32_sweep_checks_its_special_cases_against_the_oracle(monkeypatch):
     assert nan_cases == 2 and r.total - r.passed == nan_cases
 
 
+def _soft_normal(bits: int) -> bool:
+    return 0 < (bits >> 23) & 0xFF < 255
+
+
+def _rejection_loop(seed: int):
+    """The pairs fp32-oracle ran before it picked them in bulk: each draw
+    kept while the soft-float product is normal, then the special cases."""
+    rng = np.random.default_rng(seed)
+    xs, ys, want = [], [], []
+    while len(want) < 10_000:
+        n = 10_000 - len(want)
+        sign = rng.integers(0, 2, size=(2, n))
+        exponent = rng.integers(1, 255, size=(2, n))
+        fraction = rng.integers(0, 1 << 23, size=(2, n))
+        bits_a, bits_b = ((sign << 31) | (exponent << 23) | fraction).tolist()
+        for x, y in zip(bits_a, bits_b):
+            w = softfloat_mul(x, y)
+            if _soft_normal(w):
+                xs.append(x)
+                ys.append(y)
+                want.append(w)
+    for x, y, w in verify._SPECIAL_CASES:
+        xs.append(x)
+        ys.append(y)
+        want.append(w)
+    return xs, ys, want
+
+
+def test_fp32_oracle_runs_the_rejection_loops_pairs(monkeypatch):
+    """Same pairs in the same order; the datapath, replaced by the loop's
+    soft-float products, then passes only if the suite wants those too."""
+    for seed in range(5):
+        xs, ys, want = _rejection_loop(seed)
+        seen = []
+
+        def loops_products(a, b, *args, **kwargs):
+            seen.append((a.tolist(), b.tolist()))
+            return np.array(want)
+
+        monkeypatch.setattr(verify.fp32, "fp_mul_batch", loops_products)
+        r = verify.run_suite("fp32-oracle", seed=seed)
+        assert seen == [(xs, ys)], seed
+        assert r.ok and r.total == len(want), (seed, r)
+
+
+def _boundary_pairs() -> np.ndarray:
+    """(2, n) normal patterns whose significand product straddles 2**47 -
+    2**22 (the band that rounds up to the next power of two), 2**47 and
+    2**48 - 2**23, with exponent fields summing to 126-128 (the underflow
+    edge) or 380-382 (where the rounding carry overflows)."""
+    rng = np.random.default_rng(11)
+    sig_a = [0x918E00] + rng.integers(1 << 23, 1 << 24, size=40).tolist()
+    pairs = [(0x918E00, 0xE12000)]        # product exactly 2**47 - 2**22, a tie
+    for sa in sig_a:
+        for edge in (2**47 - 2**22, 2**47, 2**48 - 2**23):
+            for sb in range(-(-edge // sa) - 1, -(-edge // sa) + 2):
+                if 1 << 23 <= sb < 1 << 24:
+                    pairs.append((sa, sb))
+    bits = []
+    for sa, sb in pairs:
+        for total in (126, 127, 128, 380, 381, 382):
+            ea, eb = total // 2, total - total // 2
+            for sign in (0, 1):
+                bits.append(((sign << 31) | (ea << 23) | (sa - (1 << 23)),
+                             (eb << 23) | (sb - (1 << 23))))
+    return np.array(bits).T
+
+
+def test_fp32_pair_selection_agrees_with_the_oracle_at_its_edges():
+    assert 0x918E00 * 0xE12000 == 2**47 - 2**22
+    bits = _boundary_pairs()
+    picked = verify._normal_product(bits)
+    want = [_soft_normal(softfloat_mul(x, y)) for x, y in bits.T.tolist()]
+    assert picked.tolist() == want
+    assert 0 < np.count_nonzero(picked) < picked.size
+
+
+def test_repair_all_exposes_a_fault_shown_by_its_last_pair_only(monkeypatch):
+    real = verify.mul24_batch
+    a, b = np.random.default_rng(5).integers(0, 1 << 24, size=(2, 1000))
+
+    def fault_hidden_but_in_the_last_pair(x, y, faults=(), repair=None, **kwargs):
+        r = real(x, y, faults, repair, **kwargs)
+        if repair:
+            return r
+        last = (x == a[-1]) & (y == b[-1])
+        return BlockBatch(np.where(last, r.products, x * y), r.energised, r.unrepaired)
+
+    monkeypatch.setattr(verify, "mul24_batch", fault_hidden_but_in_the_last_pair)
+    r = verify.run_suite("repair-all", seed=5)
+    assert r.ok and r.notes == () and r.total == TOTALS["repair-all"], r
+
+
+def test_repair_all_notes_a_fault_that_never_shows(monkeypatch):
+    real = verify.mul24_batch
+    hidden = verify.GRID_IDS[verify.Quadrant.HL][(2, 0)]
+
+    def one_fault_hidden(x, y, faults=(), repair=None, **kwargs):
+        r = real(x, y, faults, repair, **kwargs)
+        if repair or faults[0].target != hidden:
+            return r
+        return BlockBatch(x * y, r.energised, r.unrepaired)
+
+    monkeypatch.setattr(verify, "mul24_batch", one_fault_hidden)
+    r = verify.run_suite("repair-all", seed=5)
+    assert r.total - r.passed == 1
+    assert r.notes == (f"fault at {hidden} never observable",)
+
+
 @pytest.mark.parametrize("name", [[], None, 3, b"mul4-exhaustive", "no-such-suite"])
 def test_run_suite_rejects_a_bad_name(name):
     with pytest.raises(ValueError, match="unknown suite"):
