@@ -54,8 +54,8 @@ class BitVec:
             isinstance(self.value, bool) or not isinstance(self.value, (int, np.integer))
         ):
             raise ValueError(f"value must be an int, got {self.value!r}")
-        if self.width <= 0:
-            raise ValueError(f"width must be positive, got {self.width}")
+        if type(self.width) is not int or self.width <= 0:     # bools fail this too
+            raise ValueError(f"width must be a positive int, got {self.width!r}")
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(
                 f"value {self.value:#x} does not fit in {self.width} bits"
@@ -245,38 +245,18 @@ def run_kernels(plan: KernelPlan, values: np.ndarray, read: Sequence[int]):
         yield lo, hi, _from_planes([state[row] for row in read], hi - lo)
 
 
-class PlanSlot:
-    """Holds what is built from a netlist, its plan or its reversible
-    expansion, while the netlist's element counts equal ``key``.
+def cached(owner, attr: str, key: tuple, build):
+    """What ``build()`` makes from ``owner``, kept on it under ``attr`` as a
+    ``(key, value)`` pair and built again once ``key`` changes.
 
     Netlists only grow by appending, so their element counts tell whether
-    a plan is still current. Netlists of equal structure may share a slot.
+    what was built from them is still current.
     """
-
-    __slots__ = ("key", "plan")
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-        self.plan = None
-
-
-def plan_slot(owner, attr: str, key: tuple) -> PlanSlot:
-    """The slot ``owner`` keeps under ``attr``, replaced by an empty one
-    unless it is for ``key``."""
-    slot = owner.__dict__.get(attr)
-    if slot is None or slot.key != key:
-        slot = PlanSlot(key)
-        setattr(owner, attr, slot)
-    return slot
-
-
-def cached_plan(owner, key: tuple, build):
-    """The plan ``build()`` makes for ``owner``: built on first use, and
-    again once ``owner`` has grown. It lives in ``owner._plan_slot``."""
-    slot = plan_slot(owner, "_plan_slot", key)
-    if slot.plan is None:
-        slot.plan = build()
-    return slot.plan
+    kept = owner.__dict__.get(attr)
+    if kept is None or kept[0] != key:
+        kept = (key, build())
+        setattr(owner, attr, kept)
+    return kept[1]
 
 
 def uint_value(x: BitVec | int, width: int, name: str) -> int:
@@ -437,12 +417,9 @@ class CellNetlist:
             if net not in defined:
                 raise ValueError(f"output {name} reads undriven net {net}")
 
-    def _plan_key(self) -> tuple[int, int, int]:
-        """The element counts that the plan and the expansion are kept for."""
-        return (len(self.inputs), len(self.cells), len(self.outputs))
-
     def _compiled(self) -> "_CompiledCells":
-        return cached_plan(self, self._plan_key(), self._compile)
+        key = (len(self.inputs), len(self.cells), len(self.outputs))
+        return cached(self, "_plan", key, self._compile)
 
     def _compile(self) -> "_CompiledCells":
         """One step per cell in cell order; net i of definition order gets

@@ -34,7 +34,7 @@ _REV_MULS = {"mul4-rev": "mul4", "mul12-rev": "mul12", "cifm-rev": "mul24"}
 _CLASSICAL = ("mul4", "mul12", "mul24")
 
 METRICS_CIRCUITS = tuple(_FA_VARIANTS) + tuple(_REV_MULS) + _CLASSICAL
-NETLIST_TARGETS = ("mul4", "mul12", "mul24", "mul4-rev", "cifm-rev")
+NETLIST_TARGETS = _CLASSICAL + tuple(_REV_MULS)
 
 
 def _hex_operand(text: str) -> int:

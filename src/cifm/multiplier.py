@@ -849,6 +849,7 @@ def cost_report(level: str, with_features: bool = False) -> CostReport:
     blocks whose operand groups are zero, and the spare computes exactly
     what the replaced block would have.
     """
+    _check_flag("with_features", with_features)
     nl = export_netlist(level)
     base = nl.cell_count()
     delay = nl.unit_delay()

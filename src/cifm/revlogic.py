@@ -37,10 +37,9 @@ from .bitcore import (
     CellNetlist,
     KernelPlan,
     anf_program,
-    cached_plan,
+    cached,
     is_scalar_call,
     kernel,
-    plan_slot,
     run_kernels,
     truth_table,
     uint_rows,
@@ -49,13 +48,6 @@ from .bitcore import (
 
 __all__ = [
     "RevGate",
-    "make_not",
-    "make_feynman",
-    "make_toffoli",
-    "make_fredkin",
-    "make_new_gate",
-    "make_tsg",
-    "make_standard_gates",
     "LineTag",
     "OutputRole",
     "RevLine",
@@ -96,55 +88,30 @@ class RevGate:
         return tuple(inv)
 
 
-def _gate_from_function(name: str, arity: int, fn) -> RevGate:
-    """Build a gate from a bit-tuple function (checked for bijectivity)."""
-    return RevGate(name, arity, truth_table(fn, arity, arity))
+def _tsg(a, b, c, d):
+    q = ((1 - a) & (1 - c)) ^ (1 - b)
+    return (a, q, q ^ d, (q & d) ^ ((a & b) ^ c))
 
 
-def make_not() -> RevGate:
-    return _gate_from_function("NOT", 1, lambda a: (1 - a,))
+# name -> (arity, bit function); each gate's mapping is its truth table
+_GATE_FUNCTIONS = {
+    "NOT": (1, lambda a: (1 - a,)),
+    "FEYNMAN": (2, lambda a, b: (a, a ^ b)),
+    "TOFFOLI": (3, lambda a, b, c: (a, b, (a & b) ^ c)),
+    "FREDKIN": (3, lambda a, b, c: (a, c if a else b, b if a else c)),
+    "NG": (3, lambda a, b, c: (a, (a & b) ^ c, ((1 - a) & (1 - c)) ^ (1 - b))),
+    "TSG": (4, _tsg),
+}
+
+_GATES = {
+    name: RevGate(name, arity, truth_table(fn, arity, arity))
+    for name, (arity, fn) in _GATE_FUNCTIONS.items()
+}
 
 
-def make_feynman() -> RevGate:
-    return _gate_from_function("FEYNMAN", 2, lambda a, b: (a, a ^ b))
-
-
-def make_toffoli() -> RevGate:
-    return _gate_from_function("TOFFOLI", 3, lambda a, b, c: (a, b, (a & b) ^ c))
-
-
-def make_fredkin() -> RevGate:
-    return _gate_from_function(
-        "FREDKIN", 3, lambda a, b, c: (a, c if a else b, b if a else c)
-    )
-
-
-def make_new_gate() -> RevGate:
-    def fn(a, b, c):
-        return (a, (a & b) ^ c, ((1 - a) & (1 - c)) ^ (1 - b))
-
-    return _gate_from_function("NG", 3, fn)
-
-
-def make_tsg() -> RevGate:
-    def fn(a, b, c, d):
-        q = ((1 - a) & (1 - c)) ^ (1 - b)
-        return (a, q, q ^ d, (q & d) ^ ((a & b) ^ c))
-
-    return _gate_from_function("TSG", 4, fn)
-
-
-def make_standard_gates() -> dict[str, RevGate]:
-    gates = [make_not(), make_feynman(), make_toffoli(), make_fredkin()]
-    return {g.name: g for g in gates}
-
-
-@functools.cache
 def gate_library() -> dict[str, RevGate]:
-    library = make_standard_gates()
-    library["NG"] = make_new_gate()
-    library["TSG"] = make_tsg()
-    return library
+    """The six library gates by name: a fresh dict the caller may change."""
+    return dict(_GATES)
 
 
 class LineTag(Enum):
@@ -249,7 +216,7 @@ class RevNetlist:
     @classmethod
     def from_json(cls, doc: Mapping) -> "RevNetlist":
         """The circuit :meth:`to_json` wrote; ValueError for a malformed document."""
-        lib = gate_library()
+        lib = _GATES
         n = cls()
         try:
             for d in doc["lines"]:
@@ -295,12 +262,14 @@ class _CompiledRev(NamedTuple):
     names: tuple[str, ...]      # distinct input line names, first use first
 
 
-def _plan_key(n: RevNetlist) -> tuple[int, int]:
-    return (len(n.lines), len(n.gates))
-
-
 def _compiled(n: RevNetlist) -> _CompiledRev:
-    return cached_plan(n, _plan_key(n), lambda: _compile(n))
+    """The plan of the template ``n`` was copied from while ``n`` has as
+    many lines and gates as it, else ``n``'s own."""
+    key = (len(n.lines), len(n.gates))
+    owner = getattr(n, "_source", n)
+    if (len(owner.lines), len(owner.gates)) != key:
+        owner = n
+    return cached(owner, "_plan", key, lambda: _compile(owner))
 
 
 def _compile(n: RevNetlist) -> _CompiledRev:
@@ -398,7 +367,7 @@ class FullAdderVariant(Enum):
 
 def build_full_adder(variant: FullAdderVariant) -> RevNetlist:
     """One-bit full adder (inputs a, b, cin; outputs sum, carry)."""
-    lib = gate_library()
+    lib = _GATES
     n = RevNetlist()
     if variant is FullAdderVariant.TSG:
         a = n.add_input("a")
@@ -477,23 +446,22 @@ def expand(netlist: CellNetlist) -> RevNetlist:
     netlist's input, cell and output counts as its plan is, so appending a
     bus, cell or output builds it again. Each call returns a copy with its
     own ``lines``, ``gates`` and ``output_roles`` lists: appending to one
-    copy leaves later expansions alone. The copies share one plan slot, so
-    the first simulation of any of them compiles the plan for all.
+    copy leaves later expansions alone. Each copy points at the circuit it
+    was copied from, and simulates with that circuit's plan until it grows,
+    so the first simulation of any copy compiles the plan for all.
     """
-    slot = plan_slot(netlist, "_expansion_slot", netlist._plan_key())
-    if slot.plan is None:
-        slot.plan = _build_expansion(netlist)
-    template = slot.plan
+    key = (len(netlist.inputs), len(netlist.cells), len(netlist.outputs))
+    template = cached(netlist, "_expansion", key, lambda: _build_expansion(netlist))
     rev = RevNetlist(
         list(template.lines), list(template.gates), list(template.output_roles)
     )
-    rev._plan_slot = plan_slot(template, "_plan_slot", _plan_key(template))
+    rev._source = template
     return rev
 
 
 def _build_expansion(netlist: CellNetlist) -> RevNetlist:
     netlist.validate()
-    lib = gate_library()
+    lib = _GATES
     rev = RevNetlist()
 
     output_nets = {net for _, net in netlist.outputs}

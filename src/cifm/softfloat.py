@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from numbers import Integral
 
+import numpy as np
+
 __all__ = ["softfloat_mul", "CANONICAL_QNAN"]
 
 CANONICAL_QNAN = 0x7FC00000
@@ -45,8 +47,10 @@ def softfloat_mul(x: int, y: int, truncate: bool = False) -> int:
     Overflow gives a signed infinity, underflow a signed zero. Underflow
     means an exact product below 2**-126, tested before rounding. Operands
     other than ints in 0..2**32-1 (floats, strings, None, bools) raise
-    ValueError.
+    ValueError, and so does a ``truncate`` that is not a bool.
     """
+    if not isinstance(truncate, (bool, np.bool_)):
+        raise ValueError(f"truncate must be a bool, got {truncate!r}")
     sx, ex, fx = _parts(x)
     sy, ey, fy = _parts(y)
     sign = sx ^ sy

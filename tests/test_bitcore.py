@@ -29,6 +29,13 @@ def test_bitvec_rejects_non_int_values(value):
         BitVec(value, 8)
 
 
+@pytest.mark.parametrize("width", [8.5, "8", True, False, None, 0, -1], ids=repr)
+def test_bitvec_rejects_widths_that_are_not_positive_ints(width):
+    # 8.5 and "8" used to raise TypeError, and True was taken as width 1
+    with pytest.raises(ValueError, match="width"):
+        BitVec(1, width)
+
+
 def test_classify_width_table():
     classes = (4, 8, 12)
     cases = {0: 4, 1: 4, 15: 4, 16: 8, 255: 8, 256: 12, 4095: 12}

@@ -111,6 +111,18 @@ def test_netlist_deterministic():
     assert sum(c["kind"] == "AND" for c in doc["cells"]) == 16
 
 
+def test_netlist_mul12_rev():
+    from cifm.cli import METRICS_CIRCUITS, NETLIST_TARGETS
+    from cifm.multiplier import export_netlist
+    from cifm.revlogic import expand
+
+    assert set(NETLIST_TARGETS) <= set(METRICS_CIRCUITS)
+    r = run("netlist", "mul12-rev")
+    assert r.returncode == 0, r.stderr
+    want = expand(export_netlist("mul12")).to_json()
+    assert r.stdout == json.dumps(want, indent=2) + "\n"
+
+
 def test_report_verb():
     doc = json.loads(run("report", "0xF", "0xF").stdout)
     assert doc["power_proxy"] == 1

@@ -175,6 +175,15 @@ def test_rounding_that_is_not_a_rounding_is_value_error(rounding):
     assert int(fp_mul_batch(0x3FAAAAAB, 0x3FAAAAAB)) == softfloat_mul(0x3FAAAAAB, 0x3FAAAAAB)
 
 
+@pytest.mark.parametrize("truncate", ["no", "", None, 0, 1, 1.0], ids=repr)
+def test_truncate_that_is_not_a_bool_is_value_error(truncate):
+    # "no" used to truncate: 0x3FE38E39, not the nearest-even 0x3FE38E3A
+    with pytest.raises(ValueError, match="truncate"):
+        softfloat_mul(0x3FAAAAAB, 0x3FAAAAAB, truncate=truncate)
+    assert softfloat_mul(0x3FAAAAAB, 0x3FAAAAAB, truncate=np.False_) == 0x3FE38E3A
+    assert softfloat_mul(0x3FAAAAAB, 0x3FAAAAAB, truncate=np.True_) == 0x3FE38E39
+
+
 def _ties(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Pairs whose significand product lies exactly half-way between two
     24-bit values, normalised by one position or not.

@@ -74,6 +74,15 @@ def test_export_rejects_unknown_levels(level):
         export_netlist(level)
 
 
+@pytest.mark.parametrize("flag", ["no", "", None, 0, 1], ids=repr)
+def test_cost_report_flag_that_is_not_a_bool_is_value_error(flag):
+    # "no" used to count the 24 feature cells of mul4
+    with pytest.raises(ValueError, match="with_features"):
+        cost_report("mul4", with_features=flag)
+    assert cost_report("mul4", with_features=np.False_).feature_cells == 0
+    assert cost_report("mul4", with_features=np.True_).feature_cells == 24
+
+
 def test_feature_cost_counts():
     """Pinned with-features costs; each quadrant's spare counts as one mul4 netlist."""
     want = {

@@ -1,4 +1,6 @@
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
@@ -14,12 +16,6 @@ from cifm.revlogic import (
     build_full_adder,
     expand,
     gate_library,
-    make_feynman,
-    make_fredkin,
-    make_new_gate,
-    make_standard_gates,
-    make_toffoli,
-    make_tsg,
     metrics_of,
     simulate,
     simulate_inverse,
@@ -37,7 +33,7 @@ def test_non_bijective_mapping_rejected():
 
 
 def test_standard_gate_examples():
-    gates = make_standard_gates()
+    gates = gate_library()
     # pattern index is MSB-first over the line order
     assert gates["TOFFOLI"].mapping[0b110] == 0b111
     assert gates["FREDKIN"].mapping[0b101] == 0b110
@@ -46,12 +42,55 @@ def test_standard_gate_examples():
 
 
 def test_compound_gate_mappings_are_frozen():
-    assert make_tsg().mapping == (0, 2, 7, 4, 6, 5, 1, 3, 14, 13, 15, 12, 9, 11, 8, 10)
-    assert make_new_gate().mapping == (0, 3, 1, 2, 5, 7, 6, 4)
+    lib = gate_library()
+    assert list(lib) == ["NOT", "FEYNMAN", "TOFFOLI", "FREDKIN", "NG", "TSG"]
+    assert lib["NOT"].mapping == (1, 0)
+    assert lib["FEYNMAN"].mapping == (0, 1, 3, 2)
+    assert lib["TOFFOLI"].mapping == (0, 1, 2, 3, 4, 5, 7, 6)
+    assert lib["FREDKIN"].mapping == (0, 1, 2, 3, 4, 6, 5, 7)
+    assert lib["TSG"].mapping == (0, 2, 7, 4, 6, 5, 1, 3, 14, 13, 15, 12, 9, 11, 8, 10)
+    assert lib["NG"].mapping == (0, 3, 1, 2, 5, 7, 6, 4)
+    assert all(g.name == name for name, g in lib.items())
+
+
+def test_gate_library_is_the_callers_own():
+    nl = export_netlist("mul4")
+    want_lib = gate_library()
+    want_doc = expand(CellNetlist.from_json(nl.to_json())).to_json()
+
+    lib = gate_library()
+    assert lib is not gate_library()
+    del lib["TSG"]
+    lib["NOT"] = lib["FEYNMAN"]
+    lib["EXTRA"] = RevGate("EXTRA", 1, (1, 0))
+
+    assert gate_library() == want_lib
+    assert list(gate_library()) == list(want_lib)
+    assert expand(CellNetlist.from_json(nl.to_json())).to_json() == want_doc
+    assert RevNetlist.from_json(want_doc).to_json() == want_doc
+    extra = json.loads(json.dumps(want_doc))
+    extra["gates"][0]["name"] = "EXTRA"
+    with pytest.raises(ValueError, match="unknown gate 'EXTRA'"):
+        RevNetlist.from_json(extra)
+
+
+def test_every_exported_name_resolves():
+    import cifm
+
+    modules = [cifm] + [
+        importlib.import_module(f"cifm.{info.name}")
+        for info in pkgutil.iter_modules(cifm.__path__)
+        if info.name != "__main__"
+    ]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert {"cifm", "cifm.bitcore", "cifm.revlogic"} <= {m.__name__ for m in exporting}
+    for module in exporting:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_tsg_embeds_a_full_adder():
-    tsg = make_tsg()
+    tsg = gate_library()["TSG"]
     for a in (0, 1):
         for b in (0, 1):
             for d in (0, 1):
@@ -62,7 +101,7 @@ def test_tsg_embeds_a_full_adder():
 
 
 def test_new_gate_embeds_a_half_adder():
-    ng = make_new_gate()
+    ng = gate_library()["NG"]
     for a in (0, 1):
         for b in (0, 1):
             out = ng.mapping[(a << 2) | (b << 1)]
