@@ -76,10 +76,22 @@ def classify_width(x: BitVec, classes: Sequence[int]) -> int:
 
     ``classes`` must be ascending. A value of zero classifies as the
     smallest class; values between class boundaries round up. Values at or
-    above the largest class are out of range.
+    above the largest class are out of range. Raises ValueError unless ``x``
+    is a BitVec and ``classes`` a non-empty sequence of ints (bools are not
+    ints), and for a value out of range.
     """
+    if not isinstance(x, BitVec):
+        raise ValueError(f"x must be a BitVec, got {type(x).__name__}")
+    try:
+        classes = tuple(classes)
+    except TypeError:
+        raise ValueError(
+            f"classes must be a sequence of ints, got {type(classes).__name__}"
+        ) from None
     if not classes:
         raise ValueError("classes must be non-empty")
+    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in classes):
+        raise ValueError(f"classes must hold ints, got {classes!r}")
     if list(classes) != sorted(set(classes)):
         raise ValueError(f"classes must be strictly ascending, got {classes!r}")
     for c in classes:

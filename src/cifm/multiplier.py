@@ -33,8 +33,10 @@ quadrants modulo 2**48. Besides the products the engine returns per pair
 a 40-bit mask of the powered blocks and a mask of the faulty blocks that
 drove their forced value, bit k standing for ``BLOCK_IDS[k]``. Batches
 run in chunks of :data:`CHUNK` pairs, which bounds the temporaries.
-:func:`mul12` and :func:`mul24` run a batch of one and unpack its masks
-into an :class:`ActivityReport`.
+:func:`mul12` and :func:`mul24` run a batch of one and build its
+:class:`ActivityReport` from the partition of the blocks for the call's
+power pattern (which grid blocks are powered), cached per pattern: 144 for
+mul24 and 9 for mul12, whatever the operand values, faults and repairs.
 """
 
 from __future__ import annotations
@@ -69,8 +71,11 @@ __all__ = [
     "mul24_batch",
     "BlockBatch",
     "BLOCK_IDS",
+    "GRID_IDS",
+    "SPARE_IDS",
     "CHUNK",
     "export_netlist",
+    "CostReport",
     "cost_report",
     "INNER_CLASSES",
     "OUTER_CLASSES",
@@ -389,20 +394,21 @@ class _Plan:
 
     bits: np.ndarray                    # (g, g, 1) mask bit per grid block; a
                                         # repaired block reports as its spare
-    pos: Mapping[int, tuple[int, int]]  # mask bit -> grid block it multiplies
     faulty: np.ndarray | None           # (g, g, 1) bool: unrepaired faulty blocks
     forced: np.ndarray | None           # (g, g, 1) their forced outputs
     fault_bits: int                     # mask bits of the unrepaired faulty blocks
-    repaired: tuple[ModuleId, ...]      # blocks a spare stands in for
+    repaired: tuple[tuple[ModuleId, int, int], ...]  # (block a spare stands in
+                                        # for, its mask bit, the spare's), in bit order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Layout:
     """Where one datapath's quadrants sit on the grid of operand groups.
 
     Grid row r multiplies 4-bit group r of a and column c group c of b, so
     block (i, j) of the quadrant on halves (ha, hb) sits at (3*ha + i,
-    3*hb + j) and all blocks' operands come from one table gather.
+    3*hb + j) and all blocks' operands come from one table gather. A layout
+    compares and hashes by identity, so it can key :func:`_partition`.
     """
 
     halves: int                       # 12-bit halves per operand
@@ -412,6 +418,7 @@ class _Layout:
     quad_bits: Mapping[Quadrant, int]  # mask bits of each placed quadrant's ten blocks
     block_shift: np.ndarray           # (g, g, 1) weight 4*(i + j) inside the quadrant
     quad_shift: np.ndarray            # (h, h, 1) weight 12*(ha + hb) of each quadrant
+    pos: Mapping[int, tuple[int, int]]  # mask bit -> grid block it multiplies
     plain: _Plan                      # no faults, no repairs: the grid's own bits
 
 
@@ -435,7 +442,8 @@ def _layout(placed: Mapping[Quadrant, tuple[int, int]]) -> _Layout:
         quad_bits={q: sum(1 << b for b in _quad_bits(q)) for q in placed},
         block_shift=(4 * (k[:, None] + k[None, :]))[:, :, None],
         quad_shift=(12 * (h[:, None] + h[None, :]))[:, :, None],
-        plain=_Plan(bits, pos, None, None, 0, ()),
+        pos=pos,
+        plain=_Plan(bits, None, None, 0, ()),
     )
 
 
@@ -478,27 +486,25 @@ def _plan(
         if f.target in forced:
             raise ValueError(f"duplicate fault target {f.target}")
         forced[f.target] = f.forced_output.value
-    repaired = tuple(repairs)
-    if not forced and not repaired:
+    targets = sorted(repairs, key=_BIT.__getitem__)
+    if not forced and not targets:
         return layout.plain
 
-    grid = layout.plain.pos
+    grid = layout.pos
     bits = layout.plain.bits.copy()
-    pos = dict(grid)
-    for target in repaired:
-        spare = _BIT[SPARE_IDS[target.quadrant]]
-        pos[spare] = grid[_BIT[target]]
-        bits[pos[spare]] = spare
-    live = {m: v for m, v in forced.items() if m not in repaired}
+    repaired = tuple((t, _BIT[t], _BIT[SPARE_IDS[t.quadrant]]) for t in targets)
+    for _, target, spare in repaired:
+        bits[grid[target]] = spare
+    live = {m: v for m, v in forced.items() if m not in targets}
     if not live:
-        return _Plan(bits, pos, None, None, 0, repaired)
+        return _Plan(bits, None, None, 0, repaired)
     faulty = np.zeros(bits.shape, dtype=bool)
     values = np.zeros(bits.shape, dtype=np.int64)
     for mid, value in live.items():
         faulty[grid[_BIT[mid]]] = True
         values[grid[_BIT[mid]]] = value
     fault_bits = sum(1 << _BIT[m] for m in live)
-    return _Plan(bits, pos, faulty, values, fault_bits, repaired)
+    return _Plan(bits, faulty, values, fault_bits, repaired)
 
 
 def _plan24(
@@ -585,30 +591,79 @@ def _set_bits(mask: int) -> list[int]:
     return bits
 
 
+class _Partition(NamedTuple):
+    """The blocks one power pattern switches on, and the report sets it implies."""
+
+    ids: tuple[ModuleId, ...]       # powered grid blocks, lowest mask bit first
+    flat: np.ndarray                # their flat grid positions, g*row + col
+    active: frozenset[ModuleId]     # the same blocks as a set
+    gated: frozenset[ModuleId]      # every other block of the layout, spares included
+
+
+@functools.cache
+def _partition(layout: _Layout, mask: int) -> _Partition:
+    """The partition of ``layout``'s blocks for the powered grid blocks ``mask``.
+
+    ``mask`` is an energised mask with no spare in use. It depends only on
+    which operand groups are powered, never on operand values, faults or
+    repairs: each operand has 12 power patterns (1-3 groups of the low half
+    on, 0-3 of the high half), so there are at most 144 masks for mul24 and
+    9 for mul12.
+    """
+    bits = _set_bits(mask)
+    g = 3 * layout.halves
+    flat = np.array([g * r + c for r, c in map(layout.pos.get, bits)], dtype=np.intp)
+    flat.flags.writeable = False        # shared by every call with this pattern
+    ids = tuple(BLOCK_IDS[k] for k in bits)
+    active = frozenset(ids)
+    return _Partition(ids, flat, active, layout.ids - active)
+
+
 def _run_scalar(
     layout: _Layout, plan: _Plan, x: int, y: int, gating: bool
 ) -> tuple[int, ActivityReport, tuple[ModuleId, ...]]:
-    """A batch of one, with its masks unpacked into block ids."""
+    """A batch of one, with its masks turned into an ActivityReport.
+
+    Each powered spare is turned back into the block it stands in for, which
+    leaves the call's power pattern; :func:`_partition` caches that
+    pattern's block ids, their grid positions and its active and gated sets.
+    A call without repairs only reads the adder levels at those positions.
+    A repaired call also reports each powered target under its spare and
+    works out its disabled and gated sets, for at most four quadrants.
+    """
     products, energised, unrepaired, idx = _blocks(
         layout, plan, np.array([[x], [y]]), gating
     )
     mask = int(energised[0])
-    levels_of = _mul4_tables()[1][idx[:, :, 0]].tolist()
-    levels = {}
-    for k in _set_bits(mask):
-        r, c = plan.pos[k]
-        levels[BLOCK_IDS[k]] = levels_of[r][c]
-    active = frozenset(levels)
+    for _, target, spare in plan.repaired:
+        if mask >> spare & 1:
+            mask ^= 1 << spare | 1 << target
+    part = _partition(layout, mask)
+    levels = dict(zip(part.ids, _mul4_tables()[1][idx.ravel()[part.flat]].tolist()))
+    faulty = ()
+    if plan.fault_bits:
+        faulty = tuple(BLOCK_IDS[k] for k in _set_bits(int(unrepaired[0])))
+    if not plan.repaired:
+        report = ActivityReport(
+            active_mul4=part.active,
+            gated_mul4=part.gated,
+            disabled_faulty=frozenset(),
+            adder_levels_active=levels,
+        )
+        return int(products[0]), report, faulty
     disabled = frozenset(
-        t for t in plan.repaired if mask & layout.quad_bits[t.quadrant]
+        t for t, _, _ in plan.repaired if mask & layout.quad_bits[t.quadrant]
     )
+    for t, _, _ in plan.repaired:       # in bit order, so the spares come last
+        if t in levels:
+            levels[SPARE_IDS[t.quadrant]] = levels.pop(t)
+    active = frozenset(levels)
     report = ActivityReport(
         active_mul4=active,
         gated_mul4=layout.ids - active - disabled,
         disabled_faulty=disabled,
         adder_levels_active=levels,
     )
-    faulty = tuple(BLOCK_IDS[k] for k in _set_bits(int(unrepaired[0])))
     return int(products[0]), report, faulty
 
 

@@ -59,6 +59,7 @@ __all__ = [
     "FullAdderVariant",
     "build_full_adder",
     "expand",
+    "gate_library",
     "Metrics",
     "metrics_of",
 ]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cifm.bitcore import (
@@ -46,6 +47,27 @@ def test_classify_width_table():
 def test_classify_width_rejects_oversize():
     with pytest.raises(ValueError):
         classify_width(BitVec(16, 5), (4,))
+
+
+@pytest.mark.parametrize("x", [5, 5.0, "5", None, True], ids=repr)
+def test_classify_width_rejects_values_that_are_not_bitvecs(x):
+    with pytest.raises(ValueError):
+        classify_width(x, (4, 8))
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [4, None, (), ("a",), (4.0, 8.0), (True, 8), [4, "8"], (8, 4), (4, 4)],
+    ids=repr,
+)
+def test_classify_width_rejects_bad_classes(classes):
+    with pytest.raises(ValueError):
+        classify_width(BitVec(5, 8), classes)
+
+
+def test_classify_width_takes_a_list_of_ints():
+    assert classify_width(BitVec(5, 8), [4, 8]) == 4
+    assert classify_width(BitVec(16, 8), [4, np.int64(8)]) == 8
 
 
 def _ripple2() -> "NetlistBuilder":

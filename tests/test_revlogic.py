@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import json
 import pkgutil
 
@@ -87,6 +89,14 @@ def test_every_exported_name_resolves():
     for module in exporting:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+    # every name the package re-exports is public in the module it comes from
+    tree = ast.parse(inspect.getsource(cifm))
+    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"cifm.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, f"{module.__name__}.{alias.name}"
 
 
 def test_tsg_embeds_a_full_adder():
