@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter, countOf, itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -189,10 +190,11 @@ class RevNetlist:
         self.output_roles[self._line(line)] = (OutputRole.PRIMARY_OUTPUT, name)
 
     def outputs(self) -> list[tuple[str, int]]:
+        primary = OutputRole.PRIMARY_OUTPUT
         return [
             (name, i)
             for i, (role, name) in enumerate(self.output_roles)
-            if role is OutputRole.PRIMARY_OUTPUT
+            if role is primary
         ]
 
     def to_json(self) -> dict:
@@ -239,7 +241,8 @@ class RevNetlist:
 
 @dataclass(frozen=True)
 class SimResult:
-    line_values: tuple
+    # a tuple of ints for a scalar call, else uint8 [lines x *shape]
+    line_values: tuple[int, ...] | np.ndarray
     outputs: dict
 
 
@@ -309,24 +312,30 @@ def _compile(n: RevNetlist) -> _CompiledRev:
     return _CompiledRev(fwd, inv, names)
 
 
-def _run_lines(plan: KernelPlan, values: Sequence, name: Callable[[int], str]) -> list:
-    """Every line's final value: Python ints when every value is an int,
-    else uint8 arrays of the broadcast shape. Values must be 0 or 1;
+def _run_lines(
+    plan: KernelPlan, values: Sequence | np.ndarray, name: Callable[[int], str]
+) -> list[int] | np.ndarray:
+    """Every line's final value: a list of Python ints when every value is
+    an int, else one uint8 array [lines x *shape] for the broadcast shape
+    of the values. ``values`` is a sequence of ints or arrays, or one
+    integer array whose first axis holds them. Values must be 0 or 1;
     ``name(i)`` names value i in the error."""
     rows, shape = uint_rows(values, [1] * len(values), name)
-    out = np.empty((plan.rows, rows.shape[1]), dtype=np.uint8)
-    for lo, hi, bits in run_kernels(plan, rows, range(plan.rows)):
-        out[:, lo:hi] = bits
+    chunks = [bits for _, _, bits in run_kernels(plan, rows, range(plan.rows))]
+    chunks = chunks or [np.empty((plan.rows, 0), dtype=np.uint8)]
+    out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
     if is_scalar_call(values):
         return out[:, 0].tolist()
-    return list(out.reshape((plan.rows,) + shape))
+    return out.reshape((plan.rows,) + shape)
 
 
 def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     """Run the circuit forward. Input values may be ints or int arrays of 0/1.
 
-    Line values are Python ints when every input is an int, else uint8
-    arrays of the broadcast input shape. Raises ValueError for a missing
+    Line values are a tuple of Python ints when every input is an int, else
+    one uint8 array [lines x *shape] for the broadcast input shape, row i
+    holding line i: index, iterate or zip it as the rows it holds, or hand
+    it to :func:`simulate_inverse` whole. Raises ValueError for a missing
     input or a value other than 0 or 1.
     """
     compiled = _compiled(n)
@@ -339,14 +348,19 @@ def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
         compiled.names.__getitem__,
     )
     outputs = {name: values[i] for name, i in n.outputs()}
-    return SimResult(tuple(values), outputs)
+    return SimResult(tuple(values) if type(values) is list else values, outputs)
 
 
-def simulate_inverse(n: RevNetlist, final_values: Sequence) -> list:
+def simulate_inverse(
+    n: RevNetlist, final_values: Sequence | np.ndarray
+) -> list[int] | np.ndarray:
     """Run the circuit backward from a complete final line assignment.
 
-    Values follow :func:`simulate`; a value other than 0 or 1 raises
-    ValueError.
+    ``final_values`` holds one value per line: ints or 0/1 int arrays, or
+    one integer array whose first axis is the lines, such as the
+    ``line_values`` of a :func:`simulate` batch. Returns a list of ints
+    when every value is an int, else one uint8 array [lines x *shape].
+    A wrong number of lines or a value other than 0 or 1 raises ValueError.
     """
     if len(final_values) != len(n.lines):
         raise ValueError(
@@ -544,13 +558,7 @@ def metrics_of(n: RevNetlist) -> Metrics:
     touches, control or data.
     """
     depth = _compiled(n).forward.depth
-    delay = max(
-        (depth[i] for i, (role, _) in enumerate(n.output_roles)
-         if role is OutputRole.PRIMARY_OUTPUT),
-        default=0,
-    )
-    garbage = sum(
-        1 for role, _ in n.output_roles if role is OutputRole.GARBAGE
-    )
-    ancilla = sum(1 for l in n.lines if l.tag is LineTag.ANCILLA)
+    delay = max((depth[i] for _, i in n.outputs()), default=0)
+    garbage = countOf(map(itemgetter(0), n.output_roles), OutputRole.GARBAGE)
+    ancilla = countOf(map(attrgetter("tag"), n.lines), LineTag.ANCILLA)
     return Metrics(len(n.gates), garbage, ancilla, delay)

@@ -246,7 +246,7 @@ def suite_rev_roundtrip(seed: int = 0) -> SuiteResult:
     for level, width, a, b in _rev_cases(seed):
         rev = expand(export_netlist(level))
         ins = _bit_inputs(a, b, width)
-        back = np.array(simulate_inverse(rev, simulate(rev, ins).line_values))
+        back = simulate_inverse(rev, simulate(rev, ins).line_values)
         start = np.empty_like(back)
         for i, line in enumerate(rev.lines):
             start[i] = ins[line.name] if line.name is not None else line.const

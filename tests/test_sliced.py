@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from cifm.bitcore import CHUNK_VECTORS, CellKind, NetlistBuilder
+from cifm.bitcore import CHUNK_VECTORS, CellKind, NetlistBuilder, _from_planes, _to_planes
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
     RevNetlist,
@@ -239,3 +239,59 @@ def test_line_values_are_checked(bad):
     final[4] = bad
     with pytest.raises(ValueError):
         simulate_inverse(n, final)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3), (CHUNK_VECTORS + 1,)])
+def test_batch_line_values_are_one_uint8_array(shape):
+    rng = np.random.default_rng(len(shape))
+    n = random_circuit(random.Random(11))
+    ins = {f"x{k}": rng.integers(0, 2, shape) for k in range(3)}
+    res = simulate(n, ins)
+    lines = res.line_values
+    assert type(lines) is np.ndarray and lines.dtype == np.uint8
+    assert lines.shape == (len(n.lines), *shape)
+    flat = lines.reshape(len(n.lines), -1)
+    for v in range(0, flat.shape[1], max(1, flat.shape[1] // 5)):
+        start = [int(ins[l.name].flat[v]) if l.name else l.const for l in n.lines]
+        assert flat[:, v].tolist() == ref_gates(n, start)[0]
+    for name, i in n.outputs():
+        assert np.array_equal(res.outputs[name], lines[i])
+
+
+def test_inverse_takes_one_array_or_rows():
+    rng = np.random.default_rng(4)
+    n = random_circuit(random.Random(12))
+    res = simulate(n, {f"x{k}": rng.integers(0, 2, (3, 4)) for k in range(3)})
+    whole = simulate_inverse(n, res.line_values)
+    assert type(whole) is np.ndarray and whole.dtype == np.uint8
+    assert whole.shape == res.line_values.shape
+    for rows in (list(res.line_values), [r.astype(np.int64) for r in res.line_values]):
+        assert np.array_equal(np.array(simulate_inverse(n, rows)), whole)
+    assert np.array_equal(simulate_inverse(n, res.line_values.astype(np.int64)), whole)
+
+
+@pytest.mark.parametrize("bad", ["two", "minus one", "float", "bool", "short", "long"])
+def test_array_line_values_are_checked(bad):
+    n = random_circuit(random.Random(3))
+    final = np.zeros((len(n.lines), 4), dtype=np.int64)
+    if bad == "two":
+        final[4, 1] = 2
+    elif bad == "minus one":
+        final[4, 1] = -1
+    elif bad == "float":
+        final = final.astype(np.float64)
+    elif bad == "bool":
+        final = final.astype(bool)
+    else:
+        final = final[:-1] if bad == "short" else np.vstack([final, final[:1]])
+    with pytest.raises(ValueError):
+        simulate_inverse(n, final)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, CHUNK_VECTORS + 1])
+def test_planes_do_not_depend_on_dtype(n):
+    bits = np.random.default_rng(n).integers(0, 2, (5, n))
+    planes = _to_planes(bits)
+    assert planes == _to_planes(bits.astype(np.uint8))
+    assert planes[0] == sum(int(b) << v for v, b in enumerate(bits[0]))
+    assert np.array_equal(_from_planes(planes, n), bits)
