@@ -1,4 +1,4 @@
-"""Fixed-width bit vectors, the width classifier and gate-level netlists.
+"""Fixed-width bit vectors and gate-level netlists.
 
 Everything downstream, from the block multiplier to the reversible
 expansion, is built on the two abstractions in this module:
@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "BitVec",
-    "classify_width",
     "CellKind",
     "Cell",
     "CellNetlist",
@@ -69,37 +68,6 @@ class BitVec:
 
     def __str__(self) -> str:
         return f"{self.value:#0{2 + (self.width + 3) // 4}x}/{self.width}"
-
-
-def classify_width(x: BitVec, classes: Sequence[int]) -> int:
-    """Smallest class c in ``classes`` with x < 2**c.
-
-    ``classes`` must be ascending. A value of zero classifies as the
-    smallest class; values between class boundaries round up. Values at or
-    above the largest class are out of range. Raises ValueError unless ``x``
-    is a BitVec and ``classes`` a non-empty sequence of ints (bools are not
-    ints), and for a value out of range.
-    """
-    if not isinstance(x, BitVec):
-        raise ValueError(f"x must be a BitVec, got {type(x).__name__}")
-    try:
-        classes = tuple(classes)
-    except TypeError:
-        raise ValueError(
-            f"classes must be a sequence of ints, got {type(classes).__name__}"
-        ) from None
-    if not classes:
-        raise ValueError("classes must be non-empty")
-    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in classes):
-        raise ValueError(f"classes must hold ints, got {classes!r}")
-    if list(classes) != sorted(set(classes)):
-        raise ValueError(f"classes must be strictly ascending, got {classes!r}")
-    for c in classes:
-        if x.value < (1 << c):
-            return c
-    raise ValueError(
-        f"value {x.value:#x} exceeds the largest width class {classes[-1]}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +362,8 @@ class Cell:
     module_id: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, CellKind):
+            raise ValueError(f"kind must be a CellKind, got {self.kind!r}")
         n_in, n_out = _CELL_ARITY[self.kind]
         if len(self.inputs) != n_in or len(self.outputs) != n_out:
             raise ValueError(
@@ -480,6 +450,8 @@ class CellNetlist:
     def _operand_rows(self, operands: Mapping) -> tuple[np.ndarray, tuple | None]:
         """Operand buses as int64 rows [buses x vectors], and the result shape
         (None when every operand is a scalar)."""
+        if not isinstance(operands, Mapping):
+            raise ValueError(f"operands must be a mapping, got {type(operands).__name__}")
         for name, _ in self.inputs:
             if name not in operands:
                 raise ValueError(f"missing operand {name!r}")

@@ -14,6 +14,7 @@ import sys
 import time
 from typing import Sequence
 
+from .fp32 import Rounding, fp_mul
 from .multiplier import (
     GRID_IDS,
     FaultSpec,
@@ -174,8 +175,6 @@ def cmd_mul(parser, args) -> int:
 
 
 def cmd_fpmul(parser, args) -> int:
-    from .fp32 import Rounding, fp_mul
-
     mode = Rounding.TRUNCATE if args.truncate else Rounding.NEAREST_EVEN
     bits, trace = fp_mul(args.a, args.b, rounding=mode)
     if args.trace:

@@ -9,10 +9,11 @@ rounded to nearest even (or truncated on request).
 
 :func:`fp_mul` multiplies one pair and returns an :class:`FpMulTrace` of
 every pipeline stage; :func:`fp_mul_batch` multiplies arrays of patterns
-through one :func:`cifm.multiplier.mul24_batch` call. Both run the same
-specials table (:func:`_special_codes`) and the same exponent, normalisation,
-rounding and range rules (:func:`_finish`), written with operators that
-Python ints and int64 arrays share.
+through one :func:`cifm.multiplier.mul24_batch` call. Both classify
+operands with :func:`_operand_class`, look pairs up in the same specials
+table, and run the same exponent, normalisation, rounding and range rules
+(:func:`_finish`), written with operators that Python ints and int64 arrays
+share.
 
 Flush-to-zero behaviour: subnormal inputs are treated as zero before the
 specials table is consulted. Tininess is detected before rounding: a
@@ -49,7 +50,6 @@ __all__ = [
     "Rounding",
     "Fp32Parts",
     "FpMulTrace",
-    "unpack",
     "fp_mul",
     "fp_mul_batch",
 ]
@@ -62,7 +62,6 @@ _HIDDEN = 1 << 23
 class Fp32Class(Enum):
     NORMAL = "normal"
     ZERO = "zero"
-    SUBNORMAL = "subnormal"
     INF = "inf"
     NAN = "nan"
 
@@ -78,27 +77,6 @@ class Fp32Parts:
     exponent: int          # raw biased field
     fraction: BitVec       # 23 stored bits
     cls: Fp32Class
-
-
-def unpack(bits: BitVec | int) -> Fp32Parts:
-    """Split a 32-bit pattern into sign, exponent, fraction and class.
-
-    Raises ValueError unless ``bits`` is a 32-bit BitVec or an int in
-    0..2**32-1.
-    """
-    return _parts(uint_value(bits, 32, "bits"))
-
-
-def _parts(value: int) -> Fp32Parts:
-    exponent = (value >> 23) & 0xFF
-    fraction = value & _FRAC_MASK
-    if exponent == 0xFF:
-        cls = Fp32Class.NAN if fraction else Fp32Class.INF
-    elif exponent == 0:
-        cls = Fp32Class.SUBNORMAL if fraction else Fp32Class.ZERO
-    else:
-        cls = Fp32Class.NORMAL
-    return Fp32Parts(value >> 31, exponent, BitVec(fraction, 23), cls)
 
 
 @dataclass(frozen=True)
@@ -173,17 +151,20 @@ _SPECIAL_SIGNED = np.array([signed for _, _, signed in _SPECIALS], dtype=np.int6
 
 
 def _operand_class(bits):
+    """Class 0-3 of a pattern, or of each in an int64 array, as the table reads it."""
     exponent = (bits >> 23) & 0xFF
     return (exponent == 0) + (exponent == 0xFF) * (2 + ((bits & _FRAC_MASK) != 0))
 
 
-def _special_codes(x, y):
-    """Index into the specials table for patterns ``x`` and ``y``.
+_CLASSES = (Fp32Class.NORMAL, Fp32Class.ZERO, Fp32Class.INF, Fp32Class.NAN)
 
-    Entry 0 is the only one whose pair reaches the datapath. Written with
-    operators that Python ints and int64 arrays share.
-    """
-    return 4 * _operand_class(x) + _operand_class(y)
+
+def _parts(value: int, code: int) -> Fp32Parts:
+    """The trace record of pattern ``value``, whose operand class is ``code``."""
+    if code == 1:                           # zero, or a subnormal flushed to zero
+        value &= 1 << 31
+    fraction = BitVec(value & _FRAC_MASK, 23)
+    return Fp32Parts(value >> 31, (value >> 23) & 0xFF, fraction, _CLASSES[code])
 
 
 def _finish(exponent_sum, raw, nearest_even):
@@ -246,20 +227,16 @@ def fp_mul(
     x = uint_value(a, 32, "a")
     y = uint_value(b, 32, "b")
     nearest_even = _nearest_even(rounding)
-    pa = _parts(x)
-    pb = _parts(y)
+    ca, cb = _operand_class(x), _operand_class(y)
+    pa, pb = _parts(x, ca), _parts(y, cb)
     sign = pa.sign ^ pb.sign
-    code = _special_codes(x, y)
-
     flushed = []
-    if pa.cls is Fp32Class.SUBNORMAL:
-        pa = Fp32Parts(pa.sign, 0, BitVec(0, 23), Fp32Class.ZERO)
+    if ca == 1 and x & _FRAC_MASK:
         flushed.append("a")
-    if pb.cls is Fp32Class.SUBNORMAL:
-        pb = Fp32Parts(pb.sign, 0, BitVec(0, 23), Fp32Class.ZERO)
+    if cb == 1 and y & _FRAC_MASK:
         flushed.append("b")
 
-    label, bits, signed = _SPECIALS[code]
+    label, bits, signed = _SPECIALS[4 * ca + cb]
     if label is not None:
         return BitVec(bits | (sign << 31) * signed, 32), FpMulTrace(
             a=pa, b=pb, special=label, flushed_inputs=tuple(flushed)
@@ -312,7 +289,7 @@ def fp_mul_batch(
     nearest_even = _nearest_even(rounding)
     x, y = rows.astype(np.int64, copy=False)
     sign = (x ^ y) >> 31
-    code = _special_codes(x, y)
+    code = 4 * _operand_class(x) + _operand_class(y)
     out = _SPECIAL_BITS[code] | (sign << 31) * _SPECIAL_SIGNED[code]
     live = np.flatnonzero(code == 0)
     x, y, sign = x[live], y[live], sign[live]

@@ -77,12 +77,7 @@ __all__ = [
     "export_netlist",
     "CostReport",
     "cost_report",
-    "INNER_CLASSES",
-    "OUTER_CLASSES",
 ]
-
-INNER_CLASSES = (4, 8, 12)
-OUTER_CLASSES = (12, 24)
 
 
 class Quadrant(Enum):

@@ -79,8 +79,12 @@ class RevGate:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        size = 1 << self.arity
-        if len(self.mapping) != size or sorted(self.mapping) != list(range(size)):
+        try:
+            size = 1 << self.arity
+            bijective = sorted(self.mapping) == list(range(size))
+        except TypeError:
+            bijective = False
+        if not bijective:
             raise ValueError(f"gate {self.name} mapping is not a bijection")
 
     def inverse_mapping(self) -> tuple[int, ...]:
@@ -338,6 +342,8 @@ def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     it to :func:`simulate_inverse` whole. Raises ValueError for a missing
     input or a value other than 0 or 1.
     """
+    if not isinstance(inputs, Mapping):
+        raise ValueError(f"inputs must be a mapping, got {type(inputs).__name__}")
     compiled = _compiled(n)
     for name in compiled.names:
         if name not in inputs:
@@ -362,10 +368,12 @@ def simulate_inverse(
     when every value is an int, else one uint8 array [lines x *shape].
     A wrong number of lines or a value other than 0 or 1 raises ValueError.
     """
-    if len(final_values) != len(n.lines):
-        raise ValueError(
-            f"expected {len(n.lines)} line values, got {len(final_values)}"
-        )
+    try:
+        count = len(final_values)
+    except TypeError:                   # an int, None, a 0-d array, a generator
+        count = type(final_values).__name__
+    if count != len(n.lines):
+        raise ValueError(f"final_values must hold {len(n.lines)} line values, got {count}")
     return _run_lines(_compiled(n).inverse, final_values, "line {}".format)
 
 

@@ -7,8 +7,8 @@ from cifm.bitcore import (
     CellKind,
     CellNetlist,
     NetlistBuilder,
-    classify_width,
 )
+from width_oracle import classify_width
 
 
 def test_bitvec_basics():

@@ -2,19 +2,17 @@
 
 Expected products come from Python integers and from a faulted-block
 formula written out here; the engine's width classification is checked
-against the scalar ``classify_width``.
+against the scalar ``classify_width`` in ``width_oracle``.
 """
 
 import numpy as np
 import pytest
 
-from cifm.bitcore import BitVec, classify_width
+from cifm.bitcore import BitVec
 from cifm.multiplier import (
     BLOCK_IDS,
     CHUNK,
     GRID_IDS,
-    INNER_CLASSES,
-    OUTER_CLASSES,
     SPARE_IDS,
     FaultSpec,
     Quadrant,
@@ -25,6 +23,7 @@ from cifm.multiplier import (
     mul24,
     mul24_batch,
 )
+from width_oracle import INNER_CLASSES, OUTER_CLASSES, classify_width
 
 # (a half, b half) of each quadrant
 HALVES = {"LL": (0, 0), "HL": (1, 0), "LH": (0, 1), "HH": (1, 1)}

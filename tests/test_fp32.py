@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cifm.fp32 import Fp32Class, Rounding, fp_mul, unpack
+from cifm.fp32 import Fp32Class, Rounding, fp_mul
 from cifm.softfloat import CANONICAL_QNAN, softfloat_mul
 
 INF = 0x7F800000
@@ -26,18 +26,55 @@ def as_float(bits: int) -> float:
 
 @given(bits32)
 def test_unpack_pack_roundtrip(bits):
-    p = unpack(bits)
-    assert (p.sign << 31) | (p.exponent << 23) | p.fraction.value == bits
+    _, trace = fp_mul(bits, ONE)
+    p = trace.a
+    subnormal = (bits >> 23) & 0xFF == 0 and bits & 0x7FFFFF
+    # a subnormal operand is recorded as the signed zero it flushes to
+    want = bits & 0x80000000 if subnormal else bits
+    assert (p.sign << 31) | (p.exponent << 23) | p.fraction.value == want
+    assert trace.flushed_inputs == (("a",) if subnormal else ())
 
 
 def test_classification():
-    assert unpack(0x00000000).cls is Fp32Class.ZERO
-    assert unpack(0x80000000).cls is Fp32Class.ZERO
-    assert unpack(0x00000001).cls is Fp32Class.SUBNORMAL
-    assert unpack(ONE).cls is Fp32Class.NORMAL
-    assert unpack(INF).cls is Fp32Class.INF
-    assert unpack(0x7FC00000).cls is Fp32Class.NAN
-    assert unpack(0xFF800001).cls is Fp32Class.NAN
+    def cls(bits):
+        return fp_mul(bits, ONE)[1].a.cls
+
+    assert cls(0x00000000) is Fp32Class.ZERO
+    assert cls(0x80000000) is Fp32Class.ZERO
+    assert cls(0x00000001) is Fp32Class.ZERO
+    assert fp_mul(0x00000001, ONE)[1].flushed_inputs == ("a",)
+    assert cls(ONE) is Fp32Class.NORMAL
+    assert cls(INF) is Fp32Class.INF
+    assert cls(0x7FC00000) is Fp32Class.NAN
+    assert cls(0xFF800001) is Fp32Class.NAN
+
+
+# (sign, exponent, fraction, class) as the trace records each operand, and
+# whether it was flushed; the same in either operand position
+OPERAND_RECORDS = {
+    0x00000000: (0, 0, "0x000000", "zero", False),
+    0x80000000: (1, 0, "0x000000", "zero", False),
+    0x00000001: (0, 0, "0x000000", "zero", True),
+    0x807FFFFF: (1, 0, "0x000000", "zero", True),
+    0x00800000: (0, 1, "0x000000", "normal", False),
+    0x7F800000: (0, 255, "0x000000", "inf", False),
+    0xFF800000: (1, 255, "0x000000", "inf", False),
+    0x7FC00000: (0, 255, "0x400000", "nan", False),
+    0x7F800001: (0, 255, "0x000001", "nan", False),
+}
+
+
+@pytest.mark.parametrize("bits", OPERAND_RECORDS, ids="{:#010x}".format)
+def test_operand_records_in_both_positions(bits):
+    sign, exponent, fraction, cls, flushed = OPERAND_RECORDS[bits]
+    want = {"sign": sign, "exponent": exponent, "fraction": fraction, "class": cls}
+    one = {"sign": 0, "exponent": 127, "fraction": "0x000000", "class": "normal"}
+    a_doc = fp_mul(bits, ONE)[1].to_json()
+    b_doc = fp_mul(ONE, bits)[1].to_json()
+    assert (a_doc["a"], a_doc["b"]) == (want, one)
+    assert (b_doc["a"], b_doc["b"]) == (one, want)
+    assert a_doc["flushed_inputs"] == (["a"] if flushed else [])
+    assert b_doc["flushed_inputs"] == (["b"] if flushed else [])
 
 
 def test_known_products():

@@ -4,10 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cifm.bitcore import BitVec, classify_width
+from cifm.bitcore import BitVec
 from cifm.multiplier import (
     GRID_IDS,
-    INNER_CLASSES,
     SPARE_IDS,
     Quadrant,
     export_netlist,
@@ -15,6 +14,7 @@ from cifm.multiplier import (
     mul12,
     mul24,
 )
+from width_oracle import INNER_CLASSES, classify_width
 
 word12 = st.integers(0, 2**12 - 1)
 word24 = st.integers(0, 2**24 - 1)

@@ -99,6 +99,22 @@ def test_every_exported_name_resolves():
             assert alias.name in module.__all__, f"{module.__name__}.{alias.name}"
 
 
+def test_test_oracles_are_not_in_the_library():
+    # the width classifier is a test oracle (tests/width_oracle.py): the
+    # library keeps one classifier per rule
+    import cifm
+    import cifm.bitcore
+    import cifm.fp32
+    import cifm.multiplier
+
+    for module in (cifm, cifm.bitcore, cifm.multiplier, cifm.fp32):
+        for name in ("classify_width", "INNER_CLASSES", "OUTER_CLASSES", "unpack"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ())
+    assert not hasattr(cifm.fp32, "_special_codes")
+    assert "SUBNORMAL" not in cifm.fp32.Fp32Class.__members__
+
+
 def test_tsg_embeds_a_full_adder():
     tsg = gate_library()["TSG"]
     for a in (0, 1):
@@ -344,10 +360,19 @@ def _doc_with_gate(name: str) -> dict:
         lambda n: RevNetlist.from_json(_doc_with_gate("SWAP")),
         lambda n: RevNetlist.from_json(
             {"lines": [{"tag": "bogus", "const": 0}], "gates": [], "output_roles": []}),
+        lambda n: RevGate("x", 1, 5),
+        lambda n: RevGate("x", 1.5, (0, 1)),
+        lambda n: RevGate("x", 1, (0, "1")),
+        lambda n: simulate(n, 5),
+        lambda n: simulate(n, ["x"]),
+        lambda n: simulate_inverse(n, None),
+        lambda n: simulate_inverse(n, np.array(5)),
     ],
     ids=["float-line", "bool-line", "str-line", "line-out-of-range",
          "output-out-of-range", "output-negative", "bool-ancilla", "ancilla-2",
-         "float-ancilla", "unknown-gate", "unknown-line-tag"],
+         "float-ancilla", "unknown-gate", "unknown-line-tag", "int-mapping",
+         "float-arity", "str-in-mapping", "int-inputs", "list-inputs",
+         "none-final-values", "0d-final-values"],
 )
 def test_bad_circuit_input_is_value_error(bad):
     n = _small_circuit()

@@ -11,7 +11,14 @@ import random
 import numpy as np
 import pytest
 
-from cifm.bitcore import CHUNK_VECTORS, CellKind, NetlistBuilder, _from_planes, _to_planes
+from cifm.bitcore import (
+    CHUNK_VECTORS,
+    Cell,
+    CellKind,
+    NetlistBuilder,
+    _from_planes,
+    _to_planes,
+)
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
     RevNetlist,
@@ -212,13 +219,20 @@ def test_appending_after_a_first_evaluation_recompiles():
 
 @pytest.mark.parametrize("bad", [1.5, "3", None, True, 16, -1, 2**70,
                                  np.array([1.0, 2.0]), np.array([3, 16]),
-                                 np.array([-1, 3]), np.array(["a"])])
+                                 np.array([-1, 3]), np.array(["a"]), "AND"])
 def test_cell_operands_are_checked(bad):
     nl = export_netlist("mul4")
     with pytest.raises(ValueError):
         nl.evaluate({"a": bad, "b": 1})
     with pytest.raises(ValueError):
         nl.evaluate_nets({"a": 1, "b": bad})
+    # none of them is an operand mapping or a cell kind either
+    with pytest.raises(ValueError, match="operands"):
+        nl.evaluate(bad)
+    with pytest.raises(ValueError, match="operands"):
+        nl.evaluate_nets(bad)
+    with pytest.raises(ValueError, match="kind"):
+        Cell(bad, ("a", "b"), ("c",))
 
 
 def test_cell_operand_shapes_and_presence_are_checked():
@@ -230,7 +244,8 @@ def test_cell_operand_shapes_and_presence_are_checked():
 
 
 @pytest.mark.parametrize("bad", [2, 1.0, -1, None, True,
-                                 np.array([0, 2]), np.array([0.0, 1.0]), np.array([1, -1])])
+                                 np.array([0, 2]), np.array([0.0, 1.0]), np.array([1, -1]),
+                                 5, 3.0, np.array(5), (v for v in (0, 1))])
 def test_line_values_are_checked(bad):
     n = random_circuit(random.Random(3))
     with pytest.raises(ValueError):
@@ -239,6 +254,11 @@ def test_line_values_are_checked(bad):
     final[4] = bad
     with pytest.raises(ValueError):
         simulate_inverse(n, final)
+    # nor is any of them a whole input mapping or final line assignment
+    with pytest.raises(ValueError, match="inputs"):
+        simulate(n, bad)
+    with pytest.raises(ValueError, match="final_values"):
+        simulate_inverse(n, bad)
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3), (CHUNK_VECTORS + 1,)])
