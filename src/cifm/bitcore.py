@@ -49,10 +49,11 @@ class BitVec:
     width: int
 
     def __post_init__(self) -> None:
-        if type(self.value) is not int and (
-            isinstance(self.value, bool) or not isinstance(self.value, (int, np.integer))
-        ):
-            raise ValueError(f"value must be an int, got {self.value!r}")
+        if type(self.value) is not int:     # numpy ints are stored as ints
+            v = self.value
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"value must be an int, got {v!r}")
+            object.__setattr__(self, "value", int(v))
         if type(self.width) is not int or self.width <= 0:     # bools fail this too
             raise ValueError(f"width must be a positive int, got {self.width!r}")
         if not 0 <= self.value < (1 << self.width):
@@ -157,17 +158,19 @@ class KernelPlan(NamedTuple):
     The state is a list of ``rows`` bit planes, ints whose bit v is vector
     v's value. State row ``load_rows[i]`` starts as bit ``load_shift[i]``
     (bit 0 when ``load_shift`` is None) of operand row ``load_src[i]``;
-    rows in ``ones`` start all ones and every other row zero. ``steps``
-    holds one ``(kernel, rows)`` pair per element in netlist order, run as
-    ``kernel(state, ONES, rows)``. ``depth[r]`` counts the elements on the
-    longest chain that ends at the last element touching row r, 0 if none
-    does.
+    rows in ``ones`` start all ones and every other row zero. ``load_src``
+    is an index array or a slice. Only an index array's load is a copy, so
+    only a plan with an index array may have a ``load_shift``, which shifts
+    that copy in place. ``steps`` holds one ``(kernel, rows)`` pair per
+    element in netlist order, run as ``kernel(state, ONES, rows)``.
+    ``depth[r]`` counts the elements on the longest chain that ends at the
+    last element touching row r, 0 if none does.
     """
 
     rows: int
     steps: tuple[tuple[Callable, tuple[int, ...]], ...]
     load_rows: tuple[int, ...]
-    load_src: np.ndarray
+    load_src: np.ndarray | slice
     load_shift: np.ndarray | None
     ones: tuple[int, ...]
     depth: tuple[int, ...]
@@ -212,7 +215,9 @@ def run_kernels(plan: KernelPlan, values: np.ndarray, read: Sequence[int]):
     """
     for lo in range(0, values.shape[1], CHUNK_VECTORS):
         hi = min(values.shape[1], lo + CHUNK_VECTORS)
-        block = values[plan.load_src, lo:hi]     # a copy: shifted in place
+        # an index-array load is a copy, the only kind shifted in place;
+        # a slice load is a view of ``values``
+        block = values[plan.load_src, lo:hi]
         if plan.load_shift is not None:
             block >>= plan.load_shift[:, None]
             block &= 1

@@ -104,10 +104,11 @@ class Quadrant(Enum):
 _QUADRANT_INDEX = {q: k for k, q in enumerate(Quadrant)}
 
 
-def _check_flag(name: str, value) -> None:
-    """ValueError unless ``value`` is a bool: a truthy string is not true."""
+def _check_flag(name: str, value) -> bool:
+    """``value`` as a Python bool. ValueError unless a bool: "yes" is not true."""
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 @dataclass(frozen=True)
@@ -127,16 +128,17 @@ class ModuleId:
             for v in (self.row, self.col)
         ):
             raise ValueError(f"row/col must be ints, got {self.row!r},{self.col!r}")
-        _check_flag("redundant", self.redundant)
-        if self.redundant:
-            if (self.row, self.col) != (0, 0):
-                object.__setattr__(self, "row", 0)
-                object.__setattr__(self, "col", 0)
-        elif not (0 <= self.row <= 2 and 0 <= self.col <= 2):
-            raise ValueError(f"row/col must be in 0..2, got {self.row},{self.col}")
+        redundant = _check_flag("redundant", self.redundant)
+        row, col = (0, 0) if redundant else (int(self.row), int(self.col))
+        if not (0 <= row <= 2 and 0 <= col <= 2):
+            raise ValueError(f"row/col must be in 0..2, got {row},{col}")
+        # Stored as Python ints and a bool, so numpy inputs never reach JSON.
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "col", col)
+        object.__setattr__(self, "redundant", redundant)
         # Cached, since every activity report hashes up to 40 ids. Built from
         # ints only, so an unpickled id hashes the same in another process.
-        key = (_QUADRANT_INDEX[self.quadrant], self.row, self.col, self.redundant)
+        key = (_QUADRANT_INDEX[self.quadrant], row, col, redundant)
         object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
@@ -193,7 +195,7 @@ class RepairConfig:
     target: ModuleId | None = None
 
     def __post_init__(self) -> None:
-        _check_flag("enabled", self.enabled)
+        object.__setattr__(self, "enabled", _check_flag("enabled", self.enabled))
         if self.target is not None and not isinstance(self.target, ModuleId):
             raise ValueError(f"repair target must be a ModuleId, got {self.target!r}")
         if self.target is not None and not self.enabled:
@@ -294,15 +296,6 @@ def _build_mul4(
     p7, _ = builder.ha(t7, g, 3, module_id)       # top carry provably 0
 
     return [s01[0], s01[1], t2, t3, t4, p5, p6, p7]
-
-
-def _mul4_netlist() -> CellNetlist:
-    b = NetlistBuilder()
-    a_nets = b.input_bus("a", 4)
-    b_nets = b.input_bus("b", 4)
-    p = _build_mul4(b, a_nets, b_nets)
-    b.set_outputs("p", p)
-    return b.build()
 
 
 # Truth tables of the 4x4 netlist: product and active adder levels for all
@@ -638,24 +631,19 @@ def _run_scalar(
     faulty = ()
     if plan.fault_bits:
         faulty = tuple(BLOCK_IDS[k] for k in _set_bits(int(unrepaired[0])))
-    if not plan.repaired:
-        report = ActivityReport(
-            active_mul4=part.active,
-            gated_mul4=part.gated,
-            disabled_faulty=frozenset(),
-            adder_levels_active=levels,
+    active, gated, disabled = part.active, part.gated, frozenset()
+    if plan.repaired:
+        disabled = frozenset(
+            t for t, _, _ in plan.repaired if mask & layout.quad_bits[t.quadrant]
         )
-        return int(products[0]), report, faulty
-    disabled = frozenset(
-        t for t, _, _ in plan.repaired if mask & layout.quad_bits[t.quadrant]
-    )
-    for t, _, _ in plan.repaired:       # in bit order, so the spares come last
-        if t in levels:
-            levels[SPARE_IDS[t.quadrant]] = levels.pop(t)
-    active = frozenset(levels)
+        for t, _, _ in plan.repaired:   # in bit order, so the spares come last
+            if t in levels:
+                levels[SPARE_IDS[t.quadrant]] = levels.pop(t)
+        active = frozenset(levels)
+        gated = layout.ids - active - disabled
     report = ActivityReport(
         active_mul4=active,
-        gated_mul4=layout.ids - active - disabled,
+        gated_mul4=gated,
         disabled_faulty=disabled,
         adder_levels_active=levels,
     )
@@ -756,7 +744,7 @@ def _add_shifted(
     result = list(acc[:shift])
     carry: str | None = None
     top = max(len(acc), shift + len(addend))
-    for pos in range(shift, top):
+    for pos in range(shift, top):       # acc or addend has a bit at each pos
         ops = []
         if pos < len(acc):
             ops.append(acc[pos])
@@ -770,11 +758,8 @@ def _add_shifted(
         elif len(ops) == 2:
             s, carry = builder.ha(*ops)
             result.append(s)
-        elif len(ops) == 1:
+        else:                           # one bit and no carry: a plain wire
             result.append(ops[0])
-            carry = None
-        else:
-            break
     if carry is not None:
         result.append(carry)
     return result
@@ -788,50 +773,34 @@ def _build_mul12(
 ) -> list[str]:
     """Nine 4x4 blocks plus the weighted block-product sum; 24 product nets."""
     acc: list[str] = []
-    for i in range(3):
-        for j in range(3):
-            mid = str(GRID_IDS[quadrant][(i, j)])
-            pp = _build_mul4(
-                builder, a_nets[4 * i : 4 * i + 4], b_nets[4 * j : 4 * j + 4], mid
-            )
-            if not acc:
-                acc = list(pp)
-            else:
-                acc = _add_shifted(builder, acc, pp, 4 * (i + j))
+    for (i, j), mid in GRID_IDS[quadrant].items():
+        a4, b4 = a_nets[4 * i : 4 * i + 4], b_nets[4 * j : 4 * j + 4]
+        pp = _build_mul4(builder, a4, b4, str(mid))
+        acc = _add_shifted(builder, acc, pp, 4 * (i + j))
     return acc[:24]
 
 
-def _mul12_netlist() -> CellNetlist:
-    b = NetlistBuilder()
-    a_nets = b.input_bus("a", 12)
-    b_nets = b.input_bus("b", 12)
-    p = _build_mul12(b, a_nets, b_nets, Quadrant.LL)
-    b.set_outputs("p", p)
-    return b.build()
-
-
-def _mul24_netlist() -> CellNetlist:
-    b = NetlistBuilder()
-    a_nets = b.input_bus("a", 24)
-    b_nets = b.input_bus("b", 24)
-    halves_a = {False: a_nets[:12], True: a_nets[12:]}
-    halves_b = {False: b_nets[:12], True: b_nets[12:]}
-    acc: list[str] = []
-    for quad in (Quadrant.LL, Quadrant.HL, Quadrant.LH, Quadrant.HH):
-        pp = _build_mul12(b, halves_a[quad.a_high], halves_b[quad.b_high], quad)
-        if not acc:
-            acc = list(pp)
-        else:
-            acc = _add_shifted(b, acc, pp, quad.shift)
-    b.set_outputs("p", acc[:48])
-    return b.build()
-
-
-_NETLIST_BUILDERS = {
-    "mul4": functools.cache(_mul4_netlist),
-    "mul12": functools.cache(_mul12_netlist),
-    "mul24": functools.cache(_mul24_netlist),
+# Each level's operand width and its quadrants in netlist order (mul4: one block).
+_NETLIST_LEVELS = {
+    "mul4": (4, ()),
+    "mul12": (12, (Quadrant.LL,)),
+    "mul24": (24, (Quadrant.LL, Quadrant.HL, Quadrant.LH, Quadrant.HH)),
 }
+
+
+@functools.cache
+def _netlist(level: str) -> CellNetlist:
+    width, quadrants = _NETLIST_LEVELS[level]
+    b = NetlistBuilder()
+    a_nets = b.input_bus("a", width)
+    b_nets = b.input_bus("b", width)
+    p = _build_mul4(b, a_nets, b_nets) if width == 4 else []
+    for quad in quadrants:
+        lo_a, lo_b = 12 * quad.a_high, 12 * quad.b_high
+        pp = _build_mul12(b, a_nets[lo_a : lo_a + 12], b_nets[lo_b : lo_b + 12], quad)
+        p = _add_shifted(b, p, pp, quad.shift)
+    b.set_outputs("p", p[: 2 * width])
+    return b.build()
 
 
 def export_netlist(level: str) -> CellNetlist:
@@ -842,9 +811,9 @@ def export_netlist(level: str) -> CellNetlist:
     :func:`cost_report`. Each level is built once; any other ``level``
     raises ValueError.
     """
-    if not isinstance(level, str) or level not in _NETLIST_BUILDERS:
+    if not isinstance(level, str) or level not in _NETLIST_LEVELS:
         raise ValueError(f"unknown netlist level {level!r}")
-    return _NETLIST_BUILDERS[level]()
+    return _netlist(level)
 
 
 # ---------------------------------------------------------------------------

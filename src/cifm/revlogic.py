@@ -134,15 +134,14 @@ class OutputRole(Enum):
 class RevLine:
     tag: LineTag
     name: str | None = None          # for primary inputs
-    const: int | None = None         # for ancillas, 0 or 1
+    const: int | None = None         # for ancillas, 0 or 1, stored as an int
 
     def __post_init__(self) -> None:
         if self.tag is LineTag.PRIMARY_INPUT and self.name is None:
             raise ValueError("primary input line needs a name")
-        if self.tag is LineTag.ANCILLA and (
-            type(self.const) is not int or self.const not in (0, 1)
-        ):
-            raise ValueError(f"ancilla line needs a 0/1 int constant, got {self.const!r}")
+        if self.tag is LineTag.ANCILLA:
+            const = uint_value(self.const, 1, "ancilla constant")
+            object.__setattr__(self, "const", const)
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,6 @@ class RevNetlist:
         return len(self.lines) - 1
 
     def add_ancilla(self, const: int) -> int:
-        const = uint_value(const, 1, "ancilla constant")
         self.lines.append(RevLine(LineTag.ANCILLA, const=const))
         self.output_roles.append((OutputRole.GARBAGE, None))
         return len(self.lines) - 1
@@ -310,8 +308,9 @@ def _compile(n: RevNetlist) -> _CompiledRev:
         depth=tuple(depth),
     )
     every = tuple(range(len(n.lines)))
+    # every row in order: the load is a view of the final values, not a copy
     inv = fwd._replace(
-        steps=tuple(inverse), load_rows=every, load_src=np.arange(len(n.lines)), ones=()
+        steps=tuple(inverse), load_rows=every, load_src=slice(None), ones=()
     )
     return _CompiledRev(fwd, inv, names)
 

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,16 @@ def test_bitvec_rejects_out_of_range():
 def test_bitvec_rejects_non_int_values(value):
     with pytest.raises(ValueError):
         BitVec(value, 8)
+
+
+@pytest.mark.parametrize("value", [np.uint8(255), np.int64(255), np.uint64(255)],
+                         ids=repr)
+def test_bitvec_stores_a_numpy_value_as_an_int(value):
+    # int() and operator.index() used to raise TypeError: __int__ returned non-int
+    v = BitVec(value, 8)
+    assert type(v.value) is int
+    assert int(v) == operator.index(v) == 255
+    assert v == BitVec(255, 8)
 
 
 @pytest.mark.parametrize("width", [8.5, "8", True, False, None, 0, -1], ids=repr)

@@ -1,15 +1,39 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 
+from cifm.cli import main
+
 CMD = [sys.executable, "-m", "cifm"]
 
 
 def run(*args):
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300
+    """``cifm *args`` run in process through ``cli.main``, returned as the
+    CompletedProcess that ``python -m cifm *args`` would give."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:       # argparse errors exit 2
+            code = exc.code
+    return subprocess.CompletedProcess(
+        CMD + list(args), code or 0, out.getvalue(), err.getvalue()
     )
+
+
+def test_module_entry_point():
+    # the __main__ wiring, the one path that run() cannot reach in process
+    def spawn(*args):
+        return subprocess.run(CMD + list(args), capture_output=True, text=True,
+                              timeout=300)
+
+    ok = spawn("mul", "0x3", "0x5")
+    assert ok.returncode == 0 and ok.stdout.strip() == "0xF", ok.stderr
+    bad = spawn("mul", "--width", "4", "0x1F", "0x1")
+    assert bad.returncode == 2 and "a=0x1f" in bad.stderr, bad.stderr
 
 
 def test_mul_width4():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,28 @@ def test_module_id_rejects_non_quadrant():
 def test_module_id_rejects_non_int_position_and_non_bool_flag(row, col, redundant):
     with pytest.raises(ValueError):
         ModuleId(Quadrant.LL, row, col, redundant)
+
+
+def test_numpy_positions_and_flags_are_stored_as_python_values():
+    # numpy row/col/flags used to be stored as given, so json.dumps failed
+    mid = ModuleId(Quadrant.LL, np.int64(0), np.int64(0), np.False_)
+    assert (type(mid.row), type(mid.col), type(mid.redundant)) == (int, int, bool)
+    assert mid == LL00 and hash(mid) == hash(LL00)
+    assert json.dumps(mid.to_json()) == json.dumps(LL00.to_json())
+    spare = ModuleId(Quadrant.LL, np.int64(2), np.int64(1), np.True_)
+    assert (type(spare.row), type(spare.redundant)) == (int, bool)
+    assert spare == SPARE_IDS[Quadrant.LL]
+    assert type(RepairConfig(np.True_, LL00).enabled) is bool
+    assert type(FaultSpec(LL00, np.uint8(3)).forced_output.value) is int
+
+
+def test_numpy_fault_and_repair_target_give_plain_activity_json():
+    target = ModuleId(Quadrant.LL, np.int64(0), np.int64(0))
+    ones = 0xFFFFFF
+    got = mul24(ones, ones, [FaultSpec(target, 0)], {Quadrant.LL: repair_of(target)})
+    want = mul24(ones, ones, [FaultSpec(LL00, 0)], {Quadrant.LL: repair_of(LL00)})
+    assert got.activity.disabled_faulty == {LL00}
+    assert json.dumps(got.activity.to_json()) == json.dumps(want.activity.to_json())
 
 
 def test_module_id_spare_normalised():

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cifm.bitcore import BitVec
 from cifm.fp32 import Fp32Class, Rounding, fp_mul
 from cifm.softfloat import CANONICAL_QNAN, softfloat_mul
 
@@ -167,3 +169,12 @@ def test_oracle_agrees_with_hardware_on_normal_results(a, b):
 def test_rejects_oversize_pattern():
     with pytest.raises(ValueError):
         fp_mul(1 << 32, ONE)
+
+
+@pytest.mark.parametrize("a, b", [(INF, ONE), (ONE, 0x40490FDB)], ids=["inf", "normal"])
+def test_numpy_operand_patterns_give_int_results_and_plain_json(a, b):
+    # a BitVec holding a numpy value used to leak it into the result and trace
+    got, trace = fp_mul(BitVec(np.uint32(a), 32), np.uint32(b))
+    want, want_trace = fp_mul(a, b)
+    assert type(got.value) is int and int(got) == int(want)
+    assert json.dumps(trace.to_json()) == json.dumps(want_trace.to_json())

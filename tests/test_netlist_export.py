@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -24,6 +25,29 @@ def test_classical_json_is_deterministic():
     one = json.dumps(export_netlist("mul24").to_json(), sort_keys=True)
     two = json.dumps(export_netlist("mul24").to_json(), sort_keys=True)
     assert one == two
+
+
+# sha256 of each `cifm netlist` document as printed: json.dumps(doc, indent=2)
+# plus a newline. A builder that reorders cells or renames nets changes it.
+NETLIST_SHA256 = {
+    "mul4": "bb9e46dcb8b5726f2274e881aa451482bc91b6c4434207e1f90ebd3bbcc96a96",
+    "mul12": "1dffb1c9e6c3618954c2a81b1b02da263dcb1b93d5a1e266f3169fd1f7499522",
+    "mul24": "b2c6b9fde0789687338ad30b6768af54346f5a44456d847b78fffcecf115b7ec",
+    "mul4-rev": "575bc991182532039667fd1bffa657b5f5d4f4a1fea3354a320f5de349330c94",
+    "mul12-rev": "d3d0e417d553a569c46b4821bec59cc7bbbfd1594168ebc04cb5a6370eb2f152",
+    "cifm-rev": "65dc453c4909b0610ebd974a0c6d1ae23692b27ccf3856d03ba9fdee1056481a",
+}
+REV_LEVELS = {"mul4-rev": "mul4", "mul12-rev": "mul12", "cifm-rev": "mul24"}
+
+
+@pytest.mark.parametrize("target", NETLIST_SHA256)
+def test_netlist_documents_are_pinned(target):
+    if target in REV_LEVELS:
+        doc = expand(export_netlist(REV_LEVELS[target])).to_json()
+    else:
+        doc = export_netlist(target).to_json()
+    text = json.dumps(doc, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == NETLIST_SHA256[target]
 
 
 def test_classical_json_roundtrip_evaluates():

@@ -13,7 +13,9 @@ from cifm.bitcore import CellKind, CellNetlist, NetlistBuilder
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
     FullAdderVariant,
+    LineTag,
     RevGate,
+    RevLine,
     RevNetlist,
     build_full_adder,
     expand,
@@ -411,3 +413,13 @@ def test_numpy_ints_are_accepted_as_lines_and_constants():
     n.set_output(np.int64(0), "x_xor_1")
     assert RevNetlist.from_json(json.loads(json.dumps(n.to_json()))) == n
     assert simulate(n, {"x": 0}).outputs == {"x_xor_1": 1}
+
+
+def test_ancilla_line_stores_a_numpy_constant_as_an_int():
+    # RevLine used to reject a numpy constant that add_ancilla accepted
+    for const in (np.uint8(1), np.int64(0)):
+        line = RevLine(LineTag.ANCILLA, const=const)
+        assert type(line.const) is int and line.const == const
+    for bad in (2, True, None, 0.0):
+        with pytest.raises(ValueError):
+            RevLine(LineTag.ANCILLA, const=bad)
