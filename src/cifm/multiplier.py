@@ -21,22 +21,29 @@ for all 256 operand pairs is computed once by vectorised netlist
 evaluation, and every block product is a lookup in it.
 
 One numpy engine evaluates the quadrant and top levels for a batch of
-operand pairs (:func:`mul24_batch`, :func:`mul12_batch`). Operand groups
-are laid out on a grid, one 4-bit group of a per row and one of b per
-column, so a single table gather yields all 36 block products. A
-vectorised width classifier marks the powered rows and columns. The
-call's fault and repair plan is validated once, before any operand is
-looked at. Faults are applied with ``np.where``; a repaired block's share
-is the true block product, reported under its quadrant's spare. Each
-quadrant sums its blocks modulo 2**24 and the top level sums the
-quadrants modulo 2**48. Besides the products the engine returns per pair
-a 40-bit mask of the powered blocks and a mask of the faulty blocks that
-drove their forced value, bit k standing for ``BLOCK_IDS[k]``. Batches
-run in chunks of :data:`CHUNK` pairs, which bounds the temporaries.
-:func:`mul12` and :func:`mul24` run a batch of one and build its
-:class:`ActivityReport` from the partition of the blocks for the call's
-power pattern (which grid blocks are powered), cached per pattern: 144 for
-mul24 and 9 for mul12, whatever the operand values, faults and repairs.
+operand pairs (:func:`mul24_batch`, :func:`mul12_batch`). It works per
+block row: row r of a quadrant is the three blocks that multiply 4-bit
+group r of a by one 12-bit half of b, and a row-sum table built from the
+mul4 truth table gives the weighted sum of those three products in one
+gather, for every row of every pair. Shifted and added, the rows give the
+fault-free products. Width gating needs no work on the products, since a
+gated block has a zero operand group and so a zero product. A power-pattern
+table, built from the width checkers' rule, maps how many groups of each
+12-bit half are powered to the pair's 40-bit mask of powered blocks, bit k
+standing for ``BLOCK_IDS[k]``; a repaired block's bit moves to its
+quadrant's spare, which computes the true product. The call's fault and
+repair plan is validated once, before any operand is looked at. Only a
+call with a live, unrepaired fault sums per quadrant: each such fault that
+is powered adds its forced value minus the true block product to its
+quadrant, which wraps modulo 2**24. Besides the products and the powered
+mask, the engine returns per pair the mask of the faulty blocks that drove
+their forced value. Batches run in chunks of
+:data:`CHUNK` pairs, which bounds the temporaries. The tables are built on
+first use, never at import. :func:`mul12` and :func:`mul24` run a batch of
+one and build its :class:`ActivityReport` from the partition of the blocks
+for the call's power pattern (which grid blocks are powered), cached per
+pattern: 144 for mul24 and 9 for mul12, whatever the operand values, faults
+and repairs.
 """
 
 from __future__ import annotations
@@ -298,11 +305,11 @@ def _build_mul4(
     return [s01[0], s01[1], t2, t3, t4, p5, p6, p7]
 
 
-# Truth tables of the 4x4 netlist: product and active adder levels for all
-# 256 operand pairs (index b << 4 | a), derived by one vectorised netlist
-# evaluation.
+# Truth tables of the 4x4 netlist: product (an array) and active adder levels
+# (a list, read one block at a time) for all 256 operand pairs (index
+# b << 4 | a), derived by one vectorised netlist evaluation.
 @functools.cache
-def _mul4_tables() -> tuple[np.ndarray, np.ndarray]:
+def _mul4_tables() -> tuple[np.ndarray, list[int]]:
     nl = export_netlist("mul4")
     pairs = np.arange(1 << 8, dtype=np.int64)
     a = pairs & 0xF
@@ -319,7 +326,7 @@ def _mul4_tables() -> tuple[np.ndarray, np.ndarray]:
                 for net in cell.inputs:
                     seen |= values[net]
         levels += seen
-    return product, levels.astype(np.int8)
+    return product, levels.tolist()
 
 
 def _operands(a, b, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +352,7 @@ def mul4(a: BitVec | int, b: BitVec | int) -> MulResult:
         active_mul4=frozenset(),
         gated_mul4=frozenset(),
         disabled_faulty=frozenset(),
-        adder_levels_active={None: int(levels[idx])},
+        adder_levels_active={None: levels[idx]},
     )
     return MulResult(BitVec(int(product[idx]), 8), report)
 
@@ -362,10 +369,16 @@ BLOCK_IDS: tuple[ModuleId, ...] = tuple(
 ) + tuple(SPARE_IDS[q] for q in Quadrant)
 _BIT = {m: k for k, m in enumerate(BLOCK_IDS)}
 
-# Operand pairs per engine pass: bounds the (blocks x pairs) temporaries.
+# Operand pairs per engine pass: bounds each (rows x halves x pairs) temporary
+# to 96 KB, below the C allocator's 128 KB mmap threshold.
 CHUNK = 1024
 
 _MASK48 = (1 << 48) - 1
+
+# Shifts that move group i of a 12-bit half to bits 12..15, and the weights
+# of a quadrant's three row sums.
+_GROUP_UP = np.array([[12], [8], [4]])
+_ROW_WEIGHT = np.array([1, 1 << 4, 1 << 8])
 
 
 class BlockBatch(NamedTuple):
@@ -376,15 +389,24 @@ class BlockBatch(NamedTuple):
     unrepaired: np.ndarray  # bit k set: faulty BLOCK_IDS[k] drove its forced value
 
 
+class _Fault(NamedTuple):
+    """A live, unrepaired fault at block (i, j) of quadrant (ha, hb), on grid row r."""
+
+    bit: int            # its mask bit
+    row: int            # r = 3*ha + i, the row sum holding it
+    half: int           # hb, the b half of that row sum
+    quad: int           # h*ha + hb, its quadrant's place in the quadrant sums
+    keep: int           # row-sum index bits of a group r and b group j alone
+    shift: int          # 4*i, the weight of row i in the quadrant
+    forced: int         # its forced output at weight 4*(i + j)
+
+
 @dataclass(frozen=True)
 class _Plan:
     """One call's faults and repairs, validated and placed on the block grid."""
 
-    bits: np.ndarray                    # (g, g, 1) mask bit per grid block; a
-                                        # repaired block reports as its spare
-    faulty: np.ndarray | None           # (g, g, 1) bool: unrepaired faulty blocks
-    forced: np.ndarray | None           # (g, g, 1) their forced outputs
-    fault_bits: int                     # mask bits of the unrepaired faulty blocks
+    faults: tuple[_Fault, ...]          # live, unrepaired faults
+    fault_bits: int                     # their mask bits
     repaired: tuple[tuple[ModuleId, int, int], ...]  # (block a spare stands in
                                         # for, its mask bit, the spare's), in bit order
 
@@ -395,43 +417,39 @@ class _Layout:
 
     Grid row r multiplies 4-bit group r of a and column c group c of b, so
     block (i, j) of the quadrant on halves (ha, hb) sits at (3*ha + i,
-    3*hb + j) and all blocks' operands come from one table gather. A layout
-    compares and hashes by identity, so it can key :func:`_partition`.
+    3*hb + j). The blocks of row r on b half hb make one row sum, at weight
+    4*r + 12*hb. A layout compares and hashes by identity, so it can key
+    :func:`_partition` and :func:`_power_tables`.
     """
 
     halves: int                       # 12-bit halves per operand
-    group_shift: np.ndarray           # (g, 1) bit offset 4*r of operand group r
-    group_mask: np.ndarray            # (g, 1) bits from group r to the top of its half
+    half_shift: np.ndarray            # (h, 1) bit offset 12*h of operand half h
+    row_weight: np.ndarray            # (g*h,) 2**(4*r + 12*hb) of row sum (r, hb)
+    quad_weight: np.ndarray           # (h*h,) 2**(12*(ha + hb)) of quadrant (ha, hb)
+    pattern_weight: np.ndarray        # (2*h,) 4**k: the group count of a's halves,
+                                      # then b's, 2 bits each in a power pattern
     ids: frozenset[ModuleId]          # every instantiated block, spares included
     quad_bits: Mapping[Quadrant, int]  # mask bits of each placed quadrant's ten blocks
-    block_shift: np.ndarray           # (g, g, 1) weight 4*(i + j) inside the quadrant
-    quad_shift: np.ndarray            # (h, h, 1) weight 12*(ha + hb) of each quadrant
     pos: Mapping[int, tuple[int, int]]  # mask bit -> grid block it multiplies
-    plain: _Plan                      # no faults, no repairs: the grid's own bits
 
 
 def _layout(placed: Mapping[Quadrant, tuple[int, int]]) -> _Layout:
     halves = 1 + max(max(p) for p in placed.values())
-    g = 3 * halves
-    bits = np.zeros((g, g, 1), dtype=np.int64)
     pos = {}
     for q, (ha, hb) in placed.items():
         for (i, j), mid in GRID_IDS[q].items():
-            r, c = 3 * ha + i, 3 * hb + j
-            bits[r, c] = _BIT[mid]
-            pos[_BIT[mid]] = (r, c)
-    k = np.arange(g) % 3
+            pos[_BIT[mid]] = (3 * ha + i, 3 * hb + j)
+    r = np.arange(3 * halves)
     h = np.arange(halves)
     return _Layout(
         halves=halves,
-        group_shift=4 * np.arange(g, dtype=np.int64)[:, None],
-        group_mask=(0xFFF >> 4 * k)[:, None],
+        half_shift=12 * h[:, None],
+        row_weight=(1 << 4 * r[:, None] + 12 * h[None, :]).ravel(),
+        quad_weight=(1 << 12 * (h[:, None] + h[None, :])).ravel(),
+        pattern_weight=4 ** np.arange(2 * halves),
         ids=frozenset(BLOCK_IDS[b] for q in placed for b in _quad_bits(q)),
         quad_bits={q: sum(1 << b for b in _quad_bits(q)) for q in placed},
-        block_shift=(4 * (k[:, None] + k[None, :]))[:, :, None],
-        quad_shift=(12 * (h[:, None] + h[None, :]))[:, :, None],
         pos=pos,
-        plain=_Plan(bits, None, None, 0, ()),
     )
 
 
@@ -441,6 +459,48 @@ def _quad_bits(q: Quadrant) -> list[int]:
 
 _MUL24 = _layout({q: (int(q.a_high), int(q.b_high)) for q in Quadrant})
 _MUL12 = _layout({Quadrant.LL: (0, 0)})
+_PLAIN = _Plan((), 0, ())                # no faults, no repairs
+
+
+@functools.cache
+def _row_sums() -> np.ndarray:
+    """Row-sum table of the mul4 truth table: 16 x 4096 int32 entries (256 KB).
+
+    Entry ``a << 12 | b`` is the sum over j of the block product of the
+    4-bit group a and group j of the 12-bit half b, at weight 4*j: one row
+    of a quadrant's blocks. Built on first use, like the truth table.
+    """
+    # block[a, b]; C order, so the broadcast sum is laid out a, b2, b1, b0
+    block = np.ascontiguousarray(_mul4_tables()[0].reshape(16, 16).T, dtype=np.int32)
+    b2 = block[:, :, None, None] << 8
+    b1 = block[:, None, :, None] << 4
+    return (b2 + b1 + block[:, None, None, :]).ravel()
+
+
+@functools.cache
+def _power_tables(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """The width checkers' rule, as a group count per half and a mask per pattern.
+
+    ``counts[x]`` is how many groups of the 12-bit half x are powered: group
+    i is powered when x >> 4*i is non-zero, that is when x >= 16**i (its
+    class exceeds 4*i). A power
+    pattern is the sum of each half's count times its ``pattern_weight``,
+    and ``masks[pattern]`` is its energised mask with no spare in use. Group
+    0 of the low half is powered even for zero, since class 4 is the
+    narrowest; a zero high half is cut off whole by the outer checker, which
+    is the same as all its groups dark. The last pattern powers every block,
+    as with gating off.
+    """
+    x = np.arange(1 << 12)[:, None]
+    counts = (x >= 16 ** np.arange(3)).sum(axis=1, dtype=np.uint8)
+    patterns = np.arange(1 << 4 * layout.halves)
+    groups = (patterns // layout.pattern_weight[:, None] & 3).reshape(2, layout.halves, -1)
+    groups[:, 0] = np.maximum(groups[:, 0], 1)
+    masks = np.zeros(patterns.size, dtype=np.int64)
+    for bit, (r, c) in layout.pos.items():
+        on = (r % 3 < groups[0, r // 3]) & (c % 3 < groups[1, c // 3])
+        masks |= on.astype(np.int64) << bit
+    return counts, masks
 
 
 def _plan(
@@ -476,23 +536,18 @@ def _plan(
         forced[f.target] = f.forced_output.value
     targets = sorted(repairs, key=_BIT.__getitem__)
     if not forced and not targets:
-        return layout.plain
-
-    grid = layout.pos
-    bits = layout.plain.bits.copy()
+        return _PLAIN
     repaired = tuple((t, _BIT[t], _BIT[SPARE_IDS[t.quadrant]]) for t in targets)
-    for _, target, spare in repaired:
-        bits[grid[target]] = spare
-    live = {m: v for m, v in forced.items() if m not in targets}
-    if not live:
-        return _Plan(bits, None, None, 0, repaired)
-    faulty = np.zeros(bits.shape, dtype=bool)
-    values = np.zeros(bits.shape, dtype=np.int64)
-    for mid, value in live.items():
-        faulty[grid[_BIT[mid]]] = True
-        values[grid[_BIT[mid]]] = value
-    fault_bits = sum(1 << _BIT[m] for m in live)
-    return _Plan(bits, faulty, values, fault_bits, repaired)
+    live = sorted((_BIT[m], v) for m, v in forced.items() if m not in targets)
+    placed = []
+    for bit, value in live:
+        r, c = layout.pos[bit]
+        i, j = r % 3, c % 3
+        placed.append(_Fault(
+            bit, r, c // 3, layout.halves * (r // 3) + c // 3,
+            0xF000 | 0xF << 4 * j, 4 * i, value << 4 * (i + j),
+        ))
+    return _Plan(tuple(placed), sum(1 << bit for bit, _ in live), repaired)
 
 
 def _plan24(
@@ -528,34 +583,43 @@ def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig, gating: bool) -> 
 
 def _blocks(
     layout: _Layout, plan: _Plan, ab: np.ndarray, gating: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One engine pass over a (2, n) array of operand pairs.
 
-    Returns products, energised and unrepaired masks, and the (g, g, n)
-    mul4 table index of every grid block. The width checkers' rule: group i
-    of a 12-bit half is powered when the half shifted right by 4*i is
-    non-zero (its class exceeds 4*i). Group 0 of the low half is powered even
-    for zero, since class 4 is the narrowest; a zero high half is cut off
-    whole by the outer checker, which is the same as all its groups dark.
+    Returns products, energised and unrepaired masks. One gather of the
+    row-sum table gives every (a group, b half) row of blocks, and one of
+    the power-pattern table the energised masks. A gated block's operand
+    group is zero, so its product is zero and the row sums need no gating.
+    Each powered repaired target hands its mask bit to its spare, which
+    computes the true product. Each live fault that is powered adds its
+    forced value minus the true block product to its quadrant, which then
+    sums modulo 2**24; without one, no quadrant can wrap.
     """
-    shifted = ab[:, None, :] >> layout.group_shift
-    groups = shifted & 0xF
-    idx = (groups[1] << 4)[None, :, :] | groups[0][:, None, :]
-    value = _mul4_tables()[0][idx]
+    n = ab.shape[1]
+    halves = ab[:, None, :] >> layout.half_shift & 0xFFF             # (2, h, n)
+    rows = halves[0][:, None, :] << _GROUP_UP & 0xF000               # (h, 3, n)
+    index = rows.reshape(-1, 1, n) | halves[1]                       # (g, h, n)
+    table = _row_sums()
+    sums = table.take(index)
+    counts, masks = _power_tables(layout)
     if gating:
-        powered = (shifted & layout.group_mask) != 0
-        powered[:, 0] = True
-        on = powered[0][:, None, :] & powered[1][None, :, :]
-        value *= on
+        energised = masks.take(layout.pattern_weight @ counts.take(halves).reshape(-1, n))
     else:
-        on = np.ones(idx.shape, dtype=bool)
-    if plan.faulty is not None:
-        value = np.where(plan.faulty & on, plan.forced, value)
+        energised = np.full(n, masks[-1])
+    for _, target, spare in plan.repaired:
+        energised ^= (energised >> target & 1) * (1 << target | 1 << spare)
+    if not plan.faults:
+        products = layout.row_weight @ sums.reshape(-1, n)
+        return products, energised, energised & plan.fault_bits
     h = layout.halves
-    quads = (value << layout.block_shift).reshape(h, 3, h, 3, -1).sum(axis=(1, 3))
-    products = ((quads & 0xFFFFFF) << layout.quad_shift).sum(axis=(0, 1)) & _MASK48
-    energised = (on << plan.bits).sum(axis=(0, 1))
-    return products, energised, energised & plan.fault_bits, idx
+    quads = (_ROW_WEIGHT @ sums.reshape(h, 3, h * n)).reshape(h * h, n)
+    for f in plan.faults:
+        # the row sum of a group r and b group j alone is the true block product
+        # at weight 4*j; in int32, as every value here is below 256 << 16
+        wrong = f.forced - (table.take(index[f.row, f.half] & f.keep) << f.shift)
+        quads[f.quad] += wrong * (energised >> f.bit & 1)
+    products = layout.quad_weight @ (quads & 0xFFFFFF) & _MASK48
+    return products, energised, energised & plan.fault_bits
 
 
 def _run_batch(
@@ -565,7 +629,7 @@ def _run_batch(
     out = np.empty((3, a.size), dtype=np.int64)
     for lo in range(0, a.size, CHUNK):
         chunk = slice(lo, lo + CHUNK)
-        out[:, chunk] = _blocks(layout, plan, ab[:, chunk], gating)[:3]
+        out[:, chunk] = _blocks(layout, plan, ab[:, chunk], gating)
     return BlockBatch(*(row.reshape(a.shape) for row in out))
 
 
@@ -583,7 +647,7 @@ class _Partition(NamedTuple):
     """The blocks one power pattern switches on, and the report sets it implies."""
 
     ids: tuple[ModuleId, ...]       # powered grid blocks, lowest mask bit first
-    flat: np.ndarray                # their flat grid positions, g*row + col
+    shifts: tuple[tuple[int, int], ...]  # their operand groups' offsets 4*row, 4*col
     active: frozenset[ModuleId]     # the same blocks as a set
     gated: frozenset[ModuleId]      # every other block of the layout, spares included
 
@@ -599,12 +663,10 @@ def _partition(layout: _Layout, mask: int) -> _Partition:
     9 for mul12.
     """
     bits = _set_bits(mask)
-    g = 3 * layout.halves
-    flat = np.array([g * r + c for r, c in map(layout.pos.get, bits)], dtype=np.intp)
-    flat.flags.writeable = False        # shared by every call with this pattern
     ids = tuple(BLOCK_IDS[k] for k in bits)
+    shifts = tuple((4 * r, 4 * c) for r, c in map(layout.pos.get, bits))
     active = frozenset(ids)
-    return _Partition(ids, flat, active, layout.ids - active)
+    return _Partition(ids, shifts, active, layout.ids - active)
 
 
 def _run_scalar(
@@ -614,20 +676,23 @@ def _run_scalar(
 
     Each powered spare is turned back into the block it stands in for, which
     leaves the call's power pattern; :func:`_partition` caches that
-    pattern's block ids, their grid positions and its active and gated sets.
-    A call without repairs only reads the adder levels at those positions.
-    A repaired call also reports each powered target under its spare and
-    works out its disabled and gated sets, for at most four quadrants.
+    pattern's block ids, their operand group offsets and its active and
+    gated sets. A call without repairs only looks up the adder levels of
+    those blocks. A repaired call also reports each powered target under its
+    spare and works out its disabled and gated sets, for at most four
+    quadrants.
     """
-    products, energised, unrepaired, idx = _blocks(
-        layout, plan, np.array([[x], [y]]), gating
-    )
+    products, energised, unrepaired = _blocks(layout, plan, np.array([[x], [y]]), gating)
     mask = int(energised[0])
     for _, target, spare in plan.repaired:
         if mask >> spare & 1:
             mask ^= 1 << spare | 1 << target
     part = _partition(layout, mask)
-    levels = dict(zip(part.ids, _mul4_tables()[1][idx.ravel()[part.flat]].tolist()))
+    table = _mul4_tables()[1]
+    levels = {
+        m: table[(y >> c & 0xF) << 4 | (x >> r & 0xF)]
+        for m, (r, c) in zip(part.ids, part.shifts)
+    }
     faulty = ()
     if plan.fault_bits:
         faulty = tuple(BLOCK_IDS[k] for k in _set_bits(int(unrepaired[0])))
@@ -827,13 +892,13 @@ def export_netlist(level: str) -> CellNetlist:
 #   outer checker over [12,24]:    one 12-bit group detect
 #   power switch: 1 cell per gateable block (spares included)
 #   repair: per quadrant, a 9-way target decode, operand steering onto the
-#     spare (2 operands x 4 bits x 8 mux cells) and per-bit product
-#     substitution (9 blocks x 8 bits)
+#     spare (2 operands x 4 bits x 8 mux cells), per-bit product
+#     substitution (9 blocks x 8 bits) and 1 repair-enable cell
 _ZERO4 = 3 + 1
 _ZERO12 = 11 + 1
 _CHECKER12 = 2 * _ZERO4 + 3
 _CHECKER12_DEPTH = 3 + 1            # OR tree depth 2 + inverter + encode
-_REPAIR_PER_QUADRANT = 9 + 2 * 4 * 8 + 9 * 8 + 1
+_REPAIR_PER_QUADRANT = 9 + 2 * 4 * 8 + 9 * 8 + 1    # decode, steering, substitution, enable
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,8 @@ class RevLine:
     const: int | None = None         # for ancillas, 0 or 1, stored as an int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tag, LineTag):
+            raise ValueError(f"line tag must be a LineTag, got {self.tag!r}")
         if self.tag is LineTag.PRIMARY_INPUT and self.name is None:
             raise ValueError("primary input line needs a name")
         if self.tag is LineTag.ANCILLA:

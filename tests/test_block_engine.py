@@ -5,6 +5,10 @@ formula written out here; the engine's width classification is checked
 against the scalar ``classify_width`` in ``width_oracle``.
 """
 
+import itertools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from cifm.multiplier import (
     FaultSpec,
     Quadrant,
     RepairConfig,
+    _row_sums,
     mul4,
     mul12,
     mul12_batch,
@@ -147,22 +152,83 @@ def test_power_proxy_is_rows_times_cols_of_live_quadrants():
     assert np.all(mul24_batch(a, b, gating=False).energised == (1 << 36) - 1)
 
 
+def _classified(x: int, y: int, width: int = 24) -> int:
+    """The energised mask that the paper's width classes give a gated pair."""
+    outer_a = width == 12 or classify_width(BitVec(x, 24), OUTER_CLASSES) == 24
+    outer_b = width == 12 or classify_width(BitVec(y, 24), OUTER_CLASSES) == 24
+    want = 0
+    for name, (ha, hb) in HALVES.items() if width == 24 else [("LL", (0, 0))]:
+        if (ha and not outer_a) or (hb and not outer_b):
+            continue
+        xh, yh = _halves(x, y, ha, hb)
+        rows = classify_width(BitVec(xh, 12), INNER_CLASSES) // 4
+        cols = classify_width(BitVec(yh, 12), INNER_CLASSES) // 4
+        for (i, j), mid in GRID_IDS[Quadrant(name)].items():
+            want |= (i < rows and j < cols) << _bit(mid)
+    return want
+
+
 def test_energised_blocks_follow_classify_width():
     a, b = _operands(6, 500)
     r = mul24_batch(a, b)
     for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
-        outer_a = classify_width(BitVec(x, 24), OUTER_CLASSES) == 24
-        outer_b = classify_width(BitVec(y, 24), OUTER_CLASSES) == 24
-        want = 0
-        for name, (ha, hb) in HALVES.items():
-            if (ha and not outer_a) or (hb and not outer_b):
-                continue
-            xh, yh = _halves(x, y, ha, hb)
-            rows = classify_width(BitVec(xh, 12), INNER_CLASSES) // 4
-            cols = classify_width(BitVec(yh, 12), INNER_CLASSES) // 4
-            for (i, j), mid in GRID_IDS[Quadrant(name)].items():
-                want |= (i < rows and j < cols) << _bit(mid)
-        assert int(r.energised[k]) == want
+        assert int(r.energised[k]) == _classified(x, y)
+
+
+def _half_with_groups(rng: np.random.Generator, groups: int) -> int:
+    """A random 12-bit half whose top non-zero 4-bit group is ``groups - 1``
+    (zero for 0 groups)."""
+    if groups == 0:
+        return 0
+    top = int(rng.integers(1, 16)) << 4 * (groups - 1)
+    return top | int(rng.integers(0, 1 << 4 * (groups - 1)))
+
+
+@pytest.mark.parametrize("width", [24, 12])
+def test_every_power_pattern(width):
+    """One pair for each count of powered groups (0-3) in each operand half:
+    16 x 16 pairs for mul24 and 4 x 4 for mul12. A zero low half powers its
+    group 0 like a one-group half, which leaves 144 and 9 power patterns."""
+    rng = np.random.default_rng(13)
+    halves = width // 12
+    counts = list(itertools.product(range(4), repeat=halves))
+    operands = []
+    for ca, cb in itertools.product(counts, repeat=2):
+        x = y = 0
+        for h in range(halves):
+            x |= _half_with_groups(rng, ca[h]) << 12 * h
+            y |= _half_with_groups(rng, cb[h]) << 12 * h
+        operands.append((x, y))
+    a, b = (np.array(v) for v in zip(*operands))
+    batch = mul24_batch if width == 24 else mul12_batch
+    r = batch(a, b)
+    for k, (x, y) in enumerate(operands):
+        assert int(r.energised[k]) == _classified(x, y, width), (hex(x), hex(y))
+        assert int(r.products[k]) == x * y
+    assert len(set(r.energised.tolist())) == (144 if width == 24 else 9)
+    placed = BLOCK_IDS[:36] if width == 24 else GRID_IDS[Quadrant.LL].values()
+    grid = sum(1 << _bit(m) for m in placed)
+    assert np.all(batch(a, b, gating=False).energised == grid)
+
+
+def test_import_builds_no_table():
+    code = (
+        "import cifm; from cifm import multiplier as m; "
+        "print(*(f.cache_info().currsize for f in "
+        "(m._mul4_tables, m._row_sums, m._power_tables)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0", "0", "0"]
+
+
+def test_row_sums_are_group_times_half():
+    """Entry a << 12 | b of the row-sum table is a * b: it is built from the
+    mul4 netlist's truth table, so a wrong table would show here."""
+    a = np.arange(16)[:, None]
+    b = np.arange(1 << 12)[None, :]
+    assert np.array_equal(_row_sums(), (a * b).ravel())
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
@@ -259,3 +325,98 @@ def test_gating_that_is_not_a_bool_is_value_error(gating):
     for fn in (mul12_batch, mul24_batch):
         with pytest.raises(ValueError, match="gating"):
             fn([1], [1], gating=gating)
+
+
+def _composed(x, y, quads, forced, repaired, gating) -> tuple[int, int, int]:
+    """(product, unrepaired mask, quadrant wraps) summed block by block.
+
+    ``forced`` maps (quadrant name, i, j) to a stuck output; the blocks in
+    ``repaired`` compute their true product on the spare. Each quadrant sums
+    its nine block products modulo 2**24.
+    """
+    product = unrepaired = wraps = 0
+    for name in quads:
+        ha, hb = HALVES[name]
+        xh, yh = _halves(x, y, ha, hb)
+        quad = 0
+        for i in range(3):
+            for j in range(3):
+                block = ((xh >> 4 * i) & 0xF) * ((yh >> 4 * j) & 0xF)
+                key = (name, i, j)
+                if key in forced and key not in repaired and _block_on(
+                    x, y, ha, hb, i, j, gating
+                ):
+                    block = forced[key]
+                    unrepaired |= 1 << _bit(GRID_IDS[Quadrant(name)][(i, j)])
+                quad += block << 4 * (i + j)
+        wraps += quad >= 2**24
+        product += (quad % 2**24) << 12 * (ha + hb)
+    return product % 2**48, unrepaired, wraps
+
+
+# (faults as (quadrant, i, j, forced), the repaired subset of their positions)
+COMPOSED = [
+    ([("LL", 0, 0, 0xFF), ("LL", 2, 2, 0xFF)], []),
+    ([("HH", 1, 1, 0x00), ("HH", 2, 2, 0xFF), ("HH", 2, 0, 0xA5)], [("HH", 2, 2)]),
+    ([("LL", 2, 2, 0xFF), ("HL", 1, 2, 0x5A), ("HH", 2, 1, 0xFF)], [("HL", 1, 2)]),
+    ([("LH", 2, 2, 0xFF), ("HH", 0, 2, 0x11)], [("LH", 2, 2), ("HH", 0, 2)]),
+    ([("LH", 0, 1, 0xFF), ("HL", 2, 2, 0xFF), ("HH", 2, 2, 0xFF)], []),
+]
+
+
+def _plan_of(case):
+    faults, repaired = case
+    specs = [FaultSpec(GRID_IDS[Quadrant(q)][(i, j)], v) for q, i, j, v in faults]
+    repair = {
+        Quadrant(q): RepairConfig(enabled=True, target=GRID_IDS[Quadrant(q)][(i, j)])
+        for q, i, j in repaired
+    }
+    forced = {(q, i, j): v for q, i, j, v in faults}
+    return specs, repair, forced, set(repaired)
+
+
+@pytest.mark.parametrize("gating", [True, False])
+def test_faults_compose_in_mul24(gating):
+    a, b = _operands(11, 400)
+    wraps = 0
+    for case in COMPOSED:
+        specs, repair, forced, repaired = _plan_of(case)
+        r = mul24_batch(a, b, faults=specs, repair=repair or None, gating=gating)
+        for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+            want, mask, wrapped = _composed(x, y, HALVES, forced, repaired, gating)
+            wraps += wrapped
+            assert int(r.products[k]) == want, (case, hex(x), hex(y))
+            assert int(r.unrepaired[k]) == mask
+            if k % 10 == 0:
+                s = mul24(x, y, faults=specs, repair=repair or None, gating=gating)
+                assert int(s.product) == want
+                assert s.unrepaired_faults == tuple(
+                    m for n, m in enumerate(BLOCK_IDS) if mask >> n & 1
+                )
+    assert wraps > 0                        # the quadrant's mod-2**24 wrap was exercised
+
+
+@pytest.mark.parametrize("gating", [True, False])
+@pytest.mark.parametrize("repaired", [None, (0, 0), (2, 2)])
+def test_faults_compose_in_mul12(gating, repaired):
+    a, b = _operands(12, 400, width=12)
+    faults = [("LL", 0, 0, 0x3C), ("LL", 2, 2, 0xFF), ("LL", 1, 2, 0xFF)]
+    specs, _, forced, _ = _plan_of((faults, []))
+    repair, fixed = RepairConfig(), set()
+    if repaired is not None:
+        repair = RepairConfig(enabled=True, target=GRID_IDS[Quadrant.LL][repaired])
+        fixed = {("LL",) + repaired}
+    r = mul12_batch(a, b, faults=specs, repair=repair, gating=gating)
+    wraps = 0
+    for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        want, mask, wrapped = _composed(x, y, ["LL"], forced, fixed, gating)
+        wraps += wrapped
+        assert int(r.products[k]) == want, (hex(x), hex(y))
+        assert int(r.unrepaired[k]) == mask
+        if k % 10 == 0:
+            s = mul12(x, y, faults=specs, repair=repair, gating=gating)
+            assert int(s.product) == want
+            assert s.unrepaired_faults == tuple(
+                m for n, m in enumerate(BLOCK_IDS) if mask >> n & 1
+            )
+    assert wraps > 0

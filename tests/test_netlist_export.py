@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cifm import multiplier
 from cifm.bitcore import CellNetlist
 from cifm.multiplier import cost_report, export_netlist, mul24
 from cifm.revlogic import RevNetlist, expand, simulate
@@ -105,6 +106,29 @@ def test_cost_report_flag_that_is_not_a_bool_is_value_error(flag):
         cost_report("mul4", with_features=flag)
     assert cost_report("mul4", with_features=np.False_).feature_cells == 0
     assert cost_report("mul4", with_features=np.True_).feature_cells == 24
+
+
+def test_feature_constants_follow_the_primitive_counts():
+    """The hand-summed feature constants, recomputed from the cost model's
+    primitive counts (one cell each)."""
+
+    def zero_detect(bits: int) -> int:
+        return (bits - 1) + 1               # (n-1) OR cells + 1 inverter
+
+    checker12 = 2 * zero_detect(4) + 3      # two group detects + 3 class-encode cells
+    decode = 9                              # 9-way target decode
+    steering = 2 * 4 * 8                    # 2 operands x 4 bits x 8 mux cells
+    substitution = 9 * 8                    # 9 blocks x 8 product bits
+    enable = 1                              # the repair-enable cell
+    repair = decode + steering + substitution + enable
+    assert multiplier._ZERO12 == zero_detect(12) == 12
+    assert multiplier._CHECKER12 == checker12 == 11
+    assert multiplier._REPAIR_PER_QUADRANT == repair == 146
+    # one quadrant: an inner checker per operand, a power switch for each of
+    # its nine blocks and its spare, the repair logic and the spare itself
+    spare = export_netlist("mul4").cell_count()
+    want = 2 * checker12 + 10 + repair + spare
+    assert cost_report("mul12", with_features=True).feature_cells == want
 
 
 def test_feature_cost_counts():

@@ -423,3 +423,12 @@ def test_ancilla_line_stores_a_numpy_constant_as_an_int():
     for bad in (2, True, None, 0.0):
         with pytest.raises(ValueError):
             RevLine(LineTag.ANCILLA, const=bad)
+
+
+@pytest.mark.parametrize("tag", ["bogus", "ancilla", None, 1], ids=repr)
+def test_line_tag_that_is_not_a_line_tag_is_value_error(tag):
+    # a bad tag used to be stored, and to_json later raised AttributeError
+    with pytest.raises(ValueError, match="tag"):
+        RevLine(tag, const=7)
+    with pytest.raises(ValueError, match="tag"):
+        RevLine(tag, name="x")

@@ -1,7 +1,8 @@
 """Scalar width classifier: the tests' oracle for the datapath's width checkers.
 
-The library gates blocks with its own rule (``multiplier._Layout.group_mask``);
-this independent statement of the paper's width classes checks it.
+The library gates blocks with its own rule, which lives only where the
+power-pattern table is made (``multiplier._power_tables``); this independent
+statement of the paper's width classes checks it.
 """
 
 from typing import Sequence
