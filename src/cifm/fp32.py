@@ -40,6 +40,7 @@ from .multiplier import (
     MulResult,
     Quadrant,
     RepairConfig,
+    _plan24,
     mul24,
     mul24_batch,
 )
@@ -220,7 +221,9 @@ def fp_mul(
     """Multiply two float32 bit patterns through the block datapath.
 
     Each operand is a 32-bit BitVec or an int in 0..2**32-1; anything else
-    raises ValueError, as does a ``rounding`` that is not a Rounding. The
+    raises ValueError, as do a ``rounding`` that is not a Rounding and
+    ``faults`` or ``repair`` that :func:`cifm.multiplier.mul24` rejects,
+    whatever the operands' classes. The
     trace records every stage; for many pairs, :func:`fp_mul_batch` gives
     the same products without traces.
     """
@@ -238,6 +241,7 @@ def fp_mul(
 
     label, bits, signed = _SPECIALS[4 * ca + cb]
     if label is not None:
+        _plan24(faults, repair, True)       # bad faults or repair raise here too
         return BitVec(bits | (sign << 31) * signed, 32), FpMulTrace(
             a=pa, b=pb, special=label, flushed_inputs=tuple(flushed)
         )

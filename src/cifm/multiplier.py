@@ -39,11 +39,14 @@ quadrant, which wraps modulo 2**24. Besides the products and the powered
 mask, the engine returns per pair the mask of the faulty blocks that drove
 their forced value. Batches run in chunks of
 :data:`CHUNK` pairs, which bounds the temporaries. The tables are built on
-first use, never at import. :func:`mul12` and :func:`mul24` run a batch of
-one and build its :class:`ActivityReport` from the partition of the blocks
-for the call's power pattern (which grid blocks are powered), cached per
-pattern: 144 for mul24 and 9 for mul12, whatever the operand values, faults
-and repairs.
+first use, never at import.
+
+:func:`mul12` and :func:`mul24` run the same rule for one pair on Python
+ints, reading the same tables through zero-copy memoryviews, since numpy's
+per-call cost would dominate one pair. They build the call's
+:class:`ActivityReport` from the partition of the blocks for its power
+pattern (which grid blocks are powered), cached per pattern: 144 for mul24
+and 9 for mul12, whatever the operand values, faults and repairs.
 """
 
 from __future__ import annotations
@@ -669,33 +672,63 @@ def _partition(layout: _Layout, mask: int) -> _Partition:
     return _Partition(ids, shifts, active, layout.ids - active)
 
 
+@functools.cache
+def _views(layout: _Layout) -> tuple[memoryview, memoryview, memoryview]:
+    """The row-sum table and ``layout``'s power tables as zero-copy views.
+
+    Indexing a view returns a Python int, so a scalar call reads the batch
+    engine's tables without numpy's per-call cost and without a copy.
+    """
+    counts, masks = _power_tables(layout)
+    return memoryview(_row_sums()), memoryview(counts), memoryview(masks)
+
+
 def _run_scalar(
     layout: _Layout, plan: _Plan, x: int, y: int, gating: bool
 ) -> tuple[int, ActivityReport, tuple[ModuleId, ...]]:
-    """A batch of one, with its masks turned into an ActivityReport.
+    """One pair through the engine's tables on Python ints, and its ActivityReport.
 
-    Each powered spare is turned back into the block it stands in for, which
-    leaves the call's power pattern; :func:`_partition` caches that
-    pattern's block ids, their operand group offsets and its active and
-    gated sets. A call without repairs only looks up the adder levels of
-    those blocks. A repaired call also reports each powered target under its
-    spare and works out its disabled and gated sets, for at most four
-    quadrants.
+    The same rule as :func:`_blocks`, for one pair: the power pattern of the
+    operand halves picks the energised mask, three row sums make each
+    quadrant, each powered live fault adds its forced value minus the true
+    block product to its quadrant, and the quadrants sum modulo 2**24 each.
+    The mask is the call's power pattern with no spare in use;
+    :func:`_partition` caches that pattern's block ids, their operand group
+    offsets and its active and gated sets. A call without repairs only looks
+    up the adder levels of those blocks. A repaired call also reports each
+    powered target under its spare and works out its disabled and gated
+    sets, for at most four quadrants.
     """
-    products, energised, unrepaired = _blocks(layout, plan, np.array([[x], [y]]), gating)
-    mask = int(energised[0])
-    for _, target, spare in plan.repaired:
-        if mask >> spare & 1:
-            mask ^= 1 << spare | 1 << target
+    sums, counts, masks = _views(layout)
+    h = layout.halves
+    groups = [(x >> 4 * r & 0xF) << 12 for r in range(3 * h)]   # row r's a group
+    ys = [y >> 12 * k & 0xFFF for k in range(h)]
+    mask = masks[-1]
+    if gating:
+        pattern = 0
+        for k, half in enumerate([x >> 12 * k & 0xFFF for k in range(h)] + ys):
+            pattern += counts[half] << 2 * k
+        mask = masks[pattern]
+    quads = [                           # quadrant (ha, hb) at h*ha + hb
+        sums[groups[r] | yh] + (sums[groups[r + 1] | yh] << 4)
+        + (sums[groups[r + 2] | yh] << 8)
+        for r in range(0, 3 * h, 3)
+        for yh in ys
+    ]
+    for f in plan.faults:
+        if mask >> f.bit & 1:
+            true = sums[(groups[f.row] | ys[f.half]) & f.keep] << f.shift
+            quads[f.quad] += f.forced - true
+    product = 0
+    for k, quad in enumerate(quads):
+        product += (quad & 0xFFFFFF) << 12 * (k // h + k % h)
     part = _partition(layout, mask)
     table = _mul4_tables()[1]
     levels = {
         m: table[(y >> c & 0xF) << 4 | (x >> r & 0xF)]
         for m, (r, c) in zip(part.ids, part.shifts)
     }
-    faulty = ()
-    if plan.fault_bits:
-        faulty = tuple(BLOCK_IDS[k] for k in _set_bits(int(unrepaired[0])))
+    faulty = tuple(BLOCK_IDS[k] for k in _set_bits(mask & plan.fault_bits))
     active, gated, disabled = part.active, part.gated, frozenset()
     if plan.repaired:
         disabled = frozenset(
@@ -712,7 +745,7 @@ def _run_scalar(
         disabled_faulty=disabled,
         adder_levels_active=levels,
     )
-    return int(products[0]), report, faulty
+    return product & _MASK48, report, faulty
 
 
 # ---------------------------------------------------------------------------

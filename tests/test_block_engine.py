@@ -28,6 +28,7 @@ from cifm.multiplier import (
     mul24,
     mul24_batch,
 )
+from cifm.verify import BOUNDARY_VALUES
 from width_oracle import INNER_CLASSES, OUTER_CLASSES, classify_width
 
 # (a half, b half) of each quadrant
@@ -200,11 +201,12 @@ def test_every_power_pattern(width):
             y |= _half_with_groups(rng, cb[h]) << 12 * h
         operands.append((x, y))
     a, b = (np.array(v) for v in zip(*operands))
-    batch = mul24_batch if width == 24 else mul12_batch
+    scalar, batch = (mul24, mul24_batch) if width == 24 else (mul12, mul12_batch)
     r = batch(a, b)
     for k, (x, y) in enumerate(operands):
         assert int(r.energised[k]) == _classified(x, y, width), (hex(x), hex(y))
         assert int(r.products[k]) == x * y
+        assert scalar(x, y).activity.active_mul4 == _ids(int(r.energised[k]))
     assert len(set(r.energised.tolist())) == (144 if width == 24 else 9)
     placed = BLOCK_IDS[:36] if width == 24 else GRID_IDS[Quadrant.LL].values()
     grid = sum(1 << _bit(m) for m in placed)
@@ -215,12 +217,12 @@ def test_import_builds_no_table():
     code = (
         "import cifm; from cifm import multiplier as m; "
         "print(*(f.cache_info().currsize for f in "
-        "(m._mul4_tables, m._row_sums, m._power_tables)))"
+        "(m._mul4_tables, m._row_sums, m._power_tables, m._views)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "0"]
 
 
 def test_row_sums_are_group_times_half():
@@ -247,31 +249,53 @@ def test_batch_size_does_not_matter(n):
         assert int(part.products[k]) == _faulted(x, y, 0, 0, 1, 1, 0x00, True)[0]
 
 
+def _ids(mask: int) -> set:
+    return {m for n, m in enumerate(BLOCK_IDS) if mask >> n & 1}
+
+
 def test_scalar_is_element_k_of_the_batch():
-    a, b = _operands(8, 300)
-    target = GRID_IDS[Quadrant.LH][(2, 0)]
-    fault = [FaultSpec(target, 0x3C)]
-    spare_in = {Quadrant.LH: RepairConfig(enabled=True, target=target)}
-    plans = [((), None), (fault, None), (fault, spare_in)]
-    for faults, repair in plans:
+    """Scalar mul24/mul12 against the batch engine pair by pair, on random and
+    boundary pairs: a fault at every position, repaired or not, and no fault,
+    with gating on and off. The batch's masks give the product, the three
+    activity sets and the unrepaired faults; a repaired target is disabled
+    when its quadrant is powered."""
+    for width in (24, 12):
+        _scalar_matches_batch(width)
+
+
+def _scalar_matches_batch(width: int) -> None:
+    a, b = _operands(8, 300, width)
+    edge = [v for v in BOUNDARY_VALUES if v < 1 << width]
+    edge_a, edge_b = zip(*itertools.product(edge, repeat=2))
+    a = np.concatenate([a[::7], edge_a])
+    b = np.concatenate([b[::7], edge_b])
+    quads = list(Quadrant) if width == 24 else [Quadrant.LL]
+    ids = {m for q in quads for m in (*GRID_IDS[q].values(), SPARE_IDS[q])}
+    scalar, batch = (mul24, mul24_batch) if width == 24 else (mul12, mul12_batch)
+    plans = [((), None)]
+    for n, target in enumerate(t for q in quads for t in GRID_IDS[q].values()):
+        fault = [FaultSpec(target, FORCED[n % len(FORCED)])]
+        plans += [(fault, None), (fault, target)]
+    for faults, fixed in plans:
+        if width == 12:
+            repair = RepairConfig(enabled=fixed is not None, target=fixed)
+        else:
+            repair = {fixed.quadrant: RepairConfig(enabled=True, target=fixed)} if fixed else None
         for gating in (True, False):
-            r = mul24_batch(a, b, faults=faults, repair=repair, gating=gating)
-            for k in range(0, a.size, 7):
-                x, y = int(a[k]), int(b[k])
-                s = mul24(x, y, faults=faults, repair=repair, gating=gating)
-                mask = int(r.energised[k])
-                assert int(s.product) == int(r.products[k])
-                assert s.activity.active_mul4 == {
-                    m for n, m in enumerate(BLOCK_IDS) if mask >> n & 1
+            r = batch(a, b, faults, repair, gating=gating)
+            for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+                s = scalar(x, y, faults, repair, gating=gating)
+                active = _ids(int(r.energised[k]))
+                disabled = {
+                    t for t in [fixed] if t and any(m.quadrant is t.quadrant for m in active)
                 }
+                assert int(s.product) == int(r.products[k]), (faults, fixed, gating, x, y)
+                assert s.activity.active_mul4 == active
+                assert s.activity.disabled_faulty == disabled
+                assert s.activity.gated_mul4 == ids - active - disabled
                 assert s.unrepaired_faults == tuple(
                     m for n, m in enumerate(BLOCK_IDS) if int(r.unrepaired[k]) >> n & 1
                 )
-    r = mul12_batch(a & 0xFFF, b & 0xFFF)
-    s = mul12(int(a[9]) & 0xFFF, int(b[9]) & 0xFFF)
-    assert s.activity.active_mul4 == {
-        m for n, m in enumerate(BLOCK_IDS) if int(r.energised[9]) >> n & 1
-    }
 
 
 def test_batch_keeps_the_operand_shape():

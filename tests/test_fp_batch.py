@@ -163,6 +163,30 @@ def test_numpy_integer_operands_are_accepted():
     assert softfloat_mul(np.uint64(0x40000000), np.int16(0)) == 0
 
 
+BAD_PLANS = {
+    "fault-not-a-spec": dict(faults=[1]),
+    "faults-not-iterable": dict(faults=5),
+    "duplicate-fault": dict(faults=[FaultSpec(TARGET, 0), FaultSpec(TARGET, 1)]),
+    "repair-not-a-mapping": dict(repair=[1]),
+    "repair-not-a-config": dict(repair={Quadrant.HH: 1}),
+    "repair-misfiled": dict(repair={Quadrant.LL: RepairConfig(enabled=True, target=TARGET)}),
+}
+
+
+@pytest.mark.parametrize("special", SPECIAL_OPERANDS[:9] + (0x3F800000,), ids=hex)
+@pytest.mark.parametrize("plan", sorted(BAD_PLANS))
+def test_bad_faults_or_repair_raise_whatever_the_operands(plan, special):
+    """Zeros, subnormals, infinities and NaNs skip the datapath, but not the
+    check of its fault and repair arguments, in scalar and batch alike."""
+    kwargs = BAD_PLANS[plan]
+    with pytest.raises(ValueError):
+        fp_mul(special, 0x3F800000, **kwargs)
+    with pytest.raises(ValueError):
+        fp_mul(0x3F800000, special, **kwargs)
+    with pytest.raises(ValueError):
+        fp_mul_batch(special, 0x3F800000, **kwargs)
+
+
 @pytest.mark.parametrize("rounding", ["nearest-even", "truncate", None, True, 0], ids=repr)
 def test_rounding_that_is_not_a_rounding_is_value_error(rounding):
     # the enum's own value string used to truncate: 0x3FE38E39, not ...3A
