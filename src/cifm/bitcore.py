@@ -17,7 +17,8 @@ bit planes, bit v of a plane holding vector v's value (bitslicing), so
 every AND and XOR in a kernel works on a whole chunk of vectors. Batches
 run CHUNK_VECTORS vectors at a time; a scalar is a batch of one. Netlist
 evaluation accepts plain ints or numpy integer arrays for every input, so
-a single netlist can be swept over many operand pairs at once.
+a single netlist can be swept over many operand pairs at once. Every module
+checks integers with :func:`as_int`, named operands with :func:`named_values`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,25 @@ __all__ = [
 ]
 
 
+def as_int(x, name: str) -> int:
+    """``x`` as a Python int: an int or a numpy integer scalar, never a bool.
+    ValueError for anything else. The type only: callers check the range."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"{name} must be an int, got {type(x).__name__}")
+
+
+def named_values(values: Mapping, names: Sequence[str], what: str) -> list:
+    """``values[name]`` for each of ``names``, in order. ValueError unless
+    ``values`` is a mapping that holds every name; ``what`` names it."""
+    if not isinstance(values, Mapping):
+        raise ValueError(f"{what} must be a mapping, got {type(values).__name__}")
+    for name in names:
+        if name not in values:
+            raise ValueError(f"missing {name!r} in {what}")
+    return [values[name] for name in names]
+
+
 @dataclass(frozen=True)
 class BitVec:
     """An unsigned integer constrained to a fixed bit width."""
@@ -49,12 +69,10 @@ class BitVec:
     width: int
 
     def __post_init__(self) -> None:
-        if type(self.value) is not int:     # numpy ints are stored as ints
-            v = self.value
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"value must be an int, got {v!r}")
-            object.__setattr__(self, "value", int(v))
-        if type(self.width) is not int or self.width <= 0:     # bools fail this too
+        if type(self.value) is not int or type(self.width) is not int:
+            object.__setattr__(self, "value", as_int(self.value, "value"))
+            object.__setattr__(self, "width", as_int(self.width, "width"))
+        if self.width <= 0:
             raise ValueError(f"width must be a positive int, got {self.width!r}")
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(
@@ -247,20 +265,17 @@ def cached(owner, attr: str, key: tuple, build):
 
 
 def uint_value(x: BitVec | int, width: int, name: str) -> int:
-    """The value of one scalar operand: a ``width``-bit BitVec or a fitting int.
-
-    Raises ValueError for anything else: floats, strings, None, bools,
-    BitVecs of another width and ints outside 0..2**width-1.
-    """
-    if isinstance(x, BitVec):
-        if x.width != width:
-            raise ValueError(f"{name} must be {width} bits wide, got {x.width}")
-        return x.value
-    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
-        raise ValueError(f"{name} must be an int or a BitVec, got {type(x).__name__}")
+    """The value of one scalar operand: a ``width``-bit BitVec, or an int
+    (:func:`as_int`) in 0..2**width-1. ValueError for anything else."""
+    if type(x) is not int:
+        if isinstance(x, BitVec):
+            if x.width != width:
+                raise ValueError(f"{name} must be {width} bits wide, got {x.width}")
+            return x.value
+        x = as_int(x, name)
     if not 0 <= x < 1 << width:
-        raise ValueError(f"{name}={int(x):#x} does not fit in {width} bits")
-    return int(x)
+        raise ValueError(f"{name}={x:#x} does not fit in {width} bits")
+    return x
 
 
 def uint_rows(
@@ -369,6 +384,7 @@ class Cell:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, CellKind):
             raise ValueError(f"kind must be a CellKind, got {self.kind!r}")
+        object.__setattr__(self, "level", as_int(self.level, "level"))
         n_in, n_out = _CELL_ARITY[self.kind]
         if len(self.inputs) != n_in or len(self.outputs) != n_out:
             raise ValueError(
@@ -455,12 +471,7 @@ class CellNetlist:
     def _operand_rows(self, operands: Mapping) -> tuple[np.ndarray, tuple | None]:
         """Operand buses as int64 rows [buses x vectors], and the result shape
         (None when every operand is a scalar)."""
-        if not isinstance(operands, Mapping):
-            raise ValueError(f"operands must be a mapping, got {type(operands).__name__}")
-        for name, _ in self.inputs:
-            if name not in operands:
-                raise ValueError(f"missing operand {name!r}")
-        values = [operands[name] for name, _ in self.inputs]
+        values = named_values(operands, [name for name, _ in self.inputs], "operands")
         rows, shape = uint_rows(
             values, [len(nets) for _, nets in self.inputs], lambda i: self.inputs[i][0]
         )
@@ -525,6 +536,8 @@ class CellNetlist:
     def from_json(cls, doc: Mapping) -> "CellNetlist":
         """The netlist :meth:`to_json` wrote; ValueError for a malformed document."""
         try:
+            if any(d["width"] != len(d["nets"]) for d in doc["inputs"]):
+                raise ValueError("an input bus's width is not its number of nets")
             nl = cls(
                 inputs=[(d["name"], list(d["nets"])) for d in doc["inputs"]],
                 cells=[
@@ -539,7 +552,7 @@ class CellNetlist:
                 ],
                 outputs=[(d["name"], d["net"]) for d in doc["outputs"]],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed netlist document: {exc!r}") from None
         nl.validate()
         return nl

@@ -63,6 +63,7 @@ from .bitcore import (
     CellKind,
     CellNetlist,
     NetlistBuilder,
+    as_int,
     uint_rows,
     uint_value,
 )
@@ -133,13 +134,10 @@ class ModuleId:
     def __post_init__(self) -> None:
         if not isinstance(self.quadrant, Quadrant):
             raise ValueError(f"quadrant must be a Quadrant, got {self.quadrant!r}")
-        if any(
-            isinstance(v, bool) or not isinstance(v, (int, np.integer))
-            for v in (self.row, self.col)
-        ):
-            raise ValueError(f"row/col must be ints, got {self.row!r},{self.col!r}")
+        row, col = as_int(self.row, "row"), as_int(self.col, "col")
         redundant = _check_flag("redundant", self.redundant)
-        row, col = (0, 0) if redundant else (int(self.row), int(self.col))
+        if redundant:
+            row, col = 0, 0
         if not (0 <= row <= 2 and 0 <= col <= 2):
             raise ValueError(f"row/col must be in 0..2, got {row},{col}")
         # Stored as Python ints and a bool, so numpy inputs never reach JSON.
@@ -191,10 +189,8 @@ class FaultSpec:
             raise ValueError(f"fault target must be a ModuleId, got {self.target!r}")
         if self.target.redundant:
             raise ValueError("faults may only target non-redundant blocks")
-        if not isinstance(self.forced_output, BitVec):
-            object.__setattr__(self, "forced_output", BitVec(self.forced_output, 8))
-        if self.forced_output.width != 8:
-            raise ValueError("forced output must be 8 bits wide")
+        forced = uint_value(self.forced_output, 8, "forced output")
+        object.__setattr__(self, "forced_output", BitVec(forced, 8))
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,11 @@ from .bitcore import (
     CellNetlist,
     KernelPlan,
     anf_program,
+    as_int,
     cached,
     is_scalar_call,
     kernel,
+    named_values,
     run_kernels,
     truth_table,
     uint_rows,
@@ -79,9 +81,9 @@ class RevGate:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "arity", as_int(self.arity, "arity"))
         try:
-            size = 1 << self.arity
-            bijective = sorted(self.mapping) == list(range(size))
+            bijective = sorted(self.mapping) == list(range(1 << self.arity))
         except TypeError:
             bijective = False
         if not bijective:
@@ -139,8 +141,8 @@ class RevLine:
     def __post_init__(self) -> None:
         if not isinstance(self.tag, LineTag):
             raise ValueError(f"line tag must be a LineTag, got {self.tag!r}")
-        if self.tag is LineTag.PRIMARY_INPUT and self.name is None:
-            raise ValueError("primary input line needs a name")
+        if self.tag is LineTag.PRIMARY_INPUT and not isinstance(self.name, str):
+            raise ValueError(f"primary input line needs a str name, got {self.name!r}")
         if self.tag is LineTag.ANCILLA:
             const = uint_value(self.const, 1, "ancilla constant")
             object.__setattr__(self, "const", const)
@@ -172,12 +174,8 @@ class RevNetlist:
         return len(self.lines) - 1
 
     def _line(self, line: int) -> int:
-        """``line`` as an index into ``lines``; ValueError for anything but
-        an int in range."""
-        if type(line) is not int:       # bools fail this too
-            if not isinstance(line, np.integer):
-                raise ValueError(f"line index must be an int, got {type(line).__name__}")
-            line = int(line)
+        """``line`` as an index into ``lines``; ValueError unless an int in range."""
+        line = as_int(line, "line index")
         if not 0 <= line < len(self.lines):
             raise ValueError(f"line index {line} out of range")
         return line
@@ -191,6 +189,8 @@ class RevNetlist:
         self.gates.append(GateApp(gate, lines))
 
     def set_output(self, line: int, name: str) -> None:
+        if not isinstance(name, str):
+            raise ValueError(f"output name must be a str, got {name!r}")
         self.output_roles[self._line(line)] = (OutputRole.PRIMARY_OUTPUT, name)
 
     def outputs(self) -> list[tuple[str, int]]:
@@ -236,9 +236,11 @@ class RevNetlist:
                     raise ValueError(f"unknown gate {d['name']!r}; choose from {sorted(lib)}")
                 n.apply(lib[d["name"]], *d["lines"])
             for d in doc["output_roles"]:
-                role = OutputRole(d["role"])
-                n.output_roles[n._line(d["line"])] = (role, d.get("name"))
-        except (KeyError, TypeError, AttributeError) as exc:
+                if OutputRole(d["role"]) is OutputRole.PRIMARY_OUTPUT:
+                    n.set_output(d["line"], d.get("name"))
+                else:
+                    n.output_roles[n._line(d["line"])] = (OutputRole.GARBAGE, d.get("name"))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed circuit document: {exc!r}") from None
         return n
 
@@ -343,15 +345,10 @@ def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     it to :func:`simulate_inverse` whole. Raises ValueError for a missing
     input or a value other than 0 or 1.
     """
-    if not isinstance(inputs, Mapping):
-        raise ValueError(f"inputs must be a mapping, got {type(inputs).__name__}")
     compiled = _compiled(n)
-    for name in compiled.names:
-        if name not in inputs:
-            raise ValueError(f"missing value for input line {name!r}")
     values = _run_lines(
         compiled.forward,
-        [inputs[name] for name in compiled.names],
+        named_values(inputs, compiled.names, "inputs"),
         compiled.names.__getitem__,
     )
     outputs = {name: values[i] for name, i in n.outputs()}
@@ -393,9 +390,9 @@ def build_full_adder(variant: FullAdderVariant) -> RevNetlist:
     """One-bit full adder (inputs a, b, cin; outputs sum, carry)."""
     lib = _GATES
     n = RevNetlist()
+    a = n.add_input("a")
+    b = n.add_input("b")
     if variant is FullAdderVariant.TSG:
-        a = n.add_input("a")
-        b = n.add_input("b")
         z = n.add_ancilla(0)
         cin = n.add_input("cin")
         n.apply(lib["TSG"], a, b, z, cin)
@@ -404,8 +401,6 @@ def build_full_adder(variant: FullAdderVariant) -> RevNetlist:
     elif variant is FullAdderVariant.NG_NG_FEYNMAN:
         # NG half-adds a,b; a second NG half-adds (a xor b) with cin; a
         # Feynman folds the two part-carries together.
-        a = n.add_input("a")
-        b = n.add_input("b")
         z0 = n.add_ancilla(0)
         cin = n.add_input("cin")
         z1 = n.add_ancilla(0)
@@ -417,8 +412,6 @@ def build_full_adder(variant: FullAdderVariant) -> RevNetlist:
     elif variant is FullAdderVariant.NG_TOFFOLI_FEYNMAN:
         # NG half-adds a,b; a Toffoli accumulates the carry; a Feynman
         # finishes the sum.
-        a = n.add_input("a")
-        b = n.add_input("b")
         z = n.add_ancilla(0)
         cin = n.add_input("cin")
         n.apply(lib["NG"], a, b, z)         # b <- ab, z <- a^b
@@ -430,8 +423,6 @@ def build_full_adder(variant: FullAdderVariant) -> RevNetlist:
         # Serial five-gate conservative-logic chain: build (a^b, (a^b)'),
         # fork a working copy of that pair, fold in cin for the sum, then
         # select the carry with the pair as control.
-        a = n.add_input("a")
-        b = n.add_input("b")
         cin = n.add_input("cin")
         z0 = n.add_ancilla(0)
         z1 = n.add_ancilla(1)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fp32, softfloat
+from .bitcore import as_int
 from .multiplier import (  # noqa: F401  (perfbench wraps verify.mul12 by name)
     GRID_IDS,
     FaultSpec,
@@ -336,6 +337,4 @@ def run_suite(name: str, seed: int = 0) -> SuiteResult:
     """
     if not isinstance(name, str) or name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an int, got {type(seed).__name__}")
-    return SUITES[name](seed)
+    return SUITES[name](as_int(seed, "seed"))

@@ -1,7 +1,10 @@
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cifm.bitcore import (
     BitVec,
@@ -10,6 +13,10 @@ from cifm.bitcore import (
     CellNetlist,
     NetlistBuilder,
 )
+from cifm.fp32 import fp_mul
+from cifm.multiplier import GRID_IDS, FaultSpec, ModuleId, Quadrant, mul4, mul12, mul24
+from cifm.revlogic import LineTag, RevGate, RevLine, RevNetlist, gate_library
+from cifm.verify import SUITES, run_suite
 from width_oracle import classify_width
 
 
@@ -47,6 +54,72 @@ def test_bitvec_rejects_widths_that_are_not_positive_ints(width):
     # 8.5 and "8" used to raise TypeError, and True was taken as width 1
     with pytest.raises(ValueError, match="width"):
         BitVec(1, width)
+
+
+def _three_lines() -> RevNetlist:
+    n = RevNetlist()
+    for name in "xyz":
+        n.add_input(name)
+    return n
+
+
+def _applied_line(x) -> int:
+    n = _three_lines()
+    n.apply(gate_library()["NOT"], x)
+    return n.gates[0].lines[0]
+
+
+def _output_line(x) -> int:
+    n = _three_lines()
+    n.set_output(x, "p")
+    return n.outputs()[0][1]
+
+
+def _suite_seed(x) -> int:
+    with mock.patch.dict(SUITES, {"seed": lambda seed: seed}):
+        return run_suite("seed", x)
+
+
+# Every entry point that takes one scalar integer: (lowest, highest, a call
+# that returns the integer as stored or used).
+SCALAR_INTS = {
+    "bitvec-value": (0, 255, lambda x: BitVec(x, 8).value),
+    "bitvec-width": (1, 100, lambda x: BitVec(1, x).width),
+    "mul4-a": (0, 15, lambda x: mul4(x, 1).product.value),
+    "mul4-b": (0, 15, lambda x: mul4(1, x).product.value),
+    "mul12-a": (0, 2**12 - 1, lambda x: mul12(x, 1).product.value),
+    "mul12-b": (0, 2**12 - 1, lambda x: mul12(1, x).product.value),
+    "mul24-a": (0, 2**24 - 1, lambda x: mul24(x, 1).product.value),
+    "mul24-b": (0, 2**24 - 1, lambda x: mul24(1, x).product.value),
+    "fp-mul-a": (0, 2**32 - 1, lambda x: fp_mul(x, 0x3F800000)[0].value),
+    "fp-mul-b": (0, 2**32 - 1, lambda x: fp_mul(0x3F800000, x)[0].value),
+    "module-id-row": (0, 2, lambda x: ModuleId(Quadrant.LL, x, 0).row),
+    "module-id-col": (0, 2, lambda x: ModuleId(Quadrant.LL, 0, x).col),
+    "fault-forced-output": (
+        0, 255, lambda x: FaultSpec(GRID_IDS[Quadrant.LL][(0, 0)], x).forced_output.value),
+    "apply-line": (0, 2, _applied_line),
+    "set-output-line": (0, 2, _output_line),
+    "ancilla-constant": (0, 1, lambda x: RevLine(LineTag.ANCILLA, const=x).const),
+    "gate-arity": (1, 1, lambda x: RevGate("NOT", x, (1, 0)).arity),
+    "run-suite-seed": (0, 2**64 - 1, _suite_seed),
+}
+NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+NOT_INTS = (True, np.True_, 1.0, np.float64(1), "1", None, BitVec(1, 3))
+
+
+@pytest.mark.parametrize("entry", SCALAR_INTS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_every_scalar_int_entry_point_follows_one_rule(entry, data):
+    # BitVec(1, np.int64(8)) used to raise while BitVec(np.int64(1), 8) passed
+    low, high, call = SCALAR_INTS[entry]
+    dtype = data.draw(st.sampled_from(NUMPY_INTS))
+    x = dtype(data.draw(st.integers(low, min(high, int(np.iinfo(dtype).max)))))
+    got = call(x)
+    assert type(got) is int and got == call(int(x))
+    for bad in NOT_INTS:
+        with pytest.raises(ValueError):
+            call(bad)
 
 
 def test_classify_width_table():
@@ -117,6 +190,8 @@ def test_netlist_rejects_double_driver():
     )
     with pytest.raises(ValueError, match="driven twice"):
         net.validate()
+    with pytest.raises(ValueError, match="driven twice"):
+        CellNetlist(inputs=[("a", ["n0"]), ("b", ["n0"])]).validate()
 
 
 def test_netlist_rejects_use_before_definition():

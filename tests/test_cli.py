@@ -122,6 +122,16 @@ def test_metrics_with_features_grows():
     assert full["datapath_cells"] == plain["datapath_cells"]
 
 
+def test_metrics_of_the_reversible_datapath():
+    from cifm.multiplier import export_netlist
+    from cifm.revlogic import expand, metrics_of
+
+    r = run("metrics", "cifm-rev")
+    assert r.returncode == 0, r.stderr
+    want = metrics_of(expand(export_netlist("mul24"))).to_json()
+    assert json.loads(r.stdout) == {"circuit": "cifm-rev"} | want
+
+
 def test_metrics_rejects_features_on_reversible():
     r = run("metrics", "fa-tsg", "--with-features")
     assert r.returncode == 2
@@ -163,6 +173,16 @@ def test_bad_inputs_exit_2():
     assert run("mul", "0x1", "0x1", "--fault", "XX:0:0=0x1").returncode == 2
     assert run("mul", "0x1", "0x1", "--fault", "LL:0:0").returncode == 2
     assert run("mul", "0x1", "0x1", "--fault", "LL:9:9=0x1").returncode == 2
+    for args, named in [
+        (("mul", "0x1", "0x1", "--repair", "LL:0"), "QUADRANT:row:col"),
+        (("mul", "0x1", "0x1", "--fault", "LL:0:0:0=0x1"), "QUADRANT:row:col"),
+        (("mul", "0x1", "0x1", "--fault", "LL:0:0=0x100"), "exceeds 8 bits"),
+        (("mul", "0x1", "0x1", "--repair", "LL:0:0", "--repair", "LL:1:1"),
+         "repaired twice"),
+        (("mul", "--width", "12", "0x1", "0x1", "--repair", "HH:0:0"), "quadrant LL"),
+    ]:
+        r = run(*args)
+        assert r.returncode == 2 and named in r.stderr, (args, r.stderr)
     assert run("fpmul", "zzz", "0x0").returncode == 2
     assert run("verify", "no-such-suite").returncode == 2
     assert run("netlist", "mul48").returncode == 2

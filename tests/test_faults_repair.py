@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cifm.bitcore import BitVec
 from cifm.multiplier import (
     GRID_IDS,
     SPARE_IDS,
@@ -32,6 +33,8 @@ def test_fault_spec_validation():
         FaultSpec(LL00, forced_output=0x100)
     with pytest.raises(ValueError):
         FaultSpec(LL00, 1.5)
+    with pytest.raises(ValueError, match="8 bits wide"):
+        FaultSpec(LL00, BitVec(1, 4))
     with pytest.raises(ValueError):
         FaultSpec("LL:0:0", 1)
 
@@ -56,8 +59,10 @@ def test_module_id_rejects_non_quadrant():
 
 @pytest.mark.parametrize(
     "row, col, redundant",
-    [("0", 0, False), (1.0, 0, False), (0, True, False), (0, 0, "yes")],
-    ids=["row-str", "row-float", "col-bool", "redundant-str"],
+    [("0", 0, False), (1.0, 0, False), (0, True, False), (0, 0, "yes"),
+     (3, 0, False), (-1, 0, False), (0, 3, False), (0, -1, False)],
+    ids=["row-str", "row-float", "col-bool", "redundant-str",
+         "row-3", "row-minus-1", "col-3", "col-minus-1"],
 )
 def test_module_id_rejects_non_int_position_and_non_bool_flag(row, col, redundant):
     with pytest.raises(ValueError):

@@ -356,6 +356,8 @@ def _doc_with_gate(name: str) -> dict:
         lambda n: n.apply(gate_library()["FEYNMAN"], 0, 2),
         lambda n: n.set_output(2, "p"),
         lambda n: n.set_output(-1, "p"),
+        lambda n: n.set_output(0, None),
+        lambda n: n.set_output(0, 5),
         lambda n: n.add_ancilla(True),
         lambda n: n.add_ancilla(2),
         lambda n: n.add_ancilla(0.0),
@@ -364,17 +366,23 @@ def _doc_with_gate(name: str) -> dict:
             {"lines": [{"tag": "bogus", "const": 0}], "gates": [], "output_roles": []}),
         lambda n: RevGate("x", 1, 5),
         lambda n: RevGate("x", 1.5, (0, 1)),
+        lambda n: RevGate("x", True, (1, 0)),
         lambda n: RevGate("x", 1, (0, "1")),
         lambda n: simulate(n, 5),
         lambda n: simulate(n, ["x"]),
         lambda n: simulate_inverse(n, None),
         lambda n: simulate_inverse(n, np.array(5)),
+        lambda n: n.add_input(None),
+        lambda n: n.add_input(5),
+        lambda n: build_full_adder("fa-tsg"),
     ],
     ids=["float-line", "bool-line", "str-line", "line-out-of-range",
-         "output-out-of-range", "output-negative", "bool-ancilla", "ancilla-2",
+         "output-out-of-range", "output-negative", "output-named-none",
+         "output-named-int", "bool-ancilla", "ancilla-2",
          "float-ancilla", "unknown-gate", "unknown-line-tag", "int-mapping",
-         "float-arity", "str-in-mapping", "int-inputs", "list-inputs",
-         "none-final-values", "0d-final-values"],
+         "float-arity", "bool-arity", "str-in-mapping", "int-inputs", "list-inputs",
+         "none-final-values", "0d-final-values", "input-without-name",
+         "input-named-int", "unknown-full-adder-variant"],
 )
 def test_bad_circuit_input_is_value_error(bad):
     n = _small_circuit()
@@ -389,6 +397,11 @@ def _without(doc: dict, part: str, key: str) -> dict:
     return doc
 
 
+def _with(doc: dict, part: str, **fields) -> dict:
+    doc[part][0].update(fields)
+    return doc
+
+
 @pytest.mark.parametrize(
     "cls, doc",
     [
@@ -397,9 +410,16 @@ def _without(doc: dict, part: str, key: str) -> dict:
         (RevNetlist, _without(_doc_with_gate("FEYNMAN"), "gates", "ordinal")),
         (RevNetlist, []),
         (CellNetlist, []),
+        (CellNetlist, _with(export_netlist("mul4").to_json(), "inputs", width=3)),
+        (CellNetlist, _with(export_netlist("mul4").to_json(), "cells", level="L")),
+        (CellNetlist, _with(export_netlist("mul4").to_json(), "cells", ins=["n0"])),
+        (RevNetlist, _with(_small_circuit().to_json(), "output_roles", role="output")),
+        (RevNetlist, _with(_small_circuit().to_json(), "output_roles", role="output",
+                           name=5)),
     ],
     ids=["line-without-name", "bus-without-nets", "gate-without-ordinal",
-         "circuit-list", "netlist-list"],
+         "circuit-list", "netlist-list", "bus-width-not-its-nets", "str-level",
+         "cell-with-one-input", "output-named-none", "output-named-int"],
 )
 def test_malformed_json_is_value_error(cls, doc):
     with pytest.raises(ValueError, match="malformed"):
