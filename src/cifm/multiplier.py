@@ -328,13 +328,13 @@ def _mul4_tables() -> tuple[np.ndarray, list[int]]:
     return product, levels.tolist()
 
 
-def _operands(a, b, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-shape int64 arrays of ``width``-bit operands, or ValueError."""
+def _operands(a, b, width: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Equal-shape ``width``-bit operands as one int64 stack [2 x vectors],
+    with their shape, or ValueError."""
     if np.shape(a) != np.shape(b):
         raise ValueError(f"a and b differ in shape: {np.shape(a)} vs {np.shape(b)}")
     rows, shape = uint_rows((a, b), (width, width), "ab".__getitem__)
-    rows = rows.astype(np.int64, copy=False)
-    return rows[0].reshape(shape), rows[1].reshape(shape)
+    return rows.astype(np.int64, copy=False), shape
 
 
 def mul4(a: BitVec | int, b: BitVec | int) -> MulResult:
@@ -622,14 +622,13 @@ def _blocks(
 
 
 def _run_batch(
-    layout: _Layout, plan: _Plan, a: np.ndarray, b: np.ndarray, gating: bool
+    layout: _Layout, plan: _Plan, ab: np.ndarray, shape: tuple[int, ...], gating: bool
 ) -> BlockBatch:
-    ab = np.stack([a.ravel(), b.ravel()])
-    out = np.empty((3, a.size), dtype=np.int64)
-    for lo in range(0, a.size, CHUNK):
+    out = np.empty((3, ab.shape[1]), dtype=np.int64)
+    for lo in range(0, ab.shape[1], CHUNK):
         chunk = slice(lo, lo + CHUNK)
         out[:, chunk] = _blocks(layout, plan, ab[:, chunk], gating)
-    return BlockBatch(*(row.reshape(a.shape) for row in out))
+    return BlockBatch(*(row.reshape(shape) for row in out))
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -757,9 +756,9 @@ def mul12_batch(
     gating: bool = True,
 ) -> BlockBatch:
     """:func:`mul12` over integer arrays of 12-bit operands."""
-    a, b = _operands(a, b, 12)
+    ab, shape = _operands(a, b, 12)
     plan = _plan12(faults, repair, gating)
-    return _run_batch(_MUL12, plan, a, b, gating)
+    return _run_batch(_MUL12, plan, ab, shape, gating)
 
 
 def mul24_batch(
@@ -771,9 +770,9 @@ def mul24_batch(
     gating: bool = True,
 ) -> BlockBatch:
     """:func:`mul24` over integer arrays of 24-bit operands."""
-    a, b = _operands(a, b, 24)
+    ab, shape = _operands(a, b, 24)
     plan = _plan24(faults, repair, gating)
-    return _run_batch(_MUL24, plan, a, b, gating)
+    return _run_batch(_MUL24, plan, ab, shape, gating)
 
 
 def mul12(

@@ -12,6 +12,12 @@ below 2**-126 flushes to a signed zero, even when rounding to nearest even
 would lift it to the smallest normal, 0x00800000. IEEE 754 arithmetic with
 gradual underflow (numpy's float32, for one) returns 0x00800000 or a
 subnormal there.
+
+:func:`softfloat_mul` is the readable reference. :func:`softfloat_mul_batch`
+runs the same steps, rounding to nearest even, on int64 arrays of patterns:
+the bit_length normalisation becomes a shift by 47, and each early return
+becomes a mask. It too uses integer arithmetic only, and tests pin it to the
+scalar function element for element.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from numbers import Integral
 
 import numpy as np
 
-__all__ = ["softfloat_mul", "CANONICAL_QNAN"]
+from .bitcore import uint_rows
+
+__all__ = ["softfloat_mul", "softfloat_mul_batch", "CANONICAL_QNAN"]
 
 CANONICAL_QNAN = 0x7FC00000
 
@@ -93,3 +101,47 @@ def softfloat_mul(x: int, y: int, truncate: bool = False) -> int:
                     return (sign << 31) | (_EXP_MASK << 23)
 
     return (sign << 31) | (exp << 23) | (kept & _FRAC_MASK)
+
+
+def softfloat_mul_batch(x, y) -> np.ndarray:
+    """:func:`softfloat_mul` with rounding to nearest even, over arrays.
+
+    ``x`` and ``y`` are ints or integer arrays whose shapes broadcast; every
+    element must lie in 0..2**32-1. Float, bool and object arrays, elements
+    out of range and shapes that do not broadcast raise ValueError; an empty
+    batch is allowed. Returns the int64 result patterns in the broadcast
+    shape.
+    """
+    rows, shape = uint_rows((x, y), (32, 32), "xy".__getitem__)
+    x, y = rows.astype(np.int64, copy=False)
+    ex, fx = (x >> 23) & _EXP_MASK, x & _FRAC_MASK
+    ey, fy = (y >> 23) & _EXP_MASK, y & _FRAC_MASK
+    signed = ((x ^ y) >> 31) << 31
+    signed_inf = signed | (_EXP_MASK << 23)
+
+    nan = ((ex == _EXP_MASK) & (fx != 0)) | ((ey == _EXP_MASK) & (fy != 0))
+    inf = (ex == _EXP_MASK) | (ey == _EXP_MASK)
+    # subnormals (exponent 0, fraction nonzero) are flushed to zero here
+    zero = (ex == 0) | (ey == 0)
+
+    sig = ((1 << 23) | fx) * ((1 << 23) | fy)      # below 2**48: fits in int64
+    top = sig >> 47                                 # sig.bit_length() - 47
+    exp = ex + ey - 127 + top
+    underflow = exp <= 0                            # tested before rounding
+
+    drop = 23 + top                                 # sig.bit_length() - 24
+    kept = sig >> drop
+    rem = sig - (kept << drop)
+    half = 1 << (drop - 1)
+    kept += (rem > half) | ((rem == half) & (kept & 1 == 1))
+    carry = kept >> 24                              # kept == 1 << 24
+    kept >>= carry
+    exp += carry
+    overflow = exp >= 255                           # after the carry
+
+    out = np.select(
+        [nan | (inf & zero), inf, zero, overflow, underflow],
+        [CANONICAL_QNAN, signed_inf, signed, signed_inf, signed],
+        signed | (exp << 23) | (kept & _FRAC_MASK),
+    )
+    return out.reshape(shape)

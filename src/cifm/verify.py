@@ -8,8 +8,8 @@ a sweep that fails in CI fails identically at the shell.
 
 The block-level suites compute only what their answer depends on.
 ``fp32-oracle`` lets numpy pick its 10 000 random pairs with a normal
-product in bulk and calls the soft-float oracle once per kept pair for the
-expected pattern. ``repair-all`` learns whether an unrepaired fault shows
+product in bulk and gets their expected patterns from one call of the batch
+soft-float oracle. ``repair-all`` learns whether an unrepaired fault shows
 from a 32-pair prefix, running the rest of its 1000 pairs only when the
 prefix shows nothing.
 """
@@ -153,14 +153,14 @@ def suite_fp32_oracle(seed: int = 0) -> SuiteResult:
     """Round-to-nearest-even datapath against the soft-float oracle.
 
     Random normal operand pairs are drawn in bulk, and numpy picks the
-    first 10 000 whose product is normal (:func:`_normal_product`). The
-    soft-float oracle gives each kept pair's expected pattern, one call per
-    pair; numpy never supplies one. The special cases are appended, and the
-    datapath runs them all as one batch.
+    first 10 000 whose product is normal (:func:`_normal_product`). One
+    call of the batch soft-float oracle gives the kept pairs' expected
+    patterns in integer arithmetic; numpy's float32 product never supplies
+    one. The special cases are appended, each checked against the scalar
+    oracle too, and the datapath runs them all as one batch.
     """
     rng = np.random.default_rng(seed)
-    wanted = 10_000
-    kept, n = [], wanted
+    kept, n = [], 10_000
     while n:
         sign = rng.integers(0, 2, size=(2, n))
         exponent = rng.integers(1, 255, size=(2, n))
@@ -168,20 +168,18 @@ def suite_fp32_oracle(seed: int = 0) -> SuiteResult:
         bits = (sign << 31) | (exponent << 23) | fraction
         kept.append(bits[:, _normal_product(bits)])
         n -= kept[-1].shape[1]
-    xs, ys = np.concatenate(kept, axis=1).tolist()
+    xs, ys = np.concatenate(kept + [_SPECIAL_BITS[:2]], axis=1)
+    special = len(_SPECIAL_CASES)
+    want = np.concatenate(
+        [softfloat.softfloat_mul_batch(xs[:-special], ys[:-special]), _SPECIAL_BITS[2]]
+    )
+    got = fp32.fp_mul_batch(xs, ys)
+    ok = got == want
+    # the table's expectations must agree with the scalar oracle as well
     oracle = softfloat.softfloat_mul
-    want = list(map(oracle, xs, ys))
-    # the table's expectations must agree with the oracle as well
-    oracle_ok = [True] * wanted
-    for x, y, w in _SPECIAL_CASES:
-        xs.append(x)
-        ys.append(y)
-        want.append(w)
-        oracle_ok.append(oracle(x, y) == w)
-    got = fp32.fp_mul_batch(np.array(xs), np.array(ys))
-    ok = (got == np.array(want)) & np.array(oracle_ok)
+    ok[-special:] &= [oracle(x, y) == w for x, y, w in _SPECIAL_CASES]
     notes = _failures(xs, ys, got, want, ok)
-    return SuiteResult("fp32-oracle", int(np.count_nonzero(ok)), len(want), notes)
+    return SuiteResult("fp32-oracle", int(np.count_nonzero(ok)), want.size, notes)
 
 
 def _normal_product(bits: np.ndarray) -> np.ndarray:
@@ -214,6 +212,7 @@ _SPECIAL_CASES = (
     (0xBF800000, 0x00000000, 0x80000000),
     (0x00000001, _ONE, 0x00000000),     # subnormal flushes to zero
 )
+_SPECIAL_BITS = np.array(_SPECIAL_CASES, dtype=np.int64).T     # rows x, y, want
 
 
 def _rev_cases(seed: int):

@@ -75,6 +75,23 @@ def test_fp32_sweep_names_failing_inputs(monkeypatch):
         assert want == softfloat_mul(a, b) and got == want ^ (1 << 31)
 
 
+def test_fp32_sweep_takes_its_random_pairs_expectations_from_the_batch_oracle(monkeypatch):
+    real = verify.softfloat.softfloat_mul_batch
+
+    def fifth_pattern_flipped(x, y):
+        want = real(x, y)
+        want[4] ^= 1
+        return want
+
+    monkeypatch.setattr(verify.softfloat, "softfloat_mul_batch", fifth_pattern_flipped)
+    r = verify.run_suite("fp32-oracle", seed=6)
+    xs, ys, _ = _rejection_loop(6)
+    assert r.total - r.passed == 1
+    assert _parsed(r.notes) == [
+        (xs[4], ys[4], softfloat_mul(xs[4], ys[4]), softfloat_mul(xs[4], ys[4]) ^ 1)
+    ]
+
+
 def _is_nan(bits: int) -> bool:
     return (bits >> 23) & 0xFF == 0xFF and bits & 0x7FFFFF != 0
 
