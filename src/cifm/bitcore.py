@@ -18,7 +18,9 @@ every AND and XOR in a kernel works on a whole chunk of vectors. Batches
 run CHUNK_VECTORS vectors at a time; a scalar is a batch of one. Netlist
 evaluation accepts plain ints or numpy integer arrays for every input, so
 a single netlist can be swept over many operand pairs at once. Every module
-checks integers with :func:`as_int`, named operands with :func:`named_values`.
+checks integers with :func:`as_int`, named operands with :func:`named_values`
+and operand arrays with :func:`uint_rows`. Cell netlists and reversible
+circuits alike get their results from one collector, :func:`run_rows`.
 """
 
 from __future__ import annotations
@@ -281,14 +283,14 @@ def uint_value(x: BitVec | int, width: int, name: str) -> int:
 def uint_rows(
     values: Sequence, widths: Sequence[int], name: Callable[[int], str]
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Stack integer operands into one array [len(values) x vectors].
+    """Stack integer operands into one int64 array [len(values) x vectors].
 
     Returns it with the operands' broadcast shape. Raises ValueError unless
     every operand is an int or an integer array (an empty array of any
     dtype passes), the shapes broadcast, and every element of row i lies in
     0..2**widths[i]-1; ``name(i)`` names operand i in the message. The range
-    check runs once over the whole stack. The dtype is the operands' common
-    integer type.
+    check runs once over the whole stack (a uint64 element of 2**63 or more
+    wraps negative, so it fails too).
 
     ``values`` may also be one integer array whose first axis holds the
     operands: it is reshaped, not copied row by row, and its dtype is kept.
@@ -307,10 +309,7 @@ def uint_rows(
         shape = np.broadcast_shapes(*shapes)
     except ValueError:
         raise ValueError(f"operand shapes do not broadcast: {sorted(shapes)}") from None
-    dtype = np.result_type(*{d for d, _ in seen}) if seen else np.dtype(np.int64)
-    if dtype.kind not in "iu":          # int64 with uint64, or an empty float
-        dtype = np.dtype(np.int64)
-    rows = np.empty((len(arrs),) + shape, dtype=dtype)
+    rows = np.empty((len(arrs),) + shape, dtype=np.int64)
     for i, arr in enumerate(arrs):
         rows[i] = arr
     return _checked(rows.reshape(len(arrs), math.prod(shape)), widths, name), shape
@@ -336,6 +335,26 @@ def is_scalar_call(values: Iterable) -> bool:
         type(v) is int or (np.ndim(v) == 0 and not isinstance(v, np.ndarray))
         for v in values
     )
+
+
+def run_rows(
+    plan: KernelPlan, values: Sequence, widths: Sequence[int], name: Callable[[int], str]
+) -> list[int] | np.ndarray:
+    """Every state row's final value after ``plan`` runs on ``values``.
+
+    ``values`` and the ValueError it may raise are as in :func:`uint_rows`.
+    Returns a list of Python ints when every value is an int, else one
+    uint8 array [plan.rows x *shape] for the broadcast shape of the values:
+    a batch of one chunk is returned as the engine made it, longer batches
+    are joined, and an empty one gives [plan.rows x 0].
+    """
+    rows, shape = uint_rows(values, widths, name)
+    chunks = [bits for _, _, bits in run_kernels(plan, rows, range(plan.rows))]
+    chunks = chunks or [np.empty((plan.rows, 0), dtype=np.uint8)]
+    out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+    if is_scalar_call(values):
+        return out[:, 0].tolist()
+    return out.reshape((plan.rows,) + shape)
 
 
 class CellKind(Enum):
@@ -468,14 +487,12 @@ class CellNetlist:
         )
         return _CompiledCells(plan, tuple(row), tuple(row[net] for _, net in self.outputs))
 
-    def _operand_rows(self, operands: Mapping) -> tuple[np.ndarray, tuple | None]:
-        """Operand buses as int64 rows [buses x vectors], and the result shape
-        (None when every operand is a scalar)."""
-        values = named_values(operands, [name for name, _ in self.inputs], "operands")
-        rows, shape = uint_rows(
-            values, [len(nets) for _, nets in self.inputs], lambda i: self.inputs[i][0]
-        )
-        return rows.astype(np.int64, copy=False), None if is_scalar_call(values) else shape
+    def _operands(self, operands: Mapping) -> tuple[list, list[int], Callable]:
+        """The operand buses' values in bus order, their widths, and their
+        names by index: the arguments of :func:`uint_rows`."""
+        names = [name for name, _ in self.inputs]
+        values = named_values(operands, names, "operands")
+        return values, [len(nets) for _, nets in self.inputs], names.__getitem__
 
     def evaluate_nets(self, operands: Mapping[str, int | np.ndarray]) -> dict:
         """Evaluate every net. Operand values are ints or int arrays.
@@ -486,23 +503,20 @@ class CellNetlist:
         element outside its bus width.
         """
         compiled = self._compiled()
-        values, shape = self._operand_rows(operands)
-        out = np.empty((len(compiled.nets), values.shape[1]), dtype=np.int64)
-        for lo, hi, bits in run_kernels(compiled.plan, values, range(len(compiled.nets))):
-            out[:, lo:hi] = bits
-        if shape is None:
-            return dict(zip(compiled.nets, out[:, 0].tolist()))
-        return dict(zip(compiled.nets, out.reshape((len(compiled.nets),) + shape)))
+        values = run_rows(compiled.plan, *self._operands(operands))
+        values = values if type(values) is list else values.astype(np.int64)
+        return dict(zip(compiled.nets, values))
 
     def evaluate(self, operands: Mapping[str, int | np.ndarray]) -> int | np.ndarray:
         """Evaluate and assemble the output bits into one integer (or int64 array)."""
         compiled = self._compiled()
-        values, shape = self._operand_rows(operands)
+        values, widths, name = self._operands(operands)
+        rows, shape = uint_rows(values, widths, name)
         weights = np.left_shift(1, np.arange(len(compiled.outputs), dtype=np.int64))
-        total = np.zeros(values.shape[1], dtype=np.int64)
-        for lo, hi, bits in run_kernels(compiled.plan, values, compiled.outputs):
+        total = np.zeros(rows.shape[1], dtype=np.int64)
+        for lo, hi, bits in run_kernels(compiled.plan, rows, compiled.outputs):
             total[lo:hi] = weights @ bits
-        return int(total[0]) if shape is None else total.reshape(shape)
+        return int(total[0]) if is_scalar_call(values) else total.reshape(shape)
 
     def cell_count(self) -> int:
         return len(self.cells)

@@ -291,7 +291,7 @@ def fp_mul_batch(
     """
     rows, shape = uint_rows((a, b), (32, 32), "ab".__getitem__)
     nearest_even = _nearest_even(rounding)
-    x, y = rows.astype(np.int64, copy=False)
+    x, y = rows
     sign = (x ^ y) >> 31
     code = 4 * _operand_class(x) + _operand_class(y)
     out = _SPECIAL_BITS[code] | (sign << 31) * _SPECIAL_SIGNED[code]

@@ -333,8 +333,7 @@ def _operands(a, b, width: int) -> tuple[np.ndarray, tuple[int, ...]]:
     with their shape, or ValueError."""
     if np.shape(a) != np.shape(b):
         raise ValueError(f"a and b differ in shape: {np.shape(a)} vs {np.shape(b)}")
-    rows, shape = uint_rows((a, b), (width, width), "ab".__getitem__)
-    return rows.astype(np.int64, copy=False), shape
+    return uint_rows((a, b), (width, width), "ab".__getitem__)
 
 
 def mul4(a: BitVec | int, b: BitVec | int) -> MulResult:

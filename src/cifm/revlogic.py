@@ -20,7 +20,8 @@ consumer of a net. Simulation accepts ints or numpy arrays per input line,
 so exhaustive and bulk random equivalence sweeps stay fast: the circuit
 runs gate by gate on the bit-plane engine in :mod:`cifm.bitcore`, each
 gate as the kernel of the algebraic normal form of its mapping (or of the
-inverse mapping, with the gates in reverse order).
+inverse mapping, with the gates in reverse order). Its collector,
+:func:`cifm.bitcore.run_rows`, checks the line values and returns them all.
 """
 
 from __future__ import annotations
@@ -40,12 +41,10 @@ from .bitcore import (
     anf_program,
     as_int,
     cached,
-    is_scalar_call,
     kernel,
     named_values,
-    run_kernels,
+    run_rows,
     truth_table,
-    uint_rows,
     uint_value,
 )
 
@@ -319,23 +318,6 @@ def _compile(n: RevNetlist) -> _CompiledRev:
     return _CompiledRev(fwd, inv, names)
 
 
-def _run_lines(
-    plan: KernelPlan, values: Sequence | np.ndarray, name: Callable[[int], str]
-) -> list[int] | np.ndarray:
-    """Every line's final value: a list of Python ints when every value is
-    an int, else one uint8 array [lines x *shape] for the broadcast shape
-    of the values. ``values`` is a sequence of ints or arrays, or one
-    integer array whose first axis holds them. Values must be 0 or 1;
-    ``name(i)`` names value i in the error."""
-    rows, shape = uint_rows(values, [1] * len(values), name)
-    chunks = [bits for _, _, bits in run_kernels(plan, rows, range(plan.rows))]
-    chunks = chunks or [np.empty((plan.rows, 0), dtype=np.uint8)]
-    out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
-    if is_scalar_call(values):
-        return out[:, 0].tolist()
-    return out.reshape((plan.rows,) + shape)
-
-
 def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     """Run the circuit forward. Input values may be ints or int arrays of 0/1.
 
@@ -346,11 +328,9 @@ def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     input or a value other than 0 or 1.
     """
     compiled = _compiled(n)
-    values = _run_lines(
-        compiled.forward,
-        named_values(inputs, compiled.names, "inputs"),
-        compiled.names.__getitem__,
-    )
+    names = compiled.names
+    values = run_rows(compiled.forward, named_values(inputs, names, "inputs"),
+                      [1] * len(names), names.__getitem__)
     outputs = {name: values[i] for name, i in n.outputs()}
     return SimResult(tuple(values) if type(values) is list else values, outputs)
 
@@ -372,7 +352,7 @@ def simulate_inverse(
         count = type(final_values).__name__
     if count != len(n.lines):
         raise ValueError(f"final_values must hold {len(n.lines)} line values, got {count}")
-    return _run_lines(_compiled(n).inverse, final_values, "line {}".format)
+    return run_rows(_compiled(n).inverse, final_values, [1] * count, "line {}".format)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def softfloat_mul_batch(x, y) -> np.ndarray:
     shape.
     """
     rows, shape = uint_rows((x, y), (32, 32), "xy".__getitem__)
-    x, y = rows.astype(np.int64, copy=False)
+    x, y = rows
     ex, fx = (x >> 23) & _EXP_MASK, x & _FRAC_MASK
     ey, fy = (y >> 23) & _EXP_MASK, y & _FRAC_MASK
     signed = ((x ^ y) >> 31) << 31

@@ -332,8 +332,12 @@ def run_suite(name: str, seed: int = 0) -> SuiteResult:
     """Run the suite called ``name`` with ``seed``.
 
     Raises ValueError for a name that is not a key of SUITES and for a
-    seed that is not an int (bools included).
+    seed that is not a non-negative int (bools included), before any suite
+    runs.
     """
     if not isinstance(name, str) or name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](as_int(seed, "seed"))
+    seed = as_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return SUITES[name](seed)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cifm.bitcore import (
+    CHUNK_VECTORS,
     BitVec,
     Cell,
     CellKind,
     CellNetlist,
     NetlistBuilder,
+    uint_rows,
 )
 from cifm.fp32 import fp_mul
 from cifm.multiplier import GRID_IDS, FaultSpec, ModuleId, Quadrant, mul4, mul12, mul24
@@ -120,6 +122,44 @@ def test_every_scalar_int_entry_point_follows_one_rule(entry, data):
     for bad in NOT_INTS:
         with pytest.raises(ValueError):
             call(bad)
+
+
+@pytest.mark.parametrize("dtype", NUMPY_INTS, ids=lambda d: d.__name__)
+def test_uint_rows_stacks_a_sequence_as_int64(dtype):
+    a = np.array([[0, 1, 100], [127, 5, 6]], dtype=dtype)
+    rows, shape = uint_rows((a, dtype(7), np.array(3, dtype)), (8, 3, 2), "abc".__getitem__)
+    assert rows.dtype == np.int64 and shape == (2, 3)
+    assert rows.tolist() == [[0, 1, 100, 127, 5, 6], [7] * 6, [3] * 6]
+
+
+@pytest.mark.parametrize("dtype", NUMPY_INTS, ids=lambda d: d.__name__)
+def test_uint_rows_keeps_one_stacked_array_as_it_is(dtype):
+    stack = np.arange(24, dtype=dtype).reshape(2, 3, 4) & 1
+    rows, shape = uint_rows(stack, (1, 1), "line {}".format)
+    assert rows.dtype == dtype and shape == (3, 4)
+    assert np.shares_memory(rows, stack)
+    assert rows.tolist() == stack.reshape(2, 12).tolist()
+
+
+def test_uint_rows_stacks_mixed_signed_and_unsigned_operands():
+    top = 2**63 - 1
+    a = np.array([1, 2], dtype=np.int64)
+    b = np.array([top, 0], dtype=np.uint64)
+    rows, shape = uint_rows((a, b), (4, 64), "ab".__getitem__)
+    assert rows.dtype == np.int64 and shape == (2,)
+    assert rows.tolist() == [[1, 2], [top, 0]]
+    with pytest.raises(ValueError, match="b has elements outside"):
+        uint_rows((a, b + np.uint64(1)), (4, 64), "ab".__getitem__)
+
+
+def test_evaluate_nets_gives_int64_arrays_for_any_batch():
+    nl = _ripple2().build()
+    for size in (0, 1, CHUNK_VECTORS + 3):
+        a = np.arange(size) % 4
+        nets = nl.evaluate_nets({"a": a, "b": 3})
+        assert all(v.dtype == np.int64 and v.shape == (size,) for v in nets.values())
+        got = sum(nets[net] << k for k, (_, net) in enumerate(nl.outputs))
+        assert np.array_equal(got, a + 3)
 
 
 def test_classify_width_table():

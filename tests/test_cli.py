@@ -188,6 +188,12 @@ def test_bad_inputs_exit_2():
     assert run("netlist", "mul48").returncode == 2
 
 
+def test_negative_seed_exits_2():
+    r = run("verify", "mul4-exhaustive", "--seed", "-1")
+    assert r.returncode == 2 and "seed must be non-negative" in r.stderr, r.stderr
+    assert r.stdout == ""
+
+
 def test_fault_rejected_for_width_4():
     r = run("mul", "--width", "4", "0x1", "0x1", "--fault", "LL:0:0=0x1")
     assert r.returncode == 2

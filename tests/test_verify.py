@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from cifm import bitcore, revlogic, verify
+from cifm import bitcore, verify
 from cifm.multiplier import BlockBatch
 from cifm.softfloat import softfloat_mul
 
@@ -231,6 +231,13 @@ def test_run_suite_rejects_a_seed_that_is_not_an_int(seed):
         verify.run_suite("mul4-exhaustive", seed=seed)
 
 
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_run_suite_rejects_a_negative_seed(suite):
+    for seed in (-1, np.int8(-1)):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            verify.run_suite(suite, seed=seed)
+
+
 def test_run_suite_takes_numpy_int_seeds():
     assert verify.run_suite("mul12-random", seed=np.int64(5)) == verify.run_suite(
         "mul12-random", seed=5)
@@ -295,7 +302,6 @@ def _break_the_runner(monkeypatch):
             yield lo, hi, bits
 
     monkeypatch.setattr(bitcore, "run_kernels", flipped)
-    monkeypatch.setattr(revlogic, "run_kernels", flipped)
 
 
 def test_mul4_exhaustive_names_failing_inputs(monkeypatch):
