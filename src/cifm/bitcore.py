@@ -25,6 +25,7 @@ circuits alike get their results from one collector, :func:`run_rows`.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -61,6 +62,69 @@ def named_values(values: Mapping, names: Sequence[str], what: str) -> list:
         if name not in values:
             raise ValueError(f"missing {name!r} in {what}")
     return [values[name] for name in names]
+
+
+class _FirstRead:
+    """One field of a deferred record: its first read fills in every field."""
+
+    __slots__ = ("name", "build", "defaults")
+
+    def __init__(self, name: str, build: Callable, defaults: dict) -> None:
+        self.name, self.build, self.defaults = name, build, defaults
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        fields = record.__dict__        # later reads find the field here
+        fields.update(self.defaults)
+        fields.update(self.build(*fields["_inputs"]))
+        return fields[self.name]
+
+
+def deferred_record(record: type, build: Callable) -> Callable:
+    """A maker of ``record`` instances, for a frozen dataclass, built on first read.
+
+    ``make(*inputs)`` returns an instance of a subclass of ``record`` that
+    keeps only ``inputs``. The first read of any field fills in every field
+    at once: ``build(*inputs)`` returns them as a dict, which may leave out
+    those that have a plain default. Every later read is a plain attribute
+    lookup. An instance compares equal to a ``record`` with the same
+    fields, either way round, hashes, prints, copies and pickles as that
+    record, and cannot be assigned to.
+    """
+    fields = dataclasses.fields(record)
+    names = tuple(f.name for f in fields)
+    defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+
+    def values(r) -> tuple:
+        return tuple(getattr(r, name) for name in names)
+
+    def __eq__(self, other):
+        return values(self) == values(other) if isinstance(other, record) else NotImplemented
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return record, values(self)
+
+    namespace = {name: _FirstRead(name, build, defaults) for name in names}
+    namespace.update(
+        __eq__=__eq__, __hash__=record.__hash__, __setattr__=__setattr__,
+        __delattr__=__delattr__, __reduce__=__reduce__, __doc__=record.__doc__,
+        __module__=record.__module__, __qualname__=record.__qualname__,
+    )
+    deferred = type(record.__name__, (record,), namespace)
+
+    def make(*inputs):
+        instance = object.__new__(deferred)
+        object.__setattr__(instance, "_inputs", inputs)
+        return instance
+
+    return make
 
 
 @dataclass(frozen=True)
@@ -365,6 +429,14 @@ class CellKind(Enum):
 
 _CELL_ARITY = {CellKind.AND: (2, 1), CellKind.HA: (2, 2), CellKind.FA: (3, 2)}
 
+
+def _arity(kind: CellKind) -> tuple[int, int]:
+    """The input and output counts of ``kind``; ValueError unless a CellKind."""
+    if not isinstance(kind, CellKind):
+        raise ValueError(f"kind must be a CellKind, got {kind!r}")
+    return _CELL_ARITY[kind]
+
+
 def _cell_kernel(kind: CellKind, fn) -> Callable:
     """The kernel of a cell computing ``fn``; its output rows follow its
     input rows."""
@@ -401,10 +473,8 @@ class Cell:
     module_id: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, CellKind):
-            raise ValueError(f"kind must be a CellKind, got {self.kind!r}")
+        n_in, n_out = _arity(self.kind)
         object.__setattr__(self, "level", as_int(self.level, "level"))
-        n_in, n_out = _CELL_ARITY[self.kind]
         if len(self.inputs) != n_in or len(self.outputs) != n_out:
             raise ValueError(
                 f"{self.kind.value} cell needs {n_in} inputs and {n_out} outputs, "
@@ -596,7 +666,7 @@ class NetlistBuilder:
         level: int = 0,
         module_id: str | None = None,
     ) -> tuple[str, ...]:
-        n_out = _CELL_ARITY[kind][1]
+        n_out = _arity(kind)[1]
         outs = tuple(self.new_net() for _ in range(n_out))
         self.netlist.cells.append(Cell(kind, tuple(ins), outs, level, module_id))
         return outs

@@ -7,13 +7,14 @@ results. Exponents are added with the bias removed. The 48-bit raw product
 is normalised by at most one position and the retained 23 fraction bits are
 rounded to nearest even (or truncated on request).
 
-:func:`fp_mul` multiplies one pair and returns an :class:`FpMulTrace` of
-every pipeline stage; :func:`fp_mul_batch` multiplies arrays of patterns
-through one :func:`cifm.multiplier.mul24_batch` call. Both classify
-operands with :func:`_operand_class`, look pairs up in the same specials
-table, and run the same exponent, normalisation, rounding and range rules
-(:func:`_finish`), written with operators that Python ints and int64 arrays
-share.
+:func:`fp_mul` multiplies one pair through the scalar pass of
+:func:`cifm.multiplier.mul24` and returns an :class:`FpMulTrace` of every
+pipeline stage, built on first read; :func:`fp_mul_batch` multiplies
+arrays of patterns through one :func:`cifm.multiplier.mul24_batch` call.
+Both classify operands with :func:`_operand_class`, look pairs up in the
+same specials table, and run the same exponent, normalisation, rounding
+and range rules (:func:`_finish`), written with operators that Python ints
+and int64 arrays share.
 
 Flush-to-zero behaviour: subnormal inputs are treated as zero before the
 specials table is consulted. Tininess is detected before rounding: a
@@ -33,15 +34,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bitcore import BitVec, uint_rows, uint_value
+from .bitcore import BitVec, deferred_record, uint_rows, uint_value
 from .multiplier import (
+    _MUL24,
     ActivityReport,
     FaultSpec,
-    MulResult,
     Quadrant,
     RepairConfig,
     _plan24,
-    mul24,
+    _run_scalar,
     mul24_batch,
 )
 from .softfloat import CANONICAL_QNAN
@@ -82,7 +83,11 @@ class Fp32Parts:
 
 @dataclass(frozen=True)
 class FpMulTrace:
-    """Everything the pipeline did, for inspection and debugging."""
+    """Everything the pipeline did, for inspection and debugging.
+
+    The trace of :func:`fp_mul` is built on first read, and compares equal
+    to a trace built from the same fields.
+    """
 
     a: Fp32Parts
     b: Fp32Parts
@@ -211,6 +216,46 @@ def _nearest_even(rounding: Rounding) -> bool:
     return rounding is Rounding.NEAREST_EVEN
 
 
+def _trace(x: int, y: int, ca: int, cb: int, raw: int | None, finished, activity) -> dict:
+    """The FpMulTrace fields of one :func:`fp_mul` call, from its checked patterns.
+
+    ``ca`` and ``cb`` are the operand classes. A pair the datapath
+    multiplied also has its 48-bit ``raw`` product, the ``finished`` tuple
+    of :func:`_finish` and the datapath's ``activity``. A special pair has
+    None for all three, and its trace keeps the defaults of the fields not
+    returned.
+    """
+    pa, pb = _parts(x, ca), _parts(y, cb)
+    flushed = []
+    if ca == 1 and x & _FRAC_MASK:
+        flushed.append("a")
+    if cb == 1 and y & _FRAC_MASK:
+        flushed.append("b")
+    if raw is None:
+        label = _SPECIALS[4 * ca + cb][0]
+        return {"a": pa, "b": pb, "special": label, "flushed_inputs": tuple(flushed)}
+    magnitude, increment, overflow, underflow = finished
+    return {
+        "a": pa,
+        "b": pb,
+        "significand_a": BitVec(_HIDDEN | pa.fraction.value, 24),
+        "significand_b": BitVec(_HIDDEN | pb.fraction.value, 24),
+        "raw_product": BitVec(raw, 48),
+        "normalized": bool(raw >> 47),
+        "exponent_pre_bias": pa.exponent + pb.exponent,
+        "exponent_final": magnitude >> 23,
+        "rounding_applied": "increment" if increment else "none",
+        "flushed_inputs": tuple(flushed),
+        "overflow": bool(overflow),
+        "underflow": bool(underflow),
+        "activity": activity,
+    }
+
+
+# fp_mul's trace: it keeps _trace's inputs and calls it on first read.
+_deferred_trace = deferred_record(FpMulTrace, _trace)
+
+
 def fp_mul(
     a: BitVec | int,
     b: BitVec | int,
@@ -223,52 +268,26 @@ def fp_mul(
     Each operand is a 32-bit BitVec or an int in 0..2**32-1; anything else
     raises ValueError, as do a ``rounding`` that is not a Rounding and
     ``faults`` or ``repair`` that :func:`cifm.multiplier.mul24` rejects,
-    whatever the operands' classes. The
-    trace records every stage; for many pairs, :func:`fp_mul_batch` gives
-    the same products without traces.
+    whatever the operands' classes. The significands of a finite nonzero
+    pair go through the same scalar pass as ``mul24``, with gating on. The
+    trace records every stage, and is built when it is first read; for many
+    pairs, :func:`fp_mul_batch` gives the same products without traces.
     """
     x = uint_value(a, 32, "a")
     y = uint_value(b, 32, "b")
     nearest_even = _nearest_even(rounding)
+    plan = _plan24(faults, repair, True)
     ca, cb = _operand_class(x), _operand_class(y)
-    pa, pb = _parts(x, ca), _parts(y, cb)
-    sign = pa.sign ^ pb.sign
-    flushed = []
-    if ca == 1 and x & _FRAC_MASK:
-        flushed.append("a")
-    if cb == 1 and y & _FRAC_MASK:
-        flushed.append("b")
-
+    sign = (x ^ y) >> 31
     label, bits, signed = _SPECIALS[4 * ca + cb]
     if label is not None:
-        _plan24(faults, repair, True)       # bad faults or repair raise here too
-        return BitVec(bits | (sign << 31) * signed, 32), FpMulTrace(
-            a=pa, b=pb, special=label, flushed_inputs=tuple(flushed)
-        )
-
-    sig_a = BitVec(_HIDDEN | pa.fraction.value, 24)
-    sig_b = BitVec(_HIDDEN | pb.fraction.value, 24)
-    mres: MulResult = mul24(sig_a, sig_b, faults=faults, repair=repair)
-    raw = mres.product                     # 48 bits, in [2^46, 2^48) unless faulty
-    exponent_pre_bias = pa.exponent + pb.exponent
-    magnitude, increment, overflow, underflow = _finish(
-        exponent_pre_bias, raw.value, nearest_even
-    )
-    return BitVec((sign << 31) | magnitude, 32), FpMulTrace(
-        a=pa,
-        b=pb,
-        significand_a=sig_a,
-        significand_b=sig_b,
-        raw_product=raw,
-        normalized=bool(raw.value >> 47),
-        exponent_pre_bias=exponent_pre_bias,
-        exponent_final=magnitude >> 23,
-        rounding_applied="increment" if increment else "none",
-        flushed_inputs=tuple(flushed),
-        overflow=bool(overflow),
-        underflow=bool(underflow),
-        activity=mres.activity,
-    )
+        trace = _deferred_trace(x, y, ca, cb, None, None, None)
+        return BitVec(bits | (sign << 31) * signed, 32), trace
+    sig_a, sig_b = _HIDDEN | x & _FRAC_MASK, _HIDDEN | y & _FRAC_MASK
+    raw, activity, _ = _run_scalar(_MUL24, plan, sig_a, sig_b, True)
+    finished = _finish((x >> 23 & 0xFF) + (y >> 23 & 0xFF), raw, nearest_even)
+    trace = _deferred_trace(x, y, ca, cb, raw, finished, activity)
+    return BitVec((sign << 31) | finished[0], 32), trace
 
 
 def fp_mul_batch(

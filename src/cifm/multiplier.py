@@ -43,10 +43,11 @@ first use, never at import.
 
 :func:`mul12` and :func:`mul24` run the same rule for one pair on Python
 ints, reading the same tables through zero-copy memoryviews, since numpy's
-per-call cost would dominate one pair. They build the call's
-:class:`ActivityReport` from the partition of the blocks for its power
-pattern (which grid blocks are powered), cached per pattern: 144 for mul24
-and 9 for mul12, whatever the operand values, faults and repairs.
+per-call cost would dominate one pair. The call's :class:`ActivityReport`
+keeps its power-pattern mask, repairs and operands, and is built on first
+read from the partition of the blocks for that pattern (which grid blocks
+are powered), cached per pattern: 144 for mul24 and 9 for mul12, whatever
+the operand values, faults and repairs.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .bitcore import (
     CellNetlist,
     NetlistBuilder,
     as_int,
+    deferred_record,
     uint_rows,
     uint_value,
 )
@@ -221,6 +223,8 @@ class ActivityReport:
     adder_levels_active maps each energised block to how many of its three
     internal adder levels saw a nonzero input net (a standalone 4x4 call has
     no block identity and uses the key None, written as null in JSON).
+    The reports of :func:`mul12` and :func:`mul24` are built on first read,
+    and compare equal to a report built from the same fields.
     """
 
     active_mul4: frozenset[ModuleId]
@@ -677,6 +681,45 @@ def _views(layout: _Layout) -> tuple[memoryview, memoryview, memoryview]:
     return memoryview(_row_sums()), memoryview(counts), memoryview(masks)
 
 
+def _report(
+    layout: _Layout, mask: int, part: _Partition, repaired: tuple, x: int, y: int
+) -> dict:
+    """The ActivityReport fields of one scalar call, from its power-pattern mask.
+
+    ``mask`` is the call's power pattern with no spare in use, and ``part``
+    its partition: the powered block ids, their operand group offsets and
+    the active and gated sets. A call without repairs only looks up the
+    adder levels of those blocks. A repaired call also reports each powered
+    target under its spare and works out its disabled and gated sets, for at
+    most four quadrants.
+    """
+    table = _mul4_tables()[1]
+    levels = {
+        m: table[(y >> c & 0xF) << 4 | (x >> r & 0xF)]
+        for m, (r, c) in zip(part.ids, part.shifts)
+    }
+    active, gated, disabled = part.active, part.gated, frozenset()
+    if repaired:
+        disabled = frozenset(
+            t for t, _, _ in repaired if mask & layout.quad_bits[t.quadrant]
+        )
+        for t, _, _ in repaired:        # in bit order, so the spares come last
+            if t in levels:
+                levels[SPARE_IDS[t.quadrant]] = levels.pop(t)
+        active = frozenset(levels)
+        gated = layout.ids - active - disabled
+    return {
+        "active_mul4": active,
+        "gated_mul4": gated,
+        "disabled_faulty": disabled,
+        "adder_levels_active": levels,
+    }
+
+
+# The engine's scalar report: it keeps _report's inputs and calls it on first read.
+_deferred_report = deferred_record(ActivityReport, _report)
+
+
 def _run_scalar(
     layout: _Layout, plan: _Plan, x: int, y: int, gating: bool
 ) -> tuple[int, ActivityReport, tuple[ModuleId, ...]]:
@@ -686,12 +729,10 @@ def _run_scalar(
     operand halves picks the energised mask, three row sums make each
     quadrant, each powered live fault adds its forced value minus the true
     block product to its quadrant, and the quadrants sum modulo 2**24 each.
-    The mask is the call's power pattern with no spare in use;
-    :func:`_partition` caches that pattern's block ids, their operand group
-    offsets and its active and gated sets. A call without repairs only looks
-    up the adder levels of those blocks. A repaired call also reports each
-    powered target under its spare and works out its disabled and gated
-    sets, for at most four quadrants.
+    The call looks up its power pattern's partition in the cache of
+    :func:`_partition`. The report keeps the mask, that partition, the
+    repairs and the operands, and :func:`_report` builds it from them when
+    it is first read.
     """
     sums, counts, masks = _views(layout)
     h = layout.halves
@@ -716,29 +757,9 @@ def _run_scalar(
     product = 0
     for k, quad in enumerate(quads):
         product += (quad & 0xFFFFFF) << 12 * (k // h + k % h)
-    part = _partition(layout, mask)
-    table = _mul4_tables()[1]
-    levels = {
-        m: table[(y >> c & 0xF) << 4 | (x >> r & 0xF)]
-        for m, (r, c) in zip(part.ids, part.shifts)
-    }
     faulty = tuple(BLOCK_IDS[k] for k in _set_bits(mask & plan.fault_bits))
-    active, gated, disabled = part.active, part.gated, frozenset()
-    if plan.repaired:
-        disabled = frozenset(
-            t for t, _, _ in plan.repaired if mask & layout.quad_bits[t.quadrant]
-        )
-        for t, _, _ in plan.repaired:   # in bit order, so the spares come last
-            if t in levels:
-                levels[SPARE_IDS[t.quadrant]] = levels.pop(t)
-        active = frozenset(levels)
-        gated = layout.ids - active - disabled
-    report = ActivityReport(
-        active_mul4=active,
-        gated_mul4=gated,
-        disabled_faulty=disabled,
-        adder_levels_active=levels,
-    )
+    part = _partition(layout, mask)
+    report = _deferred_report(layout, mask, part, plan.repaired, x, y)
     return product & _MASK48, report, faulty
 
 

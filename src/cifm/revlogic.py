@@ -180,6 +180,8 @@ class RevNetlist:
         return line
 
     def apply(self, gate: RevGate, *line_ids: int) -> None:
+        if not isinstance(gate, RevGate):
+            raise ValueError(f"gate must be a RevGate, got {type(gate).__name__}")
         lines = tuple(map(self._line, line_ids))
         if len(lines) != gate.arity or len(set(lines)) != gate.arity:
             raise ValueError(
@@ -273,7 +275,10 @@ class _CompiledRev(NamedTuple):
 
 def _compiled(n: RevNetlist) -> _CompiledRev:
     """The plan of the template ``n`` was copied from while ``n`` has as
-    many lines and gates as it, else ``n``'s own."""
+    many lines and gates as it, else ``n``'s own. ValueError unless ``n``
+    is a RevNetlist."""
+    if not isinstance(n, RevNetlist):
+        raise ValueError(f"circuit must be a RevNetlist, got {type(n).__name__}")
     key = (len(n.lines), len(n.gates))
     owner = getattr(n, "_source", n)
     if (len(owner.lines), len(owner.gates)) != key:
@@ -324,8 +329,8 @@ def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     Line values are a tuple of Python ints when every input is an int, else
     one uint8 array [lines x *shape] for the broadcast input shape, row i
     holding line i: index, iterate or zip it as the rows it holds, or hand
-    it to :func:`simulate_inverse` whole. Raises ValueError for a missing
-    input or a value other than 0 or 1.
+    it to :func:`simulate_inverse` whole. Raises ValueError for a circuit
+    that is not a RevNetlist, a missing input or a value other than 0 or 1.
     """
     compiled = _compiled(n)
     names = compiled.names
@@ -344,15 +349,17 @@ def simulate_inverse(
     one integer array whose first axis is the lines, such as the
     ``line_values`` of a :func:`simulate` batch. Returns a list of ints
     when every value is an int, else one uint8 array [lines x *shape].
-    A wrong number of lines or a value other than 0 or 1 raises ValueError.
+    A circuit that is not a RevNetlist, a wrong number of lines or a value
+    other than 0 or 1 raises ValueError.
     """
+    compiled = _compiled(n)
     try:
         count = len(final_values)
     except TypeError:                   # an int, None, a 0-d array, a generator
         count = type(final_values).__name__
     if count != len(n.lines):
         raise ValueError(f"final_values must hold {len(n.lines)} line values, got {count}")
-    return run_rows(_compiled(n).inverse, final_values, [1] * count, "line {}".format)
+    return run_rows(compiled.inverse, final_values, [1] * count, "line {}".format)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +441,8 @@ def expand(netlist: CellNetlist) -> RevNetlist:
     ancilla, carry on the carry-in's line). A net consumed by n places gets
     n-1 Feynman copies onto fresh 0-ancillas, made while the producing line
     still holds the value; a primary output counts as one more consumer so
-    its line is never handed to a gate. A netlist that fails
-    ``validate`` raises ValueError.
+    its line is never handed to a gate. Anything but a CellNetlist, and a
+    netlist that fails ``validate``, raises ValueError.
 
     The circuit is built once per netlist and kept on it, keyed on the
     netlist's input, cell and output counts as its plan is, so appending a
@@ -445,6 +452,8 @@ def expand(netlist: CellNetlist) -> RevNetlist:
     was copied from, and simulates with that circuit's plan until it grows,
     so the first simulation of any copy compiles the plan for all.
     """
+    if not isinstance(netlist, CellNetlist):
+        raise ValueError(f"netlist must be a CellNetlist, got {type(netlist).__name__}")
     key = (len(netlist.inputs), len(netlist.cells), len(netlist.outputs))
     template = cached(netlist, "_expansion", key, lambda: _build_expansion(netlist))
     rev = RevNetlist(
@@ -535,7 +544,7 @@ def metrics_of(n: RevNetlist) -> Metrics:
 
     Unit delay charges one per gate along the longest chain of touched
     lines ending at a primary output; a gate depends on every line it
-    touches, control or data.
+    touches, control or data. ValueError unless ``n`` is a RevNetlist.
     """
     depth = _compiled(n).forward.depth
     delay = max((depth[i] for _, i in n.outputs()), default=0)

@@ -7,8 +7,10 @@ powered block's adder levels come from the mul4 table (through ``mul4``),
 and the gated and disabled sets follow from the report's rules.
 """
 
+import dataclasses
 import functools
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cifm.multiplier import (
     BLOCK_IDS,
     GRID_IDS,
     SPARE_IDS,
+    ActivityReport,
     FaultSpec,
     Quadrant,
     RepairConfig,
@@ -173,3 +176,105 @@ def test_partition_cache_holds_one_entry_per_power_pattern():
     mul24(0xFFFFFF, 0xFFFFFF)
     mul12(0xFFF, 0xFFF, gating=False)
     assert _partition.cache_info().currsize == 144 + 9
+
+
+# The scalar calls build their reports on first read. The tests below read
+# them in different ways and compare with reports built eagerly.
+
+REPORT_FIELDS = ("active_mul4", "gated_mul4", "disabled_faulty", "adder_levels_active")
+TWO_SPARES = {Quadrant.HL: RepairConfig(True, GRID_IDS[Quadrant.HL][(1, 2)]),
+              Quadrant.LL: RepairConfig(True, GRID_IDS[Quadrant.LL][(0, 0)])}
+CALLS = [  # (scalar, a, b, faults, repair, gating)
+    (mul24, 0xABCDEF, 0xFEDCBA, (), None, True),
+    (mul24, 0x000ABC, 0x00F123, (), None, True),
+    (mul24, 0xFFF000, 0xA5C3E1, [FaultSpec(GRID_IDS[Quadrant.HL][(1, 2)], 0x5A)], None, False),
+    (mul24, 0xABCDEF, 0xFEDCBA, [FaultSpec(GRID_IDS[Quadrant.HL][(1, 2)], 0x5A)],
+     TWO_SPARES, True),
+    (mul12, 0xA5C, 0x0F3, (), RepairConfig(), True),
+    (mul12, 0xA5C, 0xFFF, [FaultSpec(GRID_IDS[Quadrant.LL][(2, 1)], 0x11)],
+     RepairConfig(True, GRID_IDS[Quadrant.LL][(2, 1)]), True),
+]
+CALL_IDS = ["wide", "narrow", "faulted-ungated", "repaired", "mul12", "mul12-repaired"]
+
+
+def _call(call):
+    scalar, a, b, faults, repair, gating = call
+    return scalar(a, b, faults, repair, gating=gating)
+
+
+def _fields(report) -> tuple:
+    return tuple(getattr(report, name) for name in REPORT_FIELDS)
+
+
+@pytest.mark.parametrize("call", CALLS, ids=CALL_IDS)
+def test_deferred_report_equals_the_report_built_from_its_fields(call):
+    report = _call(call).activity
+    assert isinstance(report, ActivityReport)
+    eager = ActivityReport(*_fields(report))
+    assert type(eager) is ActivityReport
+    assert report == eager and eager == report
+    assert not report != eager and not eager != report
+    assert report.to_json() == eager.to_json()
+    assert report.power_proxy == eager.power_proxy
+    other = ActivityReport(eager.active_mul4, eager.gated_mul4, eager.disabled_faulty, {})
+    assert report != other and other != report
+    assert dataclasses.replace(report, adder_levels_active={}) == other
+    assert pickle.loads(pickle.dumps(report)) == eager
+    assert report != _call(CALLS[1] if call is CALLS[0] else CALLS[0]).activity
+
+
+@pytest.mark.parametrize("call", CALLS, ids=CALL_IDS)
+def test_fields_read_in_any_order_or_twice_agree(call):
+    want = _fields(_call(call).activity)
+    for order in itertools.permutations(range(4)):
+        report = _call(call).activity
+        got = {}
+        for k in order + order:
+            value = getattr(report, REPORT_FIELDS[k])
+            assert got.setdefault(k, value) == value
+        assert tuple(got[k] for k in range(4)) == want
+    report = _call(call).activity
+    assert report.power_proxy == len(want[0])
+    assert _fields(report) == want
+
+
+def test_a_report_read_late_describes_its_own_call():
+    want = [_call(call).activity.to_json() for call in CALLS]
+    results = [_call(call) for call in CALLS]
+    rng = np.random.default_rng(7)
+    for n in range(100):
+        target = POSITIONS[n % 36]
+        repair = {target.quadrant: RepairConfig(True, target)} if n % 2 else None
+        a, b = rng.integers(0, 1 << 24, size=2).tolist()
+        mul24(a, b, [FaultSpec(target, n)], repair, gating=n % 3 > 0)
+        mul12(b & 0xFFF, a & 0xFFF)
+    assert [result.activity.to_json() for result in results] == want
+
+
+@pytest.mark.parametrize("call", CALLS, ids=CALL_IDS)
+def test_adder_levels_keep_mask_bit_order_with_the_spares_last(call):
+    scalar, a, b, faults, repair, gating = call
+    batch = (mul24_batch if scalar is mul24 else mul12_batch)(
+        [a], [b], faults, repair, gating=gating
+    )
+    energised = int(batch.energised[0])
+    # ascending mask bits: a repaired target's bit moved to its spare's,
+    # and the spares' bits 36-39 come after every grid block's
+    want = [m for k, m in enumerate(BLOCK_IDS) if energised >> k & 1]
+    assert list(_call(call).activity.adder_levels_active) == want
+    report = _call(call).activity
+    report.active_mul4
+    assert list(report.adder_levels_active) == want
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_setting_a_report_attribute_raises(read_first):
+    report = mul24(0xABCDEF, 0xFEDCBA).activity
+    if read_first:
+        report.to_json()
+    for name in REPORT_FIELDS + ("power_proxy", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, frozenset())
+    with pytest.raises(AttributeError):
+        del report.active_mul4
+    assert report == mul24(0xABCDEF, 0xFEDCBA).activity

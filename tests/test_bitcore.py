@@ -162,6 +162,13 @@ def test_evaluate_nets_gives_int64_arrays_for_any_batch():
         assert np.array_equal(got, a + 3)
 
 
+@pytest.mark.parametrize("kind", ["AND", None, 0], ids=repr)
+def test_builder_cell_kind_that_is_not_a_cell_kind_is_value_error(kind):
+    # a str kind used to raise KeyError: 'AND'
+    with pytest.raises(ValueError, match="kind must be a CellKind"):
+        NetlistBuilder().cell(kind, ("a", "b"))
+
+
 def test_classify_width_table():
     classes = (4, 8, 12)
     cases = {0: 4, 1: 4, 15: 4, 16: 8, 255: 8, 256: 12, 4095: 12}

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -7,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cifm.bitcore import BitVec
-from cifm.fp32 import Fp32Class, Rounding, fp_mul
+from cifm.fp32 import Fp32Class, FpMulTrace, Rounding, fp_mul
+from cifm.multiplier import GRID_IDS, ActivityReport, FaultSpec, Quadrant, RepairConfig, mul24
 from cifm.softfloat import CANONICAL_QNAN, softfloat_mul
 
 INF = 0x7F800000
@@ -178,3 +181,81 @@ def test_numpy_operand_patterns_give_int_results_and_plain_json(a, b):
     want, want_trace = fp_mul(a, b)
     assert type(got.value) is int and int(got) == int(want)
     assert json.dumps(trace.to_json()) == json.dumps(want_trace.to_json())
+
+
+# fp_mul builds its trace on first read. The tests below read traces in
+# different ways and compare with traces built eagerly.
+
+TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(FpMulTrace))
+TRACE_CALLS = [  # (a, b, faults, repair)
+    (0x3FC01234, 0x40236543, (), None),
+    (0x3F918E00, 0x3FE12000, (), None),             # rounds up to the next power of two
+    (0x7F000000, 0x40000000, (), None),             # overflow
+    (0x007FFFFF, 0x3F800000, (), None),             # flushed a, then the zero special
+    (INF, 0x80000000, (), None),                    # inf times zero
+    (0x40490FDB, 0x40490FDB, [FaultSpec(GRID_IDS[Quadrant.HH][(2, 2)], 0x5A)], None),
+    (0x40490FDB, 0x40490FDB, [FaultSpec(GRID_IDS[Quadrant.HH][(2, 2)], 0x5A)],
+     {Quadrant.HH: RepairConfig(True, GRID_IDS[Quadrant.HH][(2, 2)])}),
+]
+TRACE_IDS = ["normal", "carry", "overflow", "flushed", "inf-times-zero", "faulted", "repaired"]
+
+
+def _fields(trace) -> tuple:
+    return tuple(getattr(trace, name) for name in TRACE_FIELDS)
+
+
+@pytest.mark.parametrize("call", TRACE_CALLS, ids=TRACE_IDS)
+def test_deferred_trace_equals_the_trace_built_from_its_fields(call):
+    bits, trace = fp_mul(*call)
+    assert isinstance(trace, FpMulTrace)
+    assert trace.activity is None or isinstance(trace.activity, ActivityReport)
+    eager = FpMulTrace(*_fields(trace))
+    assert type(eager) is FpMulTrace
+    assert trace == eager and eager == trace
+    assert not trace != eager and not eager != trace
+    assert json.dumps(trace.to_json()) == json.dumps(eager.to_json())
+    other = FpMulTrace(*_fields(eager)[:-2], "changed", eager.activity)
+    assert trace != other and other != trace
+    assert dataclasses.replace(trace, special="changed") == other
+    assert pickle.loads(pickle.dumps(trace)) == eager
+    if trace.activity is not None:
+        a, b, faults, repair = call
+        sig_a, sig_b = trace.significand_a, trace.significand_b
+        assert trace.activity == mul24(sig_a, sig_b, faults, repair).activity
+        assert trace.raw_product == mul24(sig_a, sig_b, faults, repair).product
+
+
+@pytest.mark.parametrize("call", TRACE_CALLS, ids=TRACE_IDS)
+def test_trace_fields_read_in_any_order_or_twice_agree(call):
+    want = _fields(fp_mul(*call)[1])
+    for shift in range(len(TRACE_FIELDS)):
+        names = TRACE_FIELDS[shift:] + TRACE_FIELDS[:shift]
+        trace = fp_mul(*call)[1]
+        got = {name: getattr(trace, name) for name in names[::-1] + names}
+        assert tuple(got[name] for name in TRACE_FIELDS) == want
+        assert _fields(trace) == want
+
+
+def test_a_trace_read_late_describes_its_own_call():
+    want = [json.dumps(fp_mul(*call)[1].to_json()) for call in TRACE_CALLS]
+    results = [fp_mul(*call)[1] for call in TRACE_CALLS]
+    rng = np.random.default_rng(8)
+    for n in range(100):
+        target = GRID_IDS[list(Quadrant)[n % 4]][(n % 3, n // 3 % 3)]
+        repair = {target.quadrant: RepairConfig(True, target)} if n % 2 else None
+        a, b = rng.integers(0, 1 << 32, size=2).tolist()
+        fp_mul(a, b, [FaultSpec(target, n)], repair, rounding=list(Rounding)[n % 2])
+    assert [json.dumps(trace.to_json()) for trace in results] == want
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_setting_a_trace_attribute_raises(read_first):
+    trace = fp_mul(0x3FC01234, 0x40236543)[1]
+    if read_first:
+        trace.to_json()
+    for name in TRACE_FIELDS + ("anything",):
+        with pytest.raises(AttributeError):
+            setattr(trace, name, None)
+    with pytest.raises(AttributeError):
+        del trace.raw_product
+    assert trace == fp_mul(0x3FC01234, 0x40236543)[1]

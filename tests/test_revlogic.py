@@ -452,3 +452,24 @@ def test_line_tag_that_is_not_a_line_tag_is_value_error(tag):
         RevLine(tag, const=7)
     with pytest.raises(ValueError, match="tag"):
         RevLine(tag, name="x")
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (lambda: expand(None), "CellNetlist"),
+        (lambda: expand("mul4"), "CellNetlist"),
+        (lambda: simulate(None, {}), "RevNetlist"),
+        (lambda: simulate(export_netlist("mul4"), {}), "RevNetlist"),
+        (lambda: simulate_inverse(None, []), "RevNetlist"),
+        (lambda: metrics_of("x"), "RevNetlist"),
+        (lambda: metrics_of(export_netlist("mul4")), "RevNetlist"),
+        (lambda: RevNetlist().apply(None, 0), "RevGate"),
+    ],
+    ids=["expand-none", "expand-str", "simulate-none", "simulate-cell-netlist",
+         "simulate-inverse-none", "metrics-str", "metrics-cell-netlist", "apply-none"],
+)
+def test_wrong_typed_circuit_argument_is_value_error(call, expected):
+    # each of these used to leak AttributeError
+    with pytest.raises(ValueError, match=f"must be a {expected}"):
+        call()
