@@ -28,12 +28,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BitVec",
@@ -47,8 +49,15 @@ __all__ = [
 
 def as_int(x, name: str) -> int:
     """``x`` as a Python int: an int or a numpy integer scalar, never a bool.
-    ValueError for anything else. The type only: callers check the range."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+    ValueError for anything else. The type only: callers check the range.
+
+    While numpy is not loaded, no value can be a numpy scalar, so numpy's
+    types are looked at only once something else has imported it.
+    """
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, np.integer):
         return int(x)
     raise ValueError(f"{name} must be an int, got {type(x).__name__}")
 
@@ -237,16 +246,16 @@ def kernel(n_in: int, products: tuple, outputs: tuple, targets: tuple) -> Callab
 
 
 class KernelPlan(NamedTuple):
-    """A netlist compiled for :func:`run_kernels`.
+    """A netlist compiled for :func:`run_planes`.
 
     The state is a list of ``rows`` bit planes, ints whose bit v is vector
     v's value. State row ``load_rows[i]`` starts as bit ``load_shift[i]``
     (bit 0 when ``load_shift`` is None) of operand row ``load_src[i]``;
     rows in ``ones`` start all ones and every other row zero. ``load_src``
-    is an index array or a slice. Only an index array's load is a copy, so
-    only a plan with an index array may have a ``load_shift``, which shifts
-    that copy in place. ``steps`` holds one ``(kernel, rows)`` pair per
-    element in netlist order, run as ``kernel(state, ONES, rows)``.
+    is a tuple of operand rows or a slice. Only a tuple's load of an array
+    is a copy, so only a plan with a tuple may have a ``load_shift``, which
+    shifts that copy in place. ``steps`` holds one ``(kernel, rows)`` pair
+    per element in netlist order, run as ``kernel(state, ONES, rows)``.
     ``depth[r]`` counts the elements on the longest chain that ends at the
     last element touching row r, 0 if none does.
     """
@@ -254,10 +263,27 @@ class KernelPlan(NamedTuple):
     rows: int
     steps: tuple[tuple[Callable, tuple[int, ...]], ...]
     load_rows: tuple[int, ...]
-    load_src: np.ndarray | slice
-    load_shift: np.ndarray | None
+    load_src: tuple[int, ...] | slice
+    load_shift: tuple[int, ...] | None
     ones: tuple[int, ...]
     depth: tuple[int, ...]
+
+
+def run_planes(plan: KernelPlan, planes: Iterable[int], n: int) -> list[int]:
+    """Every state row's final bit plane after ``plan`` runs on ``n`` vectors.
+
+    ``planes`` holds the starting plane of each of ``plan.load_rows``, in
+    that order: bit v of a plane is vector v's value.
+    """
+    state = [0] * plan.rows
+    for row, plane in zip(plan.load_rows, planes):
+        state[row] = plane
+    ones = (1 << n) - 1
+    for row in plan.ones:
+        state[row] = ones
+    for k, rows in plan.steps:
+        k(state, ones, rows)
+    return state
 
 
 def _to_planes(bits: np.ndarray) -> list[int]:
@@ -267,6 +293,8 @@ def _to_planes(bits: np.ndarray) -> list[int]:
     bytes, which ``np.packbits`` handles an order of magnitude faster than
     wider integers.
     """
+    import numpy as np
+
     n = bits.shape[1]
     if n < 64:
         return (bits.astype(np.int64, copy=False) << np.arange(n)).sum(axis=1).tolist()
@@ -279,6 +307,8 @@ def _to_planes(bits: np.ndarray) -> list[int]:
 
 def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
     """The inverse of :func:`_to_planes`: uint8 [len(planes) x n]."""
+    import numpy as np
+
     if n < 64:
         words = np.array(planes, dtype=np.int64).reshape(len(planes), 1)
         return ((words >> np.arange(n)) & 1).astype(np.uint8)
@@ -297,22 +327,22 @@ def run_kernels(plan: KernelPlan, values: np.ndarray, read: Sequence[int]):
     ``(lo, hi, bits)``: bits is a uint8 array [len(read) x (hi - lo)] with
     the final 0/1 values of state rows ``read`` for vectors lo..hi-1.
     """
+    import numpy as np
+
+    src, shift = plan.load_src, plan.load_shift
+    if not isinstance(src, slice):
+        src = np.array(src, dtype=np.intp)
+    if shift is not None:
+        shift = np.array(shift, dtype=np.int64)[:, None]
     for lo in range(0, values.shape[1], CHUNK_VECTORS):
         hi = min(values.shape[1], lo + CHUNK_VECTORS)
         # an index-array load is a copy, the only kind shifted in place;
         # a slice load is a view of ``values``
-        block = values[plan.load_src, lo:hi]
-        if plan.load_shift is not None:
-            block >>= plan.load_shift[:, None]
+        block = values[src, lo:hi]
+        if shift is not None:
+            block >>= shift
             block &= 1
-        state = [0] * plan.rows
-        for row, plane in zip(plan.load_rows, _to_planes(block)):
-            state[row] = plane
-        ones = (1 << (hi - lo)) - 1
-        for row in plan.ones:
-            state[row] = ones
-        for k, rows in plan.steps:
-            k(state, ones, rows)
+        state = run_planes(plan, _to_planes(block), hi - lo)
         yield lo, hi, _from_planes([state[row] for row in read], hi - lo)
 
 
@@ -359,6 +389,8 @@ def uint_rows(
     ``values`` may also be one integer array whose first axis holds the
     operands: it is reshaped, not copied row by row, and its dtype is kept.
     """
+    import numpy as np
+
     if (isinstance(values, np.ndarray) and values.dtype.kind in "iu"
             and values.ndim and len(values) == len(widths)):
         shape = values.shape[1:]
@@ -382,6 +414,8 @@ def uint_rows(
 def _checked(flat: np.ndarray, widths: Sequence[int], name: Callable[[int], str]) -> np.ndarray:
     """``flat`` [operands x vectors], after checking that every element of
     row i lies in 0..2**widths[i]-1."""
+    import numpy as np
+
     if flat.size:
         limits = np.left_shift(1, np.minimum(widths, 63), dtype=np.int64) - 1
         bad = flat.max(axis=1) > limits
@@ -393,8 +427,15 @@ def _checked(flat: np.ndarray, widths: Sequence[int], name: Callable[[int], str]
     return flat
 
 
+def all_ints(values: Iterable) -> bool:
+    """True when every value is a plain int: a call that runs without numpy."""
+    return all(type(v) is int for v in values)
+
+
 def is_scalar_call(values: Iterable) -> bool:
     """True when no operand is an array or sequence: results are Python ints."""
+    import numpy as np
+
     return all(
         type(v) is int or (np.ndim(v) == 0 and not isinstance(v, np.ndarray))
         for v in values
@@ -411,7 +452,20 @@ def run_rows(
     uint8 array [plan.rows x *shape] for the broadcast shape of the values:
     a batch of one chunk is returned as the engine made it, longer batches
     are joined, and an empty one gives [plan.rows x 0].
+
+    A call whose values are all plain ints runs as one vector without
+    numpy: each value is range-checked with :func:`uint_value` and its bits
+    load the state directly.
     """
+    if all_ints(values):
+        ints = [uint_value(v, w, name(i)) for i, (v, w) in enumerate(zip(values, widths))]
+        src = plan.load_src
+        loaded = ints[src] if isinstance(src, slice) else [ints[i] for i in src]
+        if plan.load_shift is not None:
+            loaded = [v >> k & 1 for v, k in zip(loaded, plan.load_shift)]
+        return run_planes(plan, loaded, 1)
+    import numpy as np
+
     rows, shape = uint_rows(values, widths, name)
     chunks = [bits for _, _, bits in run_kernels(plan, rows, range(plan.rows))]
     chunks = chunks or [np.empty((plan.rows, 0), dtype=np.uint8)]
@@ -550,8 +604,8 @@ class CellNetlist:
             rows=len(row),
             steps=tuple(steps),
             load_rows=tuple(range(len(src))),
-            load_src=np.array(src, dtype=np.intp),
-            load_shift=np.array(shift, dtype=np.int64),
+            load_src=tuple(src),
+            load_shift=tuple(shift),
             ones=(),
             depth=tuple(depth),
         )
@@ -574,13 +628,19 @@ class CellNetlist:
         """
         compiled = self._compiled()
         values = run_rows(compiled.plan, *self._operands(operands))
-        values = values if type(values) is list else values.astype(np.int64)
+        if type(values) is not list:
+            values = values.astype("int64")
         return dict(zip(compiled.nets, values))
 
     def evaluate(self, operands: Mapping[str, int | np.ndarray]) -> int | np.ndarray:
         """Evaluate and assemble the output bits into one integer (or int64 array)."""
         compiled = self._compiled()
         values, widths, name = self._operands(operands)
+        if all_ints(values):
+            state = run_rows(compiled.plan, values, widths, name)
+            return sum(state[row] << k for k, row in enumerate(compiled.outputs))
+        import numpy as np
+
         rows, shape = uint_rows(values, widths, name)
         weights = np.left_shift(1, np.arange(len(compiled.outputs), dtype=np.int64))
         total = np.zeros(rows.shape[1], dtype=np.int64)

@@ -4,6 +4,10 @@ Machine-readable JSON goes to stdout and human diagnostics to stderr; the
 exit status is 0 only when every requested check passed. Hex operands take
 an optional ``0x`` prefix. Random sweeps accept ``--seed`` and default to
 seed 0 so repeated runs are byte-identical.
+
+The ``verify`` and ``metrics`` handlers, and ``netlist`` for a reversible
+target, import :mod:`cifm.verify` and :mod:`cifm.revlogic` when they run, so
+the scalar commands start without them and without numpy.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import sys
 import time
 from typing import Sequence
 
+from . import SUITE_NAMES
 from .fp32 import Rounding, fp_mul
 from .multiplier import (
     GRID_IDS,
@@ -27,14 +32,14 @@ from .multiplier import (
     mul12,
     mul24,
 )
-from .revlogic import FullAdderVariant, build_full_adder, expand, metrics_of
-from .verify import SUITES, run_suite
 
-_FA_VARIANTS = {v.value: v for v in FullAdderVariant}
+# The values of revlogic.FullAdderVariant, in its order (tests/test_cli.py
+# pins them), so the parser offers them without loading revlogic.
+_FA_VARIANTS = ("fa-tsg", "fa-ng2", "fa-ng-toffoli", "fa-fredkin5")
 _REV_MULS = {"mul4-rev": "mul4", "mul12-rev": "mul12", "cifm-rev": "mul24"}
 _CLASSICAL = ("mul4", "mul12", "mul24")
 
-METRICS_CIRCUITS = tuple(_FA_VARIANTS) + tuple(_REV_MULS) + _CLASSICAL
+METRICS_CIRCUITS = _FA_VARIANTS + tuple(_REV_MULS) + _CLASSICAL
 NETLIST_TARGETS = _CLASSICAL + tuple(_REV_MULS)
 
 
@@ -107,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="drop guard bits instead of rounding to nearest even")
 
     ver_p = sub.add_parser("verify", help="run a named verification sweep")
-    ver_p.add_argument("suite", choices=sorted(SUITES))
+    ver_p.add_argument("suite", choices=sorted(SUITE_NAMES))
     ver_p.add_argument("--seed", type=int, default=0)
 
     met_p = sub.add_parser("metrics", help="gate/garbage/delay or cell counts")
@@ -187,6 +192,8 @@ def cmd_fpmul(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
+    from .verify import run_suite
+
     start = time.perf_counter()
     result = run_suite(args.suite, seed=args.seed)
     elapsed = time.perf_counter() - start
@@ -205,8 +212,10 @@ def cmd_metrics(parser, args) -> int:
     else:
         if args.with_features:
             parser.error("--with-features applies to the classical datapaths only")
+        from .revlogic import FullAdderVariant, build_full_adder, expand, metrics_of
+
         if name in _FA_VARIANTS:
-            circuit = build_full_adder(_FA_VARIANTS[name])
+            circuit = build_full_adder(FullAdderVariant(name))
         else:
             circuit = expand(export_netlist(_REV_MULS[name]))
         doc = {"circuit": name} | metrics_of(circuit).to_json()
@@ -217,6 +226,8 @@ def cmd_metrics(parser, args) -> int:
 
 def cmd_netlist(parser, args) -> int:
     if args.target in _REV_MULS:
+        from .revlogic import expand
+
         doc = expand(export_netlist(_REV_MULS[args.target])).to_json()
     else:
         doc = export_netlist(args.target).to_json()

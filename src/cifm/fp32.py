@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bitcore import BitVec, deferred_record, uint_rows, uint_value
 from .multiplier import (
@@ -152,8 +153,6 @@ def _special_entry(ca: int, cb: int) -> tuple[str | None, int, bool]:
 
 
 _SPECIALS = tuple(_special_entry(ca, cb) for ca in range(4) for cb in range(4))
-_SPECIAL_BITS = np.array([bits for _, bits, _ in _SPECIALS], dtype=np.int64)
-_SPECIAL_SIGNED = np.array([signed for _, _, signed in _SPECIALS], dtype=np.int64)
 
 
 def _operand_class(bits):
@@ -308,12 +307,15 @@ def fp_mul_batch(
     :func:`cifm.multiplier.mul24_batch` call, with ``faults`` and ``repair``
     passed through.
     """
+    import numpy as np
+
     rows, shape = uint_rows((a, b), (32, 32), "ab".__getitem__)
     nearest_even = _nearest_even(rounding)
     x, y = rows
     sign = (x ^ y) >> 31
     code = 4 * _operand_class(x) + _operand_class(y)
-    out = _SPECIAL_BITS[code] | (sign << 31) * _SPECIAL_SIGNED[code]
+    special_bits, special_signed = np.array([e[1:] for e in _SPECIALS], dtype=np.int64).T
+    out = special_bits[code] | (sign << 31) * special_signed[code]
     live = np.flatnonzero(code == 0)
     x, y, sign = x[live], y[live], sign[live]
     raw = mul24_batch(

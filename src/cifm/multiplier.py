@@ -17,8 +17,9 @@ the faulty block itself is powered off.
 Every 4x4 block is simulated bit-accurately through a fixed three-level
 cell netlist (16 AND cells feeding two parallel adder chains, then a
 low/high merge, then final carry resolution). The netlist's truth table
-for all 256 operand pairs is computed once by vectorised netlist
-evaluation, and every block product is a lookup in it.
+for all 256 operand pairs is computed once, by one run of the compiled
+netlist on Python-int bit planes of 256 vectors, and every block product
+is a lookup in it.
 
 One numpy engine evaluates the quadrant and top levels for a batch of
 operand pairs (:func:`mul24_batch`, :func:`mul12_batch`). It works per
@@ -39,7 +40,8 @@ quadrant, which wraps modulo 2**24. Besides the products and the powered
 mask, the engine returns per pair the mask of the faulty blocks that drove
 their forced value. Batches run in chunks of
 :data:`CHUNK` pairs, which bounds the temporaries. The tables are built on
-first use, never at import.
+first use, never at import, in pure Python as ``array`` buffers; the engine
+wraps the same buffers with ``np.frombuffer``, without a copy.
 
 :func:`mul12` and :func:`mul24` run the same rule for one pair on Python
 ints, reading the same tables through zero-copy memoryviews, since numpy's
@@ -47,17 +49,22 @@ per-call cost would dominate one pair. The call's :class:`ActivityReport`
 keeps its power-pattern mask, repairs and operands, and is built on first
 read from the partition of the blocks for that pattern (which grid blocks
 are powered), cached per pattern: 144 for mul24 and 9 for mul12, whatever
-the operand values, faults and repairs.
+the operand values, faults and repairs. The scalar calls, :func:`mul4`, the
+netlists and the cost model never load numpy; the batch functions import it
+when called.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bitcore import (
     BitVec,
@@ -66,6 +73,7 @@ from .bitcore import (
     NetlistBuilder,
     as_int,
     deferred_record,
+    run_planes,
     uint_rows,
     uint_value,
 )
@@ -118,8 +126,12 @@ _QUADRANT_INDEX = {q: k for k, q in enumerate(Quadrant)}
 
 
 def _check_flag(name: str, value) -> bool:
-    """``value`` as a Python bool. ValueError unless a bool: "yes" is not true."""
-    if not isinstance(value, (bool, np.bool_)):
+    """``value`` as a Python bool. ValueError unless a bool: "yes" is not true.
+    A numpy bool passes too, once numpy is loaded."""
+    if isinstance(value, bool):
+        return value
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(value, np.bool_):
         raise ValueError(f"{name} must be a bool, got {value!r}")
     return bool(value)
 
@@ -237,8 +249,12 @@ class ActivityReport:
         return len(self.active_mul4)
 
     def to_json(self) -> dict:
+        """Each set and the level map sorted by the blocks' ``str``. The 40
+        block ids' strs and JSON forms are looked up, not made again; each
+        JSON form is a fresh copy, so callers may change what they get."""
+
         def ids(s: Iterable[ModuleId]) -> list[dict]:
-            return [m.to_json() for m in sorted(s, key=str)]
+            return [dict(_ID_JSON[m]) for m in sorted(s, key=_ID_STR.__getitem__)]
 
         return {
             "active": ids(self.active_mul4),
@@ -246,9 +262,9 @@ class ActivityReport:
             "disabled_faulty": ids(self.disabled_faulty),
             "power_proxy": self.power_proxy,
             "adder_levels_active": [
-                {"block": None if m is None else m.to_json(), "levels": n}
+                {"block": None if m is None else dict(_ID_JSON[m]), "levels": n}
                 for m, n in sorted(
-                    self.adder_levels_active.items(), key=lambda kv: str(kv[0])
+                    self.adder_levels_active.items(), key=lambda kv: _ID_STR[kv[0]]
                 )
             ],
         }
@@ -308,33 +324,43 @@ def _build_mul4(
     return [s01[0], s01[1], t2, t3, t4, p5, p6, p7]
 
 
-# Truth tables of the 4x4 netlist: product (an array) and active adder levels
-# (a list, read one block at a time) for all 256 operand pairs (index
-# b << 4 | a), derived by one vectorised netlist evaluation.
+# Truth tables of the 4x4 netlist: product and active adder levels for all
+# 256 operand pairs (index b << 4 | a), derived by one run of the compiled
+# netlist on Python-int bit planes, vector v holding pair v.
 @functools.cache
-def _mul4_tables() -> tuple[np.ndarray, list[int]]:
+def _mul4_tables() -> tuple[list[int], list[int]]:
     nl = export_netlist("mul4")
-    pairs = np.arange(1 << 8, dtype=np.int64)
-    a = pairs & 0xF
-    bb = pairs >> 4
-    values = nl.evaluate_nets({"a": a, "b": bb})
-    product = np.zeros(1 << 8, dtype=np.int64)
-    for k, (_, net) in enumerate(nl.outputs):
-        product += values[net] << k
-    levels = np.zeros(1 << 8, dtype=np.int64)
+    plan, nets, outputs = nl._compiled()
+    pairs = range(1 << 8)
+    operands = ([v & 0xF for v in pairs], [v >> 4 for v in pairs])   # buses a, b
+    planes = [
+        sum(1 << v for v in pairs if operands[src][v] >> shift & 1)
+        for src, shift in zip(plan.load_src, plan.load_shift)
+    ]
+    state = run_planes(plan, planes, len(pairs))
+    product = [0] * len(pairs)
+    for k, row in enumerate(outputs):
+        plane = state[row]
+        for v in pairs:
+            product[v] |= (plane >> v & 1) << k
+    row_of = {net: row for row, net in enumerate(nets)}
+    levels = [0] * len(pairs)
     for lvl in (1, 2, 3):
-        seen = np.zeros(1 << 8, dtype=np.int64)
+        seen = 0
         for cell in nl.cells:
             if cell.level == lvl and cell.kind in (CellKind.HA, CellKind.FA):
                 for net in cell.inputs:
-                    seen |= values[net]
-        levels += seen
-    return product, levels.tolist()
+                    seen |= state[row_of[net]]
+        for v in pairs:
+            levels[v] += seen >> v & 1
+    return product, levels
 
 
 def _operands(a, b, width: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Equal-shape ``width``-bit operands as one int64 stack [2 x vectors],
     with their shape, or ValueError."""
+    import numpy as np
+
     if np.shape(a) != np.shape(b):
         raise ValueError(f"a and b differ in shape: {np.shape(a)} vs {np.shape(b)}")
     return uint_rows((a, b), (width, width), "ab".__getitem__)
@@ -356,7 +382,7 @@ def mul4(a: BitVec | int, b: BitVec | int) -> MulResult:
         disabled_faulty=frozenset(),
         adder_levels_active={None: levels[idx]},
     )
-    return MulResult(BitVec(int(product[idx]), 8), report)
+    return MulResult(BitVec(product[idx], 8), report)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +397,17 @@ BLOCK_IDS: tuple[ModuleId, ...] = tuple(
 ) + tuple(SPARE_IDS[q] for q in Quadrant)
 _BIT = {m: k for k, m in enumerate(BLOCK_IDS)}
 
+# Each block id's str, which orders the ids of a report's JSON, and its JSON
+# form, made once; None is the key of a lone block's levels.
+_ID_STR: dict[ModuleId | None, str] = {None: "None", **{m: str(m) for m in BLOCK_IDS}}
+_ID_JSON = {m: m.to_json() for m in BLOCK_IDS}
+
+
 # Operand pairs per engine pass: bounds each (rows x halves x pairs) temporary
 # to 96 KB, below the C allocator's 128 KB mmap threshold.
 CHUNK = 1024
 
 _MASK48 = (1 << 48) - 1
-
-# Shifts that move group i of a 12-bit half to bits 12..15, and the weights
-# of a quadrant's three row sums.
-_GROUP_UP = np.array([[12], [8], [4]])
-_ROW_WEIGHT = np.array([1, 1 << 4, 1 << 8])
 
 
 class BlockBatch(NamedTuple):
@@ -421,15 +448,10 @@ class _Layout:
     block (i, j) of the quadrant on halves (ha, hb) sits at (3*ha + i,
     3*hb + j). The blocks of row r on b half hb make one row sum, at weight
     4*r + 12*hb. A layout compares and hashes by identity, so it can key
-    :func:`_partition` and :func:`_power_tables`.
+    :func:`_partition`, :func:`_power_tables` and :func:`_engine`.
     """
 
     halves: int                       # 12-bit halves per operand
-    half_shift: np.ndarray            # (h, 1) bit offset 12*h of operand half h
-    row_weight: np.ndarray            # (g*h,) 2**(4*r + 12*hb) of row sum (r, hb)
-    quad_weight: np.ndarray           # (h*h,) 2**(12*(ha + hb)) of quadrant (ha, hb)
-    pattern_weight: np.ndarray        # (2*h,) 4**k: the group count of a's halves,
-                                      # then b's, 2 bits each in a power pattern
     ids: frozenset[ModuleId]          # every instantiated block, spares included
     quad_bits: Mapping[Quadrant, int]  # mask bits of each placed quadrant's ten blocks
     pos: Mapping[int, tuple[int, int]]  # mask bit -> grid block it multiplies
@@ -441,14 +463,8 @@ def _layout(placed: Mapping[Quadrant, tuple[int, int]]) -> _Layout:
     for q, (ha, hb) in placed.items():
         for (i, j), mid in GRID_IDS[q].items():
             pos[_BIT[mid]] = (3 * ha + i, 3 * hb + j)
-    r = np.arange(3 * halves)
-    h = np.arange(halves)
     return _Layout(
         halves=halves,
-        half_shift=12 * h[:, None],
-        row_weight=(1 << 4 * r[:, None] + 12 * h[None, :]).ravel(),
-        quad_weight=(1 << 12 * (h[:, None] + h[None, :])).ravel(),
-        pattern_weight=4 ** np.arange(2 * halves),
         ids=frozenset(BLOCK_IDS[b] for q in placed for b in _quad_bits(q)),
         quad_bits={q: sum(1 << b for b in _quad_bits(q)) for q in placed},
         pos=pos,
@@ -465,44 +481,89 @@ _PLAIN = _Plan((), 0, ())                # no faults, no repairs
 
 
 @functools.cache
-def _row_sums() -> np.ndarray:
+def _row_sums() -> array:
     """Row-sum table of the mul4 truth table: 16 x 4096 int32 entries (256 KB).
 
     Entry ``a << 12 | b`` is the sum over j of the block product of the
     4-bit group a and group j of the 12-bit half b, at weight 4*j: one row
     of a quadrant's blocks. Built on first use, like the truth table.
     """
-    # block[a, b]; C order, so the broadcast sum is laid out a, b2, b1, b0
-    block = np.ascontiguousarray(_mul4_tables()[0].reshape(16, 16).T, dtype=np.int32)
-    b2 = block[:, :, None, None] << 8
-    b1 = block[:, None, :, None] << 4
-    return (b2 + b1 + block[:, None, None, :]).ravel()
+    product = _mul4_tables()[0]
+    # 256 entries are added at once as the 32-bit lanes of one Python int,
+    # laid out as the table's bytes: no entry reaches 2**16, so no carry
+    # crosses a lane.
+    order = sys.byteorder
+    ones = int.from_bytes(array("i", [1] * 256).tobytes(), order)  # 1 in each lane
+    table = array("i")
+    for a in range(16):
+        block = [product[b << 4 | a] for b in range(16)]       # a times each group
+        low = array("i", [(hi << 4) + lo for hi in block for lo in block])  # groups 1, 0
+        low = int.from_bytes(low.tobytes(), order)
+        for top in block:                                       # group 2
+            table.frombytes((low + (top << 8) * ones).to_bytes(4 * 256, order))
+    return table
 
 
 @functools.cache
-def _power_tables(layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+def _power_tables(layout: _Layout) -> tuple[array, array]:
     """The width checkers' rule, as a group count per half and a mask per pattern.
 
     ``counts[x]`` is how many groups of the 12-bit half x are powered: group
     i is powered when x >> 4*i is non-zero, that is when x >= 16**i (its
-    class exceeds 4*i). A power
-    pattern is the sum of each half's count times its ``pattern_weight``,
-    and ``masks[pattern]`` is its energised mask with no spare in use. Group
-    0 of the low half is powered even for zero, since class 4 is the
-    narrowest; a zero high half is cut off whole by the outer checker, which
-    is the same as all its groups dark. The last pattern powers every block,
-    as with gating off.
+    class exceeds 4*i). A power pattern holds each half's count in 2 bits,
+    a's halves first, then b's (count k at bit 2*k), and ``masks[pattern]``
+    is its energised mask with no spare in use. Group 0 of the low half is
+    powered even for zero, since class 4 is the narrowest; a zero high half
+    is cut off whole by the outer checker, which is the same as all its
+    groups dark. The last pattern powers every block, as with gating off.
     """
-    x = np.arange(1 << 12)[:, None]
-    counts = (x >= 16 ** np.arange(3)).sum(axis=1, dtype=np.uint8)
-    patterns = np.arange(1 << 4 * layout.halves)
-    groups = (patterns // layout.pattern_weight[:, None] & 3).reshape(2, layout.halves, -1)
-    groups[:, 0] = np.maximum(groups[:, 0], 1)
-    masks = np.zeros(patterns.size, dtype=np.int64)
-    for bit, (r, c) in layout.pos.items():
-        on = (r % 3 < groups[0, r // 3]) & (c % 3 < groups[1, c // 3])
-        masks |= on.astype(np.int64) << bit
+    counts = array("B", [(x >= 1) + (x >= 16) + (x >= 256) for x in range(1 << 12)])
+    h = layout.halves
+    masks = array("q")
+    for pattern in range(1 << 4 * h):
+        groups = [pattern >> 2 * k & 3 for k in range(2 * h)]
+        groups[0] = max(groups[0], 1)           # the low halves of a and b
+        groups[h] = max(groups[h], 1)
+        masks.append(sum(
+            1 << bit for bit, (r, c) in layout.pos.items()
+            if r % 3 < groups[r // 3] and c % 3 < groups[h + c // 3]
+        ))
     return counts, masks
+
+
+class _Engine(NamedTuple):
+    """One layout's tables and weights as numpy arrays, for :func:`_blocks`."""
+
+    sums: np.ndarray            # the row-sum table, a view of :func:`_row_sums`
+    counts: np.ndarray          # views of the layout's :func:`_power_tables`
+    masks: np.ndarray
+    half_shift: np.ndarray      # (h, 1) bit offset 12*h of operand half h
+    group_up: np.ndarray        # (3, 1) shifts moving group i of a half to bits 12..15
+    row_weight: np.ndarray      # (g*h,) 2**(4*r + 12*hb) of row sum (r, hb)
+    quad_row_weight: np.ndarray  # (3,) weights of a quadrant's three row sums
+    quad_weight: np.ndarray     # (h*h,) 2**(12*(ha + hb)) of quadrant (ha, hb)
+    pattern_weight: np.ndarray  # (2*h,) 4**k: the weight of half k in a power pattern
+
+
+@functools.cache
+def _engine(layout: _Layout) -> _Engine:
+    """The batch engine's arrays for ``layout``: the tables are wrapped, not copied."""
+    import numpy as np
+
+    counts, masks = _power_tables(layout)
+    r = np.arange(3 * layout.halves)
+    h = np.arange(layout.halves)
+    return _Engine(
+        sums=np.frombuffer(_row_sums(), dtype=np.intc),
+        counts=np.frombuffer(counts, dtype=np.uint8),
+        masks=np.frombuffer(masks, dtype=np.int64),
+        half_shift=12 * h[:, None],
+        group_up=np.array([[12], [8], [4]]),
+        row_weight=(1 << 4 * r[:, None] + 12 * h[None, :]).ravel(),
+        quad_row_weight=np.array([1, 1 << 4, 1 << 8]),
+        quad_weight=(1 << 12 * (h[:, None] + h[None, :])).ravel(),
+        pattern_weight=4 ** np.arange(2 * layout.halves),
+    )
 
 
 def _plan(
@@ -515,9 +576,12 @@ def _plan(
 
     Runs once per call, whichever quadrants the operands would switch on.
     Also rejects a ``gating`` that is not a bool, and ``faults`` that is not
-    an iterable of FaultSpec, with ValueError.
+    an iterable of FaultSpec, with ValueError. An empty tuple or list of
+    faults with no repair, the default, is the plain plan at once.
     """
     _check_flag("gating", gating)
+    if type(faults) in (tuple, list) and not faults and not repairs:
+        return _PLAIN
     try:
         faults = tuple(faults)
     except TypeError:
@@ -597,36 +661,39 @@ def _blocks(
     forced value minus the true block product to its quadrant, which then
     sums modulo 2**24; without one, no quadrant can wrap.
     """
+    import numpy as np
+
+    e = _engine(layout)
     n = ab.shape[1]
-    halves = ab[:, None, :] >> layout.half_shift & 0xFFF             # (2, h, n)
-    rows = halves[0][:, None, :] << _GROUP_UP & 0xF000               # (h, 3, n)
+    halves = ab[:, None, :] >> e.half_shift & 0xFFF                  # (2, h, n)
+    rows = halves[0][:, None, :] << e.group_up & 0xF000              # (h, 3, n)
     index = rows.reshape(-1, 1, n) | halves[1]                       # (g, h, n)
-    table = _row_sums()
-    sums = table.take(index)
-    counts, masks = _power_tables(layout)
+    sums = e.sums.take(index)
     if gating:
-        energised = masks.take(layout.pattern_weight @ counts.take(halves).reshape(-1, n))
+        energised = e.masks.take(e.pattern_weight @ e.counts.take(halves).reshape(-1, n))
     else:
-        energised = np.full(n, masks[-1])
+        energised = np.full(n, e.masks[-1])
     for _, target, spare in plan.repaired:
         energised ^= (energised >> target & 1) * (1 << target | 1 << spare)
     if not plan.faults:
-        products = layout.row_weight @ sums.reshape(-1, n)
+        products = e.row_weight @ sums.reshape(-1, n)
         return products, energised, energised & plan.fault_bits
     h = layout.halves
-    quads = (_ROW_WEIGHT @ sums.reshape(h, 3, h * n)).reshape(h * h, n)
+    quads = (e.quad_row_weight @ sums.reshape(h, 3, h * n)).reshape(h * h, n)
     for f in plan.faults:
         # the row sum of a group r and b group j alone is the true block product
         # at weight 4*j; in int32, as every value here is below 256 << 16
-        wrong = f.forced - (table.take(index[f.row, f.half] & f.keep) << f.shift)
+        wrong = f.forced - (e.sums.take(index[f.row, f.half] & f.keep) << f.shift)
         quads[f.quad] += wrong * (energised >> f.bit & 1)
-    products = layout.quad_weight @ (quads & 0xFFFFFF) & _MASK48
+    products = e.quad_weight @ (quads & 0xFFFFFF) & _MASK48
     return products, energised, energised & plan.fault_bits
 
 
 def _run_batch(
     layout: _Layout, plan: _Plan, ab: np.ndarray, shape: tuple[int, ...], gating: bool
 ) -> BlockBatch:
+    import numpy as np
+
     out = np.empty((3, ab.shape[1]), dtype=np.int64)
     for lo in range(0, ab.shape[1], CHUNK):
         chunk = slice(lo, lo + CHUNK)
@@ -674,8 +741,8 @@ def _partition(layout: _Layout, mask: int) -> _Partition:
 def _views(layout: _Layout) -> tuple[memoryview, memoryview, memoryview]:
     """The row-sum table and ``layout``'s power tables as zero-copy views.
 
-    Indexing a view returns a Python int, so a scalar call reads the batch
-    engine's tables without numpy's per-call cost and without a copy.
+    Indexing a view returns a Python int, so a scalar call reads the same
+    buffers as the batch engine (:func:`_engine`), without numpy.
     """
     counts, masks = _power_tables(layout)
     return memoryview(_row_sums()), memoryview(counts), memoryview(masks)

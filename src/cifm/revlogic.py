@@ -30,9 +30,10 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, countOf, itemgetter
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bitcore import (
     CellKind,
@@ -309,7 +310,7 @@ def _compile(n: RevNetlist) -> _CompiledRev:
         rows=len(n.lines),
         steps=tuple(forward),
         load_rows=tuple(i for i, _ in inputs),
-        load_src=np.array([index[name] for _, name in inputs], dtype=np.intp),
+        load_src=tuple(index[name] for _, name in inputs),
         load_shift=None,
         ones=tuple(i for i, l in enumerate(n.lines)
                    if l.tag is LineTag.ANCILLA and l.const == 1),

@@ -22,9 +22,12 @@ scalar function element for element.
 
 from __future__ import annotations
 
+import sys
 from numbers import Integral
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bitcore import uint_rows
 
@@ -57,8 +60,10 @@ def softfloat_mul(x: int, y: int, truncate: bool = False) -> int:
     other than ints in 0..2**32-1 (floats, strings, None, bools) raise
     ValueError, and so does a ``truncate`` that is not a bool.
     """
-    if not isinstance(truncate, (bool, np.bool_)):
-        raise ValueError(f"truncate must be a bool, got {truncate!r}")
+    if not isinstance(truncate, bool):
+        np = sys.modules.get("numpy")     # a numpy bool only once numpy is loaded
+        if np is None or not isinstance(truncate, np.bool_):
+            raise ValueError(f"truncate must be a bool, got {truncate!r}")
     sx, ex, fx = _parts(x)
     sy, ey, fy = _parts(y)
     sign = sx ^ sy
@@ -112,6 +117,8 @@ def softfloat_mul_batch(x, y) -> np.ndarray:
     batch is allowed. Returns the int64 result patterns in the broadcast
     shape.
     """
+    import numpy as np
+
     rows, shape = uint_rows((x, y), (32, 32), "xy".__getitem__)
     x, y = rows
     ex, fx = (x >> 23) & _EXP_MASK, x & _FRAC_MASK

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fp32, softfloat
+from . import SUITE_NAMES, fp32, softfloat
 from .bitcore import as_int
 from .multiplier import (  # noqa: F401  (perfbench wraps verify.mul12 by name)
     GRID_IDS,
@@ -316,16 +316,8 @@ def suite_repair_all(seed: int = 0) -> SuiteResult:
 _EXPOSE_SLICES = (slice(0, 32), slice(32, None))
 
 
-SUITES = {
-    "mul4-exhaustive": suite_mul4_exhaustive,
-    "mul12-random": suite_mul12_random,
-    "mul24-random": suite_mul24_random,
-    "gating-safety": suite_gating_safety,
-    "fp32-oracle": suite_fp32_oracle,
-    "rev-roundtrip": suite_rev_roundtrip,
-    "rev-expand": suite_rev_expand,
-    "repair-all": suite_repair_all,
-}
+# Each of the package's SUITE_NAMES, "x-y", runs the function suite_x_y above.
+SUITES = {name: globals()["suite_" + name.replace("-", "_")] for name in SUITE_NAMES}
 
 
 def run_suite(name: str, seed: int = 0) -> SuiteResult:

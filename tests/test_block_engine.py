@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from cifm import multiplier
 from cifm.bitcore import BitVec
 from cifm.multiplier import (
     BLOCK_IDS,
@@ -231,6 +232,51 @@ def test_row_sums_are_group_times_half():
     a = np.arange(16)[:, None]
     b = np.arange(1 << 12)[None, :]
     assert np.array_equal(_row_sums(), (a * b).ravel())
+
+
+def _numpy_row_sums(product: np.ndarray) -> np.ndarray:
+    """The row-sum table from the 256-entry mul4 product table (index
+    b << 4 | a), as numpy broadcasting builds it: laid out a, b2, b1, b0."""
+    block = np.ascontiguousarray(product.reshape(16, 16).T, dtype=np.int32)   # [a, b]
+    b2 = block[:, :, None, None] << 8
+    b1 = block[:, None, :, None] << 4
+    return (b2 + b1 + block[:, None, None, :]).ravel()
+
+
+def _numpy_power_tables(layout) -> tuple[np.ndarray, np.ndarray]:
+    """Group counts per 12-bit half and the energised mask per power pattern,
+    from the width rule applied to every pattern at once."""
+    x = np.arange(1 << 12)[:, None]
+    counts = (x >= 16 ** np.arange(3)).sum(axis=1, dtype=np.uint8)
+    weights = 4 ** np.arange(2 * layout.halves)
+    patterns = np.arange(1 << 4 * layout.halves)
+    groups = (patterns // weights[:, None] & 3).reshape(2, layout.halves, -1)
+    groups[:, 0] = np.maximum(groups[:, 0], 1)
+    masks = np.zeros(patterns.size, dtype=np.int64)
+    for bit, (r, c) in layout.pos.items():
+        on = (r % 3 < groups[0, r // 3]) & (c % 3 < groups[1, c // 3])
+        masks |= on.astype(np.int64) << bit
+    return counts, masks
+
+
+@pytest.mark.parametrize("layout", [multiplier._MUL24, multiplier._MUL12],
+                         ids=["mul24", "mul12"])
+def test_tables_equal_their_numpy_builds_and_the_engine_wraps_them(layout):
+    product = np.array(multiplier._mul4_tables()[0])
+    assert np.array_equal(product, np.arange(256) % 16 * (np.arange(256) // 16))
+    row_sums = multiplier._row_sums()
+    counts, masks = multiplier._power_tables(layout)
+    engine = multiplier._engine(layout)
+    want_counts, want_masks = _numpy_power_tables(layout)
+    for got, view, want in ((row_sums, engine.sums, _numpy_row_sums(product)),
+                            (counts, engine.counts, want_counts),
+                            (masks, engine.masks, want_masks)):
+        assert got.itemsize == want.itemsize and view.dtype == want.dtype
+        assert np.array_equal(np.frombuffer(got, dtype=want.dtype), want)
+        # the batch engine reads the scalar pass's buffer, not a copy
+        assert np.shares_memory(view, np.frombuffer(got, dtype=want.dtype))
+    sums_view, counts_view, masks_view = multiplier._views(layout)
+    assert (sums_view.obj, counts_view.obj, masks_view.obj) == (row_sums, counts, masks)
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])

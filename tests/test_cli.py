@@ -137,6 +137,20 @@ def test_metrics_rejects_features_on_reversible():
     assert r.returncode == 2
 
 
+def test_choices_offered_without_loading_their_modules_are_theirs():
+    from cifm import SUITE_NAMES
+    from cifm.cli import _FA_VARIANTS, METRICS_CIRCUITS
+    from cifm.revlogic import FullAdderVariant
+    from cifm.verify import SUITES
+
+    assert _FA_VARIANTS == tuple(v.value for v in FullAdderVariant)
+    assert set(_FA_VARIANTS) <= set(METRICS_CIRCUITS)
+    assert tuple(SUITES) == SUITE_NAMES
+    assert all(fn.__name__ == "suite_" + name.replace("-", "_") for name, fn in SUITES.items())
+    usage = run("verify", "--help").stdout
+    assert "{" + ",".join(sorted(SUITES)) + "}" in usage
+
+
 def test_netlist_deterministic():
     one = run("netlist", "mul4").stdout
     two = run("netlist", "mul4").stdout

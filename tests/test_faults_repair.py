@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cifm import multiplier
 from cifm.bitcore import BitVec
 from cifm.multiplier import (
     GRID_IDS,
@@ -207,6 +208,32 @@ def test_bad_fault_or_repair_argument_is_value_error(width, kwargs):
         scalar(1, 1, **kwargs)
     with pytest.raises(ValueError):
         batch([1], [1], **kwargs)
+
+
+@pytest.mark.parametrize("faults", [(), []], ids=["tuple", "list"])
+def test_calls_without_faults_or_repairs_share_the_plain_plan(faults):
+    assert multiplier._plan24(faults, None, True) is multiplier._PLAIN
+    assert multiplier._plan24(faults, {Quadrant.LL: RepairConfig()}, False) is multiplier._PLAIN
+    assert multiplier._plan12(faults, RepairConfig(), True) is multiplier._PLAIN
+    # the shortcut still checks the gating flag
+    for gating in ("yes", 1, None):
+        with pytest.raises(ValueError, match="gating must be a bool"):
+            mul24(1, 1, faults, gating=gating)
+        with pytest.raises(ValueError, match="gating must be a bool"):
+            mul12(1, 1, faults, gating=gating)
+
+
+def test_activity_json_hands_out_fresh_dicts():
+    act = mul24(0xFFFFFF, 0xFFFFFF, repair={Quadrant.LL: repair_of(LL00)}).activity
+    doc = act.to_json()
+    want = json.dumps(doc)
+    for entry in doc["active"] + doc["gated"]:
+        entry["row"] = -1
+    for entry in doc["adder_levels_active"]:
+        entry["block"]["col"] = -1
+    assert json.dumps(act.to_json()) == want
+    assert json.dumps(mul24(0xFFFFFF, 0xFFFFFF, repair={Quadrant.LL: repair_of(LL00)})
+                      .activity.to_json()) == want
 
 
 def test_repair_filed_under_wrong_quadrant_rejected():

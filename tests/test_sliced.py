@@ -99,9 +99,13 @@ def test_random_cell_netlists(seed):
     nets = nl.evaluate_nets(ops)
     total = nl.evaluate(ops)
     for v in range(200):
-        want, delay = ref_cells(nl, {name: int(x[v]) for name, x in ops.items()})
+        one = {name: int(x[v]) for name, x in ops.items()}
+        want, delay = ref_cells(nl, one)
         assert {net: int(bits[v]) for net, bits in nets.items()} == want
         assert int(total[v]) == sum(want[net] << k for k, (_, net) in enumerate(nl.outputs))
+        if v < 20:      # a call on plain ints runs as one vector, without numpy
+            assert nl.evaluate_nets(one) == want
+            assert nl.evaluate(one) == int(total[v])
     assert nl.unit_delay() == delay
 
 
@@ -141,6 +145,9 @@ def test_random_circuits_both_ways(seed):
         start = [ins[l.name][v] if l.name else l.const for l in n.lines]
         want, ready = ref_gates(n, start)
         assert [int(x[v]) for x in res.line_values] == want
+        one = simulate(n, {name: int(x[v]) for name, x in ins.items()})
+        assert list(one.line_values) == want
+        assert simulate_inverse(n, list(one.line_values)) == [int(x) for x in start]
         assert {k: int(x[v]) for k, x in res.outputs.items()} == {
             name: want[i] for name, i in n.outputs()}
         assert [int(x[v]) for x in back] == start
