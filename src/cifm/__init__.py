@@ -15,14 +15,6 @@ from .bitcore import (
     CellNetlist,
     NetlistBuilder,
 )
-from .fp32 import (
-    Fp32Class,
-    Fp32Parts,
-    FpMulTrace,
-    Rounding,
-    fp_mul,
-    fp_mul_batch,
-)
 from .multiplier import (
     BLOCK_IDS,
     CHUNK,
@@ -44,13 +36,14 @@ from .multiplier import (
     mul24,
     mul24_batch,
 )
-from .softfloat import CANONICAL_QNAN, softfloat_mul
 
-# The reversible-logic and verification modules load on first use of one of
-# their names (PEP 562), so importing cifm for a scalar call loads neither,
-# nor numpy, which verify needs.
-_LAZY_MODULES = ("revlogic", "verify")
+# The float32, soft-float, reversible-logic and verification modules load on
+# first use of one of their names (PEP 562), so importing cifm for an integer
+# call loads none of them, nor numpy, which verify needs.
+_LAZY_MODULES = ("fp32", "softfloat", "revlogic", "verify")
 _LAZY_NAMES = dict.fromkeys(
+    ("Fp32Class", "Fp32Parts", "FpMulTrace", "Rounding", "fp_mul", "fp_mul_batch"), "fp32"
+) | dict.fromkeys(("CANONICAL_QNAN", "softfloat_mul"), "softfloat") | dict.fromkeys(
     (
         "FullAdderVariant",
         "GateApp",

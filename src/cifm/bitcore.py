@@ -9,13 +9,16 @@ expansion, is built on the two abstractions in this module:
 
 It also holds the evaluation engine that cell netlists and reversible
 circuits share. A netlist is compiled once into one step per cell or gate,
-in netlist order: a small kernel for the element's function and the state
-rows it reads and writes. Each output bit of the function is an XOR of AND
-monomials (its algebraic normal form), derived from a truth table, and one
-kernel is generated per distinct form. The state is a list of Python-int
-bit planes, bit v of a plane holding vector v's value (bitslicing), so
-every AND and XOR in a kernel works on a whole chunk of vectors. Batches
-run CHUNK_VECTORS vectors at a time; a scalar is a batch of one. Netlist
+in netlist order, and a step is data: the element's program and the state
+rows it reads and writes. The program writes each output bit of the
+element's function as an XOR of AND monomials (its algebraic normal form),
+derived from a truth table. On a plan's first run its steps become
+straight-line Python, each step's ANDs and XORs written out on its rows,
+SEGMENT_STEPS steps to a generated function; later runs call those
+functions in order. The state is a list of Python-int bit planes, bit v of
+a plane holding vector v's value (bitslicing), so every AND and XOR works
+on a whole chunk of vectors. Batches run CHUNK_VECTORS vectors at a time;
+a scalar is a batch of one. Netlist
 evaluation accepts plain ints or numpy integer arrays for every input, so
 a single netlist can be swept over many operand pairs at once. Every module
 checks integers with :func:`as_int`, named operands with :func:`named_values`
@@ -224,28 +227,94 @@ def anf_program(table: tuple[int, ...], n_in: int, n_out: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def kernel(n_in: int, products: tuple, outputs: tuple, targets: tuple) -> Callable:
-    """One element's work as a function ``k(s, ONES, rows)``.
+def element_program(table: tuple[int, ...], n_in: int, n_out: int, in_place: bool) -> tuple:
+    """One element's work as data: ``(n_in, products, writes)``.
 
-    The kernel reads bit planes ``s[rows[0]]``..``s[rows[n_in - 1]]`` into
-    the registers of an :func:`anf_program` (``products``, ``outputs``),
-    then writes output j to ``s[rows[targets[j]]]``. Every input is read
-    before any output is written, so an output may go to an input's row.
-    ``ONES`` has a one bit per vector.
+    ``products`` is the :func:`anf_program` of ``table``, whose registers
+    0..n_in-1 hold the element's input rows. ``writes`` holds one
+    ``(k, invert, registers)`` per output written back, to the element's
+    k-th row: output j goes to row n_in + j, after the inputs, unless
+    ``in_place``. In place, output j goes to input j's row and is left out
+    when it passes that input through unchanged.
     """
-    names = [f"x{k}" for k in range(max((n_in, *(t + 1 for t in targets))))]
-    body = [f"{', '.join(names)}, = rows"]
-    body += [f"r{k} = s[x{k}]" for k in range(n_in)]
-    body += [f"r{n_in + m} = r{a} & r{b}" for m, (a, b) in enumerate(products)]
-    for t, (invert, terms) in zip(targets, outputs):
-        expr = [f"r{i}" for i in terms] + ["ONES"] * invert
-        body.append(f"s[x{t}] = {' ^ '.join(expr) or '0'}")
-    namespace: dict = {}
-    exec("def k(s, ONES, rows):\n    " + "\n    ".join(body), namespace)
-    return namespace["k"]
+    products, outputs = anf_program(table, n_in, n_out)
+    if in_place:
+        writes = tuple((j, *out) for j, out in enumerate(outputs) if out != (False, (j,)))
+    else:
+        writes = tuple((n_in + j, *out) for j, out in enumerate(outputs))
+    return n_in, products, writes
 
 
-class KernelPlan(NamedTuple):
+@functools.lru_cache(maxsize=None)
+def _step_template(program: tuple, distinct: bool) -> str:
+    """Python lines that run ``program`` on the state list ``s``, as a
+    ``str.format`` template whose field k stands for the element's row k.
+
+    A register read once is written inline, a product as ``(x & y)`` and,
+    when the element's rows are ``distinct``, an input as ``s[row]`` as long
+    as no earlier write of the step replaces that row. Every other register
+    is a local ``r<k>``, so every input is read before any write to its row.
+    """
+    n_in, products, writes = program
+    users: dict[int, list[int]] = {}       # register -> products (>= 0), writes (< 0)
+    for m, pair in enumerate(products):
+        for r in pair:
+            users.setdefault(r, []).append(n_in + m)
+    for j, (_, _, regs) in enumerate(writes):
+        for r in regs:
+            users.setdefault(r, []).append(-1 - j)
+    site: dict[int, int] = {}              # inlined register -> write that reads it
+    for r in reversed(range(n_in + len(products))):
+        use = users.get(r, ())
+        if len(use) != 1:
+            continue
+        j = -1 - use[0] if use[0] < 0 else site.get(use[0], -1)
+        if r < n_in and not (distinct and all(w[0] != r for w in writes[:max(j, 0)])):
+            continue
+        site[r] = j
+
+    def term(r: int) -> str:
+        if r not in site:
+            return f"r{r}"
+        if r < n_in:
+            return f"s[{{{r}}}]"
+        a, b = products[r - n_in]
+        return f"({term(a)} & {term(b)})"
+
+    lines = [f"r{k} = s[{{{k}}}]" for k in range(n_in) if k in users and k not in site]
+    lines += [f"r{n_in + m} = {term(a)} & {term(b)}"
+              for m, (a, b) in enumerate(products) if n_in + m not in site]
+    for target, invert, regs in writes:
+        expr = [term(r) for r in regs] + ["ONES"] * invert
+        lines.append(f"s[{{{target}}}] = {' ^ '.join(expr) or '0'}")
+    return "\n    ".join(lines)
+
+
+# Steps per generated function. Compiling a whole mul24 plan as one
+# function takes tens of MB of compiler memory; 64-step functions keep
+# what the generated code costs in memory to a few MB for all of a
+# workload's plans, and still run about twice as fast as a call per step.
+SEGMENT_STEPS = 64
+
+
+def _segments(steps: Sequence[tuple]) -> tuple[Callable, ...]:
+    """``steps`` as straight-line functions ``f(s, ONES)``, SEGMENT_STEPS
+    steps each, to be called in order."""
+    segments = []
+    for lo in range(0, len(steps), SEGMENT_STEPS):
+        body = "\n    ".join(
+            _step_template(program, len(set(rows)) == len(rows)).format(*rows)
+            for program, rows in steps[lo : lo + SEGMENT_STEPS])
+        namespace: dict = {}
+        # ``pass`` keeps the body valid where no step writes a row: a gate
+        # may change no line
+        exec(compile(f"def segment(s, ONES):\n    pass\n    {body}\n", f"<plan steps {lo}..>",
+                     "exec"), namespace)
+        segments.append(namespace["segment"])
+    return tuple(segments)
+
+
+class Plan:
     """A netlist compiled for :func:`run_planes`.
 
     The state is a list of ``rows`` bit planes, ints whose bit v is vector
@@ -254,22 +323,34 @@ class KernelPlan(NamedTuple):
     rows in ``ones`` start all ones and every other row zero. ``load_src``
     is a tuple of operand rows or a slice. Only a tuple's load of an array
     is a copy, so only a plan with a tuple may have a ``load_shift``, which
-    shifts that copy in place. ``steps`` holds one ``(kernel, rows)`` pair
-    per element in netlist order, run as ``kernel(state, ONES, rows)``.
-    ``depth[r]`` counts the elements on the longest chain that ends at the
-    last element touching row r, 0 if none does.
+    shifts that copy in place. ``steps`` holds one ``(program, rows)``
+    pair per element in netlist order: an :func:`element_program` and the
+    element's state rows. ``depth[r]`` counts the elements on the longest
+    chain that ends at the last element touching row r, 0 if none does.
+
+    The steps run as Python generated from them (:func:`_segments`), made
+    on the plan's first run and kept with it. Nothing else generates it.
     """
 
-    rows: int
-    steps: tuple[tuple[Callable, tuple[int, ...]], ...]
-    load_rows: tuple[int, ...]
-    load_src: tuple[int, ...] | slice
-    load_shift: tuple[int, ...] | None
-    ones: tuple[int, ...]
-    depth: tuple[int, ...]
+    __slots__ = ("rows", "steps", "load_rows", "load_src", "load_shift", "ones", "depth",
+                 "_segments")
+
+    def __init__(self, rows: int, steps: tuple, load_rows: tuple[int, ...],
+                 load_src: tuple[int, ...] | slice, load_shift: tuple[int, ...] | None,
+                 ones: tuple[int, ...], depth: tuple[int, ...]) -> None:
+        self.rows, self.steps, self.depth = rows, steps, depth
+        self.load_rows, self.load_src, self.load_shift = load_rows, load_src, load_shift
+        self.ones = ones
+        self._segments: tuple[Callable, ...] | None = None
+
+    def segments(self) -> tuple[Callable, ...]:
+        """The generated functions of :attr:`steps`, made on first call."""
+        if self._segments is None:
+            self._segments = _segments(self.steps)
+        return self._segments
 
 
-def run_planes(plan: KernelPlan, planes: Iterable[int], n: int) -> list[int]:
+def run_planes(plan: Plan, planes: Iterable[int], n: int) -> list[int]:
     """Every state row's final bit plane after ``plan`` runs on ``n`` vectors.
 
     ``planes`` holds the starting plane of each of ``plan.load_rows``, in
@@ -281,8 +362,8 @@ def run_planes(plan: KernelPlan, planes: Iterable[int], n: int) -> list[int]:
     ones = (1 << n) - 1
     for row in plan.ones:
         state[row] = ones
-    for k, rows in plan.steps:
-        k(state, ones, rows)
+    for segment in plan.segments():
+        segment(state, ones)
     return state
 
 
@@ -320,7 +401,7 @@ def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
     )
 
 
-def run_kernels(plan: KernelPlan, values: np.ndarray, read: Sequence[int]):
+def run_kernels(plan: Plan, values: np.ndarray, read: Sequence[int]):
     """Evaluate ``plan`` on the vectors of ``values``, CHUNK_VECTORS at a time.
 
     ``values`` is [operand rows x vectors] of integers. Yields
@@ -443,7 +524,7 @@ def is_scalar_call(values: Iterable) -> bool:
 
 
 def run_rows(
-    plan: KernelPlan, values: Sequence, widths: Sequence[int], name: Callable[[int], str]
+    plan: Plan, values: Sequence, widths: Sequence[int], name: Callable[[int], str]
 ) -> list[int] | np.ndarray:
     """Every state row's final value after ``plan`` runs on ``values``.
 
@@ -491,17 +572,10 @@ def _arity(kind: CellKind) -> tuple[int, int]:
     return _CELL_ARITY[kind]
 
 
-def _cell_kernel(kind: CellKind, fn) -> Callable:
-    """The kernel of a cell computing ``fn``; its output rows follow its
-    input rows."""
-    n_in, n_out = _CELL_ARITY[kind]
-    products, outputs = anf_program(truth_table(fn, n_in, n_out), n_in, n_out)
-    return kernel(n_in, products, outputs, tuple(range(n_in, n_in + n_out)))
-
-
-# What each cell computes; HA and FA outputs are (sum, carry).
-_CELL_KERNELS = {
-    kind: _cell_kernel(kind, fn)
+# What each cell computes; HA and FA outputs are (sum, carry), in the rows
+# that follow the cell's input rows.
+_CELL_PROGRAMS = {
+    kind: element_program(truth_table(fn, *_CELL_ARITY[kind]), *_CELL_ARITY[kind], False)
     for kind, fn in (
         (CellKind.AND, lambda a, b: (a & b,)),
         (CellKind.HA, lambda a, b: (a ^ b, a & b)),
@@ -537,7 +611,7 @@ class Cell:
 
 
 class _CompiledCells(NamedTuple):
-    plan: KernelPlan
+    plan: Plan
     nets: tuple[str, ...]       # every net in definition order, net i in row i
     outputs: tuple[int, ...]    # state row per output bit, LSB first
 
@@ -599,8 +673,8 @@ class CellNetlist:
             outs = tuple(range(len(row), len(row) + len(cell.outputs)))
             row.update(zip(cell.outputs, outs))
             depth += [1 + max(map(depth.__getitem__, ins))] * len(outs)
-            steps.append((_CELL_KERNELS[cell.kind], ins + outs))
-        plan = KernelPlan(
+            steps.append((_CELL_PROGRAMS[cell.kind], ins + outs))
+        plan = Plan(
             rows=len(row),
             steps=tuple(steps),
             load_rows=tuple(range(len(src))),

@@ -7,7 +7,9 @@ seed 0 so repeated runs are byte-identical.
 
 The ``verify`` and ``metrics`` handlers, and ``netlist`` for a reversible
 target, import :mod:`cifm.verify` and :mod:`cifm.revlogic` when they run, so
-the scalar commands start without them and without numpy.
+the scalar commands start without them and without numpy. ``fpmul`` imports
+:mod:`cifm.fp32` when it runs, so ``mul``, ``report`` and ``netlist`` start
+without the float32 wrapper and its soft-float module.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import time
 from typing import Sequence
 
 from . import SUITE_NAMES
-from .fp32 import Rounding, fp_mul
 from .multiplier import (
     GRID_IDS,
     FaultSpec,
@@ -180,6 +181,8 @@ def cmd_mul(parser, args) -> int:
 
 
 def cmd_fpmul(parser, args) -> int:
+    from .fp32 import Rounding, fp_mul
+
     mode = Rounding.TRUNCATE if args.truncate else Rounding.NEAREST_EVEN
     bits, trace = fp_mul(args.a, args.b, rounding=mode)
     if args.trace:

@@ -18,10 +18,14 @@ is built from:
 Toffoli per AND, NG per HA, TSG per FA, and a Feynman copy per extra
 consumer of a net. Simulation accepts ints or numpy arrays per input line,
 so exhaustive and bulk random equivalence sweeps stay fast: the circuit
-runs gate by gate on the bit-plane engine in :mod:`cifm.bitcore`, each
-gate as the kernel of the algebraic normal form of its mapping (or of the
-inverse mapping, with the gates in reverse order). Its collector,
+runs on the bit-plane engine in :mod:`cifm.bitcore`. Each gate application
+is one step, the algebraic normal form of its mapping on its lines (or of
+the inverse mapping, with the gates in reverse order), and each direction's
+steps become generated Python on that direction's first run. Its collector,
 :func:`cifm.bitcore.run_rows`, checks the line values and returns them all.
+A circuit keeps its primary outputs until it gains a line or
+:meth:`RevNetlist.set_output` relabels one, so :func:`simulate` and
+:func:`metrics_of` do not rescan ``output_roles``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, countOf, itemgetter
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,11 +42,10 @@ if TYPE_CHECKING:
 from .bitcore import (
     CellKind,
     CellNetlist,
-    KernelPlan,
-    anf_program,
+    Plan,
     as_int,
     cached,
-    kernel,
+    element_program,
     named_values,
     run_rows,
     truth_table,
@@ -194,14 +197,26 @@ class RevNetlist:
         if not isinstance(name, str):
             raise ValueError(f"output name must be a str, got {name!r}")
         self.output_roles[self._line(line)] = (OutputRole.PRIMARY_OUTPUT, name)
+        self._relabels = self.__dict__.get("_relabels", 0) + 1
 
     def outputs(self) -> list[tuple[str, int]]:
+        """``(name, line)`` of every primary output, in line order."""
+        return list(self._output_rows())
+
+    def _output_rows(self) -> tuple[tuple[str, int], ...]:
+        """:meth:`outputs` as a tuple, kept on this circuit (never on the
+        plan it may share with other copies) until it gains a line or a
+        :meth:`set_output` call relabels one."""
+        key = (len(self.output_roles), self.__dict__.get("_relabels", 0))
+        return cached(self, "_outputs", key, self._scan_outputs)
+
+    def _scan_outputs(self) -> tuple[tuple[str, int], ...]:
         primary = OutputRole.PRIMARY_OUTPUT
-        return [
+        return tuple(
             (name, i)
             for i, (role, name) in enumerate(self.output_roles)
             if role is primary
-        ]
+        )
 
     def to_json(self) -> dict:
         lines = []
@@ -255,22 +270,16 @@ class SimResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _gate_kernels(gate: RevGate) -> tuple[Callable, Callable]:
-    """The gate's forward and inverse kernels, each writing back to the
+def _gate_programs(gate: RevGate) -> tuple[tuple, tuple]:
+    """The gate's forward and inverse programs, each writing back to the
     gate's lines only the outputs that do not pass their line through."""
-    kernels = []
-    for table in (gate.mapping, gate.inverse_mapping()):
-        products, outputs = anf_program(table, gate.arity, gate.arity)
-        kept = tuple(j for j, out in enumerate(outputs) if out != (False, (j,)))
-        kernels.append(
-            kernel(gate.arity, products, tuple(outputs[j] for j in kept), kept)
-        )
-    return tuple(kernels)
+    return tuple(element_program(table, gate.arity, gate.arity, True)
+                 for table in (gate.mapping, gate.inverse_mapping()))
 
 
 class _CompiledRev(NamedTuple):
-    forward: KernelPlan
-    inverse: KernelPlan
+    forward: Plan
+    inverse: Plan
     names: tuple[str, ...]      # distinct input line names, first use first
 
 
@@ -298,15 +307,15 @@ def _compile(n: RevNetlist) -> _CompiledRev:
         level = 1 + max(map(depth.__getitem__, app.lines))
         for l in app.lines:
             depth[l] = level
-        k_forward, k_inverse = _gate_kernels(app.gate)
-        forward.append((k_forward, app.lines))
-        inverse.append((k_inverse, app.lines))
+        p_forward, p_inverse = _gate_programs(app.gate)
+        forward.append((p_forward, app.lines))
+        inverse.append((p_inverse, app.lines))
     inverse.reverse()
 
     inputs = [(i, l.name) for i, l in enumerate(n.lines) if l.tag is LineTag.PRIMARY_INPUT]
     names = tuple(dict.fromkeys(name for _, name in inputs))
     index = {name: k for k, name in enumerate(names)}
-    fwd = KernelPlan(
+    fwd = Plan(
         rows=len(n.lines),
         steps=tuple(forward),
         load_rows=tuple(i for i, _ in inputs),
@@ -316,11 +325,9 @@ def _compile(n: RevNetlist) -> _CompiledRev:
                    if l.tag is LineTag.ANCILLA and l.const == 1),
         depth=tuple(depth),
     )
-    every = tuple(range(len(n.lines)))
     # every row in order: the load is a view of the final values, not a copy
-    inv = fwd._replace(
-        steps=tuple(inverse), load_rows=every, load_src=slice(None), ones=()
-    )
+    inv = Plan(rows=fwd.rows, steps=tuple(inverse), load_rows=tuple(range(fwd.rows)),
+               load_src=slice(None), load_shift=None, ones=(), depth=fwd.depth)
     return _CompiledRev(fwd, inv, names)
 
 
@@ -337,7 +344,7 @@ def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     names = compiled.names
     values = run_rows(compiled.forward, named_values(inputs, names, "inputs"),
                       [1] * len(names), names.__getitem__)
-    outputs = {name: values[i] for name, i in n.outputs()}
+    outputs = {name: values[i] for name, i in n._output_rows()}
     return SimResult(tuple(values) if type(values) is list else values, outputs)
 
 
@@ -451,7 +458,9 @@ def expand(netlist: CellNetlist) -> RevNetlist:
     own ``lines``, ``gates`` and ``output_roles`` lists: appending to one
     copy leaves later expansions alone. Each copy points at the circuit it
     was copied from, and simulates with that circuit's plan until it grows,
-    so the first simulation of any copy compiles the plan for all.
+    so the first simulation of any copy compiles the plan, and generates
+    its code, for all. A copy's primary outputs are its own: they start as
+    the template's, and ``set_output`` on the copy changes only the copy's.
     """
     if not isinstance(netlist, CellNetlist):
         raise ValueError(f"netlist must be a CellNetlist, got {type(netlist).__name__}")
@@ -461,6 +470,9 @@ def expand(netlist: CellNetlist) -> RevNetlist:
         list(template.lines), list(template.gates), list(template.output_roles)
     )
     rev._source = template
+    # the copy starts with its template's outputs, and keeps its own from
+    # its first set_output or new line on
+    cached(rev, "_outputs", (len(rev.output_roles), 0), template._output_rows)
     return rev
 
 
@@ -548,7 +560,7 @@ def metrics_of(n: RevNetlist) -> Metrics:
     touches, control or data. ValueError unless ``n`` is a RevNetlist.
     """
     depth = _compiled(n).forward.depth
-    delay = max((depth[i] for _, i in n.outputs()), default=0)
+    delay = max((depth[i] for _, i in n._output_rows()), default=0)
     garbage = countOf(map(itemgetter(0), n.output_roles), OutputRole.GARBAGE)
     ancilla = countOf(map(attrgetter("tag"), n.lines), LineTag.ANCILLA)
     return Metrics(len(n.gates), garbage, ancilla, delay)

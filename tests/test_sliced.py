@@ -7,12 +7,15 @@ cells use their textbook formulas and gates look their output up in
 
 import json
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from cifm.bitcore import (
     CHUNK_VECTORS,
+    SEGMENT_STEPS,
     Cell,
     CellKind,
     NetlistBuilder,
@@ -21,7 +24,11 @@ from cifm.bitcore import (
 )
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
+    GateApp,
+    RevGate,
     RevNetlist,
+    _compiled,
+    expand,
     gate_library,
     metrics_of,
     simulate,
@@ -196,6 +203,186 @@ def test_shapes_and_scalars():
     assert all(type(v) is int for v in one.line_values)
     assert all(type(v) is int for v in simulate_inverse(n, one.line_values))
     assert json.dumps(one.outputs)
+
+
+# Element counts that end inside a segment, just past one and on a boundary
+LONG = [2 * SEGMENT_STEPS + 1, 3 * SEGMENT_STEPS - 1, 3 * SEGMENT_STEPS + 17]
+
+
+@pytest.mark.parametrize("n_cells", LONG)
+def test_cell_netlists_longer_than_two_segments(n_cells):
+    rng = random.Random(n_cells)
+    nl = random_cells(rng, n_cells).build()
+    ops = {name: np.array([rng.randrange(1 << len(bus)) for _ in range(50)])
+           for name, bus in nl.inputs}
+    nets = nl.evaluate_nets(ops)
+    for v in range(50):
+        one = {name: int(x[v]) for name, x in ops.items()}
+        want, delay = ref_cells(nl, one)
+        assert {net: int(bits[v]) for net, bits in nets.items()} == want
+        if v < 5:
+            assert nl.evaluate_nets(one) == want
+    assert len(nl._compiled().plan.segments()) == -(-n_cells // SEGMENT_STEPS)
+    assert nl.unit_delay() == delay
+
+
+@pytest.mark.parametrize("n_gates", LONG)
+def test_circuits_longer_than_two_segments_both_ways(n_gates):
+    rng = random.Random(n_gates)
+    n = random_circuit(rng, n_gates)
+    pats = np.arange(8)
+    ins = {f"x{k}": (pats >> k) & 1 for k in range(3)}
+    res = simulate(n, ins)
+    back = simulate_inverse(n, res.line_values)
+    for v in range(8):
+        start = [ins[l.name][v] if l.name else l.const for l in n.lines]
+        want, _ = ref_gates(n, start)
+        assert [int(x[v]) for x in res.line_values] == want
+        assert list(simulate(n, {name: int(x[v]) for name, x in ins.items()}).line_values) == want
+        assert [int(x[v]) for x in back] == start
+    compiled = _compiled(n)
+    segments = -(-n_gates // SEGMENT_STEPS)
+    assert len(compiled.forward.segments()) == len(compiled.inverse.segments()) == segments
+
+
+def test_any_bijection_both_ways():
+    """Gates beyond the library, SWAP among them: an output may move an
+    input to another line, so a later output must still read the old value."""
+    rng = random.Random(7)
+    gates = [RevGate("SWAP", 2, (0, 2, 1, 3))] + [
+        RevGate(f"G{k}", arity, tuple(rng.sample(range(1 << arity), 1 << arity)))
+        for k, arity in enumerate([1, 2, 3, 3, 4, 4])]
+    n = RevNetlist()
+    for k in range(4):
+        n.add_input(f"x{k}")
+    for _ in range(2):
+        n.add_ancilla(0)
+    for _ in range(SEGMENT_STEPS + 9):
+        g = rng.choice(gates)
+        n.apply(g, *rng.sample(range(len(n.lines)), g.arity))
+    for v in range(16):
+        ins = {f"x{k}": v >> k & 1 for k in range(4)}
+        start = [ins[l.name] if l.name else l.const for l in n.lines]
+        want = ref_gates(n, start)[0]
+        assert list(simulate(n, ins).line_values) == want
+        assert simulate_inverse(n, want) == start
+    idle = RevNetlist()                 # a gate that changes no line writes nothing
+    idle.apply(RevGate("ID", 1, (0, 1)), idle.add_input("x"))
+    assert simulate(idle, {"x": 1}).line_values == (1,)
+    assert simulate_inverse(idle, [0]) == [0]
+
+
+def test_a_gate_application_that_repeats_a_line():
+    """Appended to ``gates`` directly, past apply's check: every input is
+    still read before any output is written, as in the reference."""
+    rotate = RevGate("ROT", 3, tuple((i << 1 & 6) | i >> 2 for i in range(8)))  # (a,b,c) -> (b,c,a)
+    n = RevNetlist()
+    for k in range(2):
+        n.add_input(f"x{k}")
+    n.gates.append(GateApp(rotate, (0, 1, 0)))
+    for v in range(4):
+        ins = {"x0": v & 1, "x1": v >> 1}
+        assert list(simulate(n, ins).line_values) == ref_gates(n, [v & 1, v >> 1])[0]
+
+
+def test_cells_that_read_one_net_twice():
+    b = NetlistBuilder()
+    x, y = b.input_bus("a", 2)
+    outs = [b.and2(x, x)] + list(b.ha(y, y)) + list(b.fa(x, x, y)) + list(b.fa(y, x, y))
+    b.set_outputs("p", outs)
+    nl = b.build()
+    for a in range(4):
+        want, _ = ref_cells(nl, {"a": a})
+        assert nl.evaluate_nets({"a": a}) == want
+        assert nl.evaluate_nets({"a": np.array([a])}) == {k: [v] for k, v in want.items()}
+
+
+def test_growing_across_a_segment_boundary_after_a_first_run():
+    rng = random.Random(5)
+    b = random_cells(rng, SEGMENT_STEPS - 1)
+    nl = b.build()
+    one = {"a": 1, "b": 1}
+    assert nl.evaluate_nets(one) == ref_cells(nl, one)[0]
+    assert len(nl._compiled().plan.segments()) == 1
+    nets = [net for _, bus in nl.inputs for net in bus]
+    for _ in range(3):
+        nets += b.cell(CellKind.FA, rng.sample(nets, 3))
+    assert nl.evaluate_nets(one) == ref_cells(nl, one)[0]
+    assert len(nl._compiled().plan.segments()) == 2
+
+    n = random_circuit(rng, SEGMENT_STEPS - 1)
+    ins = {"x0": 1, "x1": 0, "x2": 1}
+    start = [ins[l.name] if l.name else l.const for l in n.lines]
+    assert list(simulate(n, ins).line_values) == ref_gates(n, start)[0]
+    gates = list(gate_library().values())
+    for _ in range(3):
+        g = rng.choice(gates)
+        n.apply(g, *rng.sample(range(len(n.lines)), g.arity))
+    final = ref_gates(n, start)[0]
+    assert list(simulate(n, ins).line_values) == final
+    assert simulate_inverse(n, final) == start
+    assert len(_compiled(n).forward.segments()) == len(_compiled(n).inverse.segments()) == 2
+
+
+# Runs in a fresh interpreter, where no plan has run yet: everything that
+# only reads a netlist's structure, then the plans, before and after a run.
+LAZY_SCRIPT = """
+import contextlib, io, json
+from cifm import cost_report, export_netlist
+from cifm.cli import main
+from cifm.revlogic import _compiled, expand, metrics_of
+
+nl = export_netlist("mul24")
+rev = expand(nl)
+metrics_of(rev), metrics_of(expand(nl)), nl.unit_delay(), nl.cell_count()
+cost_report("mul24"), cost_report("mul24", with_features=True)
+with contextlib.redirect_stdout(io.StringIO()):
+    for args in (["netlist", "mul24"], ["netlist", "cifm-rev"], ["metrics", "cifm-rev"],
+                 ["metrics", "mul24"]):
+        main(args)
+plans = [nl._compiled().plan, _compiled(rev).forward, _compiled(rev).inverse]
+before = [plan._segments is not None for plan in plans]
+nl.evaluate({"a": 3, "b": 5})
+after = [plan._segments is not None for plan in plans]
+print(json.dumps([before, after, plans[0].depth == nl._compiled().plan.depth]))
+"""
+
+
+def test_reading_structure_generates_no_code():
+    out = subprocess.run([sys.executable, "-c", LAZY_SCRIPT], capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[False, False, False], [True, False, False], True]
+
+
+def test_set_output_after_a_simulation_takes_effect():
+    lib = gate_library()
+    n = RevNetlist()
+    u, v = n.add_input("u"), n.add_input("v")
+    n.apply(lib["FEYNMAN"], u, v)
+    n.set_output(v, "out")
+    assert simulate(n, {"u": 1, "v": 0}).outputs == {"out": 1}
+    assert metrics_of(n).unit_delay == 1
+    n.set_output(u, "out")
+    assert n.outputs() == [("out", 0), ("out", 1)]
+    assert simulate(n, {"u": 0, "v": 1}).outputs == {"out": 1}
+    n.set_output(v, "w")
+    assert simulate(n, {"u": 0, "v": 1}).outputs == {"out": 0, "w": 1}
+    n.outputs().clear()                 # a list of the caller's own
+    assert n.outputs() == [("out", 0), ("w", 1)]
+
+
+def test_set_output_on_one_expansion_leaves_the_others_alone():
+    nl = export_netlist("mul4")
+    template_outputs = expand(nl).outputs()
+    first, second = expand(nl), expand(nl)
+    ins = {f"{x}{k}": 1 for x in "ab" for k in range(4)}
+    assert simulate(first, ins).outputs == simulate(second, ins).outputs
+    first.set_output(0, "a0_out")
+    assert simulate(first, ins).outputs["a0_out"] == 1
+    assert "a0_out" not in simulate(second, ins).outputs
+    assert second.outputs() == expand(nl).outputs() == template_outputs
+    assert metrics_of(second) == metrics_of(expand(nl))
 
 
 def test_appending_after_a_first_evaluation_recompiles():
