@@ -92,18 +92,13 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
+# The eager names, then every name that loads on first use.
 __all__ = [
     "BitVec",
     "Cell",
     "CellKind",
     "CellNetlist",
     "NetlistBuilder",
-    "Fp32Class",
-    "Fp32Parts",
-    "FpMulTrace",
-    "Rounding",
-    "fp_mul",
-    "fp_mul_batch",
     "BLOCK_IDS",
     "CHUNK",
     "GRID_IDS",
@@ -123,25 +118,6 @@ __all__ = [
     "mul12_batch",
     "mul24",
     "mul24_batch",
-    "FullAdderVariant",
-    "GateApp",
-    "LineTag",
-    "Metrics",
-    "OutputRole",
-    "RevGate",
-    "RevLine",
-    "RevNetlist",
-    "build_full_adder",
-    "expand",
-    "gate_library",
-    "metrics_of",
-    "simulate",
-    "simulate_inverse",
-    "CANONICAL_QNAN",
-    "softfloat_mul",
-    "BOUNDARY_VALUES",
-    "SUITES",
-    "SuiteResult",
-    "run_suite",
     "__version__",
+    *_LAZY_NAMES,
 ]

@@ -18,12 +18,15 @@ SEGMENT_STEPS steps to a generated function; later runs call those
 functions in order. The state is a list of Python-int bit planes, bit v of
 a plane holding vector v's value (bitslicing), so every AND and XOR works
 on a whole chunk of vectors. Batches run CHUNK_VECTORS vectors at a time;
-a scalar is a batch of one. Netlist
-evaluation accepts plain ints or numpy integer arrays for every input, so
-a single netlist can be swept over many operand pairs at once. Every module
-checks integers with :func:`as_int`, named operands with :func:`named_values`
-and operand arrays with :func:`uint_rows`. Cell netlists and reversible
-circuits alike get their results from one collector, :func:`run_rows`.
+a scalar is a batch of one. Netlist evaluation accepts integer scalars or
+numpy integer arrays for every input, so a single netlist can be swept over
+many operand pairs at once. Every module checks integers with
+:func:`as_int`, flags with :func:`as_flag`, scalar operands with
+:func:`uint_value`, named operands with :func:`named_values` and operand
+arrays with :func:`uint_rows`. Cell netlists and reversible circuits alike
+get their results from one collector, :func:`run_rows`: a call whose
+operands are all integer scalars runs as one vector without numpy and gives
+Python ints, and any other call gives arrays.
 """
 
 from __future__ import annotations
@@ -63,6 +66,26 @@ def as_int(x, name: str) -> int:
     if np is not None and isinstance(x, np.integer):
         return int(x)
     raise ValueError(f"{name} must be an int, got {type(x).__name__}")
+
+
+def as_flag(x, name: str) -> bool:
+    """``x`` as a Python bool. ValueError unless a bool: "yes" is not true.
+    A numpy bool passes too, once numpy is loaded."""
+    if isinstance(x, bool):
+        return x
+    np = sys.modules.get("numpy")
+    if np is None or not isinstance(x, np.bool_):
+        raise ValueError(f"{name} must be a bool, got {x!r}")
+    return bool(x)
+
+
+def _scalar_call(values: Iterable) -> bool:
+    """True when :func:`as_int` accepts every value: a call that runs as one
+    vector, without numpy, and gives Python ints."""
+    np = sys.modules.get("numpy")
+    ints = int if np is None else (int, np.integer)
+    return all(type(v) is int or isinstance(v, ints) and not isinstance(v, bool)
+               for v in values)
 
 
 def named_values(values: Mapping, names: Sequence[str], what: str) -> list:
@@ -152,7 +175,8 @@ class BitVec:
             object.__setattr__(self, "width", as_int(self.width, "width"))
         if self.width <= 0:
             raise ValueError(f"width must be a positive int, got {self.width!r}")
-        if not 0 <= self.value < (1 << self.width):
+        # by bit length, so that a huge width builds no huge int
+        if self.value < 0 or self.value.bit_length() > self.width:
             raise ValueError(
                 f"value {self.value:#x} does not fit in {self.width} bits"
             )
@@ -508,37 +532,22 @@ def _checked(flat: np.ndarray, widths: Sequence[int], name: Callable[[int], str]
     return flat
 
 
-def all_ints(values: Iterable) -> bool:
-    """True when every value is a plain int: a call that runs without numpy."""
-    return all(type(v) is int for v in values)
-
-
-def is_scalar_call(values: Iterable) -> bool:
-    """True when no operand is an array or sequence: results are Python ints."""
-    import numpy as np
-
-    return all(
-        type(v) is int or (np.ndim(v) == 0 and not isinstance(v, np.ndarray))
-        for v in values
-    )
-
-
 def run_rows(
     plan: Plan, values: Sequence, widths: Sequence[int], name: Callable[[int], str]
 ) -> list[int] | np.ndarray:
     """Every state row's final value after ``plan`` runs on ``values``.
 
-    ``values`` and the ValueError it may raise are as in :func:`uint_rows`.
-    Returns a list of Python ints when every value is an int, else one
-    uint8 array [plan.rows x *shape] for the broadcast shape of the values:
-    a batch of one chunk is returned as the engine made it, longer batches
-    are joined, and an empty one gives [plan.rows x 0].
-
-    A call whose values are all plain ints runs as one vector without
-    numpy: each value is range-checked with :func:`uint_value` and its bits
-    load the state directly.
+    A call whose values are all integer scalars (ints, or numpy integers
+    once numpy is loaded) runs as one vector without numpy: each value is
+    range-checked with :func:`uint_value`, its bits load the state directly,
+    and the result is a list of Python ints. Any other call, a 0-d array
+    included, is an array call: ``values`` and the ValueError it may raise
+    are as in :func:`uint_rows`, and the result is one uint8 array
+    [plan.rows x *shape] for the broadcast shape of the values. A batch of
+    one chunk is returned as the engine made it, longer batches are joined,
+    and an empty one gives [plan.rows x 0].
     """
-    if all_ints(values):
+    if _scalar_call(values):
         ints = [uint_value(v, w, name(i)) for i, (v, w) in enumerate(zip(values, widths))]
         src = plan.load_src
         loaded = ints[src] if isinstance(src, slice) else [ints[i] for i in src]
@@ -551,8 +560,6 @@ def run_rows(
     chunks = [bits for _, _, bits in run_kernels(plan, rows, range(plan.rows))]
     chunks = chunks or [np.empty((plan.rows, 0), dtype=np.uint8)]
     out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
-    if is_scalar_call(values):
-        return out[:, 0].tolist()
     return out.reshape((plan.rows,) + shape)
 
 
@@ -603,6 +610,10 @@ class Cell:
     def __post_init__(self) -> None:
         n_in, n_out = _arity(self.kind)
         object.__setattr__(self, "level", as_int(self.level, "level"))
+        if not (type(self.inputs) is tuple and type(self.outputs) is tuple
+                and all(isinstance(net, str) for net in self.inputs + self.outputs)):
+            raise ValueError(f"cell nets must be tuples of str, got "
+                             f"{self.inputs!r} -> {self.outputs!r}")
         if len(self.inputs) != n_in or len(self.outputs) != n_out:
             raise ValueError(
                 f"{self.kind.value} cell needs {n_in} inputs and {n_out} outputs, "
@@ -696,9 +707,9 @@ class CellNetlist:
         """Evaluate every net. Operand values are ints or int arrays.
 
         Returns a dict mapping net name to bit value: Python ints when every
-        operand is an int, else int64 arrays of the broadcast operand shape.
-        Raises ValueError for a missing operand, a non-integer one, or an
-        element outside its bus width.
+        operand is an integer scalar, else int64 arrays of the broadcast
+        operand shape. Raises ValueError for a missing operand, a non-integer
+        one, or an element outside its bus width.
         """
         compiled = self._compiled()
         values = run_rows(compiled.plan, *self._operands(operands))
@@ -710,7 +721,7 @@ class CellNetlist:
         """Evaluate and assemble the output bits into one integer (or int64 array)."""
         compiled = self._compiled()
         values, widths, name = self._operands(operands)
-        if all_ints(values):
+        if _scalar_call(values):
             state = run_rows(compiled.plan, values, widths, name)
             return sum(state[row] << k for k, row in enumerate(compiled.outputs))
         import numpy as np
@@ -720,7 +731,7 @@ class CellNetlist:
         total = np.zeros(rows.shape[1], dtype=np.int64)
         for lo, hi, bits in run_kernels(compiled.plan, rows, compiled.outputs):
             total[lo:hi] = weights @ bits
-        return int(total[0]) if is_scalar_call(values) else total.reshape(shape)
+        return total.reshape(shape)
 
     def cell_count(self) -> int:
         return len(self.cells)
@@ -770,7 +781,7 @@ class CellNetlist:
                 ],
                 outputs=[(d["name"], d["net"]) for d in doc["outputs"]],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed netlist document: {exc!r}") from None
         nl.validate()
         return nl
@@ -789,6 +800,9 @@ class NetlistBuilder:
         return name
 
     def input_bus(self, name: str, width: int) -> list[str]:
+        width = as_int(width, "width")
+        if width < 1:
+            raise ValueError(f"width must be at least 1, got {width}")
         nets = [self.new_net() for _ in range(width)]
         self.netlist.inputs.append((name, nets))
         return nets

@@ -71,6 +71,7 @@ from .bitcore import (
     CellKind,
     CellNetlist,
     NetlistBuilder,
+    as_flag,
     as_int,
     deferred_record,
     run_planes,
@@ -125,17 +126,6 @@ class Quadrant(Enum):
 _QUADRANT_INDEX = {q: k for k, q in enumerate(Quadrant)}
 
 
-def _check_flag(name: str, value) -> bool:
-    """``value`` as a Python bool. ValueError unless a bool: "yes" is not true.
-    A numpy bool passes too, once numpy is loaded."""
-    if isinstance(value, bool):
-        return value
-    np = sys.modules.get("numpy")
-    if np is None or not isinstance(value, np.bool_):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
-    return bool(value)
-
-
 @dataclass(frozen=True)
 class ModuleId:
     """Identity of one 4x4 block. Spares carry redundant=True and row=col=0."""
@@ -149,7 +139,7 @@ class ModuleId:
         if not isinstance(self.quadrant, Quadrant):
             raise ValueError(f"quadrant must be a Quadrant, got {self.quadrant!r}")
         row, col = as_int(self.row, "row"), as_int(self.col, "col")
-        redundant = _check_flag("redundant", self.redundant)
+        redundant = as_flag(self.redundant, "redundant")
         if redundant:
             row, col = 0, 0
         if not (0 <= row <= 2 and 0 <= col <= 2):
@@ -215,7 +205,7 @@ class RepairConfig:
     target: ModuleId | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "enabled", _check_flag("enabled", self.enabled))
+        object.__setattr__(self, "enabled", as_flag(self.enabled, "enabled"))
         if self.target is not None and not isinstance(self.target, ModuleId):
             raise ValueError(f"repair target must be a ModuleId, got {self.target!r}")
         if self.target is not None and not self.enabled:
@@ -579,7 +569,7 @@ def _plan(
     an iterable of FaultSpec, with ValueError. An empty tuple or list of
     faults with no repair, the default, is the plain plan at once.
     """
-    _check_flag("gating", gating)
+    as_flag(gating, "gating")
     if type(faults) in (tuple, list) and not faults and not repairs:
         return _PLAIN
     try:
@@ -1048,7 +1038,7 @@ def cost_report(level: str, with_features: bool = False) -> CostReport:
     blocks whose operand groups are zero, and the spare computes exactly
     what the replaced block would have.
     """
-    _check_flag("with_features", with_features)
+    as_flag(with_features, "with_features")
     nl = export_netlist(level)
     base = nl.cell_count()
     delay = nl.unit_delay()

@@ -84,9 +84,13 @@ class RevGate:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arity", as_int(self.arity, "arity"))
+        arity = as_int(self.arity, "arity")
+        object.__setattr__(self, "arity", arity)
         try:
-            bijective = sorted(self.mapping) == list(range(1 << self.arity))
+            size = len(self.mapping)
+            # the bit length first, so that a huge arity builds no huge int
+            bijective = (0 <= arity == size.bit_length() - 1 and size == 1 << arity
+                         and sorted(self.mapping) == list(range(size)))
         except TypeError:
             bijective = False
         if not bijective:
@@ -257,7 +261,7 @@ class RevNetlist:
                     n.set_output(d["line"], d.get("name"))
                 else:
                     n.output_roles[n._line(d["line"])] = (OutputRole.GARBAGE, d.get("name"))
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed circuit document: {exc!r}") from None
         return n
 
@@ -334,11 +338,12 @@ def _compile(n: RevNetlist) -> _CompiledRev:
 def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     """Run the circuit forward. Input values may be ints or int arrays of 0/1.
 
-    Line values are a tuple of Python ints when every input is an int, else
-    one uint8 array [lines x *shape] for the broadcast input shape, row i
-    holding line i: index, iterate or zip it as the rows it holds, or hand
-    it to :func:`simulate_inverse` whole. Raises ValueError for a circuit
-    that is not a RevNetlist, a missing input or a value other than 0 or 1.
+    Line values are a tuple of Python ints when every input is an integer
+    scalar, else one uint8 array [lines x *shape] for the broadcast input
+    shape, row i holding line i: index, iterate or zip it as the rows it
+    holds, or hand it to :func:`simulate_inverse` whole. Raises ValueError
+    for a circuit that is not a RevNetlist, a missing input or a value
+    other than 0 or 1.
     """
     compiled = _compiled(n)
     names = compiled.names
@@ -356,9 +361,9 @@ def simulate_inverse(
     ``final_values`` holds one value per line: ints or 0/1 int arrays, or
     one integer array whose first axis is the lines, such as the
     ``line_values`` of a :func:`simulate` batch. Returns a list of ints
-    when every value is an int, else one uint8 array [lines x *shape].
-    A circuit that is not a RevNetlist, a wrong number of lines or a value
-    other than 0 or 1 raises ValueError.
+    when every value is an integer scalar, else one uint8 array
+    [lines x *shape]. A circuit that is not a RevNetlist, a wrong number of
+    lines or a value other than 0 or 1 raises ValueError.
     """
     compiled = _compiled(n)
     try:

@@ -1,7 +1,8 @@
 """Reference IEEE-754 single-precision multiplier, independent of the datapath.
 
 This module exists to check the hardware-style pipeline in :mod:`cifm.fp32`
-against a second implementation that shares no code with it. Significands
+against a second implementation that shares none of its arithmetic: the
+two share only :mod:`cifm.bitcore`'s operand checks. Significands
 are multiplied as plain Python integers and normalised via bit_length;
 round-to-nearest-even compares the discarded remainder against the half
 point. Subnormal inputs are treated as zero and subnormal results flush
@@ -22,14 +23,12 @@ scalar function element for element.
 
 from __future__ import annotations
 
-import sys
-from numbers import Integral
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
-from .bitcore import uint_rows
+from .bitcore import BitVec, as_flag, uint_rows, uint_value
 
 __all__ = ["softfloat_mul", "softfloat_mul_batch", "CANONICAL_QNAN"]
 
@@ -39,34 +38,24 @@ _EXP_MASK = 0xFF
 _FRAC_MASK = 0x7FFFFF
 
 
-def _parts(bits: int) -> tuple[int, int, int]:
-    # a plain int skips the Integral test, which goes through the ABC machinery
-    if type(bits) is not int:
-        if isinstance(bits, bool) or not isinstance(bits, Integral):
-            raise ValueError(f"not a 32-bit pattern: {bits!r}")
-        bits = int(bits)
-    if not 0 <= bits < (1 << 32):
-        raise ValueError(f"not a 32-bit pattern: {bits:#x}")
-    return (bits >> 31) & 1, (bits >> 23) & _EXP_MASK, bits & _FRAC_MASK
-
-
-def softfloat_mul(x: int, y: int, truncate: bool = False) -> int:
+def softfloat_mul(x: BitVec | int, y: BitVec | int, truncate: bool = False) -> int:
     """Multiply two float32 bit patterns, returning the result pattern.
 
     Rounds to nearest even unless ``truncate`` is set. NaN inputs, and
     Inf times zero, give the canonical quiet NaN. Subnormals count as zero.
     Overflow gives a signed infinity, underflow a signed zero. Underflow
-    means an exact product below 2**-126, tested before rounding. Operands
-    other than ints in 0..2**32-1 (floats, strings, None, bools) raise
-    ValueError, and so does a ``truncate`` that is not a bool.
+    means an exact product below 2**-126, tested before rounding.
+
+    Each operand is a pattern as :func:`cifm.fp32.fp_mul` takes it: an int
+    or a numpy integer in 0..2**32-1, or a 32-bit BitVec. Anything else
+    (floats, strings, None, bools, other widths) raises ValueError, and so
+    does a ``truncate`` that is not a bool or a numpy bool.
     """
-    if not isinstance(truncate, bool):
-        np = sys.modules.get("numpy")     # a numpy bool only once numpy is loaded
-        if np is None or not isinstance(truncate, np.bool_):
-            raise ValueError(f"truncate must be a bool, got {truncate!r}")
-    sx, ex, fx = _parts(x)
-    sy, ey, fy = _parts(y)
-    sign = sx ^ sy
+    truncate = as_flag(truncate, "truncate")
+    x, y = uint_value(x, 32, "x"), uint_value(y, 32, "y")
+    ex, fx = (x >> 23) & _EXP_MASK, x & _FRAC_MASK
+    ey, fy = (y >> 23) & _EXP_MASK, y & _FRAC_MASK
+    sign = (x ^ y) >> 31
 
     x_nan = ex == _EXP_MASK and fx != 0
     y_nan = ey == _EXP_MASK and fy != 0

@@ -162,6 +162,56 @@ def test_evaluate_nets_gives_int64_arrays_for_any_batch():
         assert np.array_equal(got, a + 3)
 
 
+def _with_first(doc: dict, key: str, value) -> dict:
+    return {**doc, key: [value, *doc[key][1:]]}
+
+
+_CELL_DOC = {"inputs": [{"name": "a", "width": 1, "nets": ["a0"]}], "cells": [],
+             "outputs": [{"name": "p0", "net": "a0"}]}
+_REV_DOC = {"lines": [{"name": "x", "tag": "input"}], "gates": [],
+            "output_roles": []}
+
+# Inputs that used to raise OverflowError, MemoryError, IndexError or
+# TypeError, or were taken for something else: (call, message), where a
+# message of None means the call must succeed and return a true value.
+ODD_INPUTS = {
+    "bitvec-width-2**70": (lambda: BitVec(1, 2**70).width == 2**70, None),
+    "bitvec-width-uint64": (lambda: type(BitVec(1, np.uint64(2**63)).width) is int, None),
+    "bitvec-value-2**70": (lambda: BitVec(2**70, 70), "does not fit"),
+    "gate-arity-2**70": (lambda: RevGate("g", 2**70, (1, 0)), "not a bijection"),
+    "gate-arity-negative": (lambda: RevGate("g", -1, ()), "not a bijection"),
+    "cell-doc-0d-array": (lambda: CellNetlist.from_json(np.array(3)), "malformed"),
+    "cell-doc-numpy-bus": (
+        lambda: CellNetlist.from_json(_with_first(_CELL_DOC, "inputs", np.int64(3))), "malformed"),
+    "rev-doc-numpy-float": (lambda: RevNetlist.from_json(np.float64(2)), "malformed"),
+    "rev-doc-numpy-line": (
+        lambda: RevNetlist.from_json(_with_first(_REV_DOC, "lines", np.int64(3))), "malformed"),
+    "cell-inputs-none": (lambda: Cell(CellKind.AND, None, ("c",)), "tuples of str"),
+    "cell-inputs-str": (lambda: Cell(CellKind.AND, "ab", ("c",)), "tuples of str"),
+    "cell-inputs-list": (lambda: Cell(CellKind.AND, ["a", "b"], ("c",)), "tuples of str"),
+    "cell-outputs-int": (lambda: Cell(CellKind.AND, ("a", "b"), (3,)), "tuples of str"),
+    "bus-width-none": (lambda: NetlistBuilder().input_bus("a", None), "width must be an int"),
+    "bus-width-float": (lambda: NetlistBuilder().input_bus("a", 2.0), "width must be an int"),
+    "bus-width-negative": (lambda: NetlistBuilder().input_bus("a", -3), "at least 1"),
+    "bus-width-zero": (lambda: NetlistBuilder().input_bus("a", 0), "at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", ODD_INPUTS)
+def test_odd_inputs_construct_or_raise_value_error(case):
+    call, message = ODD_INPUTS[case]
+    if message is None:
+        assert call()
+    else:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_the_documents_behind_the_odd_inputs_load():
+    assert CellNetlist.from_json(_CELL_DOC).evaluate({"a": 1}) == 1
+    assert RevNetlist.from_json(_REV_DOC).lines[0].name == "x"
+
+
 @pytest.mark.parametrize("kind", ["AND", None, 0], ids=repr)
 def test_builder_cell_kind_that_is_not_a_cell_kind_is_value_error(kind):
     # a str kind used to raise KeyError: 'AND'

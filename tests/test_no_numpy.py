@@ -1,8 +1,9 @@
 """Scalar commands and calls without numpy.
 
-``import cifm``, the ``mul``, ``report``, ``fpmul`` and ``netlist`` commands
-and single-vector netlist evaluation run in fresh interpreters, some with
-numpy blocked, and must print what they print with numpy loaded.
+``import cifm``, the ``mul``, ``report``, ``fpmul`` and ``netlist`` commands,
+single-vector netlist evaluation and ``softfloat_mul`` run in fresh
+interpreters, some with numpy blocked, and must print what they print with
+numpy loaded.
 """
 
 import contextlib
@@ -32,13 +33,15 @@ COMMANDS = [
 ]
 
 # Runs in a fresh interpreter: every command through cli.main, then scalar
-# netlist and reversible evaluation, printed as one JSON document.
+# netlist and reversible evaluation and scalar soft-float products, printed
+# as one JSON document.
 SCRIPT = """
 import contextlib, io, json, sys
 {prelude}
 from cifm.cli import main
 from cifm.multiplier import export_netlist
 from cifm.revlogic import expand, simulate, simulate_inverse
+from cifm.softfloat import softfloat_mul
 
 def run(args):
     out = io.StringIO()
@@ -55,6 +58,8 @@ rev = expand(export_netlist("mul4"))
 fwd = simulate(rev, {{f"{{x}}{{k}}": (0xB if x == "a" else 0x6) >> k & 1
                      for x in "ab" for k in range(4)}})
 doc["rev"] = [fwd.outputs, simulate_inverse(rev, list(fwd.line_values))]
+doc["softfloat"] = [softfloat_mul(0x3FC00000, 0x40200000),
+                   softfloat_mul(0x3FAAAAAB, 0x3FAAAAAB, truncate=True)]
 doc["numpy_loaded"] = sys.modules.get("numpy") is not None
 print(json.dumps(doc))
 """
@@ -91,6 +96,7 @@ def test_scalar_commands_with_numpy_blocked_print_what_they_print_with_it():
     assert blocked["cli"] == [_in_process(args) for args in COMMANDS]
     assert blocked["product"] == [0xABCDEF * 0x123456] * 2
     assert blocked["rev"][0] == {f"p{k}": (0xB * 0x6) >> k & 1 for k in range(8)}
+    assert blocked["softfloat"] == [0x40700000, 0x3FE38E39]     # 1.5 * 2.5; (4/3)**2 truncated
     loaded = _fresh("import numpy")
     assert loaded["numpy_loaded"]
     assert {k: v for k, v in blocked.items() if k != "numpy_loaded"} == \

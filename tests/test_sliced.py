@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from cifm import bitcore
 from cifm.bitcore import (
     CHUNK_VECTORS,
     SEGMENT_STEPS,
@@ -203,6 +204,54 @@ def test_shapes_and_scalars():
     assert all(type(v) is int for v in one.line_values)
     assert all(type(v) is int for v in simulate_inverse(n, one.line_values))
     assert json.dumps(one.outputs)
+
+
+def _no_arrays(*args):
+    raise AssertionError("a scalar call reached uint_rows")
+
+
+@pytest.mark.parametrize("kinds", [(np.int64, np.int64), (np.uint8, int), (int, np.uint8),
+                                   (np.int64, np.uint8)], ids=lambda k: [t.__name__ for t in k])
+def test_numpy_integer_scalars_are_a_batch_of_one(kinds, monkeypatch):
+    """Numpy integer scalars, alone or mixed with ints, run as the int call
+    does: one vector, no arrays, and the same values as Python ints."""
+    nl = export_netlist("mul4")
+    n = random_circuit(random.Random(5))
+    want = nl.evaluate({"a": 11, "b": 6}), nl.evaluate_nets({"a": 11, "b": 6})
+    want_fwd = simulate(n, {"x0": 1, "x1": 0, "x2": 1})
+    want_back = simulate_inverse(n, want_fwd.line_values)
+    monkeypatch.setattr(bitcore, "uint_rows", _no_arrays)
+
+    def mixed(values):
+        return [kinds[k % 2](v) for k, v in enumerate(values)]
+
+    got = nl.evaluate(dict(zip("ab", mixed((11, 6)))))
+    assert type(got) is int and got == want[0] == 66
+    nets = nl.evaluate_nets(dict(zip("ab", mixed((11, 6)))))
+    assert nets == want[1] and {type(v) for v in nets.values()} == {int}
+    fwd = simulate(n, dict(zip(("x0", "x1", "x2"), mixed((1, 0, 1)))))
+    assert fwd == want_fwd
+    assert {type(v) for v in (*fwd.line_values, *fwd.outputs.values())} == {int}
+    back = simulate_inverse(n, mixed(want_fwd.line_values))
+    assert back == want_back and {type(v) for v in back} == {int}
+    # out of range is uint_value's ValueError, not a trip into the array path
+    for bad in (np.uint8(16), np.int64(-1), np.uint64(2**64 - 1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            nl.evaluate({"a": bad, "b": kinds[1](6)})
+        with pytest.raises(ValueError, match="does not fit"):
+            nl.evaluate_nets({"a": kinds[0](11), "b": bad})
+    with pytest.raises(ValueError, match="does not fit"):
+        simulate(n, {"x0": kinds[0](1), "x1": np.uint8(2), "x2": 0})
+    with pytest.raises(ValueError, match="does not fit"):
+        simulate_inverse(n, [np.int64(-1)] + mixed(want_fwd.line_values[1:]))
+
+
+def test_a_0d_array_operand_is_an_array_call():
+    nl = export_netlist("mul4")
+    got = nl.evaluate({"a": np.array(11), "b": np.int64(6)})
+    assert type(got) is np.ndarray and got.shape == () and got == 66
+    nets = nl.evaluate_nets({"a": 11, "b": np.array(6, dtype=np.uint8)})
+    assert all(v.dtype == np.int64 and np.ndim(v) == 0 for v in nets.values())
 
 
 # Element counts that end inside a segment, just past one and on a boundary

@@ -7,6 +7,7 @@ same steps on int64 arrays and must give the same pattern for every pair.
 import numpy as np
 import pytest
 
+from cifm.bitcore import BitVec
 from cifm.softfloat import softfloat_mul, softfloat_mul_batch
 from test_verify import _boundary_pairs
 
@@ -124,3 +125,17 @@ def test_shapes_that_do_not_broadcast_raise_value_error():
 def test_empty_batch(dtype):
     got = softfloat_mul_batch(np.empty((0, 3), dtype=dtype), np.array([ONE, 0, 1]))
     assert got.dtype == np.int64 and got.shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "form", [np.int64, np.uint32, np.uint64, lambda x: BitVec(x, 32)],
+    ids=["int64", "uint32", "uint64", "bitvec-32"],
+)
+def test_scalar_takes_the_operand_forms_of_fp_mul(form):
+    # a 32-bit BitVec used to raise: it is not a numbers.Integral
+    for x, y in zip(SPECIAL_PATTERNS, SPECIAL_PATTERNS[::-1]):
+        want = softfloat_mul(x, y)
+        for got in (softfloat_mul(form(x), y), softfloat_mul(x, form(y)),
+                    softfloat_mul(form(x), form(y), truncate=False)):
+            assert type(got) is int and got == want
+
