@@ -8,42 +8,21 @@ garbage, ancilla, and delay accounting.
 
 import importlib
 
-from .bitcore import (
-    BitVec,
-    Cell,
-    CellKind,
-    CellNetlist,
-    NetlistBuilder,
-)
-from .multiplier import (
-    BLOCK_IDS,
-    CHUNK,
-    GRID_IDS,
-    SPARE_IDS,
-    ActivityReport,
-    BlockBatch,
-    CostReport,
-    FaultSpec,
-    ModuleId,
-    MulResult,
-    Quadrant,
-    RepairConfig,
-    cost_report,
-    export_netlist,
-    mul4,
-    mul12,
-    mul12_batch,
-    mul24,
-    mul24_batch,
-)
+from . import bitcore, multiplier
+from .bitcore import *  # noqa: F403
+from .multiplier import *  # noqa: F403
 
 # The float32, soft-float, reversible-logic and verification modules load on
 # first use of one of their names (PEP 562), so importing cifm for an integer
-# call loads none of them, nor numpy, which verify needs.
+# call loads none of them, nor numpy, which verify needs. A module's names
+# cannot be read without loading it, so this map restates each lazy module's
+# __all__; tests/test_revlogic.py pins cifm.__all__ to the modules'.
 _LAZY_MODULES = ("fp32", "softfloat", "revlogic", "verify")
 _LAZY_NAMES = dict.fromkeys(
     ("Fp32Class", "Fp32Parts", "FpMulTrace", "Rounding", "fp_mul", "fp_mul_batch"), "fp32"
-) | dict.fromkeys(("CANONICAL_QNAN", "softfloat_mul"), "softfloat") | dict.fromkeys(
+) | dict.fromkeys(
+    ("CANONICAL_QNAN", "softfloat_mul", "softfloat_mul_batch"), "softfloat"
+) | dict.fromkeys(
     (
         "FullAdderVariant",
         "GateApp",
@@ -53,6 +32,7 @@ _LAZY_NAMES = dict.fromkeys(
         "RevGate",
         "RevLine",
         "RevNetlist",
+        "SimResult",
         "build_full_adder",
         "expand",
         "gate_library",
@@ -92,32 +72,6 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-# The eager names, then every name that loads on first use.
-__all__ = [
-    "BitVec",
-    "Cell",
-    "CellKind",
-    "CellNetlist",
-    "NetlistBuilder",
-    "BLOCK_IDS",
-    "CHUNK",
-    "GRID_IDS",
-    "SPARE_IDS",
-    "ActivityReport",
-    "BlockBatch",
-    "CostReport",
-    "FaultSpec",
-    "ModuleId",
-    "MulResult",
-    "Quadrant",
-    "RepairConfig",
-    "cost_report",
-    "export_netlist",
-    "mul4",
-    "mul12",
-    "mul12_batch",
-    "mul24",
-    "mul24_batch",
-    "__version__",
-    *_LAZY_NAMES,
-]
+# Every module's public names: the eager modules', then those that load on
+# first use.
+__all__ = [*bitcore.__all__, *multiplier.__all__, "__version__", *_LAZY_NAMES]

@@ -353,7 +353,9 @@ class Plan:
     chain that ends at the last element touching row r, 0 if none does.
 
     The steps run as Python generated from them (:func:`_segments`), made
-    on the plan's first run and kept with it. Nothing else generates it.
+    on the plan's first run and kept with it. Nothing else generates it. A
+    plan pickles without it and makes it again on its first run after
+    loading, so a netlist that has run pickles too.
     """
 
     __slots__ = ("rows", "steps", "load_rows", "load_src", "load_shift", "ones", "depth",
@@ -372,6 +374,11 @@ class Plan:
         if self._segments is None:
             self._segments = _segments(self.steps)
         return self._segments
+
+    def __reduce__(self):
+        # generated functions do not pickle: a loaded plan makes its own
+        return Plan, (self.rows, self.steps, self.load_rows, self.load_src, self.load_shift,
+                      self.ones, self.depth)
 
 
 def run_planes(plan: Plan, planes: Iterable[int], n: int) -> list[int]:
@@ -815,6 +822,9 @@ class NetlistBuilder:
         module_id: str | None = None,
     ) -> tuple[str, ...]:
         n_out = _arity(kind)[1]
+        if isinstance(ins, str):
+            # a str would be split into one-character nets
+            raise ValueError(f"cell inputs must be an iterable of net names, got {ins!r}")
         outs = tuple(self.new_net() for _ in range(n_out))
         self.netlist.cells.append(Cell(kind, tuple(ins), outs, level, module_id))
         return outs

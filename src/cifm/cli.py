@@ -3,7 +3,9 @@
 Machine-readable JSON goes to stdout and human diagnostics to stderr; the
 exit status is 0 only when every requested check passed. Hex operands take
 an optional ``0x`` prefix. Random sweeps accept ``--seed`` and default to
-seed 0 so repeated runs are byte-identical.
+seed 0 so repeated runs are byte-identical. ``report`` is ``mul --report``
+for widths 12 and 24: the two block commands share one parent parser for
+their operands, ``--fault`` and ``--repair``, and one handler.
 
 The ``verify`` and ``metrics`` handlers, and ``netlist`` for a reversible
 target, import :mod:`cifm.verify` and :mod:`cifm.revlogic` when they run, so
@@ -90,18 +92,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    mul_p = sub.add_parser("mul", help="integer multiply through the block datapath")
-    mul_p.add_argument("a", type=_hex_operand)
-    mul_p.add_argument("b", type=_hex_operand)
-    mul_p.add_argument("--width", type=int, choices=(4, 12, 24), default=24)
-    mul_p.add_argument(
+    # the operands, faults and repairs of the two block commands
+    blocks = argparse.ArgumentParser(add_help=False)
+    blocks.add_argument("a", type=_hex_operand)
+    blocks.add_argument("b", type=_hex_operand)
+    blocks.add_argument(
         "--fault", type=_fault_flag, action="append", default=[],
         metavar="Q:I:J=0xVV", help="force a block's output to a constant",
     )
-    mul_p.add_argument(
+    blocks.add_argument(
         "--repair", type=_repair_flag, action="append", default=[],
         metavar="Q:I:J", help="swap the quadrant spare in for this block",
     )
+
+    mul_p = sub.add_parser("mul", parents=[blocks],
+                           help="integer multiply through the block datapath")
+    mul_p.add_argument("--width", type=int, choices=(4, 12, 24), default=24)
     mul_p.add_argument("--report", action="store_true",
                        help="emit product plus activity report as JSON")
 
@@ -124,19 +130,15 @@ def _build_parser() -> argparse.ArgumentParser:
     net_p = sub.add_parser("netlist", help="dump a netlist as JSON")
     net_p.add_argument("target", choices=NETLIST_TARGETS)
 
-    rep_p = sub.add_parser("report", help="activity report for one multiplication")
-    rep_p.add_argument("a", type=_hex_operand)
-    rep_p.add_argument("b", type=_hex_operand)
+    rep_p = sub.add_parser("report", parents=[blocks],
+                           help="activity report for one multiplication")
     rep_p.add_argument("--width", type=int, choices=(12, 24), default=24)
-    rep_p.add_argument("--fault", type=_fault_flag, action="append", default=[],
-                       metavar="Q:I:J=0xVV")
-    rep_p.add_argument("--repair", type=_repair_flag, action="append", default=[],
-                       metavar="Q:I:J")
+    rep_p.set_defaults(report=True)
     return parser
 
 
 def _run_blocks(parser, args):
-    """Shared mul/report execution; returns the MulResult.
+    """Run the multiplication that ``args`` asks for; returns the MulResult.
 
     Operand ranges and fault targets are checked by the library, whose
     ValueError :func:`main` turns into exit status 2.
@@ -161,19 +163,17 @@ def _run_blocks(parser, args):
     return mul24(args.a, args.b, faults=args.fault, repair=repairs)
 
 
-def _result_json(result) -> dict:
-    return {
-        "product": f"0x{int(result.product):X}",
-        "activity": result.activity.to_json(),
-        "power_proxy": result.activity.power_proxy,
-        "unrepaired_faults": [str(m) for m in result.unrepaired_faults],
-    }
-
-
 def cmd_mul(parser, args) -> int:
+    """``mul``, and ``report``, which is ``mul --report`` at width 12 or 24."""
     result = _run_blocks(parser, args)
     if args.report:
-        json.dump(_result_json(result), sys.stdout, indent=2)
+        doc = {
+            "product": f"0x{int(result.product):X}",
+            "activity": result.activity.to_json(),
+            "power_proxy": result.activity.power_proxy,
+            "unrepaired_faults": [str(m) for m in result.unrepaired_faults],
+        }
+        json.dump(doc, sys.stdout, indent=2)
         print()
     else:
         print(f"0x{int(result.product):X}")
@@ -239,20 +239,13 @@ def cmd_netlist(parser, args) -> int:
     return 0
 
 
-def cmd_report(parser, args) -> int:
-    result = _run_blocks(parser, args)
-    json.dump(_result_json(result), sys.stdout, indent=2)
-    print()
-    return 0
-
-
 _HANDLERS = {
     "mul": cmd_mul,
     "fpmul": cmd_fpmul,
     "verify": cmd_verify,
     "metrics": cmd_metrics,
     "netlist": cmd_netlist,
-    "report": cmd_report,
+    "report": cmd_mul,
 }
 
 

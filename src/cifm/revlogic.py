@@ -85,15 +85,18 @@ class RevGate:
 
     def __post_init__(self) -> None:
         arity = as_int(self.arity, "arity")
-        object.__setattr__(self, "arity", arity)
         try:
-            size = len(self.mapping)
-            # the bit length first, so that a huge arity builds no huge int
-            bijective = (0 <= arity == size.bit_length() - 1 and size == 1 << arity
-                         and sorted(self.mapping) == list(range(size)))
+            mapping = tuple(as_int(o, f"gate {self.name} mapping entry") for o in self.mapping)
         except TypeError:
-            bijective = False
-        if not bijective:
+            raise ValueError(f"gate {self.name} mapping must be a sequence of ints, "
+                             f"got {type(self.mapping).__name__}") from None
+        # Stored as Python ints, so a list or numpy entries give the same gate.
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "mapping", mapping)
+        size = len(mapping)
+        # the bit length first, so that a huge arity builds no huge int
+        if not (0 <= arity == size.bit_length() - 1 and size == 1 << arity
+                and sorted(mapping) == list(range(size))):
             raise ValueError(f"gate {self.name} mapping is not a bijection")
 
     def inverse_mapping(self) -> tuple[int, ...]:

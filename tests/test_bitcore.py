@@ -17,7 +17,15 @@ from cifm.bitcore import (
 )
 from cifm.fp32 import fp_mul
 from cifm.multiplier import GRID_IDS, FaultSpec, ModuleId, Quadrant, mul4, mul12, mul24
-from cifm.revlogic import LineTag, RevGate, RevLine, RevNetlist, gate_library
+from cifm.revlogic import (
+    LineTag,
+    RevGate,
+    RevLine,
+    RevNetlist,
+    gate_library,
+    simulate,
+    simulate_inverse,
+)
 from cifm.verify import SUITES, run_suite
 from width_oracle import classify_width
 
@@ -171,6 +179,17 @@ _CELL_DOC = {"inputs": [{"name": "a", "width": 1, "nets": ["a0"]}], "cells": [],
 _REV_DOC = {"lines": [{"name": "x", "tag": "input"}], "gates": [],
             "output_roles": []}
 
+
+def _not_gate_on_one(gate: RevGate) -> bool:
+    """True when ``gate`` is NOT, stored as a tuple of ints, and a circuit
+    applying it to x=1 runs forward to 0 and back to 1."""
+    n = RevNetlist()
+    n.apply(gate, n.add_input("x"))
+    forward = simulate(n, {"x": 1}).line_values
+    return (gate == gate_library()["NOT"] and all(type(o) is int for o in gate.mapping)
+            and forward == (0,) and simulate_inverse(n, forward) == [1])
+
+
 # Inputs that used to raise OverflowError, MemoryError, IndexError or
 # TypeError, or were taken for something else: (call, message), where a
 # message of None means the call must succeed and return a true value.
@@ -194,6 +213,12 @@ ODD_INPUTS = {
     "bus-width-float": (lambda: NetlistBuilder().input_bus("a", 2.0), "width must be an int"),
     "bus-width-negative": (lambda: NetlistBuilder().input_bus("a", -3), "at least 1"),
     "bus-width-zero": (lambda: NetlistBuilder().input_bus("a", 0), "at least 1"),
+    "gate-mapping-float": (lambda: RevGate("g", 1, (1.0, 0.0)), "must be an int, got float"),
+    "gate-mapping-bool": (lambda: RevGate("g", 1, (True, False)), "must be an int, got bool"),
+    "gate-mapping-list": (lambda: _not_gate_on_one(RevGate("NOT", 1, [1, 0])), None),
+    "gate-mapping-numpy": (lambda: _not_gate_on_one(RevGate("NOT", 1, np.array([1, 0]))), None),
+    "builder-cell-str": (lambda: NetlistBuilder().cell(CellKind.AND, "n0"), "iterable of net"),
+    "builder-cell-list": (lambda: NetlistBuilder().cell(CellKind.AND, ["a", "b"]), None),
 }
 
 

@@ -174,6 +174,19 @@ def test_netlist_mul12_rev():
 def test_report_verb():
     doc = json.loads(run("report", "0xF", "0xF").stdout)
     assert doc["power_proxy"] == 1
+    # report is mul --report at width 12 or 24
+    for args in [
+        ("0xF", "0xF"),
+        ("0xABCDEF", "0x123456", "--fault", "HL:2:1=0x3", "--repair", "HL:2:1"),
+        ("--width", "12", "0xFFF", "0xFFF", "--fault", "LL:0:0=0xFF", "--repair", "LL:0:0"),
+        ("--width", "12", "0x1", "0x1", "--repair", "HH:0:0"),
+        ("0x1000000", "0x1"),
+    ]:
+        report, mul = run("report", *args), run("mul", "--report", *args)
+        assert report.returncode == mul.returncode and report.stdout == mul.stdout, args
+        assert report.stderr == mul.stderr, args
+    for args in (("--width", "4", "0xF", "0xF"), ("--report", "0xF", "0xF")):
+        assert run("report", *args).returncode == 2
 
 
 def test_bad_inputs_exit_2():

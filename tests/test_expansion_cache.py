@@ -1,12 +1,14 @@
 """expand builds each netlist's circuit once and hands out copies that
 callers may extend without touching later expansions."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from cifm import revlogic
 from cifm.bitcore import Cell, CellKind, CellNetlist
-from cifm.multiplier import export_netlist
+from cifm.multiplier import export_netlist, mul4
 from cifm.revlogic import expand, gate_library, simulate, simulate_inverse
 
 
@@ -121,3 +123,26 @@ def test_invalid_netlist_is_value_error(cells, outputs):
     for _ in range(2):                  # nothing is cached for a bad netlist
         with pytest.raises(ValueError):
             expand(nl)
+
+
+def test_netlists_and_expansions_pickle_after_they_have_run():
+    # a run plan holds generated functions, which do not pickle: the plan
+    # leaves them out, and a loaded copy makes its own on its first run
+    mul4(0x3, 0x5)                      # builds the mul4 tables from its netlist
+    assert pickle.loads(pickle.dumps(export_netlist("mul4"))).evaluate({"a": 3, "b": 5}) == 15
+    rng = np.random.default_rng(7)
+    nl = export_netlist("mul24")
+    ops = {"a": rng.integers(0, 1 << 24, 100), "b": rng.integers(0, 1 << 24, 100)}
+    want = nl.evaluate(ops)
+    copy = pickle.loads(pickle.dumps(nl))
+    assert np.array_equal(copy.evaluate(ops), want)
+    assert copy.evaluate({"a": 0xABCDEF, "b": 0x123456}) == 0xABCDEF * 0x123456
+
+    rev = expand(export_netlist("mul12"))
+    a, b = rng.integers(0, 1 << 12, (2, 50))
+    final = simulate(rev, _bit_inputs(a, b, 12)).line_values
+    start = simulate_inverse(rev, final)
+    copy = pickle.loads(pickle.dumps(rev))
+    assert np.array_equal(simulate(copy, _bit_inputs(a, b, 12)).line_values, final)
+    assert np.array_equal(simulate_inverse(copy, final), start)
+    assert np.array_equal(_product(copy, a, b, 12), a * b)
