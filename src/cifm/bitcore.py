@@ -626,6 +626,8 @@ class Cell:
                 f"{self.kind.value} cell needs {n_in} inputs and {n_out} outputs, "
                 f"got {len(self.inputs)}/{len(self.outputs)}"
             )
+        if self.module_id is not None and not isinstance(self.module_id, str):
+            raise ValueError(f"cell module_id must be None or a str, got {self.module_id!r}")
 
 
 class _CompiledCells(NamedTuple):
@@ -648,7 +650,20 @@ class CellNetlist:
     outputs: list[tuple[str, str]] = field(default_factory=list)
 
     def validate(self) -> None:
-        """Check the structural invariants; raises ValueError on the first hit."""
+        """Check the structural invariants; raises ValueError on the first hit.
+
+        Bus names are distinct strs, and so are output names. Every net is
+        driven once, and before any cell or output reads it.
+        """
+        for what, names in (("bus", [name for name, _ in self.inputs]),
+                            ("output", [name for name, _ in self.outputs])):
+            seen: set[str] = set()
+            for name in names:
+                if not isinstance(name, str):
+                    raise ValueError(f"{what} name must be a str, got {name!r}")
+                if name in seen:
+                    raise ValueError(f"{what} name {name} repeats")
+                seen.add(name)
         defined: set[str] = set()
         for _, nets in self.inputs:
             for n in nets:

@@ -44,14 +44,14 @@ first use, never at import, in pure Python as ``array`` buffers; the engine
 wraps the same buffers with ``np.frombuffer``, without a copy.
 
 :func:`mul12` and :func:`mul24` run the same rule for one pair on Python
-ints, reading the same tables through zero-copy memoryviews, since numpy's
-per-call cost would dominate one pair. The call's :class:`ActivityReport`
-keeps its power-pattern mask, repairs and operands, and is built on first
-read from the partition of the blocks for that pattern (which grid blocks
-are powered), cached per pattern: 144 for mul24 and 9 for mul12, whatever
-the operand values, faults and repairs. The scalar calls, :func:`mul4`, the
-netlists and the cost model never load numpy; the batch functions import it
-when called.
+ints, indexing the same ``array`` tables, since numpy's per-call cost would
+dominate one pair. The call's :class:`ActivityReport` keeps its
+power-pattern mask, repairs and operands, and is built on first read from
+the partition of the blocks for that pattern (which grid blocks are
+powered), looked up then and cached per pattern: 144 for mul24 and 9 for
+mul12, whatever the operand values, faults and repairs. The scalar calls,
+:func:`mul4`, the netlists and the cost model never load numpy; the batch
+functions import it when called.
 """
 
 from __future__ import annotations
@@ -727,29 +727,17 @@ def _partition(layout: _Layout, mask: int) -> _Partition:
     return _Partition(ids, shifts, active, layout.ids - active)
 
 
-@functools.cache
-def _views(layout: _Layout) -> tuple[memoryview, memoryview, memoryview]:
-    """The row-sum table and ``layout``'s power tables as zero-copy views.
-
-    Indexing a view returns a Python int, so a scalar call reads the same
-    buffers as the batch engine (:func:`_engine`), without numpy.
-    """
-    counts, masks = _power_tables(layout)
-    return memoryview(_row_sums()), memoryview(counts), memoryview(masks)
-
-
-def _report(
-    layout: _Layout, mask: int, part: _Partition, repaired: tuple, x: int, y: int
-) -> dict:
+def _report(layout: _Layout, mask: int, repaired: tuple, x: int, y: int) -> dict:
     """The ActivityReport fields of one scalar call, from its power-pattern mask.
 
-    ``mask`` is the call's power pattern with no spare in use, and ``part``
-    its partition: the powered block ids, their operand group offsets and
-    the active and gated sets. A call without repairs only looks up the
-    adder levels of those blocks. A repaired call also reports each powered
-    target under its spare and works out its disabled and gated sets, for at
-    most four quadrants.
+    ``mask`` is the call's power pattern with no spare in use. Its partition
+    (:func:`_partition`) gives the powered block ids, their operand group
+    offsets and the active and gated sets. A call without repairs only looks
+    up the adder levels of those blocks. A repaired call also reports each
+    powered target under its spare and works out its disabled and gated
+    sets, for at most four quadrants.
     """
+    part = _partition(layout, mask)
     table = _mul4_tables()[1]
     levels = {
         m: table[(y >> c & 0xF) << 4 | (x >> r & 0xF)]
@@ -786,12 +774,12 @@ def _run_scalar(
     operand halves picks the energised mask, three row sums make each
     quadrant, each powered live fault adds its forced value minus the true
     block product to its quadrant, and the quadrants sum modulo 2**24 each.
-    The call looks up its power pattern's partition in the cache of
-    :func:`_partition`. The report keeps the mask, that partition, the
-    repairs and the operands, and :func:`_report` builds it from them when
-    it is first read.
+    It indexes the ``array`` tables that :func:`_engine` wraps, which give
+    Python ints. The report keeps the mask, the repairs and the operands,
+    and :func:`_report` builds it from them when it is first read.
     """
-    sums, counts, masks = _views(layout)
+    sums = _row_sums()
+    counts, masks = _power_tables(layout)
     h = layout.halves
     groups = [(x >> 4 * r & 0xF) << 12 for r in range(3 * h)]   # row r's a group
     ys = [y >> 12 * k & 0xFFF for k in range(h)]
@@ -815,8 +803,7 @@ def _run_scalar(
     for k, quad in enumerate(quads):
         product += (quad & 0xFFFFFF) << 12 * (k // h + k % h)
     faulty = tuple(BLOCK_IDS[k] for k in _set_bits(mask & plan.fault_bits))
-    part = _partition(layout, mask)
-    report = _deferred_report(layout, mask, part, plan.repaired, x, y)
+    report = _deferred_report(layout, mask, plan.repaired, x, y)
     return product & _MASK48, report, faulty
 
 

@@ -31,6 +31,7 @@ A circuit keeps its primary outputs until it gains a line or
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter, countOf, itemgetter
@@ -84,6 +85,8 @@ class RevGate:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"gate name must be a str, got {self.name!r}")
         arity = as_int(self.arity, "arity")
         try:
             mapping = tuple(as_int(o, f"gate {self.name} mapping entry") for o in self.mapping)
@@ -456,9 +459,10 @@ def expand(netlist: CellNetlist) -> RevNetlist:
     the ancilla); FA -> TSG with a 0-ancilla third line (sum on the
     ancilla, carry on the carry-in's line). A net consumed by n places gets
     n-1 Feynman copies onto fresh 0-ancillas, made while the producing line
-    still holds the value; a primary output counts as one more consumer so
-    its line is never handed to a gate. Anything but a CellNetlist, and a
-    netlist that fails ``validate``, raises ValueError.
+    still holds the value; each primary output counts as one more consumer,
+    so it gets a line of its own that is never handed to a gate. Anything
+    but a CellNetlist, and a netlist that fails ``validate``, raises
+    ValueError.
 
     The circuit is built once per netlist and kept on it, keyed on the
     netlist's input, cell and output counts as its plan is, so appending a
@@ -489,20 +493,17 @@ def _build_expansion(netlist: CellNetlist) -> RevNetlist:
     lib = _GATES
     rev = RevNetlist()
 
-    output_nets = {net for _, net in netlist.outputs}
-    consumers: dict[str, int] = {}
-    for cell in netlist.cells:
-        for net in cell.inputs:
-            consumers[net] = consumers.get(net, 0) + 1
+    # every use of a net, as a cell input or as an output, is one consumer
+    consumers = Counter(net for cell in netlist.cells for net in cell.inputs)
+    consumers.update(net for _, net in netlist.outputs)
 
-    # per net: list of line ids, one per consumer (output slot last)
+    # per net: list of line ids, one per consumer (outputs last)
     slots: dict[str, list[int]] = {}
     taken: dict[str, int] = {}
 
     def provision(net: str, home: int) -> None:
-        need = consumers.get(net, 0) + (1 if net in output_nets else 0)
         lines = [home]
-        for _ in range(max(need, 1) - 1):
+        for _ in range(max(consumers[net], 1) - 1):
             copy = rev.add_ancilla(0)
             rev.apply(lib["FEYNMAN"], home, copy)
             lines.append(copy)
@@ -536,7 +537,7 @@ def _build_expansion(netlist: CellNetlist) -> RevNetlist:
             provision(cell.outputs[1], in_lines[2])   # carry
 
     for name, net in netlist.outputs:
-        rev.set_output(slots[net][-1], name)
+        rev.set_output(claim(net), name)
     return rev
 
 

@@ -164,17 +164,22 @@ def _pattern_operand(low_groups: int, high_groups: int) -> int:
 def test_partition_cache_holds_one_entry_per_power_pattern():
     _partition.cache_clear()
     operands = [_pattern_operand(lo, hi) for lo in (1, 2, 3) for hi in range(4)]
+    results = []
     for x, y in itertools.product(operands, repeat=2):
-        mul24(x, y, gating=False)
+        results.append(mul24(x, y, gating=False))
         for target in POSITIONS:
             repair = {target.quadrant: RepairConfig(True, target)}
-            mul24(x, y, faults=[FaultSpec(target, 0x11)], repair=repair)
+            results.append(mul24(x, y, faults=[FaultSpec(target, 0x11)], repair=repair))
     for x, y in itertools.product(operands[::4], repeat=2):
         for target in POSITIONS[27:]:
-            mul12(x, y, repair=RepairConfig(True, target))
+            results.append(mul12(x, y, repair=RepairConfig(True, target)))
+    # a report that is never read looks up no partition
+    assert _partition.cache_info().currsize == 0
+    for r in results:
+        r.activity.power_proxy
     assert _partition.cache_info().currsize == 144 + 9
-    mul24(0xFFFFFF, 0xFFFFFF)
-    mul12(0xFFF, 0xFFF, gating=False)
+    mul24(0xFFFFFF, 0xFFFFFF).activity.power_proxy
+    mul12(0xFFF, 0xFFF, gating=False).activity.power_proxy
     assert _partition.cache_info().currsize == 144 + 9
 
 

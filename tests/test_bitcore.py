@@ -174,8 +174,10 @@ def _with_first(doc: dict, key: str, value) -> dict:
     return {**doc, key: [value, *doc[key][1:]]}
 
 
-_CELL_DOC = {"inputs": [{"name": "a", "width": 1, "nets": ["a0"]}], "cells": [],
-             "outputs": [{"name": "p0", "net": "a0"}]}
+_CELL_DOC = {"inputs": [{"name": "a", "width": 1, "nets": ["a0"]}],
+             "cells": [{"kind": "AND", "ins": ["a0", "a0"], "outs": ["c"], "level": 0,
+                        "module_id": "LL:0:0"}],
+             "outputs": [{"name": "p0", "net": "a0"}, {"name": "p1", "net": "c"}]}
 _REV_DOC = {"lines": [{"name": "x", "tag": "input"}], "gates": [],
             "output_roles": []}
 
@@ -219,6 +221,29 @@ ODD_INPUTS = {
     "gate-mapping-numpy": (lambda: _not_gate_on_one(RevGate("NOT", 1, np.array([1, 0]))), None),
     "builder-cell-str": (lambda: NetlistBuilder().cell(CellKind.AND, "n0"), "iterable of net"),
     "builder-cell-list": (lambda: NetlistBuilder().cell(CellKind.AND, ["a", "b"]), None),
+    "netlist-bus-repeated": (
+        lambda: CellNetlist(inputs=[("a", ["n0"]), ("a", ["n1"])]).validate(), "bus name a repeats"),
+    "netlist-bus-int": (lambda: CellNetlist(inputs=[(3, ["n0"])]).validate(), "must be a str"),
+    "netlist-output-repeated": (
+        lambda: CellNetlist([("a", ["n0", "n1"])], [], [("p", "n0"), ("p", "n1")]).validate(),
+        "output name p repeats"),
+    "netlist-output-none": (
+        lambda: CellNetlist([("a", ["n0"])], [], [(None, "n0")]).validate(), "must be a str"),
+    "cell-doc-repeated-bus": (
+        lambda: CellNetlist.from_json({**_CELL_DOC, "inputs": _CELL_DOC["inputs"] * 2}),
+        "repeats"),
+    "cell-doc-repeated-output": (
+        lambda: CellNetlist.from_json(
+            _with_first(_CELL_DOC, "outputs", {"name": "p1", "net": "a0"})), "repeats"),
+    "cell-doc-module-id-int": (
+        lambda: CellNetlist.from_json(
+            _with_first(_CELL_DOC, "cells", {**_CELL_DOC["cells"][0], "module_id": 5})),
+        "module_id must be None or a str"),
+    "cell-module-id-list": (
+        lambda: Cell(CellKind.AND, ("a", "b"), ("c",), module_id=["x"]), "module_id"),
+    "cell-module-id-str": (
+        lambda: hash(Cell(CellKind.AND, ("a", "b"), ("c",), module_id="LL:0:0")) or True, None),
+    "gate-name-int": (lambda: RevGate(5, 1, (1, 0)), "gate name must be a str"),
 }
 
 
@@ -233,7 +258,12 @@ def test_odd_inputs_construct_or_raise_value_error(case):
 
 
 def test_the_documents_behind_the_odd_inputs_load():
-    assert CellNetlist.from_json(_CELL_DOC).evaluate({"a": 1}) == 1
+    nl = CellNetlist.from_json(_CELL_DOC)
+    assert [nl.evaluate({"a": a}) for a in (0, 1)] == [0, 3]
+    assert nl.to_json() == _CELL_DOC
+    assert nl.cells[0].module_id == "LL:0:0"
+    assert CellNetlist.from_json({**_CELL_DOC, "cells": [
+        {**_CELL_DOC["cells"][0], "module_id": None}]}).cells[0].module_id is None
     assert RevNetlist.from_json(_REV_DOC).lines[0].name == "x"
 
 

@@ -218,12 +218,12 @@ def test_import_builds_no_table():
     code = (
         "import cifm; from cifm import multiplier as m; "
         "print(*(f.cache_info().currsize for f in "
-        "(m._mul4_tables, m._row_sums, m._power_tables, m._views)))"
+        "(m._mul4_tables, m._row_sums, m._power_tables)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 def test_row_sums_are_group_times_half():
@@ -275,8 +275,6 @@ def test_tables_equal_their_numpy_builds_and_the_engine_wraps_them(layout):
         assert np.array_equal(np.frombuffer(got, dtype=want.dtype), want)
         # the batch engine reads the scalar pass's buffer, not a copy
         assert np.shares_memory(view, np.frombuffer(got, dtype=want.dtype))
-    sums_view, counts_view, masks_view = multiplier._views(layout)
-    assert (sums_view.obj, counts_view.obj, masks_view.obj) == (row_sums, counts, masks)
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])

@@ -1,7 +1,7 @@
 """Scalar commands and calls without numpy.
 
-``import cifm``, the ``mul``, ``report``, ``fpmul`` and ``netlist`` commands,
-single-vector netlist evaluation and ``softfloat_mul`` run in fresh
+``import cifm``, the ``mul``, ``report``, ``fpmul``, ``netlist`` and ``metrics``
+commands, single-vector netlist evaluation and ``softfloat_mul`` run in fresh
 interpreters, some with numpy blocked, and must print what they print with
 numpy loaded.
 """
@@ -30,6 +30,10 @@ COMMANDS = [
     ["fpmul", "0x7F800000", "0x00000000", "--trace"],
     ["fpmul", "0x00800001", "0x3F000000", "--trace", "--truncate"],
     ["netlist", "mul24"],
+    ["netlist", "mul12-rev"],
+    ["metrics", "cifm-rev"],
+    ["metrics", "fa-fredkin5"],
+    ["metrics", "mul24", "--with-features"],
 ]
 
 # Runs in a fresh interpreter: every command through cli.main, then scalar
@@ -92,7 +96,7 @@ def test_import_cifm_loads_no_numpy():
 
 def test_scalar_commands_with_numpy_blocked_print_what_they_print_with_it():
     blocked = _fresh('sys.modules["numpy"] = None      # any import of numpy fails')
-    assert [code for code, _ in blocked["cli"]] == [0] * 6 + [2] + [0] * 6
+    assert [code for code, _ in blocked["cli"]] == [0] * 6 + [2] + [0] * 10
     assert blocked["cli"] == [_in_process(args) for args in COMMANDS]
     assert blocked["product"] == [0xABCDEF * 0x123456] * 2
     assert blocked["rev"][0] == {f"p{k}": (0xB * 0x6) >> k & 1 for k in range(8)}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cifm.bitcore import CellKind, CellNetlist, NetlistBuilder
+from cifm.bitcore import Cell, CellKind, CellNetlist, NetlistBuilder
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
     FullAdderVariant,
@@ -293,6 +293,23 @@ def test_expand_copies_fanned_out_nets():
             assert int(out["p1"]) == (x & y) & x
             assert int(out["p2"]) == (x & y) ^ y
             assert int(out["p3"]) == (x & y) & y
+
+
+def test_expand_keeps_every_output_on_one_net():
+    # p0 and p1 on one net used to share one line, whose second label replaced the first
+    nl = CellNetlist(inputs=[("a", ["a0", "a1"])],
+                     cells=[Cell(CellKind.AND, ("a0", "a1"), ("c",))],
+                     outputs=[("p0", "c"), ("p1", "c"), ("q", "a0")])
+    assert nl.evaluate({"a": 3}) == 7
+    rev = expand(nl)
+    assert [name for name, _ in rev.outputs()] == ["q", "p0", "p1"]
+    for a in range(4):
+        nets = nl.evaluate_nets({"a": a})
+        ins = {"a0": a & 1, "a1": a >> 1}
+        res = simulate(rev, ins)
+        assert res.outputs == {name: nets[net] for name, net in nl.outputs}
+        start = [ins[line.name] if line.name is not None else line.const for line in rev.lines]
+        assert simulate_inverse(rev, res.line_values) == start
 
 
 def test_expanded_mul4_equals_block_datapath():

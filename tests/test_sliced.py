@@ -72,14 +72,17 @@ def ref_gates(n, values, inverse=False):
     return values, ready
 
 
-def random_cells(rng: random.Random, n_cells: int = 40):
+def random_cells(rng: random.Random, n_cells: int = 40, repeats: int = 0):
+    """Random cells over buses a and b of 1-5 bits, and 8 outputs: distinct
+    nets, then ``repeats`` more drawn again from them."""
     b = NetlistBuilder()
     nets = b.input_bus("a", rng.randint(1, 5)) + b.input_bus("b", rng.randint(1, 5))
     for _ in range(n_cells):
         kind = rng.choice(list(CellKind))
         ins = rng.sample(nets, 3 if kind is CellKind.FA else 2)
         nets += b.cell(kind, ins, level=0)
-    b.set_outputs("p", rng.sample(nets, 8))
+    picks = rng.sample(nets, 8 - repeats)
+    b.set_outputs("p", picks + rng.choices(picks, k=repeats))
     return b
 
 
@@ -115,6 +118,29 @@ def test_random_cell_netlists(seed):
             assert nl.evaluate_nets(one) == want
             assert nl.evaluate(one) == int(total[v])
     assert nl.unit_delay() == delay
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_expansions_keep_outputs_that_share_a_net(seed):
+    """Three of the eight outputs repeat a net. Each output of the expansion,
+    for every operand value, is its net's bit in the reference, and the
+    inverse run recovers every line."""
+    rng = random.Random(seed)
+    nl = random_cells(rng, repeats=3).build()
+    rev = expand(nl)
+    assert sorted(name for name, _ in rev.outputs()) == sorted(name for name, _ in nl.outputs)
+    wa, wb = (len(bus) for _, bus in nl.inputs)
+    v = np.arange(1 << wa + wb)
+    ops = {"a": v & (1 << wa) - 1, "b": v >> wa}
+    ins = {f"{name}{k}": ops[name] >> k & 1 for name, bus in nl.inputs for k in range(len(bus))}
+    res = simulate(rev, ins)
+    for u in v.tolist():
+        want, _ = ref_cells(nl, {"a": u & (1 << wa) - 1, "b": u >> wa})
+        assert {name: int(bits[u]) for name, bits in res.outputs.items()} == \
+            {name: want[net] for name, net in nl.outputs}
+    back = simulate_inverse(rev, res.line_values)
+    for line, values in zip(rev.lines, back):
+        assert np.all(values == (ins[line.name] if line.name is not None else line.const))
 
 
 @pytest.mark.parametrize("level", ["mul4", "mul12", "mul24"])
