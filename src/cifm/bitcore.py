@@ -26,7 +26,11 @@ many operand pairs at once. Every module checks integers with
 arrays with :func:`uint_rows`. Cell netlists and reversible circuits alike
 get their results from one collector, :func:`run_rows`: a call whose
 operands are all integer scalars runs as one vector without numpy and gives
-Python ints, and any other call gives arrays.
+Python ints, and any other call gives arrays. :func:`uint_rows` checks an
+operand stack's range in one pass, and row by row only to name the operand
+that fails it. :meth:`CellNetlist.evaluate_nets` gives the collector's state
+as a read-only mapping through the plan's net index, not a dict built per
+call.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -403,7 +409,8 @@ def _to_planes(bits: np.ndarray) -> list[int]:
 
     Up to 63 columns are summed as int64 words; more are packed as uint8
     bytes, which ``np.packbits`` handles an order of magnitude faster than
-    wider integers.
+    wider integers. The packed buffer is split into its rows by
+    ``struct.iter_unpack``, so no Python code runs per row.
     """
     import numpy as np
 
@@ -411,10 +418,8 @@ def _to_planes(bits: np.ndarray) -> list[int]:
     if n < 64:
         return (bits.astype(np.int64, copy=False) << np.arange(n)).sum(axis=1).tolist()
     packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
-    size = packed.shape[1]
-    data = packed.tobytes()
-    return [int.from_bytes(data[i * size : (i + 1) * size], "little")
-            for i in range(len(packed))]
+    rows = struct.iter_unpack(f"{packed.shape[1]}s", packed.tobytes())
+    return list(map(int.from_bytes, map(itemgetter(0), rows), repeat("little")))
 
 
 def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
@@ -495,8 +500,8 @@ def uint_rows(
     every operand is an int or an integer array (an empty array of any
     dtype passes), the shapes broadcast, and every element of row i lies in
     0..2**widths[i]-1; ``name(i)`` names operand i in the message. The range
-    check runs once over the whole stack (a uint64 element of 2**63 or more
-    wraps negative, so it fails too).
+    check runs once over the whole stack, and row by row only when it fails
+    (a uint64 element of 2**63 or more wraps negative, so it fails too).
 
     ``values`` may also be one integer array whose first axis holds the
     operands: it is reshaped, not copied row by row, and its dtype is kept.
@@ -525,10 +530,16 @@ def uint_rows(
 
 def _checked(flat: np.ndarray, widths: Sequence[int], name: Callable[[int], str]) -> np.ndarray:
     """``flat`` [operands x vectors], after checking that every element of
-    row i lies in 0..2**widths[i]-1."""
+    row i lies in 0..2**widths[i]-1.
+
+    One check over the whole stack settles the common case: no element is
+    negative and none exceeds the narrowest row's limit. Only a stack that
+    fails it is checked row by row, to name the first operand at fault.
+    """
     import numpy as np
 
-    if flat.size:
+    if flat.size and not (int(flat.min()) >= 0
+                          and int(flat.max()) < 1 << min(min(widths), 63)):
         limits = np.left_shift(1, np.minimum(widths, 63), dtype=np.int64) - 1
         bad = flat.max(axis=1) > limits
         if flat.min() < 0:
@@ -632,8 +643,35 @@ class Cell:
 
 class _CompiledCells(NamedTuple):
     plan: Plan
-    nets: tuple[str, ...]       # every net in definition order, net i in row i
+    nets: dict[str, int]        # every net in definition order -> its state row, i for net i
     outputs: tuple[int, ...]    # state row per output bit, LSB first
+
+
+class _NetValues(Mapping):
+    """Every net's value after one :meth:`CellNetlist.evaluate_nets` call, a
+    read-only view of the engine's state: net -> row from the compiled plan,
+    row -> value from the call's result. Iterates in net definition order.
+
+    A plan's net index is built once and never changed, so a view taken
+    before its netlist gains a cell keeps the nets and values it had.
+    """
+
+    __slots__ = ("_rows", "_values")
+
+    def __init__(self, rows: dict[str, int], values: list[int] | np.ndarray) -> None:
+        self._rows, self._values = rows, values
+
+    def __getitem__(self, net: str):
+        return self._values[self._rows[net]]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 @dataclass
@@ -652,8 +690,8 @@ class CellNetlist:
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on the first hit.
 
-        Bus names are distinct strs, and so are output names. Every net is
-        driven once, and before any cell or output reads it.
+        Bus names are distinct strs, and so are output names. Every net is a
+        str, driven once, and before any cell or output reads it.
         """
         for what, names in (("bus", [name for name, _ in self.inputs]),
                             ("output", [name for name, _ in self.outputs])):
@@ -665,8 +703,10 @@ class CellNetlist:
                     raise ValueError(f"{what} name {name} repeats")
                 seen.add(name)
         defined: set[str] = set()
-        for _, nets in self.inputs:
+        for bus, nets in self.inputs:
             for n in nets:
+                if not isinstance(n, str):
+                    raise ValueError(f"bus {bus} net must be a str, got {n!r}")
                 if n in defined:
                     raise ValueError(f"net {n} driven twice (input)")
                 defined.add(n)
@@ -681,6 +721,8 @@ class CellNetlist:
                     raise ValueError(f"net {n} driven twice (cell {idx})")
                 defined.add(n)
         for name, net in self.outputs:
+            if not isinstance(net, str):
+                raise ValueError(f"output {name} net must be a str, got {net!r}")
             if net not in defined:
                 raise ValueError(f"output {name} reads undriven net {net}")
 
@@ -716,7 +758,7 @@ class CellNetlist:
             ones=(),
             depth=tuple(depth),
         )
-        return _CompiledCells(plan, tuple(row), tuple(row[net] for _, net in self.outputs))
+        return _CompiledCells(plan, row, tuple(row[net] for _, net in self.outputs))
 
     def _operands(self, operands: Mapping) -> tuple[list, list[int], Callable]:
         """The operand buses' values in bus order, their widths, and their
@@ -725,19 +767,22 @@ class CellNetlist:
         values = named_values(operands, names, "operands")
         return values, [len(nets) for _, nets in self.inputs], names.__getitem__
 
-    def evaluate_nets(self, operands: Mapping[str, int | np.ndarray]) -> dict:
+    def evaluate_nets(self, operands: Mapping[str, int | np.ndarray]) -> Mapping:
         """Evaluate every net. Operand values are ints or int arrays.
 
-        Returns a dict mapping net name to bit value: Python ints when every
-        operand is an integer scalar, else int64 arrays of the broadcast
-        operand shape. Raises ValueError for a missing operand, a non-integer
-        one, or an element outside its bus width.
+        Returns a read-only mapping from net name to bit value, in net
+        definition order: Python ints when every operand is an integer
+        scalar, else int64 arrays of the broadcast operand shape. It is a
+        view of the engine's state, not a dict built per call: ``dict()`` of
+        it gives one, which can be changed or written as JSON. Raises
+        ValueError for a missing operand, a non-integer one, or an element
+        outside its bus width.
         """
         compiled = self._compiled()
         values = run_rows(compiled.plan, *self._operands(operands))
         if type(values) is not list:
             values = values.astype("int64")
-        return dict(zip(compiled.nets, values))
+        return _NetValues(compiled.nets, values)
 
     def evaluate(self, operands: Mapping[str, int | np.ndarray]) -> int | np.ndarray:
         """Evaluate and assemble the output bits into one integer (or int64 array)."""

@@ -333,14 +333,13 @@ def _mul4_tables() -> tuple[list[int], list[int]]:
         plane = state[row]
         for v in pairs:
             product[v] |= (plane >> v & 1) << k
-    row_of = {net: row for row, net in enumerate(nets)}
     levels = [0] * len(pairs)
     for lvl in (1, 2, 3):
         seen = 0
         for cell in nl.cells:
             if cell.level == lvl and cell.kind in (CellKind.HA, CellKind.FA):
                 for net in cell.inputs:
-                    seen |= state[row_of[net]]
+                    seen |= state[nets[net]]
         for v in pairs:
             levels[v] += seen >> v & 1
     return product, levels

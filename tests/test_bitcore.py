@@ -147,6 +147,14 @@ def test_uint_rows_keeps_one_stacked_array_as_it_is(dtype):
     assert rows.dtype == dtype and shape == (3, 4)
     assert np.shares_memory(rows, stack)
     assert rows.tolist() == stack.reshape(2, 12).tolist()
+    rows, shape = uint_rows(stack[:, :0], (1, 1), "line {}".format)
+    assert rows.shape == (2, 0) and shape == (0, 4)
+    info = np.iinfo(dtype)
+    for line, value in ((1, 2), (1, info.max), (0, info.min or 2)):
+        bad = stack.copy()
+        bad[line, 2, 3] = dtype(value)
+        with pytest.raises(ValueError, match=rf"line {line} has elements outside 0\.\.2\*\*1-1"):
+            uint_rows(bad, (1, 1), "line {}".format)
 
 
 def test_uint_rows_stacks_mixed_signed_and_unsigned_operands():
@@ -158,6 +166,21 @@ def test_uint_rows_stacks_mixed_signed_and_unsigned_operands():
     assert rows.tolist() == [[1, 2], [top, 0]]
     with pytest.raises(ValueError, match="b has elements outside"):
         uint_rows((a, b + np.uint64(1)), (4, 64), "ab".__getitem__)
+    stack = np.array([[0, 1], [2**63, 0]], dtype=np.uint64)
+    with pytest.raises(ValueError, match=r"line 1 has elements outside 0\.\.2\*\*64-1"):
+        uint_rows(stack, (1, 64), "line {}".format)
+    # one check over the stack; only a stack that fails it is checked row by row
+    narrow, wide = np.array([0, 1, 1]), np.array([5, 2**24 - 1, 0])
+    rows, shape = uint_rows((narrow, wide), (1, 24), "ab".__getitem__)
+    assert rows.tolist() == [[0, 1, 1], [5, 2**24 - 1, 0]] and shape == (3,)
+    for bad, operand, width in (((narrow + 1, wide), "a", 1), ((narrow, wide + 1), "b", 24),
+                                ((narrow - 1, wide), "a", 1), ((narrow, -wide), "b", 24),
+                                ((narrow + 1, -wide), "a", 1)):
+        message = rf"^{operand} has elements outside 0\.\.2\*\*{width}-1$"
+        with pytest.raises(ValueError, match=message):
+            uint_rows(bad, (1, 24), "ab".__getitem__)
+    rows, shape = uint_rows((np.array([], dtype=np.int64), 5), (4, 2), "ab".__getitem__)
+    assert rows.shape == (2, 0) and shape == (0,)
 
 
 def test_evaluate_nets_gives_int64_arrays_for_any_batch():
@@ -229,6 +252,17 @@ ODD_INPUTS = {
         "output name p repeats"),
     "netlist-output-none": (
         lambda: CellNetlist([("a", ["n0"])], [], [(None, "n0")]).validate(), "must be a str"),
+    "netlist-output-net-list": (
+        lambda: CellNetlist([("a", ["n0"])], [], [("p", ["n0"])]).validate(),
+        r"output p net must be a str, got \['n0'\]"),
+    "netlist-bus-net-list": (
+        lambda: CellNetlist([("a", [["n0"]])]).validate(), "bus a net must be a str"),
+    "netlist-nets-int": (
+        lambda: CellNetlist([("a", [0, 1])], [], [("p", 0)]).validate(),
+        "bus a net must be a str, got 0"),
+    "netlist-output-net-int": (
+        lambda: CellNetlist([("a", ["0"])], [], [("p", 0)]).validate(),
+        "output p net must be a str, got 0"),
     "cell-doc-repeated-bus": (
         lambda: CellNetlist.from_json({**_CELL_DOC, "inputs": _CELL_DOC["inputs"] * 2}),
         "repeats"),

@@ -19,6 +19,7 @@ from cifm.bitcore import (
     SEGMENT_STEPS,
     Cell,
     CellKind,
+    CellNetlist,
     NetlistBuilder,
     _from_planes,
     _to_planes,
@@ -118,6 +119,47 @@ def test_random_cell_netlists(seed):
             assert nl.evaluate_nets(one) == want
             assert nl.evaluate(one) == int(total[v])
     assert nl.unit_delay() == delay
+
+
+@pytest.mark.parametrize("level", ["mul4", "mul12", "mul24", "random"])
+def test_evaluate_nets_is_a_read_only_view_in_definition_order(level):
+    """A scalar call gives the reference's nets as ints, a batch gives each
+    net's bits per vector, both in net definition order and read-only. A view
+    taken before the netlist gains a cell keeps the nets and values it had."""
+    rng = random.Random(level)
+    if level == "random":
+        nl = random_cells(rng).build()
+    else:   # a copy: the library netlist is shared and must not grow
+        nl = CellNetlist.from_json(export_netlist(level).to_json())
+    order = [net for _, bus in nl.inputs for net in bus]
+    order += [net for cell in nl.cells for net in cell.outputs]
+    ops = [{name: rng.randrange(1 << len(bus)) for name, bus in nl.inputs} for _ in range(3)]
+    refs = [ref_cells(nl, one)[0] for one in ops]
+    scalar = nl.evaluate_nets(ops[0])
+    batch = nl.evaluate_nets({name: np.array([one[name] for one in ops])
+                              for name, _ in nl.inputs})
+    want = {net: [ref[net] for ref in refs] for net in order}
+
+    def batch_bits(nets):
+        return {net: bits.tolist() for net, bits in nets.items()}
+
+    assert dict(scalar) == refs[0] and type(dict(scalar)) is dict
+    assert all(type(v) is int for v in scalar.values())
+    assert batch_bits(batch) == want
+    assert all(v.dtype == np.int64 for v in batch.values())
+    for nets in (scalar, batch):
+        assert list(nets) == order and len(nets) == len(order)
+        with pytest.raises(KeyError):
+            nets["no such net"]
+        with pytest.raises(TypeError):
+            nets[order[0]] = 1
+    nl.cells.append(Cell(CellKind.AND, (order[0], order[-1]), ("grown",)))
+    grown = nl.evaluate_nets(ops[0])
+    assert list(grown) == order + ["grown"]
+    assert grown["grown"] == refs[0][order[0]] & refs[0][order[-1]]
+    assert "grown" not in scalar and "grown" not in batch
+    assert list(scalar) == order and dict(scalar) == refs[0]
+    assert list(batch) == order and batch_bits(batch) == want
 
 
 @pytest.mark.parametrize("seed", range(6))
