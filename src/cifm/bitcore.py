@@ -168,24 +168,31 @@ def deferred_record(record: type, build: Callable) -> Callable:
     return make
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BitVec:
-    """An unsigned integer constrained to a fixed bit width."""
+    """An unsigned integer constrained to a fixed bit width.
+
+    Both fields are stored as Python ints. The constructor is written out,
+    not generated, so that it stores them without the frozen per-field
+    setter; equality, hashing, ``repr``, ``dataclasses.replace`` and
+    pickling are the generated ones.
+    """
 
     value: int
     width: int
 
-    def __post_init__(self) -> None:
-        if type(self.value) is not int or type(self.width) is not int:
-            object.__setattr__(self, "value", as_int(self.value, "value"))
-            object.__setattr__(self, "width", as_int(self.width, "width"))
-        if self.width <= 0:
-            raise ValueError(f"width must be a positive int, got {self.width!r}")
+    def __init__(self, value: int, width: int) -> None:
+        if type(value) is not int or type(width) is not int:
+            value = as_int(value, "value")
+            width = as_int(width, "width")
+        if width <= 0:
+            raise ValueError(f"width must be a positive int, got {width!r}")
         # by bit length, so that a huge width builds no huge int
-        if self.value < 0 or self.value.bit_length() > self.width:
-            raise ValueError(
-                f"value {self.value:#x} does not fit in {self.width} bits"
-            )
+        if value < 0 or value.bit_length() > width:
+            raise ValueError(f"value {value:#x} does not fit in {width} bits")
+        fields = self.__dict__
+        fields["value"] = value
+        fields["width"] = width
 
     def __int__(self) -> int:
         return self.value
@@ -690,8 +697,9 @@ class CellNetlist:
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on the first hit.
 
-        Bus names are distinct strs, and so are output names. Every net is a
-        str, driven once, and before any cell or output reads it.
+        Bus names are distinct strs, and so are output names. A bus's nets
+        are an iterable of names, never one str. Every net is a str, driven
+        once, and before any cell or output reads it.
         """
         for what, names in (("bus", [name for name, _ in self.inputs]),
                             ("output", [name for name, _ in self.outputs])):
@@ -704,6 +712,11 @@ class CellNetlist:
                 seen.add(name)
         defined: set[str] = set()
         for bus, nets in self.inputs:
+            if isinstance(nets, str):
+                # a str would be split into one-character nets
+                raise ValueError(
+                    f"bus {bus} nets must be an iterable of net names, got {nets!r}"
+                )
             for n in nets:
                 if not isinstance(n, str):
                     raise ValueError(f"bus {bus} net must be a str, got {n!r}")

@@ -210,9 +210,11 @@ def _finish(exponent_sum, raw, nearest_even):
 
 def _nearest_even(rounding: Rounding) -> bool:
     """Whether ``rounding`` rounds to nearest even; ValueError unless a Rounding."""
+    if rounding is Rounding.NEAREST_EVEN:   # the default, settled without isinstance
+        return True
     if not isinstance(rounding, Rounding):
         raise ValueError(f"rounding must be a Rounding, got {rounding!r}")
-    return rounding is Rounding.NEAREST_EVEN
+    return False
 
 
 def _trace(x: int, y: int, ca: int, cb: int, raw: int | None, finished, activity) -> dict:

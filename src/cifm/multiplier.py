@@ -45,13 +45,16 @@ wraps the same buffers with ``np.frombuffer``, without a copy.
 
 :func:`mul12` and :func:`mul24` run the same rule for one pair on Python
 ints, indexing the same ``array`` tables, since numpy's per-call cost would
-dominate one pair. The call's :class:`ActivityReport` keeps its
-power-pattern mask, repairs and operands, and is built on first read from
-the partition of the blocks for that pattern (which grid blocks are
-powered), looked up then and cached per pattern: 144 for mul24 and 9 for
-mul12, whatever the operand values, faults and repairs. The scalar calls,
-:func:`mul4`, the netlists and the cost model never load numpy; the batch
-functions import it when called.
+dominate one pair. All that this scalar pass reads of a datapath, the tables
+and the bit offsets of its halves, groups and quadrants, is one record,
+looked up once per datapath; a call's faults are looked at only when one of
+them is powered, and its plan matches faults and repairs by their mask bits.
+The call's :class:`ActivityReport` keeps its power-pattern mask, repairs and
+operands, and is built on first read from the partition of the blocks for
+that pattern (which grid blocks are powered), looked up then and cached per
+pattern: 144 for mul24 and 9 for mul12, whatever the operand values, faults
+and repairs. The scalar calls, :func:`mul4`, the netlists and the cost model
+never load numpy; the batch functions import it when called.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import lshift
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -260,11 +264,28 @@ class ActivityReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MulResult:
+    """One product, its activity report and the faults that drove their value.
+
+    The constructor is written out, as :class:`~cifm.bitcore.BitVec`'s is,
+    to store the fields without the frozen per-field setter.
+    """
+
     product: BitVec
     activity: ActivityReport
     unrepaired_faults: tuple[ModuleId, ...] = ()
+
+    def __init__(
+        self,
+        product: BitVec,
+        activity: ActivityReport,
+        unrepaired_faults: tuple[ModuleId, ...] = (),
+    ) -> None:
+        fields = self.__dict__
+        fields["product"] = product
+        fields["activity"] = activity
+        fields["unrepaired_faults"] = unrepaired_faults
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +440,7 @@ class _Fault(NamedTuple):
     forced: int         # its forced output at weight 4*(i + j)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """One call's faults and repairs, validated and placed on the block grid."""
 
     faults: tuple[_Fault, ...]          # live, unrepaired faults
@@ -437,7 +457,8 @@ class _Layout:
     block (i, j) of the quadrant on halves (ha, hb) sits at (3*ha + i,
     3*hb + j). The blocks of row r on b half hb make one row sum, at weight
     4*r + 12*hb. A layout compares and hashes by identity, so it can key
-    :func:`_partition`, :func:`_power_tables` and :func:`_engine`.
+    :func:`_partition`, :func:`_power_tables`, :func:`_engine` and
+    :func:`_scalar`.
     """
 
     halves: int                       # 12-bit halves per operand
@@ -566,7 +587,8 @@ def _plan(
     Runs once per call, whichever quadrants the operands would switch on.
     Also rejects a ``gating`` that is not a bool, and ``faults`` that is not
     an iterable of FaultSpec, with ValueError. An empty tuple or list of
-    faults with no repair, the default, is the plain plan at once.
+    faults with no repair, the default, is the plain plan at once. Faults
+    and repair targets are matched by their mask bits.
     """
     as_flag(gating, "gating")
     if type(faults) in (tuple, list) and not faults and not repairs:
@@ -577,7 +599,7 @@ def _plan(
         raise ValueError(
             f"faults must be a sequence of FaultSpec, got {type(faults).__name__}"
         ) from None
-    forced: dict[ModuleId, int] = {}
+    forced: dict[int, int] = {}         # mask bit -> forced value
     for f in faults:
         if not isinstance(f, FaultSpec):
             raise ValueError(f"faults must hold FaultSpec, got {f!r}")
@@ -586,23 +608,27 @@ def _plan(
             raise ValueError(
                 f"fault target {f.target} is outside quadrant {quadrant.value}"
             )
-        if f.target in forced:
+        bit = _BIT[f.target]
+        if bit in forced:
             raise ValueError(f"duplicate fault target {f.target}")
-        forced[f.target] = f.forced_output.value
-    targets = sorted(repairs, key=_BIT.__getitem__)
+        forced[bit] = f.forced_output.value
+    targets = sorted(map(_BIT.__getitem__, repairs))
     if not forced and not targets:
         return _PLAIN
-    repaired = tuple((t, _BIT[t], _BIT[SPARE_IDS[t.quadrant]]) for t in targets)
-    live = sorted((_BIT[m], v) for m, v in forced.items() if m not in targets)
-    placed = []
-    for bit, value in live:
+    # each target's quadrant q = t // 9 has its spare at bit 36 + q
+    repaired = tuple([(BLOCK_IDS[t], t, 36 + t // 9) for t in targets])
+    placed, fault_bits = [], 0
+    for bit in sorted(forced):
+        if bit in targets:
+            continue
         r, c = layout.pos[bit]
         i, j = r % 3, c % 3
         placed.append(_Fault(
             bit, r, c // 3, layout.halves * (r // 3) + c // 3,
-            0xF000 | 0xF << 4 * j, 4 * i, value << 4 * (i + j),
+            0xF000 | 0xF << 4 * j, 4 * i, forced[bit] << 4 * (i + j),
         ))
-    return _Plan(tuple(placed), sum(1 << bit for bit, _ in live), repaired)
+        fault_bits |= 1 << bit
+    return _Plan(tuple(placed), fault_bits, repaired)
 
 
 def _plan24(
@@ -611,8 +637,8 @@ def _plan24(
     gating: bool,
 ) -> _Plan:
     if repair is None:
-        repair = {}
-    elif not isinstance(repair, Mapping):
+        return _plan(_MUL24, faults, (), gating)
+    if not isinstance(repair, Mapping):
         raise ValueError(
             f"repair must map Quadrant to RepairConfig, got {type(repair).__name__}"
         )
@@ -764,6 +790,35 @@ def _report(layout: _Layout, mask: int, repaired: tuple, x: int, y: int) -> dict
 _deferred_report = deferred_record(ActivityReport, _report)
 
 
+class _Scalar(NamedTuple):
+    """What :func:`_run_scalar` reads of one layout, looked up once per layout."""
+
+    sums: array                 # the row-sum table of :func:`_row_sums`
+    counts: array               # the layout's :func:`_power_tables`
+    masks: array
+    halves: tuple[tuple[int, int, int], ...]    # per 12-bit half k: its bit offset
+                                # 12*k, and where a's and b's counts sit in a pattern
+    quads: tuple[tuple[int, int, int, int], ...]  # per quadrant (ha, hb), at h*ha + hb:
+                                # the bit offsets of a's three groups and of b's half
+    places: tuple[int, ...]     # per quadrant, the bit offset 12*(ha + hb) of its product
+
+
+@functools.cache
+def _scalar(layout: _Layout) -> _Scalar:
+    """The scalar pass's record of ``layout``, built on first use."""
+    counts, masks = _power_tables(layout)
+    h = layout.halves
+    return _Scalar(
+        sums=_row_sums(),
+        counts=counts,
+        masks=masks,
+        halves=tuple((12 * k, 2 * k, 2 * (h + k)) for k in range(h)),
+        quads=tuple((12 * ha, 12 * ha + 4, 12 * ha + 8, 12 * hb)
+                    for ha in range(h) for hb in range(h)),
+        places=tuple(12 * (ha + hb) for ha in range(h) for hb in range(h)),
+    )
+
+
 def _run_scalar(
     layout: _Layout, plan: _Plan, x: int, y: int, gating: bool
 ) -> tuple[int, ActivityReport, tuple[ModuleId, ...]]:
@@ -773,35 +828,41 @@ def _run_scalar(
     operand halves picks the energised mask, three row sums make each
     quadrant, each powered live fault adds its forced value minus the true
     block product to its quadrant, and the quadrants sum modulo 2**24 each.
-    It indexes the ``array`` tables that :func:`_engine` wraps, which give
-    Python ints. The report keeps the mask, the repairs and the operands,
-    and :func:`_report` builds it from them when it is first read.
+    Everything it reads of the layout comes from one cached record
+    (:func:`_scalar`): the ``array`` tables that :func:`_engine` wraps, which
+    give Python ints, and the bit offsets of each half, group and quadrant.
+    The faults are looked at only when one of them is powered. The report
+    keeps the mask, the repairs and the operands, and :func:`_report` builds
+    it from them when it is first read.
     """
-    sums = _row_sums()
-    counts, masks = _power_tables(layout)
-    h = layout.halves
-    groups = [(x >> 4 * r & 0xF) << 12 for r in range(3 * h)]   # row r's a group
-    ys = [y >> 12 * k & 0xFFF for k in range(h)]
-    mask = masks[-1]
+    t = _scalar(layout)
+    sums = t.sums
     if gating:
+        counts = t.counts
         pattern = 0
-        for k, half in enumerate([x >> 12 * k & 0xFFF for k in range(h)] + ys):
-            pattern += counts[half] << 2 * k
-        mask = masks[pattern]
-    quads = [                           # quadrant (ha, hb) at h*ha + hb
-        sums[groups[r] | yh] + (sums[groups[r + 1] | yh] << 4)
-        + (sums[groups[r + 2] | yh] << 8)
-        for r in range(0, 3 * h, 3)
-        for yh in ys
-    ]
-    for f in plan.faults:
-        if mask >> f.bit & 1:
-            true = sums[(groups[f.row] | ys[f.half]) & f.keep] << f.shift
-            quads[f.quad] += f.forced - true
-    product = 0
-    for k, quad in enumerate(quads):
-        product += (quad & 0xFFFFFF) << 12 * (k // h + k % h)
-    faulty = tuple(BLOCK_IDS[k] for k in _set_bits(mask & plan.fault_bits))
+        for at, a_shift, b_shift in t.halves:
+            pattern |= counts[x >> at & 0xFFF] << a_shift | counts[y >> at & 0xFFF] << b_shift
+        mask = t.masks[pattern]
+    else:
+        mask = t.masks[-1]
+    # xs >> 4*r & 0xF000 is a's group r, where a row-sum index holds it
+    xs = x << 12
+    quads = []
+    for a0, a1, a2, at in t.quads:
+        yh = y >> at & 0xFFF
+        quads.append(sums[xs >> a0 & 0xF000 | yh] + (sums[xs >> a1 & 0xF000 | yh] << 4)
+                     + (sums[xs >> a2 & 0xF000 | yh] << 8))
+    faulty = ()
+    live = mask & plan.fault_bits
+    if live:                            # only a faulted quadrant can wrap
+        powered = []
+        for f in plan.faults:           # in mask bit order
+            if live >> f.bit & 1:
+                index = (xs >> 4 * f.row & 0xF000 | y >> 12 * f.half & 0xFFF) & f.keep
+                quads[f.quad] = quads[f.quad] + f.forced - (sums[index] << f.shift) & 0xFFFFFF
+                powered.append(BLOCK_IDS[f.bit])
+        faulty = tuple(powered)
+    product = sum(map(lshift, quads, t.places))
     report = _deferred_report(layout, mask, plan.repaired, x, y)
     return product & _MASK48, report, faulty
 

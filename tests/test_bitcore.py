@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import operator
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -16,7 +19,16 @@ from cifm.bitcore import (
     uint_rows,
 )
 from cifm.fp32 import fp_mul
-from cifm.multiplier import GRID_IDS, FaultSpec, ModuleId, Quadrant, mul4, mul12, mul24
+from cifm.multiplier import (
+    GRID_IDS,
+    FaultSpec,
+    ModuleId,
+    MulResult,
+    Quadrant,
+    mul4,
+    mul12,
+    mul24,
+)
 from cifm.revlogic import (
     LineTag,
     RevGate,
@@ -57,6 +69,75 @@ def test_bitvec_stores_a_numpy_value_as_an_int(value):
     assert type(v.value) is int
     assert int(v) == operator.index(v) == 255
     assert v == BitVec(255, 8)
+
+
+def _hash(record):
+    """The record's hash, or the TypeError's message: a MulResult's activity
+    report holds a dict, so it does not hash."""
+    try:
+        return hash(record)
+    except TypeError as exc:
+        return str(exc)
+
+
+_RESULT = mul24(0x12, 0x345)
+# Per record: its fields by keyword, the same fields built from numpy ints,
+# one changed field, and the ValueError message for each bad (value, width).
+RECORDS = {
+    "bitvec": (
+        BitVec, dict(value=5, width=8), dict(value=np.uint8(5), width=np.int64(8)),
+        dict(value=6),
+        [((True, 8), "value must be an int, got bool"),
+         ((1, True), "width must be an int, got bool"),
+         ((1.0, 8), "value must be an int, got float"),
+         ((1, 8.0), "width must be an int, got float"),
+         ((-1, 8), "value -0x1 does not fit in 8 bits"),
+         ((256, 8), "value 0x100 does not fit in 8 bits"),
+         ((0, 0), "width must be a positive int, got 0"),
+         ((0, -4), "width must be a positive int, got -4")],
+    ),
+    "mul-result": (
+        MulResult,
+        dict(product=_RESULT.product, activity=_RESULT.activity, unrepaired_faults=()),
+        dict(product=BitVec(np.uint64(0x12 * 0x345), np.int64(48)), activity=_RESULT.activity,
+             unrepaired_faults=()),
+        dict(unrepaired_faults=(GRID_IDS[Quadrant.LL][(0, 0)],)),
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("record, fields, numpy_fields, change, errors", RECORDS.values(),
+                         ids=list(RECORDS))
+def test_records_with_written_out_constructors_behave_as_dataclasses(
+    record, fields, numpy_fields, change, errors
+):
+    r = record(**fields)
+    assert r == record(*fields.values())
+    assert [f.name for f in dataclasses.fields(r)] == list(fields)
+    assert {name: getattr(r, name) for name in fields} == fields
+    assert repr(r) == f"{record.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in fields.items()) + ")"
+    changed = dataclasses.replace(r, **change)
+    assert type(changed) is record
+    assert changed == record(**{**fields, **change}) != r
+    for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert type(twin) is record
+        assert twin == r and _hash(twin) == _hash(r)
+    from_numpy = record(**numpy_fields)
+    assert from_numpy == r and _hash(from_numpy) == _hash(r) and repr(from_numpy) == repr(r)
+    if record is BitVec:
+        assert type(from_numpy.value) is type(from_numpy.width) is int
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, fields[name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, name)
+    assert r == record(**fields)
+    for args, message in errors:
+        with pytest.raises(ValueError) as info:
+            record(*args)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("width", [8.5, "8", True, False, None, 0, -1], ids=repr)
@@ -260,6 +341,9 @@ ODD_INPUTS = {
     "netlist-nets-int": (
         lambda: CellNetlist([("a", [0, 1])], [], [("p", 0)]).validate(),
         "bus a net must be a str, got 0"),
+    "netlist-bus-nets-str": (
+        lambda: CellNetlist([("a", "xy")], [], [("p", "x"), ("q", "y")]).validate(),
+        "bus a nets must be an iterable of net names, got 'xy'"),
     "netlist-output-net-int": (
         lambda: CellNetlist([("a", ["0"])], [], [("p", 0)]).validate(),
         "output p net must be a str, got 0"),

@@ -14,6 +14,7 @@ import pytest
 
 from cifm import multiplier
 from cifm.bitcore import BitVec
+from cifm.fp32 import fp_mul
 from cifm.multiplier import (
     BLOCK_IDS,
     CHUNK,
@@ -218,12 +219,36 @@ def test_import_builds_no_table():
     code = (
         "import cifm; from cifm import multiplier as m; "
         "print(*(f.cache_info().currsize for f in "
-        "(m._mul4_tables, m._row_sums, m._power_tables)))"
+        "(m._mul4_tables, m._row_sums, m._power_tables, m._scalar)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "0"]
+
+
+def test_scalar_calls_read_one_record_per_layout():
+    """mul12, mul24 and fp_mul, plain, faulted and repaired, build the scalar
+    pass's record once per layout, and it holds the engine's own tables."""
+    multiplier._scalar.cache_clear()
+    target = GRID_IDS[Quadrant.LL][(1, 2)]
+    faults = [FaultSpec(target, 0xA5)]
+    for gating in (True, False):
+        mul12(0xABC, 0x987, gating=gating)
+        mul12(0xABC, 0x987, faults, RepairConfig(True, target), gating=gating)
+    assert multiplier._scalar.cache_info().currsize == 1
+    fp_mul(0x3FC00000, 0x40490FDB)
+    fp_mul(0x3FC00000, 0x40490FDB, faults)
+    for gating in (True, False):
+        mul24(0xABCDEF, 0x987654, gating=gating)
+        mul24(0xABCDEF, 0x987654, faults, {Quadrant.LL: RepairConfig(True, target)},
+              gating=gating)
+    info = multiplier._scalar.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+    for layout in (multiplier._MUL12, multiplier._MUL24):
+        record = multiplier._scalar(layout)
+        counts, masks = multiplier._power_tables(layout)
+        assert record.sums is _row_sums() and record.counts is counts and record.masks is masks
 
 
 def test_row_sums_are_group_times_half():
