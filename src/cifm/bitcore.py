@@ -844,16 +844,23 @@ class CellNetlist:
     @classmethod
     def from_json(cls, doc: Mapping) -> "CellNetlist":
         """The netlist :meth:`to_json` wrote; ValueError for a malformed document."""
+
+        def names(value) -> list:
+            # a str would be split into one-character nets
+            if isinstance(value, str):
+                raise ValueError(f"expected a list of net names, got {value!r}")
+            return list(value)
+
         try:
             if any(d["width"] != len(d["nets"]) for d in doc["inputs"]):
                 raise ValueError("an input bus's width is not its number of nets")
             nl = cls(
-                inputs=[(d["name"], list(d["nets"])) for d in doc["inputs"]],
+                inputs=[(d["name"], names(d["nets"])) for d in doc["inputs"]],
                 cells=[
                     Cell(
                         kind=CellKind(d["kind"]),
-                        inputs=tuple(d["ins"]),
-                        outputs=tuple(d["outs"]),
+                        inputs=tuple(names(d["ins"])),
+                        outputs=tuple(names(d["outs"])),
                         level=d["level"],
                         module_id=d["module_id"],
                     )

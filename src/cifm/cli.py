@@ -7,11 +7,20 @@ seed 0 so repeated runs are byte-identical. ``report`` is ``mul --report``
 for widths 12 and 24: the two block commands share one parent parser for
 their operands, ``--fault`` and ``--repair``, and one handler.
 
-The ``verify`` and ``metrics`` handlers, and ``netlist`` for a reversible
-target, import :mod:`cifm.verify` and :mod:`cifm.revlogic` when they run, so
-the scalar commands start without them and without numpy. ``fpmul`` imports
-:mod:`cifm.fp32` when it runs, so ``mul``, ``report`` and ``netlist`` start
-without the float32 wrapper and its soft-float module.
+Each JSON document is encoded in full and goes to stdout in one ``write``
+call. ``json.dump`` with ``indent`` hands the stream one small chunk at a
+time, and under ``PYTHONUNBUFFERED=1`` (or ``python -u``) each chunk is its
+own system call: about 48,000 of them for the mul24 netlist, which then took
+longer to write than to build.
+
+The ``verify`` handler imports :mod:`cifm.verify` when it runs, and that
+module loads :mod:`cifm.revlogic` only inside the two reversible suites.
+The ``metrics`` handler for a reversible circuit, and ``netlist`` for a
+reversible target, import :mod:`cifm.revlogic` when they run. So the scalar
+commands start without either module and without numpy, and ``cifm verify``
+of a block-level suite starts without :mod:`cifm.revlogic`. ``fpmul``
+imports :mod:`cifm.fp32` when it runs, so ``mul``, ``report`` and
+``netlist`` start without the float32 wrapper and its soft-float module.
 """
 
 from __future__ import annotations
@@ -163,6 +172,11 @@ def _run_blocks(parser, args):
     return mul24(args.a, args.b, faults=args.fault, repair=repairs)
 
 
+def _write_json(doc) -> None:
+    """Write ``doc`` to stdout as indented JSON and a newline, in one call."""
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+
+
 def cmd_mul(parser, args) -> int:
     """``mul``, and ``report``, which is ``mul --report`` at width 12 or 24."""
     result = _run_blocks(parser, args)
@@ -173,8 +187,7 @@ def cmd_mul(parser, args) -> int:
             "power_proxy": result.activity.power_proxy,
             "unrepaired_faults": [str(m) for m in result.unrepaired_faults],
         }
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        _write_json(doc)
     else:
         print(f"0x{int(result.product):X}")
     return 0
@@ -187,8 +200,7 @@ def cmd_fpmul(parser, args) -> int:
     bits, trace = fp_mul(args.a, args.b, rounding=mode)
     if args.trace:
         doc = {"result": f"0x{int(bits):08X}", "trace": trace.to_json()}
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+        _write_json(doc)
     else:
         print(f"0x{int(bits):08X}")
     return 0
@@ -203,8 +215,7 @@ def cmd_verify(parser, args) -> int:
     print(f"{result.summary()} in {elapsed:.3f} s", file=sys.stderr)
     for note in result.notes:
         print(f"  {note}", file=sys.stderr)
-    json.dump(result.to_json(), sys.stdout, indent=2)
-    print()
+    _write_json(result.to_json())
     return 0 if result.ok else 1
 
 
@@ -222,8 +233,7 @@ def cmd_metrics(parser, args) -> int:
         else:
             circuit = expand(export_netlist(_REV_MULS[name]))
         doc = {"circuit": name} | metrics_of(circuit).to_json()
-    json.dump(doc, sys.stdout, indent=2)
-    print()
+    _write_json(doc)
     return 0
 
 
@@ -234,8 +244,7 @@ def cmd_netlist(parser, args) -> int:
         doc = expand(export_netlist(_REV_MULS[args.target])).to_json()
     else:
         doc = export_netlist(args.target).to_json()
-    json.dump(doc, sys.stdout, indent=2)
-    print()
+    _write_json(doc)
     return 0
 
 

@@ -230,13 +230,17 @@ class ActivityReport:
     internal adder levels saw a nonzero input net (a standalone 4x4 call has
     no block identity and uses the key None, written as null in JSON).
     The reports of :func:`mul12` and :func:`mul24` are built on first read,
-    and compare equal to a report built from the same fields.
+    and compare equal to a report built from the same fields. The hash
+    leaves out adder_levels_active, a dict, which == still compares, so
+    reports, and the results and traces that hold them, can be hashed.
     """
 
     active_mul4: frozenset[ModuleId]
     gated_mul4: frozenset[ModuleId]
     disabled_faulty: frozenset[ModuleId]
-    adder_levels_active: Mapping[ModuleId | None, int] = field(default_factory=dict)
+    adder_levels_active: Mapping[ModuleId | None, int] = field(
+        default_factory=dict, hash=False
+    )
 
     @property
     def power_proxy(self) -> int:

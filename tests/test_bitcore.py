@@ -25,6 +25,7 @@ from cifm.multiplier import (
     ModuleId,
     MulResult,
     Quadrant,
+    RepairConfig,
     mul4,
     mul12,
     mul24,
@@ -71,15 +72,6 @@ def test_bitvec_stores_a_numpy_value_as_an_int(value):
     assert v == BitVec(255, 8)
 
 
-def _hash(record):
-    """The record's hash, or the TypeError's message: a MulResult's activity
-    report holds a dict, so it does not hash."""
-    try:
-        return hash(record)
-    except TypeError as exc:
-        return str(exc)
-
-
 _RESULT = mul24(0x12, 0x345)
 # Per record: its fields by keyword, the same fields built from numpy ints,
 # one changed field, and the ValueError message for each bad (value, width).
@@ -123,9 +115,9 @@ def test_records_with_written_out_constructors_behave_as_dataclasses(
     assert changed == record(**{**fields, **change}) != r
     for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
         assert type(twin) is record
-        assert twin == r and _hash(twin) == _hash(r)
+        assert twin == r and hash(twin) == hash(r)
     from_numpy = record(**numpy_fields)
-    assert from_numpy == r and _hash(from_numpy) == _hash(r) and repr(from_numpy) == repr(r)
+    assert from_numpy == r and hash(from_numpy) == hash(r) and repr(from_numpy) == repr(r)
     if record is BitVec:
         assert type(from_numpy.value) is type(from_numpy.width) is int
     for name in fields:
@@ -138,6 +130,31 @@ def test_records_with_written_out_constructors_behave_as_dataclasses(
         with pytest.raises(ValueError) as info:
             record(*args)
         assert str(info.value) == message
+
+
+HASHED_CALLS = {
+    "mul24": lambda: mul24(1, 2),
+    "mul24-faulted-repaired": lambda: mul24(
+        0xABCDEF, 0xFEDCBA, [FaultSpec(GRID_IDS[Quadrant.HL][(1, 2)], 0x5A)],
+        {Quadrant.HL: RepairConfig(True, GRID_IDS[Quadrant.HL][(1, 2)])}),
+    "mul12-faulted": lambda: mul12(0xA5C, 0xFFF, [FaultSpec(GRID_IDS[Quadrant.LL][(2, 1)], 0x11)]),
+    "mul4": lambda: mul4(0xF, 0xD),
+    "fp_mul": lambda: fp_mul(0x3F800000, 0x40000000)[1],
+    "fp_mul-special": lambda: fp_mul(0x7F800000, 0)[1],
+}
+
+
+@pytest.mark.parametrize("call", HASHED_CALLS.values(), ids=list(HASHED_CALLS))
+def test_results_reports_and_traces_hash_as_the_records_of_their_fields(call):
+    # a report's adder_levels_active is a dict: the hash leaves it out, == does not
+    result = call()
+    for record in (result, result.activity):
+        if record is None:                  # a special pair's trace has no activity
+            continue
+        cls = type(record).__mro__[-2]      # the dataclass under a deferred record
+        eager = cls(**{f.name: getattr(record, f.name) for f in dataclasses.fields(cls)})
+        assert type(eager) is cls and record == eager and hash(record) == hash(eager)
+    assert len({call(), call()}) == len({call().activity, call().activity}) == 1
 
 
 @pytest.mark.parametrize("width", [8.5, "8", True, False, None, 0, -1], ids=repr)
@@ -296,6 +313,14 @@ def _not_gate_on_one(gate: RevGate) -> bool:
             and forward == (0,) and simulate_inverse(n, forward) == [1])
 
 
+def _str_nets_doc(nets=("x", "y"), ins=("x", "y"), outs=("z",)) -> dict:
+    """A one-AND netlist document; given as one str, "nets", "ins" or "outs"
+    used to be split into one-character nets and load."""
+    return {"inputs": [{"name": "a", "width": 2, "nets": nets}],
+            "cells": [{"kind": "AND", "ins": ins, "outs": outs, "level": 0, "module_id": None}],
+            "outputs": [{"name": "p", "net": "z"}]}
+
+
 # Inputs that used to raise OverflowError, MemoryError, IndexError or
 # TypeError, or were taken for something else: (call, message), where a
 # message of None means the call must succeed and return a true value.
@@ -347,6 +372,14 @@ ODD_INPUTS = {
     "netlist-output-net-int": (
         lambda: CellNetlist([("a", ["0"])], [], [("p", 0)]).validate(),
         "output p net must be a str, got 0"),
+    "cell-doc-nets-list": (
+        lambda: CellNetlist.from_json(_str_nets_doc()).evaluate({"a": 3}) == 1, None),
+    "cell-doc-nets-str": (
+        lambda: CellNetlist.from_json(_str_nets_doc(nets="xy")), "list of net names, got 'xy'"),
+    "cell-doc-ins-str": (
+        lambda: CellNetlist.from_json(_str_nets_doc(ins="xy")), "list of net names, got 'xy'"),
+    "cell-doc-outs-str": (
+        lambda: CellNetlist.from_json(_str_nets_doc(outs="z")), "list of net names, got 'z'"),
     "cell-doc-repeated-bus": (
         lambda: CellNetlist.from_json({**_CELL_DOC, "inputs": _CELL_DOC["inputs"] * 2}),
         "repeats"),

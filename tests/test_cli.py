@@ -5,7 +5,13 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from cifm.cli import main
+from cifm.fp32 import fp_mul
+from cifm.multiplier import GRID_IDS, FaultSpec, Quadrant, RepairConfig, export_netlist, mul12
+from cifm.revlogic import expand, metrics_of
+from cifm.verify import run_suite
 
 CMD = [sys.executable, "-m", "cifm"]
 
@@ -224,3 +230,72 @@ def test_negative_seed_exits_2():
 def test_fault_rejected_for_width_4():
     r = run("mul", "--width", "4", "0x1", "0x1", "--fault", "LL:0:0=0x1")
     assert r.returncode == 2
+
+
+class _CountedWrites(io.StringIO):
+    """A stdout that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _mul_report_doc(a, b, faults, repair) -> dict:
+    r = mul12(a, b, faults, repair)
+    return {"product": f"0x{int(r.product):X}", "activity": r.activity.to_json(),
+            "power_proxy": r.activity.power_proxy,
+            "unrepaired_faults": [str(m) for m in r.unrepaired_faults]}
+
+
+_LL00, _LL22 = GRID_IDS[Quadrant.LL][(0, 0)], GRID_IDS[Quadrant.LL][(2, 2)]
+
+# Per JSON-writing command: its arguments and the document it must write.
+JSON_COMMANDS = {
+    "netlist-mul24": (("netlist", "mul24"), lambda: export_netlist("mul24").to_json()),
+    "netlist-cifm-rev": (("netlist", "cifm-rev"),
+                         lambda: expand(export_netlist("mul24")).to_json()),
+    "verify": (("verify", "mul12-random"), lambda: run_suite("mul12-random").to_json()),
+    "metrics": (("metrics", "cifm-rev"),
+                lambda: {"circuit": "cifm-rev"} | metrics_of(expand(export_netlist("mul24")))
+                .to_json()),
+    "mul-report": (
+        ("mul", "--width", "12", "0xFFF", "0xABC", "--fault", "LL:0:0=0xFF",
+         "--fault", "LL:2:2=0x00", "--repair", "LL:2:2", "--report"),
+        lambda: _mul_report_doc(0xFFF, 0xABC, [FaultSpec(_LL00, 0xFF), FaultSpec(_LL22, 0)],
+                                RepairConfig(True, _LL22))),
+    "fpmul-trace": (("fpmul", "0x3FC00000", "0x40200000", "--trace"),
+                    lambda: {"result": "0x40700000",
+                             "trace": fp_mul(0x3FC00000, 0x40200000)[1].to_json()}),
+}
+
+
+@pytest.mark.parametrize("args, doc", JSON_COMMANDS.values(), ids=list(JSON_COMMANDS))
+def test_each_json_document_goes_out_in_one_write(args, doc):
+    # json.dump with indent writes chunk by chunk, one system call each when
+    # stdout is unbuffered: 47,741 of them for the mul24 netlist
+    out = _CountedWrites()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(args)) == 0
+    assert out.writes == [json.dumps(doc(), indent=2) + "\n"]
+
+
+def test_verify_loads_revlogic_only_for_the_reversible_suites():
+    from cifm import SUITE_NAMES
+
+    code = ("import contextlib, io, sys\n"
+            "from cifm.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    codes = [main(['verify', suite]) for suite in sys.argv[1:]]\n"
+            "print(*codes, 'cifm.revlogic' in sys.modules)")
+    block_level = [s for s in SUITE_NAMES if not s.startswith("rev-")]
+    for suites, loaded in ((["mul12-random"], False), (block_level, False),
+                           (["rev-expand"], True), (["rev-roundtrip"], True)):
+        out = subprocess.run([sys.executable, "-c", code, *suites], capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["0"] * len(suites) + [str(loaded)], suites
