@@ -414,16 +414,13 @@ def run_planes(plan: Plan, planes: Iterable[int], n: int) -> list[int]:
 def _to_planes(bits: np.ndarray) -> list[int]:
     """Bit planes of the 0/1 rows of ``bits`` [rows x n]: column v is bit v.
 
-    Up to 63 columns are summed as int64 words; more are packed as uint8
-    bytes, which ``np.packbits`` handles an order of magnitude faster than
-    wider integers. The packed buffer is split into its rows by
-    ``struct.iter_unpack``, so no Python code runs per row.
+    The columns are packed as uint8 bytes, which ``np.packbits`` handles an
+    order of magnitude faster than wider integers. The packed buffer is
+    split into its rows by ``struct.iter_unpack``, so no Python code runs
+    per row; it takes no zero-length format, so ``n`` must be at least 1.
     """
     import numpy as np
 
-    n = bits.shape[1]
-    if n < 64:
-        return (bits.astype(np.int64, copy=False) << np.arange(n)).sum(axis=1).tolist()
     packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
     rows = struct.iter_unpack(f"{packed.shape[1]}s", packed.tobytes())
     return list(map(int.from_bytes, map(itemgetter(0), rows), repeat("little")))
@@ -433,9 +430,6 @@ def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
     """The inverse of :func:`_to_planes`: uint8 [len(planes) x n]."""
     import numpy as np
 
-    if n < 64:
-        words = np.array(planes, dtype=np.int64).reshape(len(planes), 1)
-        return ((words >> np.arange(n)) & 1).astype(np.uint8)
     size = -(-n // 8)
     data = b"".join(map(int.to_bytes, planes, repeat(size), repeat("little")))
     return np.unpackbits(
@@ -798,12 +792,23 @@ class CellNetlist:
         return _NetValues(compiled.nets, values)
 
     def evaluate(self, operands: Mapping[str, int | np.ndarray]) -> int | np.ndarray:
-        """Evaluate and assemble the output bits into one integer (or int64 array)."""
+        """Evaluate and assemble the output bits into one integer (or int64 array).
+
+        Output k is bit k of the result. A scalar call gives an exact Python
+        int for any number of outputs. An array call gives int64, so it
+        takes at most 63 outputs and raises ValueError for more; read wider
+        netlists per net with :meth:`evaluate_nets`.
+        """
         compiled = self._compiled()
         values, widths, name = self._operands(operands)
         if _scalar_call(values):
             state = run_rows(compiled.plan, values, widths, name)
             return sum(state[row] << k for k, row in enumerate(compiled.outputs))
+        if len(compiled.outputs) > 63:
+            raise ValueError(
+                f"evaluate on arrays gives int64, which holds at most 63 outputs; "
+                f"this netlist has {len(compiled.outputs)}: use evaluate_nets"
+            )
         import numpy as np
 
         rows, shape = uint_rows(values, widths, name)

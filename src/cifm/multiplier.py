@@ -45,10 +45,12 @@ wraps the same buffers with ``np.frombuffer``, without a copy.
 
 :func:`mul12` and :func:`mul24` run the same rule for one pair on Python
 ints, indexing the same ``array`` tables, since numpy's per-call cost would
-dominate one pair. All that this scalar pass reads of a datapath, the tables
-and the bit offsets of its halves, groups and quadrants, is one record,
-looked up once per datapath; a call's faults are looked at only when one of
-them is powered, and its plan matches faults and repairs by their mask bits.
+dominate one pair. Each datapath's tables and the bit offsets of its halves,
+groups and quadrants are one record, which one cached builder,
+:func:`_tables`, makes once per datapath: the scalar pass reads it, and the
+batch engine wraps its buffers. A scalar call's faults are looked at only
+when one of them is powered, and its plan matches faults and repairs by
+their mask bits.
 The call's :class:`ActivityReport` keeps its power-pattern mask, repairs and
 operands, and is built on first read from the partition of the blocks for
 that pattern (which grid blocks are powered), looked up then and cached per
@@ -461,8 +463,7 @@ class _Layout:
     block (i, j) of the quadrant on halves (ha, hb) sits at (3*ha + i,
     3*hb + j). The blocks of row r on b half hb make one row sum, at weight
     4*r + 12*hb. A layout compares and hashes by identity, so it can key
-    :func:`_partition`, :func:`_power_tables`, :func:`_engine` and
-    :func:`_scalar`.
+    :func:`_partition`, :func:`_tables` and :func:`_engine`.
     """
 
     halves: int                       # 12-bit halves per operand
@@ -518,18 +519,33 @@ def _row_sums() -> array:
     return table
 
 
-@functools.cache
-def _power_tables(layout: _Layout) -> tuple[array, array]:
-    """The width checkers' rule, as a group count per half and a mask per pattern.
+class _Tables(NamedTuple):
+    """One layout's tables and bit offsets: what :func:`_run_scalar` reads,
+    and the ``array`` buffers that :func:`_engine` wraps."""
 
-    ``counts[x]`` is how many groups of the 12-bit half x are powered: group
-    i is powered when x >> 4*i is non-zero, that is when x >= 16**i (its
-    class exceeds 4*i). A power pattern holds each half's count in 2 bits,
-    a's halves first, then b's (count k at bit 2*k), and ``masks[pattern]``
-    is its energised mask with no spare in use. Group 0 of the low half is
-    powered even for zero, since class 4 is the narrowest; a zero high half
-    is cut off whole by the outer checker, which is the same as all its
-    groups dark. The last pattern powers every block, as with gating off.
+    sums: array                 # the row-sum table of :func:`_row_sums`
+    counts: array               # per 12-bit half x, how many of its groups are powered
+    masks: array                # per power pattern, its energised mask
+    halves: tuple[tuple[int, int, int], ...]    # per 12-bit half k: its bit offset
+                                # 12*k, and where a's and b's counts sit in a pattern
+    quads: tuple[tuple[int, int, int, int], ...]  # per quadrant (ha, hb), at h*ha + hb:
+                                # the bit offsets of a's three groups and of b's half
+    places: tuple[int, ...]     # per quadrant, the bit offset 12*(ha + hb) of its product
+
+
+@functools.cache
+def _tables(layout: _Layout) -> _Tables:
+    """The record of ``layout``, built on first use: the one builder of its tables.
+
+    ``counts`` and ``masks`` state the width checkers' rule. ``counts[x]``
+    is how many groups of the 12-bit half x are powered: group i is powered
+    when x >> 4*i is non-zero, that is when x >= 16**i (its class exceeds
+    4*i). A power pattern holds each half's count in 2 bits, a's halves
+    first, then b's (count k at bit 2*k), and ``masks[pattern]`` is its
+    energised mask with no spare in use. Group 0 of the low half is powered
+    even for zero, since class 4 is the narrowest; a zero high half is cut
+    off whole by the outer checker, which is the same as all its groups
+    dark. The last pattern powers every block, as with gating off.
     """
     counts = array("B", [(x >= 1) + (x >= 16) + (x >= 256) for x in range(1 << 12)])
     h = layout.halves
@@ -542,14 +558,22 @@ def _power_tables(layout: _Layout) -> tuple[array, array]:
             1 << bit for bit, (r, c) in layout.pos.items()
             if r % 3 < groups[r // 3] and c % 3 < groups[h + c // 3]
         ))
-    return counts, masks
+    return _Tables(
+        sums=_row_sums(),
+        counts=counts,
+        masks=masks,
+        halves=tuple((12 * k, 2 * k, 2 * (h + k)) for k in range(h)),
+        quads=tuple((12 * ha, 12 * ha + 4, 12 * ha + 8, 12 * hb)
+                    for ha in range(h) for hb in range(h)),
+        places=tuple(12 * (ha + hb) for ha in range(h) for hb in range(h)),
+    )
 
 
 class _Engine(NamedTuple):
     """One layout's tables and weights as numpy arrays, for :func:`_blocks`."""
 
-    sums: np.ndarray            # the row-sum table, a view of :func:`_row_sums`
-    counts: np.ndarray          # views of the layout's :func:`_power_tables`
+    sums: np.ndarray            # views of the layout's :func:`_tables` buffers
+    counts: np.ndarray
     masks: np.ndarray
     half_shift: np.ndarray      # (h, 1) bit offset 12*h of operand half h
     group_up: np.ndarray        # (3, 1) shifts moving group i of a half to bits 12..15
@@ -564,13 +588,13 @@ def _engine(layout: _Layout) -> _Engine:
     """The batch engine's arrays for ``layout``: the tables are wrapped, not copied."""
     import numpy as np
 
-    counts, masks = _power_tables(layout)
+    t = _tables(layout)
     r = np.arange(3 * layout.halves)
     h = np.arange(layout.halves)
     return _Engine(
-        sums=np.frombuffer(_row_sums(), dtype=np.intc),
-        counts=np.frombuffer(counts, dtype=np.uint8),
-        masks=np.frombuffer(masks, dtype=np.int64),
+        sums=np.frombuffer(t.sums, dtype=np.intc),
+        counts=np.frombuffer(t.counts, dtype=np.uint8),
+        masks=np.frombuffer(t.masks, dtype=np.int64),
         half_shift=12 * h[:, None],
         group_up=np.array([[12], [8], [4]]),
         row_weight=(1 << 4 * r[:, None] + 12 * h[None, :]).ravel(),
@@ -720,16 +744,6 @@ def _run_batch(
     return BlockBatch(*(row.reshape(shape) for row in out))
 
 
-def _set_bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
-
-
 class _Partition(NamedTuple):
     """The blocks one power pattern switches on, and the report sets it implies."""
 
@@ -749,7 +763,7 @@ def _partition(layout: _Layout, mask: int) -> _Partition:
     on, 0-3 of the high half), so there are at most 144 masks for mul24 and
     9 for mul12.
     """
-    bits = _set_bits(mask)
+    bits = [k for k in range(len(BLOCK_IDS)) if mask >> k & 1]
     ids = tuple(BLOCK_IDS[k] for k in bits)
     shifts = tuple((4 * r, 4 * c) for r, c in map(layout.pos.get, bits))
     active = frozenset(ids)
@@ -794,35 +808,6 @@ def _report(layout: _Layout, mask: int, repaired: tuple, x: int, y: int) -> dict
 _deferred_report = deferred_record(ActivityReport, _report)
 
 
-class _Scalar(NamedTuple):
-    """What :func:`_run_scalar` reads of one layout, looked up once per layout."""
-
-    sums: array                 # the row-sum table of :func:`_row_sums`
-    counts: array               # the layout's :func:`_power_tables`
-    masks: array
-    halves: tuple[tuple[int, int, int], ...]    # per 12-bit half k: its bit offset
-                                # 12*k, and where a's and b's counts sit in a pattern
-    quads: tuple[tuple[int, int, int, int], ...]  # per quadrant (ha, hb), at h*ha + hb:
-                                # the bit offsets of a's three groups and of b's half
-    places: tuple[int, ...]     # per quadrant, the bit offset 12*(ha + hb) of its product
-
-
-@functools.cache
-def _scalar(layout: _Layout) -> _Scalar:
-    """The scalar pass's record of ``layout``, built on first use."""
-    counts, masks = _power_tables(layout)
-    h = layout.halves
-    return _Scalar(
-        sums=_row_sums(),
-        counts=counts,
-        masks=masks,
-        halves=tuple((12 * k, 2 * k, 2 * (h + k)) for k in range(h)),
-        quads=tuple((12 * ha, 12 * ha + 4, 12 * ha + 8, 12 * hb)
-                    for ha in range(h) for hb in range(h)),
-        places=tuple(12 * (ha + hb) for ha in range(h) for hb in range(h)),
-    )
-
-
 def _run_scalar(
     layout: _Layout, plan: _Plan, x: int, y: int, gating: bool
 ) -> tuple[int, ActivityReport, tuple[ModuleId, ...]]:
@@ -832,14 +817,14 @@ def _run_scalar(
     operand halves picks the energised mask, three row sums make each
     quadrant, each powered live fault adds its forced value minus the true
     block product to its quadrant, and the quadrants sum modulo 2**24 each.
-    Everything it reads of the layout comes from one cached record
-    (:func:`_scalar`): the ``array`` tables that :func:`_engine` wraps, which
+    Everything it reads of the layout comes from the one cached record
+    (:func:`_tables`): the ``array`` tables that :func:`_engine` wraps, which
     give Python ints, and the bit offsets of each half, group and quadrant.
     The faults are looked at only when one of them is powered. The report
     keeps the mask, the repairs and the operands, and :func:`_report` builds
     it from them when it is first read.
     """
-    t = _scalar(layout)
+    t = _tables(layout)
     sums = t.sums
     if gating:
         counts = t.counts

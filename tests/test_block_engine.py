@@ -219,7 +219,7 @@ def test_import_builds_no_table():
     code = (
         "import cifm; from cifm import multiplier as m; "
         "print(*(f.cache_info().currsize for f in "
-        "(m._mul4_tables, m._row_sums, m._power_tables, m._scalar)))"
+        "(m._mul4_tables, m._row_sums, m._tables, m._engine)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=300)
@@ -228,27 +228,31 @@ def test_import_builds_no_table():
 
 
 def test_scalar_calls_read_one_record_per_layout():
-    """mul12, mul24 and fp_mul, plain, faulted and repaired, build the scalar
-    pass's record once per layout, and it holds the engine's own tables."""
-    multiplier._scalar.cache_clear()
+    """mul12, mul24 and fp_mul, plain, faulted and repaired, build the one
+    record of each layout once, and it holds the engine's own tables."""
+    # the engine keeps views of the record's buffers, so it goes with them
+    multiplier._tables.cache_clear()
+    multiplier._engine.cache_clear()
     target = GRID_IDS[Quadrant.LL][(1, 2)]
     faults = [FaultSpec(target, 0xA5)]
     for gating in (True, False):
         mul12(0xABC, 0x987, gating=gating)
         mul12(0xABC, 0x987, faults, RepairConfig(True, target), gating=gating)
-    assert multiplier._scalar.cache_info().currsize == 1
+    assert multiplier._tables.cache_info().currsize == 1
     fp_mul(0x3FC00000, 0x40490FDB)
     fp_mul(0x3FC00000, 0x40490FDB, faults)
     for gating in (True, False):
         mul24(0xABCDEF, 0x987654, gating=gating)
         mul24(0xABCDEF, 0x987654, faults, {Quadrant.LL: RepairConfig(True, target)},
               gating=gating)
-    info = multiplier._scalar.cache_info()
+    info = multiplier._tables.cache_info()
     assert (info.currsize, info.misses) == (2, 2)
     for layout in (multiplier._MUL12, multiplier._MUL24):
-        record = multiplier._scalar(layout)
-        counts, masks = multiplier._power_tables(layout)
-        assert record.sums is _row_sums() and record.counts is counts and record.masks is masks
+        record = multiplier._tables(layout)
+        engine = multiplier._engine(layout)
+        assert record.sums is _row_sums()
+        for buffer, view in ((record.counts, engine.counts), (record.masks, engine.masks)):
+            assert np.shares_memory(view, np.frombuffer(buffer, dtype=view.dtype))
 
 
 def test_row_sums_are_group_times_half():
@@ -290,7 +294,8 @@ def test_tables_equal_their_numpy_builds_and_the_engine_wraps_them(layout):
     product = np.array(multiplier._mul4_tables()[0])
     assert np.array_equal(product, np.arange(256) % 16 * (np.arange(256) // 16))
     row_sums = multiplier._row_sums()
-    counts, masks = multiplier._power_tables(layout)
+    record = multiplier._tables(layout)
+    counts, masks = record.counts, record.masks
     engine = multiplier._engine(layout)
     want_counts, want_masks = _numpy_power_tables(layout)
     for got, view, want in ((row_sums, engine.sums, _numpy_row_sums(product)),

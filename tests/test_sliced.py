@@ -314,6 +314,38 @@ def test_numpy_integer_scalars_are_a_batch_of_one(kinds, monkeypatch):
         simulate_inverse(n, [np.int64(-1)] + mixed(want_fwd.line_values[1:]))
 
 
+def _and_outputs(n_out: int, width: int = 40) -> CellNetlist:
+    """Buses a and b of ``width`` bits; output k is a_j & b_j for j = k % width."""
+    b = NetlistBuilder()
+    x, y = b.input_bus("a", width), b.input_bus("b", width)
+    b.set_outputs("p", [b.and2(x[k % width], y[k % width]) for k in range(n_out)])
+    return b.build()
+
+
+@pytest.mark.parametrize("n_out", [63, 64, 80])
+def test_array_evaluate_takes_at_most_63_outputs(n_out):
+    """An int64 result holds output bits 0-62: an array call on a wider
+    netlist raises, and a scalar call stays exact."""
+    nl = _and_outputs(n_out)
+    x = 2**39 | 2**30 | 2**22 | 1
+    want = sum((x >> k % 40 & 1) << k for k in range(n_out))
+    assert nl.evaluate({"a": x, "b": x}) == want
+    a = np.array([x, x >> 1])
+    if n_out <= 63:
+        assert want >> 62 & 1
+        got = nl.evaluate({"a": a, "b": a})
+        assert got.dtype == np.int64 and got.tolist() == [
+            nl.evaluate({"a": v, "b": v}) for v in a.tolist()]
+        return
+    with pytest.raises(ValueError, match=f"{n_out}.*evaluate_nets"):
+        nl.evaluate({"a": a, "b": a})
+    nets = nl.evaluate_nets({"a": a, "b": a})
+    assert sum(int(nets[net][0]) << k for k, (_, net) in enumerate(nl.outputs)) == want
+    if n_out == 80:
+        assert nl.evaluate({"a": 2**39 | 2**30 | 1, "b": 2**39 | 2**30 | 1}) == (
+            0x80400000018040000001)
+
+
 def test_a_0d_array_operand_is_an_array_call():
     nl = export_netlist("mul4")
     got = nl.evaluate({"a": np.array(11), "b": np.int64(6)})
@@ -619,7 +651,7 @@ def test_array_line_values_are_checked(bad):
         simulate_inverse(n, final)
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, CHUNK_VECTORS + 1])
+@pytest.mark.parametrize("n", [1, 7, 9, 63, 64, 65, CHUNK_VECTORS + 1])
 def test_planes_do_not_depend_on_dtype(n):
     bits = np.random.default_rng(n).integers(0, 2, (5, n))
     planes = _to_planes(bits)

@@ -1,7 +1,7 @@
 """Scalar width classifier: the tests' oracle for the datapath's width checkers.
 
 The library gates blocks with its own rule, which lives only where the
-power-pattern table is made (``multiplier._power_tables``); this independent
+power-pattern table is made (``multiplier._tables``); this independent
 statement of the paper's width classes checks it.
 """
 
