@@ -10,9 +10,10 @@ expansion, is built on the two abstractions in this module:
 It also holds the evaluation engine that cell netlists and reversible
 circuits share. A netlist is compiled once into one step per cell or gate,
 in netlist order, and a step is data: the element's program and the state
-rows it reads and writes. The program writes each output bit of the
-element's function as an XOR of AND monomials (its algebraic normal form),
-derived from a truth table. On a plan's first run its steps become
+rows it reads and writes. The program is a factored AND/XOR form of a
+truth table: each output bit starts as its algebraic normal form, an XOR
+of AND terms, and XORs that several terms share become registers of their
+own (:func:`anf_program`). On a plan's first run its steps become
 straight-line Python, each step's ANDs and XORs written out on its rows,
 SEGMENT_STEPS steps to a generated function; later runs call those
 functions in order. The state is a list of Python-int bit planes, bit v of
@@ -20,10 +21,11 @@ a plane holding vector v's value (bitslicing), so every AND and XOR works
 on a whole chunk of vectors. Batches run CHUNK_VECTORS vectors at a time;
 a scalar is a batch of one. Netlist evaluation accepts integer scalars or
 numpy integer arrays for every input, so a single netlist can be swept over
-many operand pairs at once. Every module checks integers with
-:func:`as_int`, flags with :func:`as_flag`, scalar operands with
-:func:`uint_value`, named operands with :func:`named_values` and operand
-arrays with :func:`uint_rows`. Cell netlists and reversible circuits alike
+many operand pairs at once; an array call stages the operand bits it loads
+in the narrowest unsigned dtype that holds them. Every module checks
+integers with :func:`as_int`, flags with :func:`as_flag`, scalar operands
+with :func:`uint_value`, named operands with :func:`named_values` and
+operand arrays with :func:`uint_rows`. Cell netlists and reversible circuits alike
 get their results from one collector, :func:`run_rows`: a call whose
 operands are all integer scalars runs as one vector without numpy and gives
 Python ints, and any other call gives arrays. :func:`uint_rows` checks an
@@ -40,6 +42,7 @@ import functools
 import math
 import struct
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -227,59 +230,140 @@ def truth_table(fn, n_in: int, n_out: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+def _program_cost(sums: Sequence[set]) -> int:
+    """The ANDs and XORs that ``sums`` take: an XOR fewer than its terms per
+    sum, and an AND per distinct prefix, two registers or longer, of the
+    terms' register chains (a term ANDs its registers in ascending order)."""
+    chains = {t[:k] for s in sums for t in map(tuple, map(sorted, s))
+              for k in range(2, len(t) + 1)}
+    return len(chains) + sum(max(len(s) - 1, 0) for s in sums)
+
+
+def _draw_out(sums: Sequence[set], pair: frozenset, reg: int, own: int) -> list[set]:
+    """``sums`` with every two terms ``base&x ^ base&y`` that ``pair`` =
+    {x, y} divides replaced by the one term ``base&reg``, where register
+    ``reg`` is ``x ^ y``; ``sums[own]``, which defines ``reg``, is kept."""
+    x, y = sorted(pair, key=sorted)
+    out = []
+    for e, s in enumerate(sums):
+        if e != own:
+            s = set(s)
+            for term in sorted(s, key=sorted):
+                base = term - x
+                if term in s and x <= term and not base & y and base | y in s:
+                    s -= {term, base | y}
+                    s ^= {base | {reg}}
+        out.append(s)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def anf_program(table: tuple[int, ...], n_in: int, n_out: int) -> tuple:
-    """A straight-line AND/XOR program for a truth table, from its ANF.
+    """A factored straight-line AND/XOR program for a truth table.
 
-    Each output bit is written in algebraic normal form, an XOR of AND
-    monomials over the inputs, by the Moebius transform of its column.
-    Registers 0..n_in-1 hold the inputs. ``products`` lists register pairs
-    whose AND becomes the next register, so every monomial of degree two
-    or more is one AND of a shorter monomial and an input. ``outputs``
+    Each output bit starts in algebraic normal form, an XOR of AND terms
+    over the inputs, by the Moebius transform of its column. Then XORs are
+    drawn out greedily. Two terms of one sum that share a factor,
+    ``base&x ^ base&y``, give the candidate ``x ^ y``: a register of its
+    own, which every sum holding such a pair, whatever its ``base``, reads
+    as ``base & reg`` in place of the two terms. Each round tries the
+    candidates in order of how many pairs of terms give them, and takes
+    the first that cuts the program's ANDs and XORs; the rounds stop when
+    none does. The FA's sum ``a^b^c`` and carry ``ab ^ ac ^ bc`` take 7
+    operations as ANFs and 5 once ``t = a^b`` is drawn out: sum ``t ^ c``,
+    carry ``(c & t) ^ (a & b)``. A term ANDs its registers in ascending
+    order, so terms with a common prefix share it.
+
+    Registers 0..n_in-1 hold the inputs. ``ops`` lists ``(a, op, b)``, op
+    ``"&"`` or ``"^"``, whose result becomes the next register. ``outputs``
     gives per output bit ``(invert, registers)``: the XOR of the registers,
     complemented when the ANF has the constant term.
     """
-    regs = {(k,): k for k in range(n_in)}
-    products: list[tuple[int, int]] = []
-
-    def reg(mono: tuple[int, ...]) -> int:
-        if mono not in regs:
-            products.append((reg(mono[:-1]), mono[-1]))
-            regs[mono] = n_in + len(products) - 1
-        return regs[mono]
-
-    outputs = []
+    sums: list[set] = []
+    inverts = []
     for j in range(n_out):
         coef = [(v >> (n_out - 1 - j)) & 1 for v in table]
         for b in range(n_in):
             for i in range(len(coef)):
                 if i >> b & 1:
                     coef[i] ^= coef[i ^ (1 << b)]
-        monos = [
-            tuple(k for k in range(n_in) if s >> (n_in - 1 - k) & 1)
-            for s in range(1, len(coef)) if coef[s]
-        ]
-        outputs.append((bool(coef[0]), tuple(reg(m) for m in monos)))
-    return tuple(products), tuple(outputs)
+        inverts.append(bool(coef[0]))
+        sums.append({frozenset(k for k in range(n_in) if s >> (n_in - 1 - k) & 1)
+                     for s in range(1, len(coef)) if coef[s]})
+
+    # symbol n_in + d is the XOR of the terms in sums[n_out + d]
+    drawn: dict[frozenset, int] = {}
+    cost = _program_cost(sums)
+    while True:
+        sites = Counter()
+        for s in sums:
+            terms = sorted(s, key=sorted)
+            for i, p in enumerate(terms):
+                for q in terms[i + 1:]:
+                    if p - q and q - p:
+                        sites[frozenset((p - q, q - p))] += 1
+        # a pair found once saves no XOR, as its register costs the one it
+        # saves; leaving such pairs out keeps the rounds short for wide tables
+        for pair in sorted((pair for pair, k in sites.items() if k > 1),
+                           key=lambda pair: (-sites[pair], sorted(map(sorted, pair)))):
+            if pair in drawn:
+                reg = drawn[pair]
+                trial = _draw_out(sums, pair, reg, n_out + reg - n_in)
+            else:
+                reg = n_in + len(sums) - n_out
+                trial = _draw_out(sums, pair, reg, -1) + [set(pair)]
+            trial_cost = _program_cost(trial)
+            if trial_cost < cost:
+                cost, sums, drawn[pair] = trial_cost, trial, reg
+                break
+        else:
+            break
+
+    ops: list[tuple[int, str, int]] = []
+    made: dict = {}
+
+    def op(a: int, sign: str, b: int) -> int:
+        ops.append((a, sign, b))
+        return n_in + len(ops) - 1
+
+    def symbol(r: int) -> int:
+        if r < n_in:
+            return r
+        if r not in made:
+            regs = [chain(tuple(sorted(t))) for t in sorted(sums[n_out + r - n_in], key=sorted)]
+            made[r] = functools.reduce(lambda a, b: op(a, "^", b), regs)
+        return made[r]
+
+    def chain(t: tuple[int, ...]) -> int:
+        if len(t) == 1:
+            return symbol(t[0])
+        if t not in made:
+            made[t] = op(chain(t[:-1]), "&", symbol(t[-1]))
+        return made[t]
+
+    outputs = tuple(
+        (invert, tuple(chain(tuple(sorted(t))) for t in sorted(s, key=sorted)))
+        for invert, s in zip(inverts, sums[:n_out]))
+    return tuple(ops), outputs
 
 
 @functools.lru_cache(maxsize=None)
 def element_program(table: tuple[int, ...], n_in: int, n_out: int, in_place: bool) -> tuple:
-    """One element's work as data: ``(n_in, products, writes)``.
+    """One element's work as data: ``(n_in, ops, writes)``.
 
-    ``products`` is the :func:`anf_program` of ``table``, whose registers
+    ``ops`` is the :func:`anf_program` of ``table``, whose registers
     0..n_in-1 hold the element's input rows. ``writes`` holds one
     ``(k, invert, registers)`` per output written back, to the element's
     k-th row: output j goes to row n_in + j, after the inputs, unless
     ``in_place``. In place, output j goes to input j's row and is left out
     when it passes that input through unchanged.
     """
-    products, outputs = anf_program(table, n_in, n_out)
+    ops, outputs = anf_program(table, n_in, n_out)
     if in_place:
         writes = tuple((j, *out) for j, out in enumerate(outputs) if out != (False, (j,)))
     else:
         writes = tuple((n_in + j, *out) for j, out in enumerate(outputs))
-    return n_in, products, writes
+    return n_in, ops, writes
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,21 +371,22 @@ def _step_template(program: tuple, distinct: bool) -> str:
     """Python lines that run ``program`` on the state list ``s``, as a
     ``str.format`` template whose field k stands for the element's row k.
 
-    A register read once is written inline, a product as ``(x & y)`` and,
-    when the element's rows are ``distinct``, an input as ``s[row]`` as long
-    as no earlier write of the step replaces that row. Every other register
-    is a local ``r<k>``, so every input is read before any write to its row.
+    A register read once is written inline, an op as ``(x & y)`` or
+    ``(x ^ y)`` and, when the element's rows are ``distinct``, an input as
+    ``s[row]`` as long as no earlier write of the step replaces that row.
+    Every other register is a local ``r<k>``, computed before the first
+    write, so every input is read before any write to its row.
     """
-    n_in, products, writes = program
-    users: dict[int, list[int]] = {}       # register -> products (>= 0), writes (< 0)
-    for m, pair in enumerate(products):
-        for r in pair:
+    n_in, ops, writes = program
+    users: dict[int, list[int]] = {}       # register -> ops (>= 0), writes (< 0)
+    for m, (a, _, b) in enumerate(ops):
+        for r in (a, b):
             users.setdefault(r, []).append(n_in + m)
     for j, (_, _, regs) in enumerate(writes):
         for r in regs:
             users.setdefault(r, []).append(-1 - j)
     site: dict[int, int] = {}              # inlined register -> write that reads it
-    for r in reversed(range(n_in + len(products))):
+    for r in reversed(range(n_in + len(ops))):
         use = users.get(r, ())
         if len(use) != 1:
             continue
@@ -315,12 +400,12 @@ def _step_template(program: tuple, distinct: bool) -> str:
             return f"r{r}"
         if r < n_in:
             return f"s[{{{r}}}]"
-        a, b = products[r - n_in]
-        return f"({term(a)} & {term(b)})"
+        a, sign, b = ops[r - n_in]
+        return f"({term(a)} {sign} {term(b)})"
 
     lines = [f"r{k} = s[{{{k}}}]" for k in range(n_in) if k in users and k not in site]
-    lines += [f"r{n_in + m} = {term(a)} & {term(b)}"
-              for m, (a, b) in enumerate(products) if n_in + m not in site]
+    lines += [f"r{n_in + m} = {term(a)} {sign} {term(b)}"
+              for m, (a, sign, b) in enumerate(ops) if n_in + m not in site]
     for target, invert, regs in writes:
         expr = [term(r) for r in regs] + ["ONES"] * invert
         lines.append(f"s[{{{target}}}] = {' ^ '.join(expr) or '0'}")
@@ -441,22 +526,29 @@ def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
 def run_kernels(plan: Plan, values: np.ndarray, read: Sequence[int]):
     """Evaluate ``plan`` on the vectors of ``values``, CHUNK_VECTORS at a time.
 
-    ``values`` is [operand rows x vectors] of integers. Yields
-    ``(lo, hi, bits)``: bits is a uint8 array [len(read) x (hi - lo)] with
-    the final 0/1 values of state rows ``read`` for vectors lo..hi-1.
+    ``values`` is [operand rows x vectors] of integers, each row in range
+    for the bits the plan loads from it. Yields ``(lo, hi, bits)``: bits is
+    a uint8 array [len(read) x (hi - lo)] with the final 0/1 values of
+    state rows ``read`` for vectors lo..hi-1.
+
+    The loaded bits are staged in the narrowest unsigned dtype that holds
+    every bit the plan loads (uint16 for 12-bit buses, uint8 for 0/1
+    lines), so the copy and the shifts move as few bytes as they can.
     """
     import numpy as np
 
     src, shift = plan.load_src, plan.load_shift
     if not isinstance(src, slice):
         src = np.array(src, dtype=np.intp)
+    width = 1 + max(shift) if shift else 1          # bits loaded per operand, at most
+    dtype = np.min_scalar_type((1 << min(width, 64)) - 1)
     if shift is not None:
-        shift = np.array(shift, dtype=np.int64)[:, None]
+        shift = np.array(shift, dtype=dtype)[:, None]
     for lo in range(0, values.shape[1], CHUNK_VECTORS):
         hi = min(values.shape[1], lo + CHUNK_VECTORS)
         # an index-array load is a copy, the only kind shifted in place;
-        # a slice load is a view of ``values``
-        block = values[src, lo:hi]
+        # a slice load is a view of ``values``, or of its narrow copy
+        block = values[:, lo:hi].astype(dtype, copy=False)[src]
         if shift is not None:
             block >>= shift
             block &= 1
@@ -535,15 +627,18 @@ def _checked(flat: np.ndarray, widths: Sequence[int], name: Callable[[int], str]
 
     One check over the whole stack settles the common case: no element is
     negative and none exceeds the narrowest row's limit. Only a stack that
-    fails it is checked row by row, to name the first operand at fault.
+    fails it is checked row by row, to name the first operand at fault. An
+    unsigned stack takes no minimum, since none of its elements can be
+    negative, so its check is one reduction.
     """
     import numpy as np
 
-    if flat.size and not (int(flat.min()) >= 0
+    signed = flat.dtype.kind != "u"
+    if flat.size and not ((not signed or int(flat.min()) >= 0)
                           and int(flat.max()) < 1 << min(min(widths), 63)):
         limits = np.left_shift(1, np.minimum(widths, 63), dtype=np.int64) - 1
         bad = flat.max(axis=1) > limits
-        if flat.min() < 0:
+        if signed and flat.min() < 0:
             bad |= flat.min(axis=1) < 0
         if bad.any():
             i = int(np.argmax(bad))
@@ -600,14 +695,19 @@ def _arity(kind: CellKind) -> tuple[int, int]:
 
 # What each cell computes; HA and FA outputs are (sum, carry), in the rows
 # that follow the cell's input rows.
-_CELL_PROGRAMS = {
-    kind: element_program(truth_table(fn, *_CELL_ARITY[kind]), *_CELL_ARITY[kind], False)
-    for kind, fn in (
-        (CellKind.AND, lambda a, b: (a & b,)),
-        (CellKind.HA, lambda a, b: (a ^ b, a & b)),
-        (CellKind.FA, lambda a, b, c: (a ^ b ^ c, (a & b) | (a & c) | (b & c))),
-    )
+_CELL_FUNCTIONS = {
+    CellKind.AND: lambda a, b: (a & b,),
+    CellKind.HA: lambda a, b: (a ^ b, a & b),
+    CellKind.FA: lambda a, b, c: (a ^ b ^ c, (a & b) | (a & c) | (b & c)),
 }
+
+
+@functools.cache
+def _cell_program(kind: CellKind) -> tuple:
+    """The step program of a ``kind`` cell, made by the first compile that
+    needs it, so that importing the module runs no factoring search."""
+    n_in, n_out = _CELL_ARITY[kind]
+    return element_program(truth_table(_CELL_FUNCTIONS[kind], n_in, n_out), n_in, n_out, False)
 
 
 @dataclass(frozen=True)
@@ -755,7 +855,7 @@ class CellNetlist:
             outs = tuple(range(len(row), len(row) + len(cell.outputs)))
             row.update(zip(cell.outputs, outs))
             depth += [1 + max(map(depth.__getitem__, ins))] * len(outs)
-            steps.append((_CELL_PROGRAMS[cell.kind], ins + outs))
+            steps.append((_cell_program(cell.kind), ins + outs))
         plan = Plan(
             rows=len(row),
             steps=tuple(steps),

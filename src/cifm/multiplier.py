@@ -48,9 +48,10 @@ ints, indexing the same ``array`` tables, since numpy's per-call cost would
 dominate one pair. Each datapath's tables and the bit offsets of its halves,
 groups and quadrants are one record, which one cached builder,
 :func:`_tables`, makes once per datapath: the scalar pass reads it, and the
-batch engine wraps its buffers. A scalar call's faults are looked at only
-when one of them is powered, and its plan matches faults and repairs by
-their mask bits.
+batch engine wraps its buffers. The row sums and group counts are the same
+for every datapath, so the records share one of each. A scalar call's
+faults are looked at only when one of them is powered, and its plan
+matches faults and repairs by their mask bits.
 The call's :class:`ActivityReport` keeps its power-pattern mask, repairs and
 operands, and is built on first read from the partition of the blocks for
 that pattern (which grid blocks are powered), looked up then and cached per
@@ -524,7 +525,8 @@ class _Tables(NamedTuple):
     and the ``array`` buffers that :func:`_engine` wraps."""
 
     sums: array                 # the row-sum table of :func:`_row_sums`
-    counts: array               # per 12-bit half x, how many of its groups are powered
+    counts: array               # per 12-bit half x, how many of its groups are powered,
+                                # the one table of :func:`_group_counts`
     masks: array                # per power pattern, its energised mask
     halves: tuple[tuple[int, int, int], ...]    # per 12-bit half k: its bit offset
                                 # 12*k, and where a's and b's counts sit in a pattern
@@ -534,20 +536,28 @@ class _Tables(NamedTuple):
 
 
 @functools.cache
+def _group_counts() -> array:
+    """Per 12-bit half x, how many of its 4-bit groups are powered: group i
+    is powered when x >> 4*i is non-zero, that is when x >= 16**i (its class
+    exceeds 4*i). Every layout's record shares this one table."""
+    return array("B", [(x >= 1) + (x >= 16) + (x >= 256) for x in range(1 << 12)])
+
+
+@functools.cache
 def _tables(layout: _Layout) -> _Tables:
-    """The record of ``layout``, built on first use: the one builder of its tables.
+    """The record of ``layout``, built on first use: the one builder of its
+    masks, which reads the shared builders of the row sums and group counts.
 
     ``counts`` and ``masks`` state the width checkers' rule. ``counts[x]``
-    is how many groups of the 12-bit half x are powered: group i is powered
-    when x >> 4*i is non-zero, that is when x >= 16**i (its class exceeds
-    4*i). A power pattern holds each half's count in 2 bits, a's halves
-    first, then b's (count k at bit 2*k), and ``masks[pattern]`` is its
-    energised mask with no spare in use. Group 0 of the low half is powered
-    even for zero, since class 4 is the narrowest; a zero high half is cut
-    off whole by the outer checker, which is the same as all its groups
-    dark. The last pattern powers every block, as with gating off.
+    is how many groups of the 12-bit half x are powered
+    (:func:`_group_counts`). A power pattern holds each half's count in 2
+    bits, a's halves first, then b's (count k at bit 2*k), and
+    ``masks[pattern]`` is its energised mask with no spare in use. Group 0
+    of the low half is powered even for zero, since class 4 is the
+    narrowest; a zero high half is cut off whole by the outer checker,
+    which is the same as all its groups dark. The last pattern powers every
+    block, as with gating off.
     """
-    counts = array("B", [(x >= 1) + (x >= 16) + (x >= 256) for x in range(1 << 12)])
     h = layout.halves
     masks = array("q")
     for pattern in range(1 << 4 * h):
@@ -560,7 +570,7 @@ def _tables(layout: _Layout) -> _Tables:
         ))
     return _Tables(
         sums=_row_sums(),
-        counts=counts,
+        counts=_group_counts(),
         masks=masks,
         halves=tuple((12 * k, 2 * k, 2 * (h + k)) for k in range(h)),
         quads=tuple((12 * ha, 12 * ha + 4, 12 * ha + 8, 12 * hb)

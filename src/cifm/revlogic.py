@@ -19,9 +19,16 @@ Toffoli per AND, NG per HA, TSG per FA, and a Feynman copy per extra
 consumer of a net. Simulation accepts ints or numpy arrays per input line,
 so exhaustive and bulk random equivalence sweeps stay fast: the circuit
 runs on the bit-plane engine in :mod:`cifm.bitcore`. Each gate application
-is one step, the algebraic normal form of its mapping on its lines (or of
+is one step, a factored AND/XOR program of its mapping on its lines (or of
 the inverse mapping, with the gates in reverse order), and each direction's
-steps become generated Python on that direction's first run. Its collector,
+steps become generated Python on that direction's first run. The forward
+plan knows which lines still hold a constant: ancillas not yet written, or
+written only with a constant. It restricts each gate's mapping to the other
+lines, so ``expand``'s gates onto fresh 0-ancillas become their adders
+(TSG: ``t = a^b``, sum ``t ^ cin``, carry ``(cin & t) ^ (a & b)``; a Feynman
+copy: one assignment) and writes only the lines a gate changes. The
+inverse plan knows nothing of its input, any final state, and folds
+nothing. Its collector,
 :func:`cifm.bitcore.run_rows`, checks the line values and returns them all.
 A circuit keeps its primary outputs until it gains a line or
 :meth:`RevNetlist.set_output` relabels one, so :func:`simulate` and
@@ -34,7 +41,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, countOf, itemgetter
+from operator import attrgetter, countOf, itemgetter, or_
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -280,11 +287,31 @@ class SimResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _gate_programs(gate: RevGate) -> tuple[tuple, tuple]:
-    """The gate's forward and inverse programs, each writing back to the
-    gate's lines only the outputs that do not pass their line through."""
-    return tuple(element_program(table, gate.arity, gate.arity, True)
-                 for table in (gate.mapping, gate.inverse_mapping()))
+def _forward_program(gate: RevGate, held: tuple[int | None, ...]) -> tuple:
+    """The gate's forward program where its k-th line is known to hold the
+    constant ``held[k]`` (0 or 1), or anything where that is None.
+
+    The mapping is restricted to the lines not held: every input pattern
+    reads as if the held lines held their constants, so the program reads
+    no held line. A held line that the gate leaves at its constant reads
+    as passed through, so it is not written, and neither is a line the
+    gate passes through.
+    """
+    top = gate.arity - 1
+    mask = sum(1 << top - k for k, c in enumerate(held) if c is not None)
+    fixed = sum(c << top - k for k, c in enumerate(held) if c)
+    table = [gate.mapping[i & ~mask | fixed] for i in range(len(gate.mapping))]
+    # the held lines whose output is their constant for every input
+    kept = mask & ~functools.reduce(or_, (out ^ fixed for out in table))
+    table = tuple(out & ~kept | i & kept for i, out in enumerate(table))
+    return element_program(table, gate.arity, gate.arity, True)
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_program(gate: RevGate) -> tuple:
+    """The gate's inverse program: its line values may be any final state,
+    so none is known."""
+    return element_program(gate.inverse_mapping(), gate.arity, gate.arity, True)
 
 
 class _CompiledRev(NamedTuple):
@@ -309,17 +336,28 @@ def _compiled(n: RevNetlist) -> _CompiledRev:
 def _compile(n: RevNetlist) -> _CompiledRev:
     """One step per gate application, both directions; line i is state row i.
 
-    The inverse runs the gates backwards with each gate's inverse mapping.
+    The forward plan tracks the lines that hold a known constant: every
+    ancilla to begin with, and a line while the writes to it are constant.
+    Each gate gets the :func:`_forward_program` of what it knows of its
+    lines. The inverse runs the gates backwards with each gate's inverse
+    mapping, unfolded.
     """
     depth = [0] * len(n.lines)
+    # line -> the constant it holds, while the forward run is known to hold one
+    known = {i: l.const for i, l in enumerate(n.lines) if l.tag is LineTag.ANCILLA}
     forward, inverse = [], []
     for app in n.gates:
         level = 1 + max(map(depth.__getitem__, app.lines))
         for l in app.lines:
             depth[l] = level
-        p_forward, p_inverse = _gate_programs(app.gate)
-        forward.append((p_forward, app.lines))
-        inverse.append((p_inverse, app.lines))
+        program = _forward_program(app.gate, tuple(map(known.get, app.lines)))
+        for k, invert, regs in program[2]:
+            if regs:
+                known.pop(app.lines[k], None)
+            else:
+                known[app.lines[k]] = int(invert)
+        forward.append((program, app.lines))
+        inverse.append((_inverse_program(app.gate), app.lines))
     inverse.reverse()
 
     inputs = [(i, l.name) for i, l in enumerate(n.lines) if l.tag is LineTag.PRIMARY_INPUT]

@@ -281,6 +281,21 @@ def test_uint_rows_stacks_mixed_signed_and_unsigned_operands():
     assert rows.shape == (2, 0) and shape == (0,)
 
 
+class _NoMin(np.ndarray):
+    def min(self, *args, **kwargs):
+        raise AssertionError("min of an unsigned stack")
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+def test_an_unsigned_stack_that_passes_takes_only_its_maximum(dtype):
+    stack = np.array([[0, 1, 1], [3, 0, 2]], dtype=dtype).view(_NoMin)
+    rows, shape = uint_rows(stack, (1, 2), "line {}".format)
+    assert rows.tolist() == [[0, 1, 1], [3, 0, 2]] and shape == (3,)
+    high = np.array([[0, 1], [0, 2**63]], dtype=np.uint64)
+    with pytest.raises(ValueError, match=r"^line 1 has elements outside 0\.\.2\*\*64-1$"):
+        uint_rows(high, (1, 64), "line {}".format)
+
+
 def test_evaluate_nets_gives_int64_arrays_for_any_batch():
     nl = _ripple2().build()
     for size in (0, 1, CHUNK_VECTORS + 3):

@@ -219,12 +219,12 @@ def test_import_builds_no_table():
     code = (
         "import cifm; from cifm import multiplier as m; "
         "print(*(f.cache_info().currsize for f in "
-        "(m._mul4_tables, m._row_sums, m._tables, m._engine)))"
+        "(m._mul4_tables, m._row_sums, m._group_counts, m._tables, m._engine)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "0", "0", "0"]
+    assert out.stdout.split() == ["0", "0", "0", "0", "0"]
 
 
 def test_scalar_calls_read_one_record_per_layout():
@@ -251,8 +251,16 @@ def test_scalar_calls_read_one_record_per_layout():
         record = multiplier._tables(layout)
         engine = multiplier._engine(layout)
         assert record.sums is _row_sums()
+        assert record.counts is multiplier._group_counts()
         for buffer, view in ((record.counts, engine.counts), (record.masks, engine.masks)):
             assert np.shares_memory(view, np.frombuffer(buffer, dtype=view.dtype))
+
+
+def test_datapaths_share_one_group_count_table():
+    mul12_record, mul24_record = map(multiplier._tables, (multiplier._MUL12, multiplier._MUL24))
+    assert mul12_record.counts is mul24_record.counts
+    assert mul12_record.sums is mul24_record.sums
+    assert mul12_record.masks is not mul24_record.masks
 
 
 def test_row_sums_are_group_times_half():

@@ -30,6 +30,7 @@ from cifm.revlogic import (
     RevGate,
     RevNetlist,
     _compiled,
+    _forward_program,
     expand,
     gate_library,
     metrics_of,
@@ -392,6 +393,42 @@ def test_circuits_longer_than_two_segments_both_ways(n_gates):
     compiled = _compiled(n)
     segments = -(-n_gates // SEGMENT_STEPS)
     assert len(compiled.forward.segments()) == len(compiled.inverse.segments()) == segments
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_circuits_with_constant_ancillas(seed):
+    """Ancillas of 0 and 1, several read as controls before their first
+    write: the forward plan folds in what it knows of them and still gives
+    the reference's line values, gate by gate from ``mapping``."""
+    rng = random.Random(seed)
+    lib = gate_library()
+    n = RevNetlist()
+    xs = [n.add_input(f"x{k}") for k in range(3)]
+    anc = [n.add_ancilla(c) for c in (1, 0, 1, 1, 0, 0, 1)]
+    anc += [n.add_ancilla(rng.randint(0, 1)) for _ in range(4)]
+    n.apply(lib["TOFFOLI"], anc[0], xs[0], anc[1])      # a 1-control: a copy of x0
+    n.apply(lib["FREDKIN"], anc[2], anc[4], xs[1])      # a 1-control swaps x1 in
+    n.apply(lib["NG"], anc[3], anc[5], xs[2])
+    n.apply(lib["TSG"], anc[6], anc[4], anc[5], xs[0])
+    n.apply(lib["FEYNMAN"], anc[1], anc[0])             # a line the fold wrote
+    gates = list(lib.values())
+    for _ in range(40):
+        g = rng.choice(gates)
+        n.apply(g, *rng.sample(range(len(n.lines)), g.arity))
+    for line in rng.sample(range(len(n.lines)), 4):
+        n.set_output(line, f"y{line}")
+    pats = np.arange(8)
+    ins = {f"x{k}": (pats >> k) & 1 for k in range(3)}
+    res = simulate(n, ins)
+    back = simulate_inverse(n, res.line_values)
+    for v in range(8):
+        start = [ins[l.name][v] if l.name else l.const for l in n.lines]
+        want = ref_gates(n, start)[0]
+        assert [int(x[v]) for x in res.line_values] == want
+        assert list(simulate(n, {name: int(x[v]) for name, x in ins.items()}).line_values) == want
+        assert [int(x[v]) for x in back] == start
+    first = _compiled(n).forward.steps[0][0]
+    assert first == _forward_program(lib["TOFFOLI"], (1, None, 0))
 
 
 def test_any_bijection_both_ways():
