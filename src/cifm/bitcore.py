@@ -28,7 +28,10 @@ with :func:`uint_value`, named operands with :func:`named_values` and
 operand arrays with :func:`uint_rows`. Cell netlists and reversible circuits alike
 get their results from one collector, :func:`run_rows`: a call whose
 operands are all integer scalars runs as one vector without numpy and gives
-Python ints, and any other call gives arrays. :func:`uint_rows` checks an
+Python ints, and any other call gives read-only arrays that keep the bit
+planes they were decoded from. Handed back to :func:`run_rows` for a plan
+that loads every row in order, as a round trip's line values are, such an
+array loads those planes with no check and no packing. :func:`uint_rows` checks an
 operand stack's range in one pass, and row by row only to name the operand
 that fails it. :meth:`CellNetlist.evaluate_nets` gives the collector's state
 as a read-only mapping through the plan's net index, not a dict built per
@@ -348,19 +351,23 @@ def anf_program(table: tuple[int, ...], n_in: int, n_out: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def element_program(table: tuple[int, ...], n_in: int, n_out: int, in_place: bool) -> tuple:
+def element_program(table: tuple[int, ...], n_in: int, n_out: int, in_place: bool,
+                    every_write: bool = False) -> tuple:
     """One element's work as data: ``(n_in, ops, writes)``.
 
     ``ops`` is the :func:`anf_program` of ``table``, whose registers
     0..n_in-1 hold the element's input rows. ``writes`` holds one
-    ``(k, invert, registers)`` per output written back, to the element's
-    k-th row: output j goes to row n_in + j, after the inputs, unless
-    ``in_place``. In place, output j goes to input j's row and is left out
-    when it passes that input through unchanged.
+    ``(k, invert, registers)`` per output written back, in output order, to
+    the element's k-th row: output j goes to row n_in + j, after the
+    inputs, unless ``in_place``. In place, output j goes to input j's row
+    and, unless ``every_write``, is left out when it passes that input
+    through unchanged. An element whose rows repeat needs every write, as
+    the last write to a row wins.
     """
     ops, outputs = anf_program(table, n_in, n_out)
     if in_place:
-        writes = tuple((j, *out) for j, out in enumerate(outputs) if out != (False, (j,)))
+        writes = tuple((j, *out) for j, out in enumerate(outputs)
+                       if every_write or out != (False, (j,)))
     else:
         writes = tuple((n_in + j, *out) for j, out in enumerate(outputs))
     return n_in, ops, writes
@@ -523,13 +530,52 @@ def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
     )
 
 
-def run_kernels(plan: Plan, values: np.ndarray, read: Sequence[int]):
+class _Planes:
+    """The memory of a uint8 array decoded from bit planes, as numpy sees it
+    through ``__array_interface__``, kept with those planes.
+
+    ``chunks`` holds one ``(lo, hi, planes)`` per engine pass: the planes of
+    the array's rows for its columns lo..hi-1. ``np.asarray`` of a holder
+    is called once, so the array it makes is the only one whose ``base`` is
+    the holder: a view, reshape or copy of it has another base. A read-only
+    holder's array cannot be made writeable, so its contents stay those its
+    planes decode to.
+    """
+
+    __slots__ = ("__array_interface__", "memory", "chunks")
+
+    def __init__(self, memory: np.ndarray, chunks: tuple, shape: tuple,
+                 writeable: bool) -> None:
+        self.memory, self.chunks = memory, chunks
+        interface = memory.__array_interface__
+        self.__array_interface__ = dict(interface, shape=shape,
+                                        data=(interface["data"][0], not writeable))
+
+
+def run_kernels(plan: Plan, values: np.ndarray | _Planes, read: Sequence[int]):
     """Evaluate ``plan`` on the vectors of ``values``, CHUNK_VECTORS at a time.
 
     ``values`` is [operand rows x vectors] of integers, each row in range
-    for the bits the plan loads from it. Yields ``(lo, hi, bits)``: bits is
-    a uint8 array [len(read) x (hi - lo)] with the final 0/1 values of
-    state rows ``read`` for vectors lo..hi-1.
+    for the bits the plan loads from it, or the :class:`_Planes` of a
+    :func:`run_rows` result whose rows the plan loads as they are: its
+    planes load the state as they were kept. Yields ``(lo, hi, bits)``:
+    bits is a uint8 array [len(read) x (hi - lo)] with the final 0/1 values
+    of state rows ``read`` for vectors lo..hi-1, and its base keeps their
+    planes.
+    """
+    import numpy as np
+
+    loads = values.chunks if type(values) is _Planes else _loads(plan, values)
+    for lo, hi, planes in loads:
+        state = run_planes(plan, planes, hi - lo)
+        out = [state[row] for row in read]
+        bits = _from_planes(out, hi - lo)
+        yield lo, hi, np.asarray(_Planes(bits, ((0, hi - lo, out),), bits.shape, True))
+
+
+def _loads(plan: Plan, values: np.ndarray):
+    """``(lo, hi, planes)`` per CHUNK_VECTORS vectors of ``values``: the
+    starting planes of ``plan.load_rows``, as :func:`run_kernels` takes them.
 
     The loaded bits are staged in the narrowest unsigned dtype that holds
     every bit the plan loads (uint16 for 12-bit buses, uint8 for 0/1
@@ -552,8 +598,7 @@ def run_kernels(plan: Plan, values: np.ndarray, read: Sequence[int]):
         if shift is not None:
             block >>= shift
             block &= 1
-        state = run_planes(plan, _to_planes(block), hi - lo)
-        yield lo, hi, _from_planes([state[row] for row in read], hi - lo)
+        yield lo, hi, _to_planes(block)
 
 
 def cached(owner, attr: str, key: tuple, build):
@@ -660,6 +705,15 @@ def run_rows(
     [plan.rows x *shape] for the broadcast shape of the values. A batch of
     one chunk is returned as the engine made it, longer batches are joined,
     and an empty one gives [plan.rows x 0].
+
+    An array result is read-only, and setting its ``writeable`` flag
+    raises: ``.copy()`` gives one to change. Its base is a private holder
+    that keeps the final bit planes it was decoded from, chunk by chunk.
+    Handed back as ``values``, that same array object, not a view, reshape
+    or copy of it, loads those planes as they are, with no range check and
+    no packing, when ``plan`` loads every operand row in order (a full
+    slice, unshifted) and no width is 0. Every other input is stacked and
+    packed as above.
     """
     if _scalar_call(values):
         ints = [uint_value(v, w, name(i)) for i, (v, w) in enumerate(zip(values, widths))]
@@ -670,11 +724,24 @@ def run_rows(
         return run_planes(plan, loaded, 1)
     import numpy as np
 
-    rows, shape = uint_rows(values, widths, name)
-    chunks = [bits for _, _, bits in run_kernels(plan, rows, range(plan.rows))]
-    chunks = chunks or [np.empty((plan.rows, 0), dtype=np.uint8)]
-    out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
-    return out.reshape((plan.rows,) + shape)
+    kept = values.base if type(values) is np.ndarray else None
+    if (type(kept) is _Planes and not values.flags.writeable
+            and plan.load_src == slice(None) and plan.load_shift is None
+            and len(values) == len(widths) and 0 not in widths):
+        # the planes hold bits, which every nonzero width admits
+        rows, shape = kept, values.shape[1:]
+    else:
+        rows, shape = uint_rows(values, widths, name)
+    parts = list(run_kernels(plan, rows, range(plan.rows)))
+    # each part's holder keeps its one chunk, (0, hi - lo, planes)
+    chunks = tuple((lo, hi, bits.base.chunks[0][2]) for lo, hi, bits in parts)
+    if len(parts) == 1:
+        memory = parts[0][2]
+    elif parts:
+        memory = np.concatenate([bits for _, _, bits in parts], axis=1)
+    else:
+        memory = np.empty((plan.rows, 0), dtype=np.uint8)
+    return np.asarray(_Planes(memory, chunks, (plan.rows,) + shape, False))
 
 
 class CellKind(Enum):
@@ -912,10 +979,14 @@ class CellNetlist:
         import numpy as np
 
         rows, shape = uint_rows(values, widths, name)
-        weights = np.left_shift(1, np.arange(len(compiled.outputs), dtype=np.int64))
+        # a float64 matmul runs in BLAS, and is exact while each sum stays
+        # below 2**53: outputs are summed 53 at a time, each group ORed in
+        n_out = len(compiled.outputs)
+        weights = 2.0 ** np.arange(min(n_out, 53))
         total = np.zeros(rows.shape[1], dtype=np.int64)
         for lo, hi, bits in run_kernels(compiled.plan, rows, compiled.outputs):
-            total[lo:hi] = weights @ bits
+            for k in range(0, n_out, 53):
+                total[lo:hi] |= (weights[:n_out - k] @ bits[k : k + 53]).astype(np.int64) << k
         return total.reshape(shape)
 
     def cell_count(self) -> int:

@@ -30,6 +30,9 @@ copy: one assignment) and writes only the lines a gate changes. The
 inverse plan knows nothing of its input, any final state, and folds
 nothing. Its collector,
 :func:`cifm.bitcore.run_rows`, checks the line values and returns them all.
+Batch results are read-only uint8 arrays that keep the bit planes they were
+decoded from, so :func:`simulate_inverse` of a :func:`simulate` batch's own
+``line_values`` loads those planes and neither checks nor packs the lines.
 A circuit keeps its primary outputs until it gains a line or
 :meth:`RevNetlist.set_output` relabels one, so :func:`simulate` and
 :func:`metrics_of` do not rescan ``output_roles``.
@@ -281,13 +284,23 @@ class RevNetlist:
 
 @dataclass(frozen=True)
 class SimResult:
-    # a tuple of ints for a scalar call, else uint8 [lines x *shape]
+    """What :func:`simulate` gives: every line's final value, and the
+    primary outputs' values by name.
+
+    ``line_values`` is a tuple of ints for a scalar call, else one
+    read-only uint8 array [lines x *shape], and each output is then a
+    read-only row of it; ``.copy()`` gives an array to change. Handed whole
+    to :func:`simulate_inverse`, the array loads the bit planes it was
+    decoded from.
+    """
+
     line_values: tuple[int, ...] | np.ndarray
     outputs: dict
 
 
 @functools.lru_cache(maxsize=None)
-def _forward_program(gate: RevGate, held: tuple[int | None, ...]) -> tuple:
+def _forward_program(gate: RevGate, held: tuple[int | None, ...],
+                     repeats: bool = False) -> tuple:
     """The gate's forward program where its k-th line is known to hold the
     constant ``held[k]`` (0 or 1), or anything where that is None.
 
@@ -295,7 +308,9 @@ def _forward_program(gate: RevGate, held: tuple[int | None, ...]) -> tuple:
     reads as if the held lines held their constants, so the program reads
     no held line. A held line that the gate leaves at its constant reads
     as passed through, so it is not written, and neither is a line the
-    gate passes through.
+    gate passes through, unless ``repeats`` says that the gate's lines
+    repeat: then every output is written, in order, and the last write to
+    a line wins.
     """
     top = gate.arity - 1
     mask = sum(1 << top - k for k, c in enumerate(held) if c is not None)
@@ -304,14 +319,15 @@ def _forward_program(gate: RevGate, held: tuple[int | None, ...]) -> tuple:
     # the held lines whose output is their constant for every input
     kept = mask & ~functools.reduce(or_, (out ^ fixed for out in table))
     table = tuple(out & ~kept | i & kept for i, out in enumerate(table))
-    return element_program(table, gate.arity, gate.arity, True)
+    return element_program(table, gate.arity, gate.arity, True, repeats)
 
 
 @functools.lru_cache(maxsize=None)
-def _inverse_program(gate: RevGate) -> tuple:
+def _inverse_program(gate: RevGate, repeats: bool = False) -> tuple:
     """The gate's inverse program: its line values may be any final state,
-    so none is known."""
-    return element_program(gate.inverse_mapping(), gate.arity, gate.arity, True)
+    so none is known. Every output is written when its lines ``repeats``,
+    as in :func:`_forward_program`."""
+    return element_program(gate.inverse_mapping(), gate.arity, gate.arity, True, repeats)
 
 
 class _CompiledRev(NamedTuple):
@@ -340,7 +356,9 @@ def _compile(n: RevNetlist) -> _CompiledRev:
     ancilla to begin with, and a line while the writes to it are constant.
     Each gate gets the :func:`_forward_program` of what it knows of its
     lines. The inverse runs the gates backwards with each gate's inverse
-    mapping, unfolded.
+    mapping, unfolded. An application whose lines repeat writes every
+    output in both directions, in output order, so the last write to a
+    line wins, as it does gate by gate.
     """
     depth = [0] * len(n.lines)
     # line -> the constant it holds, while the forward run is known to hold one
@@ -350,14 +368,16 @@ def _compile(n: RevNetlist) -> _CompiledRev:
         level = 1 + max(map(depth.__getitem__, app.lines))
         for l in app.lines:
             depth[l] = level
-        program = _forward_program(app.gate, tuple(map(known.get, app.lines)))
+        # lines repeat only in an application appended past apply's check
+        repeats = len(set(app.lines)) < len(app.lines)
+        program = _forward_program(app.gate, tuple(map(known.get, app.lines)), repeats)
         for k, invert, regs in program[2]:
             if regs:
                 known.pop(app.lines[k], None)
             else:
                 known[app.lines[k]] = int(invert)
         forward.append((program, app.lines))
-        inverse.append((_inverse_program(app.gate), app.lines))
+        inverse.append((_inverse_program(app.gate, repeats), app.lines))
     inverse.reverse()
 
     inputs = [(i, l.name) for i, l in enumerate(n.lines) if l.tag is LineTag.PRIMARY_INPUT]
@@ -383,9 +403,10 @@ def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     """Run the circuit forward. Input values may be ints or int arrays of 0/1.
 
     Line values are a tuple of Python ints when every input is an integer
-    scalar, else one uint8 array [lines x *shape] for the broadcast input
-    shape, row i holding line i: index, iterate or zip it as the rows it
-    holds, or hand it to :func:`simulate_inverse` whole. Raises ValueError
+    scalar, else one read-only uint8 array [lines x *shape] for the
+    broadcast input shape, row i holding line i: index, iterate or zip it
+    as the rows it holds, or hand it to :func:`simulate_inverse` whole,
+    which then runs on the bit planes it was decoded from. Raises ValueError
     for a circuit that is not a RevNetlist, a missing input or a value
     other than 0 or 1.
     """
@@ -405,9 +426,15 @@ def simulate_inverse(
     ``final_values`` holds one value per line: ints or 0/1 int arrays, or
     one integer array whose first axis is the lines, such as the
     ``line_values`` of a :func:`simulate` batch. Returns a list of ints
-    when every value is an integer scalar, else one uint8 array
+    when every value is an integer scalar, else one read-only uint8 array
     [lines x *shape]. A circuit that is not a RevNetlist, a wrong number of
     lines or a value other than 0 or 1 raises ValueError.
+
+    The array result of :func:`simulate` or :func:`simulate_inverse`, that
+    very object, loads the bit planes it was decoded from: it is neither
+    checked nor packed again. Any other array, a view, reshape or copy of
+    one included, is checked and packed. The planes are taken as the final
+    state of this circuit's lines, whatever circuit made them.
     """
     compiled = _compiled(n)
     try:

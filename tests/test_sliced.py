@@ -323,17 +323,18 @@ def _and_outputs(n_out: int, width: int = 40) -> CellNetlist:
     return b.build()
 
 
-@pytest.mark.parametrize("n_out", [63, 64, 80])
+@pytest.mark.parametrize("n_out", [53, 54, 63, 64, 80])
 def test_array_evaluate_takes_at_most_63_outputs(n_out):
     """An int64 result holds output bits 0-62: an array call on a wider
-    netlist raises, and a scalar call stays exact."""
+    netlist raises, and a scalar call stays exact. Up to 63 outputs, the
+    top one set, sum exactly, past the 53 bits a float64 holds."""
     nl = _and_outputs(n_out)
-    x = 2**39 | 2**30 | 2**22 | 1
+    x = 2**39 | 2**30 | 2**22 | 2**13 | 2**12 | 1
     want = sum((x >> k % 40 & 1) << k for k in range(n_out))
     assert nl.evaluate({"a": x, "b": x}) == want
-    a = np.array([x, x >> 1])
+    a = np.array([x, x >> 1, 2**40 - 1])
     if n_out <= 63:
-        assert want >> 62 & 1
+        assert want >> n_out - 1 & 1
         got = nl.evaluate({"a": a, "b": a})
         assert got.dtype == np.int64 and got.tolist() == [
             nl.evaluate({"a": v, "b": v}) for v in a.tolist()]
@@ -469,6 +470,26 @@ def test_a_gate_application_that_repeats_a_line():
     for v in range(4):
         ins = {"x0": v & 1, "x1": v >> 1}
         assert list(simulate(n, ins).line_values) == ref_gates(n, [v & 1, v >> 1])[0]
+
+
+@pytest.mark.parametrize("mapping", [
+    tuple(((i >> 1 ^ i) & 1) << 1 | i & 1 for i in range(4)),      # (a, b) -> (a ^ b, b)
+    gate_library()["FEYNMAN"].mapping,                              # (a, b) -> (a, a ^ b)
+])
+def test_a_repeated_line_takes_the_last_write(mapping):
+    """Both outputs go to line 0 and the second wins, forward and back, also
+    when it passes its input through."""
+    gate = RevGate("G", 2, mapping)
+    n = RevNetlist()
+    n.add_input("x")
+    n.gates.append(GateApp(gate, (0, 0)))
+    for x in range(2):
+        want = ref_gates(n, [x])[0]
+        assert list(simulate(n, {"x": x}).line_values) == want
+        assert simulate(n, {"x": np.array([x])}).line_values.tolist() == [want]
+        back = ref_gates(n, [x], inverse=True)[0]
+        assert simulate_inverse(n, [x]) == back
+        assert simulate_inverse(n, np.array([[x]])).tolist() == [back]
 
 
 def test_cells_that_read_one_net_twice():
@@ -668,6 +689,104 @@ def test_inverse_takes_one_array_or_rows():
     for rows in (list(res.line_values), [r.astype(np.int64) for r in res.line_values]):
         assert np.array_equal(np.array(simulate_inverse(n, rows)), whole)
     assert np.array_equal(simulate_inverse(n, res.line_values.astype(np.int64)), whole)
+
+
+def _count_packs(monkeypatch) -> list:
+    """Monkeypatch ``_to_planes`` to count its calls, in the list returned."""
+    calls = []
+    real = bitcore._to_planes
+
+    def counted(bits):
+        calls.append(bits.shape)
+        return real(bits)
+
+    monkeypatch.setattr(bitcore, "_to_planes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(1,), (63,), (64,), (65,), (CHUNK_VECTORS + 1,), (2, 3),
+                                   "cifm-rev"])
+def test_a_round_trip_hands_the_planes_over(shape, monkeypatch):
+    """The inverse of simulate's own line values loads the planes they were
+    decoded from, packing nothing, and equals the inverse of a packed copy."""
+    rng = np.random.default_rng(7)
+    if shape == "cifm-rev":
+        n, shape = expand(export_netlist("mul24")), (100,)
+    else:
+        n = random_circuit(random.Random(21))
+    ins = {l.name: rng.integers(0, 2, shape) for l in n.lines if l.name is not None}
+    fwd = simulate(n, ins)
+    packed = simulate_inverse(n, np.array(fwd.line_values))
+    calls = _count_packs(monkeypatch)
+    back = simulate_inverse(n, fwd.line_values)
+    again = simulate_inverse(n, back)       # an inverse's result is handed over too
+    assert calls == []
+    assert type(back) is np.ndarray and back.dtype == np.uint8
+    assert np.array_equal(back, packed) and back.shape == (len(n.lines), *shape)
+    for i, line in enumerate(n.lines):
+        assert (back[i] == (ins[line.name] if line.name is not None else line.const)).all()
+    assert np.array_equal(again, simulate_inverse(n, np.array(back)))
+
+
+def test_batch_results_are_read_only():
+    n = random_circuit(random.Random(22))
+    res = simulate(n, {f"x{k}": np.array([0, 1, 1]) for k in range(3)})
+    back = simulate_inverse(n, res.line_values)
+    name = n.outputs()[0][0]
+    for result in (res.line_values, back, res.outputs[name]):
+        with pytest.raises(ValueError, match="read-only"):
+            result[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            result += 1
+        with pytest.raises(ValueError):
+            result.flags.writeable = True
+        edited = result.copy()
+        edited[0] ^= 1
+        assert not np.array_equal(edited, result)
+
+
+@pytest.mark.parametrize("how", ["slice", "reshape", "view", "astype", "copy", "list"])
+def test_anything_but_the_result_itself_is_packed(how, monkeypatch):
+    rng = np.random.default_rng(8)
+    n = random_circuit(random.Random(23))
+    lines = simulate(n, {f"x{k}": rng.integers(0, 2, (4, 5)) for k in range(3)}).line_values
+    want = simulate_inverse(n, lines)
+    given = {"slice": lambda: lines[:],
+             "reshape": lambda: lines.reshape(lines.shape),
+             "view": lines.view,
+             "astype": lambda: lines.astype(np.uint8),
+             "copy": lines.copy,
+             "list": lambda: list(lines)}[how]()
+    calls = _count_packs(monkeypatch)
+    assert np.array_equal(simulate_inverse(n, given), want)
+    assert calls == [(len(n.lines), 20)]
+
+
+def test_a_plan_that_loads_rows_out_of_order_packs_them(monkeypatch):
+    two = RevNetlist()
+    two.add_input("p")
+    two.add_input("q")
+    lines = simulate(two, {"p": np.array([1, 0]), "q": np.array([0, 1])}).line_values
+    n = RevNetlist()
+    for name in ("b", "a", "b"):
+        n.add_input(name)
+    plan = _compiled(n).forward             # operand 0 loads rows 0 and 2
+    calls = _count_packs(monkeypatch)
+    got = bitcore.run_rows(plan, lines, [1, 1], "line {}".format)
+    assert calls == [(3, 2)] and got.tolist() == [[1, 0], [0, 1], [1, 0]]
+
+
+def test_line_values_handed_to_another_circuit():
+    """Another circuit with as many lines takes them as its final state."""
+    rng = np.random.default_rng(9)
+    n, other = random_circuit(random.Random(24)), random_circuit(random.Random(25))
+    assert len(n.lines) == len(other.lines) and n.gates != other.gates
+    lines = simulate(n, {f"x{k}": rng.integers(0, 2, 50) for k in range(3)}).line_values
+    got = simulate_inverse(other, lines)
+    assert np.array_equal(got, simulate_inverse(other, np.array(lines)))
+    for v in range(50):
+        assert got[:, v].tolist() == ref_gates(other, lines[:, v].tolist(), inverse=True)[0]
+    assert not np.array_equal(got, simulate_inverse(n, lines))
 
 
 @pytest.mark.parametrize("bad", ["two", "minus one", "float", "bool", "short", "long"])
