@@ -10,10 +10,11 @@ expansion, is built on the two abstractions in this module:
 It also holds the evaluation engine that cell netlists and reversible
 circuits share. A netlist is compiled once into one step per cell or gate,
 in netlist order, and a step is data: the element's program and the state
-rows it reads and writes. The program is a factored AND/XOR form of a
-truth table: each output bit starts as its algebraic normal form, an XOR
-of AND terms, and XORs that several terms share become registers of their
-own (:func:`anf_program`). On a plan's first run its steps become
+rows it reads and writes: fresh rows for a cell's outputs, distinct rows
+for a gate. The program is a factored AND/XOR form of a truth table: each
+output bit starts as its algebraic normal form, an XOR of AND terms, and
+XORs that several terms share become registers of their own
+(:func:`anf_program`). On a plan's first run its steps become
 straight-line Python, each step's ANDs and XORs written out on its rows,
 SEGMENT_STEPS steps to a generated function; later runs call those
 functions in order. The state is a list of Python-int bit planes, bit v of
@@ -28,14 +29,14 @@ with :func:`uint_value`, named operands with :func:`named_values` and
 operand arrays with :func:`uint_rows`. Cell netlists and reversible circuits alike
 get their results from one collector, :func:`run_rows`: a call whose
 operands are all integer scalars runs as one vector without numpy and gives
-Python ints, and any other call gives read-only arrays that keep the bit
-planes they were decoded from. Handed back to :func:`run_rows` for a plan
-that loads every row in order, as a round trip's line values are, such an
-array loads those planes with no check and no packing. :func:`uint_rows` checks an
-operand stack's range in one pass, and row by row only to name the operand
-that fails it. :meth:`CellNetlist.evaluate_nets` gives the collector's state
-as a read-only mapping through the plan's net index, not a dict built per
-call.
+Python ints, and any other call gives a read-only array that keeps the
+bit planes :func:`run_kernels` yielded. Handed back to :func:`run_rows`
+for a plan that loads every row in order, as a round trip's line values
+are, such an array loads those planes with no check and no packing.
+:func:`uint_rows` checks an operand stack's range in one pass, and row by
+row only to name the operand that fails it. :meth:`CellNetlist.evaluate_nets`
+gives the collector's state as a read-only mapping through the plan's net
+index, not a dict built per call.
 """
 
 from __future__ import annotations
@@ -93,8 +94,10 @@ def as_flag(x, name: str) -> bool:
 
 def _scalar_call(values: Iterable) -> bool:
     """True when :func:`as_int` accepts every value: a call that runs as one
-    vector, without numpy, and gives Python ints."""
+    vector, without numpy, and gives Python ints. One array never is."""
     np = sys.modules.get("numpy")
+    if np is not None and isinstance(values, np.ndarray):
+        return False
     ints = int if np is None else (int, np.integer)
     return all(type(v) is int or isinstance(v, ints) and not isinstance(v, bool)
                for v in values)
@@ -351,8 +354,7 @@ def anf_program(table: tuple[int, ...], n_in: int, n_out: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def element_program(table: tuple[int, ...], n_in: int, n_out: int, in_place: bool,
-                    every_write: bool = False) -> tuple:
+def element_program(table: tuple[int, ...], n_in: int, n_out: int, in_place: bool) -> tuple:
     """One element's work as data: ``(n_in, ops, writes)``.
 
     ``ops`` is the :func:`anf_program` of ``table``, whose registers
@@ -360,29 +362,28 @@ def element_program(table: tuple[int, ...], n_in: int, n_out: int, in_place: boo
     ``(k, invert, registers)`` per output written back, in output order, to
     the element's k-th row: output j goes to row n_in + j, after the
     inputs, unless ``in_place``. In place, output j goes to input j's row
-    and, unless ``every_write``, is left out when it passes that input
-    through unchanged. An element whose rows repeat needs every write, as
-    the last write to a row wins.
+    and is left out when it passes that input through unchanged, which is
+    exact because an in-place element's rows are distinct.
     """
     ops, outputs = anf_program(table, n_in, n_out)
     if in_place:
-        writes = tuple((j, *out) for j, out in enumerate(outputs)
-                       if every_write or out != (False, (j,)))
+        writes = tuple((j, *out) for j, out in enumerate(outputs) if out != (False, (j,)))
     else:
         writes = tuple((n_in + j, *out) for j, out in enumerate(outputs))
     return n_in, ops, writes
 
 
 @functools.lru_cache(maxsize=None)
-def _step_template(program: tuple, distinct: bool) -> str:
+def _step_template(program: tuple) -> str:
     """Python lines that run ``program`` on the state list ``s``, as a
     ``str.format`` template whose field k stands for the element's row k.
 
     A register read once is written inline, an op as ``(x & y)`` or
-    ``(x ^ y)`` and, when the element's rows are ``distinct``, an input as
-    ``s[row]`` as long as no earlier write of the step replaces that row.
-    Every other register is a local ``r<k>``, computed before the first
-    write, so every input is read before any write to its row.
+    ``(x ^ y)`` and an input as ``s[row]`` as long as no earlier write of
+    the step replaces that row. Every other register is a local ``r<k>``,
+    computed before the first write, so every input is read before any
+    write to its row. The element's rows must be distinct, or fresh where
+    written, as a cell's outputs are.
     """
     n_in, ops, writes = program
     users: dict[int, list[int]] = {}       # register -> ops (>= 0), writes (< 0)
@@ -398,7 +399,7 @@ def _step_template(program: tuple, distinct: bool) -> str:
         if len(use) != 1:
             continue
         j = -1 - use[0] if use[0] < 0 else site.get(use[0], -1)
-        if r < n_in and not (distinct and all(w[0] != r for w in writes[:max(j, 0)])):
+        if r < n_in and any(w[0] == r for w in writes[:max(j, 0)]):
             continue
         site[r] = j
 
@@ -432,7 +433,7 @@ def _segments(steps: Sequence[tuple]) -> tuple[Callable, ...]:
     segments = []
     for lo in range(0, len(steps), SEGMENT_STEPS):
         body = "\n    ".join(
-            _step_template(program, len(set(rows)) == len(rows)).format(*rows)
+            _step_template(program).format(*rows)
             for program, rows in steps[lo : lo + SEGMENT_STEPS])
         namespace: dict = {}
         # ``pass`` keeps the body valid where no step writes a row: a gate
@@ -536,20 +537,18 @@ class _Planes:
 
     ``chunks`` holds one ``(lo, hi, planes)`` per engine pass: the planes of
     the array's rows for its columns lo..hi-1. ``np.asarray`` of a holder
-    is called once, so the array it makes is the only one whose ``base`` is
-    the holder: a view, reshape or copy of it has another base. A read-only
-    holder's array cannot be made writeable, so its contents stay those its
-    planes decode to.
+    is called once, by :func:`run_rows`, so the array it makes is the only
+    one whose ``base`` is the holder: a view, reshape or copy of it has
+    another base. The array is read-only and cannot be made writeable, so
+    its contents stay those its planes decode to.
     """
 
     __slots__ = ("__array_interface__", "memory", "chunks")
 
-    def __init__(self, memory: np.ndarray, chunks: tuple, shape: tuple,
-                 writeable: bool) -> None:
+    def __init__(self, memory: np.ndarray, chunks: tuple, shape: tuple) -> None:
         self.memory, self.chunks = memory, chunks
         interface = memory.__array_interface__
-        self.__array_interface__ = dict(interface, shape=shape,
-                                        data=(interface["data"][0], not writeable))
+        self.__array_interface__ = dict(interface, shape=shape, data=(interface["data"][0], True))
 
 
 def run_kernels(plan: Plan, values: np.ndarray | _Planes, read: Sequence[int]):
@@ -558,19 +557,14 @@ def run_kernels(plan: Plan, values: np.ndarray | _Planes, read: Sequence[int]):
     ``values`` is [operand rows x vectors] of integers, each row in range
     for the bits the plan loads from it, or the :class:`_Planes` of a
     :func:`run_rows` result whose rows the plan loads as they are: its
-    planes load the state as they were kept. Yields ``(lo, hi, bits)``:
-    bits is a uint8 array [len(read) x (hi - lo)] with the final 0/1 values
-    of state rows ``read`` for vectors lo..hi-1, and its base keeps their
-    planes.
+    planes load the state as they were kept. Yields ``(lo, hi, planes)``:
+    the final bit planes of state rows ``read`` for vectors lo..hi-1, bit v
+    of a plane holding vector lo + v. The caller decodes what it needs.
     """
-    import numpy as np
-
     loads = values.chunks if type(values) is _Planes else _loads(plan, values)
     for lo, hi, planes in loads:
         state = run_planes(plan, planes, hi - lo)
-        out = [state[row] for row in read]
-        bits = _from_planes(out, hi - lo)
-        yield lo, hi, np.asarray(_Planes(bits, ((0, hi - lo, out),), bits.shape, True))
+        yield lo, hi, [state[row] for row in read]
 
 
 def _loads(plan: Plan, values: np.ndarray):
@@ -700,20 +694,21 @@ def run_rows(
     once numpy is loaded) runs as one vector without numpy: each value is
     range-checked with :func:`uint_value`, its bits load the state directly,
     and the result is a list of Python ints. Any other call, a 0-d array
-    included, is an array call: ``values`` and the ValueError it may raise
-    are as in :func:`uint_rows`, and the result is one uint8 array
-    [plan.rows x *shape] for the broadcast shape of the values. A batch of
-    one chunk is returned as the engine made it, longer batches are joined,
-    and an empty one gives [plan.rows x 0].
+    or one numpy array as ``values`` included, is an array call:
+    ``values`` and the ValueError it may raise are as in :func:`uint_rows`,
+    and the result is one uint8 array [plan.rows x *shape] for the
+    broadcast shape of the values. A batch of one chunk is returned as it
+    was decoded, longer batches are joined, and an empty one gives
+    [plan.rows x 0].
 
     An array result is read-only, and setting its ``writeable`` flag
-    raises: ``.copy()`` gives one to change. Its base is a private holder
-    that keeps the final bit planes it was decoded from, chunk by chunk.
-    Handed back as ``values``, that same array object, not a view, reshape
-    or copy of it, loads those planes as they are, with no range check and
-    no packing, when ``plan`` loads every operand row in order (a full
-    slice, unshifted) and no width is 0. Every other input is stacked and
-    packed as above.
+    raises: ``.copy()`` gives one to change, and keeps only the values. Its
+    base is the :class:`_Planes` holder, built here, that keeps the final
+    bit planes it was decoded from. Handed back as ``values``, that same
+    array object, not a view, reshape or copy of it, loads those planes as
+    they are, with no range check and no packing, when ``plan`` loads every
+    operand row in order (a full slice, unshifted) and no width is 0. Every
+    other input is stacked and packed as above.
     """
     if _scalar_call(values):
         ints = [uint_value(v, w, name(i)) for i, (v, w) in enumerate(zip(values, widths))]
@@ -725,23 +720,17 @@ def run_rows(
     import numpy as np
 
     kept = values.base if type(values) is np.ndarray else None
-    if (type(kept) is _Planes and not values.flags.writeable
-            and plan.load_src == slice(None) and plan.load_shift is None
+    if (type(kept) is _Planes and plan.load_src == slice(None) and plan.load_shift is None
             and len(values) == len(widths) and 0 not in widths):
         # the planes hold bits, which every nonzero width admits
         rows, shape = kept, values.shape[1:]
     else:
         rows, shape = uint_rows(values, widths, name)
-    parts = list(run_kernels(plan, rows, range(plan.rows)))
-    # each part's holder keeps its one chunk, (0, hi - lo, planes)
-    chunks = tuple((lo, hi, bits.base.chunks[0][2]) for lo, hi, bits in parts)
-    if len(parts) == 1:
-        memory = parts[0][2]
-    elif parts:
-        memory = np.concatenate([bits for _, _, bits in parts], axis=1)
-    else:
-        memory = np.empty((plan.rows, 0), dtype=np.uint8)
-    return np.asarray(_Planes(memory, chunks, (plan.rows,) + shape, False))
+    chunks = tuple(run_kernels(plan, rows, range(plan.rows)))
+    parts = [_from_planes(planes, hi - lo) for lo, hi, planes in chunks]
+    memory = parts[0] if len(parts) == 1 else np.concatenate(
+        parts or [np.empty((plan.rows, 0), dtype=np.uint8)], axis=1)
+    return np.asarray(_Planes(memory, chunks, (plan.rows,) + shape))
 
 
 class CellKind(Enum):
@@ -984,7 +973,8 @@ class CellNetlist:
         n_out = len(compiled.outputs)
         weights = 2.0 ** np.arange(min(n_out, 53))
         total = np.zeros(rows.shape[1], dtype=np.int64)
-        for lo, hi, bits in run_kernels(compiled.plan, rows, compiled.outputs):
+        for lo, hi, planes in run_kernels(compiled.plan, rows, compiled.outputs):
+            bits = _from_planes(planes, hi - lo)
             for k in range(0, n_out, 53):
                 total[lo:hi] |= (weights[:n_out - k] @ bits[k : k + 53]).astype(np.int64) << k
         return total.reshape(shape)

@@ -4,6 +4,8 @@ A reversible gate is a bijection on the 2**k value patterns of the k lines
 it touches; bijectivity is checked exhaustively at construction. Circuits
 are straight-line sequences of gate applications over a fixed set of lines,
 so inverse simulation is just the inverse permutations in reverse order.
+An application touches ``arity`` distinct lines: :meth:`RevNetlist.apply`
+and every compile check each one by that one rule.
 
 The gate library is the classics plus the two compound gates this design
 is built from:
@@ -198,12 +200,20 @@ class RevNetlist:
 
     def _line(self, line: int) -> int:
         """``line`` as an index into ``lines``; ValueError unless an int in range."""
-        line = as_int(line, "line index")
+        if type(line) is not int:
+            line = as_int(line, "line index")
         if not 0 <= line < len(self.lines):
             raise ValueError(f"line index {line} out of range")
         return line
 
     def apply(self, gate: RevGate, *line_ids: int) -> None:
+        """Append ``gate`` on ``line_ids``. ValueError unless it is a RevGate
+        on ``arity`` distinct lines in range: the rule that every compile
+        checks again, for each application in ``gates``."""
+        self.gates.append(GateApp(gate, self._gate_lines(gate, line_ids)))
+
+    def _gate_lines(self, gate: RevGate, line_ids) -> tuple[int, ...]:
+        """``line_ids`` as a tuple of ints, checked by :meth:`apply`'s rule."""
         if not isinstance(gate, RevGate):
             raise ValueError(f"gate must be a RevGate, got {type(gate).__name__}")
         lines = tuple(map(self._line, line_ids))
@@ -211,7 +221,7 @@ class RevNetlist:
             raise ValueError(
                 f"{gate.name} touches {gate.arity} distinct lines, got {lines}"
             )
-        self.gates.append(GateApp(gate, lines))
+        return lines
 
     def set_output(self, line: int, name: str) -> None:
         if not isinstance(name, str):
@@ -299,8 +309,7 @@ class SimResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _forward_program(gate: RevGate, held: tuple[int | None, ...],
-                     repeats: bool = False) -> tuple:
+def _forward_program(gate: RevGate, held: tuple[int | None, ...]) -> tuple:
     """The gate's forward program where its k-th line is known to hold the
     constant ``held[k]`` (0 or 1), or anything where that is None.
 
@@ -308,9 +317,7 @@ def _forward_program(gate: RevGate, held: tuple[int | None, ...],
     reads as if the held lines held their constants, so the program reads
     no held line. A held line that the gate leaves at its constant reads
     as passed through, so it is not written, and neither is a line the
-    gate passes through, unless ``repeats`` says that the gate's lines
-    repeat: then every output is written, in order, and the last write to
-    a line wins.
+    gate passes through.
     """
     top = gate.arity - 1
     mask = sum(1 << top - k for k, c in enumerate(held) if c is not None)
@@ -319,15 +326,14 @@ def _forward_program(gate: RevGate, held: tuple[int | None, ...],
     # the held lines whose output is their constant for every input
     kept = mask & ~functools.reduce(or_, (out ^ fixed for out in table))
     table = tuple(out & ~kept | i & kept for i, out in enumerate(table))
-    return element_program(table, gate.arity, gate.arity, True, repeats)
+    return element_program(table, gate.arity, gate.arity, True)
 
 
 @functools.lru_cache(maxsize=None)
-def _inverse_program(gate: RevGate, repeats: bool = False) -> tuple:
+def _inverse_program(gate: RevGate) -> tuple:
     """The gate's inverse program: its line values may be any final state,
-    so none is known. Every output is written when its lines ``repeats``,
-    as in :func:`_forward_program`."""
-    return element_program(gate.inverse_mapping(), gate.arity, gate.arity, True, repeats)
+    so none is known."""
+    return element_program(gate.inverse_mapping(), gate.arity, gate.arity, True)
 
 
 class _CompiledRev(NamedTuple):
@@ -356,28 +362,27 @@ def _compile(n: RevNetlist) -> _CompiledRev:
     ancilla to begin with, and a line while the writes to it are constant.
     Each gate gets the :func:`_forward_program` of what it knows of its
     lines. The inverse runs the gates backwards with each gate's inverse
-    mapping, unfolded. An application whose lines repeat writes every
-    output in both directions, in output order, so the last write to a
-    line wins, as it does gate by gate.
+    mapping, unfolded. Each application, one appended past ``apply``
+    included, is checked by apply's rule, so a step's rows are distinct.
     """
     depth = [0] * len(n.lines)
     # line -> the constant it holds, while the forward run is known to hold one
     known = {i: l.const for i, l in enumerate(n.lines) if l.tag is LineTag.ANCILLA}
     forward, inverse = [], []
     for app in n.gates:
-        level = 1 + max(map(depth.__getitem__, app.lines))
-        for l in app.lines:
+        lines = n._gate_lines(app.gate, app.lines)
+        lines = app.lines if lines == app.lines else lines      # no copy of apply's tuple
+        level = 1 + max(map(depth.__getitem__, lines))
+        for l in lines:
             depth[l] = level
-        # lines repeat only in an application appended past apply's check
-        repeats = len(set(app.lines)) < len(app.lines)
-        program = _forward_program(app.gate, tuple(map(known.get, app.lines)), repeats)
+        program = _forward_program(app.gate, tuple(map(known.get, lines)))
         for k, invert, regs in program[2]:
             if regs:
-                known.pop(app.lines[k], None)
+                known.pop(lines[k], None)
             else:
-                known[app.lines[k]] = int(invert)
-        forward.append((program, app.lines))
-        inverse.append((_inverse_program(app.gate, repeats), app.lines))
+                known[lines[k]] = int(invert)
+        forward.append((program, lines))
+        inverse.append((_inverse_program(app.gate), lines))
     inverse.reverse()
 
     inputs = [(i, l.name) for i, l in enumerate(n.lines) if l.tag is LineTag.PRIMARY_INPUT]
@@ -406,8 +411,9 @@ def simulate(n: RevNetlist, inputs: Mapping) -> SimResult:
     scalar, else one read-only uint8 array [lines x *shape] for the
     broadcast input shape, row i holding line i: index, iterate or zip it
     as the rows it holds, or hand it to :func:`simulate_inverse` whole,
-    which then runs on the bit planes it was decoded from. Raises ValueError
-    for a circuit that is not a RevNetlist, a missing input or a value
+    which then runs on the bit planes it keeps (``.copy()`` keeps only the
+    values). Raises ValueError for a circuit that is not a RevNetlist, a
+    gate application that ``apply`` refuses, a missing input or a value
     other than 0 or 1.
     """
     compiled = _compiled(n)
@@ -426,9 +432,10 @@ def simulate_inverse(
     ``final_values`` holds one value per line: ints or 0/1 int arrays, or
     one integer array whose first axis is the lines, such as the
     ``line_values`` of a :func:`simulate` batch. Returns a list of ints
-    when every value is an integer scalar, else one read-only uint8 array
-    [lines x *shape]. A circuit that is not a RevNetlist, a wrong number of
-    lines or a value other than 0 or 1 raises ValueError.
+    when every value is an integer scalar, else, one array of any shape
+    included, one read-only uint8 array [lines x *shape]. A circuit that is
+    not a RevNetlist, a gate application that ``apply`` refuses, a wrong
+    number of lines or a value other than 0 or 1 raises ValueError.
 
     The array result of :func:`simulate` or :func:`simulate_inverse`, that
     very object, loads the bit planes it was decoded from: it is neither
@@ -631,7 +638,8 @@ def metrics_of(n: RevNetlist) -> Metrics:
 
     Unit delay charges one per gate along the longest chain of touched
     lines ending at a primary output; a gate depends on every line it
-    touches, control or data. ValueError unless ``n`` is a RevNetlist.
+    touches, control or data. ValueError unless ``n`` is a RevNetlist
+    whose gate applications ``apply`` would take.
     """
     depth = _compiled(n).forward.depth
     delay = max((depth[i] for _, i in n._output_rows()), default=0)

@@ -238,6 +238,60 @@ def test_ties_round_to_even():
     assert np.all(got & 1 == 0)                          # the even neighbour
 
 
+def _near_ties(seed: int, per_case: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Pairs whose significand product has low d bits ``2**(d-1) + t``.
+
+    d is the number of bits normalisation drops, 23 or 24, and t is -1, 0
+    or 1: one below, on and one above the half-way point. For an odd
+    significand ``sa``, ``sb = sa**-1 * (2**(d-1) + t) mod 2**d`` with the
+    hidden bit set gives such a product when it normalises by d. Returns
+    ``per_case`` pairs of each (d, t, parity of the kept bits), and each
+    pair's case. Random pairs reach one about once in 2**23. The exact tie
+    with d = 24 is not among them: for odd ``sa`` it needs ``sb`` = 2**23,
+    whose product does not normalise. ``_ties`` builds those from even ones.
+    """
+    rng = np.random.default_rng(seed)
+    found: dict[tuple, list] = {}
+    while len(found) < 10 or min(map(len, found.values())) < per_case:
+        sa = int(rng.integers(1 << 22, 1 << 23)) * 2 + 1
+        for d in (23, 24):
+            for t in (-1, 0, 1):
+                low = (1 << d - 1) + t
+                sb = pow(sa, -1, 1 << d) * low % (1 << d) | 1 << 23
+                raw = sa * sb
+                case = (d, t, raw >> d & 1)
+                if raw % (1 << d) == low and raw >> 47 == d - 23:
+                    found.setdefault(case, []).append((sa, sb))
+    pairs = [(case, sig) for case, sigs in sorted(found.items()) for sig in sigs[:per_case]]
+    sig_a, sig_b = np.array([sig for _, sig in pairs]).T
+    exps = rng.integers(100, 150, size=(2, len(pairs)))
+    sign = rng.integers(0, 2, size=(2, len(pairs)))
+    a = (sign[0] << 31) | (exps[0] << 23) | (sig_a - (1 << 23))
+    b = (sign[1] << 31) | (exps[1] << 23) | (sig_b - (1 << 23))
+    return a, b, [case for case, _ in pairs]
+
+
+def test_near_ties_round_to_nearest():
+    """Products one below, on and one above the half-way point, against the
+    soft-float oracle and numpy float32. A rounding rule that forgets the
+    lowest dropped bit reads one above as a tie and gets an even kept
+    value wrong: 0x3FD92B64 for the first pair below."""
+    a, b, cases = _near_ties(10, 6)
+    a = np.concatenate([[0x3FC3D859, 0x3FEB9087], a])
+    b = np.concatenate([[0x3F8DEFE9, 0x3F883537], b])
+    got = fp_mul_batch(a, b)
+    assert got[:2].tolist() == [0x3FD92B65, 0x3FFAAB7F]
+    assert np.array_equal(got, _scalar(a, b))
+    assert got.tolist() == [softfloat_mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    hw = (a.astype(np.uint32).view(np.float32) * b.astype(np.uint32).view(np.float32))
+    assert np.array_equal(got, hw.view(np.uint32).astype(np.int64))
+    assert len(set(cases)) == 10                         # every d, t and parity
+    # off the half-way point, the product rounds up exactly when t is 1
+    rounded_up = (got != fp_mul_batch(a, b, rounding=Rounding.TRUNCATE))[2:]
+    off = [(up, t) for up, (_, t, _) in zip(rounded_up.tolist(), cases) if t]
+    assert all(up == (t > 0) for up, t in off)
+
+
 def test_underflow_is_detected_before_rounding():
     """Pins the flush rule against numpy float32 in the band below 2**-126.
 

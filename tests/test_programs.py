@@ -18,7 +18,6 @@ from cifm.bitcore import (
     CellKind,
     Plan,
     _cell_program,
-    _step_template,
     anf_program,
     element_program,
     run_planes,
@@ -38,21 +37,13 @@ def column(values, bit: int) -> int:
     return sum((x >> bit & 1) << v for v, x in enumerate(values))
 
 
-def run_step(program, state: list, n: int, distinct: bool = True) -> list:
-    """``state`` after one step of ``program`` on rows 0, 1, ...: through a
-    one-step plan (the engine's path) when ``distinct``, else through the
-    template for rows that may repeat, on the same distinct rows."""
+def run_step(program, state: list, n: int) -> list:
+    """``state`` after one step of ``program`` on rows 0, 1, ..., through a
+    one-step plan: the engine's path."""
     rows = tuple(range(len(state)))
-    if distinct:
-        plan = Plan(rows=len(state), steps=((program, rows),), load_rows=rows,
-                    load_src=rows, load_shift=None, ones=(), depth=(0,) * len(state))
-        return run_planes(plan, state, n)
-    namespace: dict = {}
-    body = _step_template(program, False).format(*rows)
-    exec(f"def step(s, ONES):\n    pass\n    {body}\n", namespace)
-    state = list(state)
-    namespace["step"](state, (1 << n) - 1)
-    return state
+    plan = Plan(rows=len(state), steps=((program, rows),), load_rows=rows,
+                load_src=rows, load_shift=None, ones=(), depth=(0,) * len(state))
+    return run_planes(plan, state, n)
 
 
 def reads(program) -> set[int]:
@@ -62,15 +53,14 @@ def reads(program) -> set[int]:
             | {r for _, _, regs in writes for r in regs})
 
 
-@pytest.mark.parametrize("distinct", [True, False])
 @pytest.mark.parametrize("kind", list(CellKind))
-def test_every_cell_program_on_every_input(kind, distinct):
+def test_every_cell_program_on_every_input(kind):
     n_in, fn = CELL_FUNCTIONS[kind]
     program = _cell_program(kind)
     patterns = range(1 << n_in)
     inputs = [column(patterns, n_in - 1 - k) for k in range(n_in)]
     want = [fn(*(i >> (n_in - 1 - k) & 1 for k in range(n_in))) for i in patterns]
-    state = run_step(program, inputs + [0] * len(want[0]), len(patterns), distinct)
+    state = run_step(program, inputs + [0] * len(want[0]), len(patterns))
     assert state[:n_in] == inputs
     assert state[n_in:] == [column([w[j] for w in want], 0) for j in range(len(want[0]))]
 
@@ -94,9 +84,8 @@ def test_every_gate_program_on_every_input_held_or_not(name):
     state = [column(everything, n - 1 - k) for k in range(n)]
     for table, program in ((inverse, _inverse_program(gate)),
                            (gate.mapping, _forward_program(gate, (None,) * n))):
-        for distinct in (True, False):
-            got = run_step(program, state, 1 << n, distinct)
-            assert got == [column([table[i] for i in everything], n - 1 - k) for k in range(n)]
+        got = run_step(program, state, 1 << n)
+        assert got == [column([table[i] for i in everything], n - 1 - k) for k in range(n)]
 
     for held in itertools.product((None, 0, 1), repeat=n):
         free = [k for k in range(n) if held[k] is None]
@@ -107,8 +96,7 @@ def test_every_gate_program_on_every_input_held_or_not(name):
         state = [column(patterns, n - 1 - k) for k in range(n)]
         want = [column([gate.mapping[i] for i in patterns], n - 1 - k) for k in range(n)]
         program = _forward_program(gate, held)
-        for distinct in (True, False):
-            assert run_step(program, state, len(patterns), distinct) == want, held
+        assert run_step(program, state, len(patterns)) == want, held
         assert not reads(program) & {k for k in range(n) if held[k] is not None}, held
         assert {k for k, _, _ in program[2]} == {k for k in range(n) if want[k] != state[k]}
 
@@ -124,11 +112,8 @@ def test_programs_of_random_tables(seed):
         patterns = range(1 << n_in)
         inputs = [column(patterns, n_in - 1 - k) for k in range(n_in)]
         outputs = [column(table, n_out - 1 - j) for j in range(n_out)]
-        for distinct in (True, False):
-            got = run_step(element_program(table, n_in, n_out, False),
-                           inputs + [0] * n_out, 1 << n_in, distinct)
-            assert got == inputs + outputs
-            if n_out == n_in:
-                got = run_step(element_program(table, n_in, n_out, True),
-                               inputs, 1 << n_in, distinct)
-                assert got == outputs
+        got = run_step(element_program(table, n_in, n_out, False), inputs + [0] * n_out, 1 << n_in)
+        assert got == inputs + outputs
+        if n_out == n_in:
+            got = run_step(element_program(table, n_in, n_out, True), inputs, 1 << n_in)
+            assert got == outputs

@@ -459,37 +459,36 @@ def test_any_bijection_both_ways():
     assert simulate_inverse(idle, [0]) == [0]
 
 
-def test_a_gate_application_that_repeats_a_line():
-    """Appended to ``gates`` directly, past apply's check: every input is
-    still read before any output is written, as in the reference."""
-    rotate = RevGate("ROT", 3, tuple((i << 1 & 6) | i >> 2 for i in range(8)))  # (a,b,c) -> (b,c,a)
-    n = RevNetlist()
-    for k in range(2):
-        n.add_input(f"x{k}")
-    n.gates.append(GateApp(rotate, (0, 1, 0)))
-    for v in range(4):
-        ins = {"x0": v & 1, "x1": v >> 1}
-        assert list(simulate(n, ins).line_values) == ref_gates(n, [v & 1, v >> 1])[0]
-
-
-@pytest.mark.parametrize("mapping", [
-    tuple(((i >> 1 ^ i) & 1) << 1 | i & 1 for i in range(4)),      # (a, b) -> (a ^ b, b)
-    gate_library()["FEYNMAN"].mapping,                              # (a, b) -> (a, a ^ b)
-])
-def test_a_repeated_line_takes_the_last_write(mapping):
-    """Both outputs go to line 0 and the second wins, forward and back, also
-    when it passes its input through."""
-    gate = RevGate("G", 2, mapping)
-    n = RevNetlist()
-    n.add_input("x")
-    n.gates.append(GateApp(gate, (0, 0)))
-    for x in range(2):
-        want = ref_gates(n, [x])[0]
-        assert list(simulate(n, {"x": x}).line_values) == want
-        assert simulate(n, {"x": np.array([x])}).line_values.tolist() == [want]
-        back = ref_gates(n, [x], inverse=True)[0]
-        assert simulate_inverse(n, [x]) == back
-        assert simulate_inverse(n, np.array([[x]])).tolist() == [back]
+@pytest.mark.parametrize("bad", ["repeated", "short", "out_of_range", "not_a_gate"])
+@pytest.mark.parametrize("circuit", ["built", "expansion"])
+def test_a_hand_appended_application_is_checked(bad, circuit):
+    """An application appended to ``gates`` past ``apply`` meets apply's
+    check when the circuit compiles: simulate, simulate_inverse and
+    metrics_of raise apply's ValueError, never an IndexError."""
+    if circuit == "built":
+        n = random_circuit(random.Random(26))
+    else:
+        n = expand(export_netlist("mul4"))
+        metrics_of(n)                   # the template's plan is compiled first
+    size = len(n.lines)
+    toffoli = gate_library()["TOFFOLI"]
+    gate, lines = {"repeated": (toffoli, (0, 1, 0)),
+                   "short": (toffoli, (0, 1)),
+                   "out_of_range": (toffoli, (0, 1, size)),
+                   "not_a_gate": ("TOFFOLI", (0, 1, 2))}[bad]
+    with pytest.raises(ValueError) as raised:
+        n.apply(gate, *lines)
+    n.gates.append(GateApp(gate, lines))
+    names = {l.name for l in n.lines if l.name is not None}
+    calls = [lambda: simulate(n, dict.fromkeys(names, 1)),
+             lambda: simulate(n, dict.fromkeys(names, np.array([0, 1]))),
+             lambda: simulate_inverse(n, [0] * size),
+             lambda: simulate_inverse(n, np.zeros((size, 2), dtype=np.uint8)),
+             lambda: metrics_of(n)]
+    for call in calls:
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(raised.value)
 
 
 def test_cells_that_read_one_net_twice():
@@ -726,6 +725,20 @@ def test_a_round_trip_hands_the_planes_over(shape, monkeypatch):
     for i, line in enumerate(n.lines):
         assert (back[i] == (ins[line.name] if line.name is not None else line.const)).all()
     assert np.array_equal(again, simulate_inverse(n, np.array(back)))
+
+
+def test_a_round_trip_of_0d_inputs_hands_the_planes_over(monkeypatch):
+    """0-d inputs give line values of shape (lines,): one array, which the
+    inverse takes as an array call, not as a scalar per line."""
+    n = random_circuit(random.Random(27))
+    ins = {f"x{k}": np.array(k & 1) for k in range(3)}
+    lines = simulate(n, ins).line_values
+    calls = _count_packs(monkeypatch)
+    back = simulate_inverse(n, lines)
+    assert calls == []
+    assert type(back) is np.ndarray and back.shape == (len(n.lines),)
+    assert not back.flags.writeable
+    assert back.tolist() == [int(ins[l.name]) if l.name else l.const for l in n.lines]
 
 
 def test_batch_results_are_read_only():

@@ -296,10 +296,10 @@ def _break_the_runner(monkeypatch):
     real = bitcore.run_kernels
 
     def flipped(plan, values, read):
-        for lo, hi, bits in real(plan, values, read):
+        for lo, hi, planes in real(plan, values, read):
             if lo <= FLIP < hi:
-                bits[:, FLIP - lo] ^= 1
-            yield lo, hi, bits
+                planes = [plane ^ 1 << FLIP - lo for plane in planes]
+            yield lo, hi, planes
 
     monkeypatch.setattr(bitcore, "run_kernels", flipped)
 
