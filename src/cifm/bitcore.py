@@ -245,20 +245,19 @@ def _program_cost(sums: Sequence[set]) -> int:
     return len(chains) + sum(max(len(s) - 1, 0) for s in sums)
 
 
-def _draw_out(sums: Sequence[set], pair: frozenset, reg: int, own: int) -> list[set]:
+def _draw_out(sums: Sequence[set], pair: frozenset, reg: int) -> list[set]:
     """``sums`` with every two terms ``base&x ^ base&y`` that ``pair`` =
-    {x, y} divides replaced by the one term ``base&reg``, where register
-    ``reg`` is ``x ^ y``; ``sums[own]``, which defines ``reg``, is kept."""
+    {x, y} divides replaced by the one term ``base&reg``, where the new
+    register ``reg`` is ``x ^ y``."""
     x, y = sorted(pair, key=sorted)
     out = []
-    for e, s in enumerate(sums):
-        if e != own:
-            s = set(s)
-            for term in sorted(s, key=sorted):
-                base = term - x
-                if term in s and x <= term and not base & y and base | y in s:
-                    s -= {term, base | y}
-                    s ^= {base | {reg}}
+    for s in sums:
+        s = set(s)
+        for term in sorted(s, key=sorted):
+            base = term - x
+            if term in s and x <= term and not base & y and base | y in s:
+                s -= {term, base | y}
+                s ^= {base | {reg}}
         out.append(s)
     return out
 
@@ -278,7 +277,9 @@ def anf_program(table: tuple[int, ...], n_in: int, n_out: int) -> tuple:
     none does. The FA's sum ``a^b^c`` and carry ``ab ^ ac ^ bc`` take 7
     operations as ANFs and 5 once ``t = a^b`` is drawn out: sum ``t ^ c``,
     carry ``(c & t) ^ (a & b)``. A term ANDs its registers in ascending
-    order, so terms with a common prefix share it.
+    order, so terms with a common prefix share it. Every register drawn out
+    is a new one: a pair drawn again would get a register of its own, which
+    is exact but wastes an XOR; no cell or gate table meets that case.
 
     Registers 0..n_in-1 hold the inputs. ``ops`` lists ``(a, op, b)``, op
     ``"&"`` or ``"^"``, whose result becomes the next register. ``outputs``
@@ -298,7 +299,6 @@ def anf_program(table: tuple[int, ...], n_in: int, n_out: int) -> tuple:
                      for s in range(1, len(coef)) if coef[s]})
 
     # symbol n_in + d is the XOR of the terms in sums[n_out + d]
-    drawn: dict[frozenset, int] = {}
     cost = _program_cost(sums)
     while True:
         sites = Counter()
@@ -312,15 +312,10 @@ def anf_program(table: tuple[int, ...], n_in: int, n_out: int) -> tuple:
         # saves; leaving such pairs out keeps the rounds short for wide tables
         for pair in sorted((pair for pair, k in sites.items() if k > 1),
                            key=lambda pair: (-sites[pair], sorted(map(sorted, pair)))):
-            if pair in drawn:
-                reg = drawn[pair]
-                trial = _draw_out(sums, pair, reg, n_out + reg - n_in)
-            else:
-                reg = n_in + len(sums) - n_out
-                trial = _draw_out(sums, pair, reg, -1) + [set(pair)]
+            trial = _draw_out(sums, pair, n_in + len(sums) - n_out) + [set(pair)]
             trial_cost = _program_cost(trial)
             if trial_cost < cost:
-                cost, sums, drawn[pair] = trial_cost, trial, reg
+                cost, sums = trial_cost, trial
                 break
         else:
             break
@@ -848,8 +843,9 @@ class CellNetlist:
         """Check the structural invariants; raises ValueError on the first hit.
 
         Bus names are distinct strs, and so are output names. A bus's nets
-        are an iterable of names, never one str. Every net is a str, driven
-        once, and before any cell or output reads it.
+        are an iterable of names, never one str. Every cell is a
+        :class:`Cell`. Every net is a str, driven once, and before any cell
+        or output reads it.
         """
         for what, names in (("bus", [name for name, _ in self.inputs]),
                             ("output", [name for name, _ in self.outputs])):
@@ -874,6 +870,8 @@ class CellNetlist:
                     raise ValueError(f"net {n} driven twice (input)")
                 defined.add(n)
         for idx, cell in enumerate(self.cells):
+            if not isinstance(cell, Cell):
+                raise ValueError(f"cell {idx} must be a Cell, got {cell!r}")
             for n in cell.inputs:
                 if n not in defined:
                     raise ValueError(

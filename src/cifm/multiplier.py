@@ -53,11 +53,10 @@ for every datapath, so the records share one of each. A scalar call's
 faults are looked at only when one of them is powered, and its plan
 matches faults and repairs by their mask bits.
 The call's :class:`ActivityReport` keeps its power-pattern mask, repairs and
-operands, and is built on first read from the partition of the blocks for
-that pattern (which grid blocks are powered), looked up then and cached per
-pattern: 144 for mul24 and 9 for mul12, whatever the operand values, faults
-and repairs. The scalar calls, :func:`mul4`, the netlists and the cost model
-never load numpy; the batch functions import it when called.
+operands, and is built on first read by walking the mask's powered blocks;
+a report never read builds nothing. The scalar calls, :func:`mul4`, the
+netlists and the cost model never load numpy; the batch functions import it
+when called.
 """
 
 from __future__ import annotations
@@ -155,8 +154,9 @@ class ModuleId:
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "col", col)
         object.__setattr__(self, "redundant", redundant)
-        # Cached, since every activity report hashes up to 40 ids. Built from
-        # ints only, so an unpickled id hashes the same in another process.
+        # Cached, since every faulted or repaired call looks its ids up in
+        # _BIT. Built from ints only, so an unpickled id hashes the same in
+        # another process.
         key = (_QUADRANT_INDEX[self.quadrant], row, col, redundant)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -464,13 +464,13 @@ class _Layout:
     block (i, j) of the quadrant on halves (ha, hb) sits at (3*ha + i,
     3*hb + j). The blocks of row r on b half hb make one row sum, at weight
     4*r + 12*hb. A layout compares and hashes by identity, so it can key
-    :func:`_partition`, :func:`_tables` and :func:`_engine`.
+    :func:`_tables` and :func:`_engine`.
     """
 
     halves: int                       # 12-bit halves per operand
     ids: frozenset[ModuleId]          # every instantiated block, spares included
     quad_bits: Mapping[Quadrant, int]  # mask bits of each placed quadrant's ten blocks
-    pos: Mapping[int, tuple[int, int]]  # mask bit -> grid block it multiplies
+    pos: Mapping[int, tuple[int, int]]  # mask bit -> grid block it multiplies, in bit order
 
 
 def _layout(placed: Mapping[Quadrant, tuple[int, int]]) -> _Layout:
@@ -754,61 +754,30 @@ def _run_batch(
     return BlockBatch(*(row.reshape(shape) for row in out))
 
 
-class _Partition(NamedTuple):
-    """The blocks one power pattern switches on, and the report sets it implies."""
-
-    ids: tuple[ModuleId, ...]       # powered grid blocks, lowest mask bit first
-    shifts: tuple[tuple[int, int], ...]  # their operand groups' offsets 4*row, 4*col
-    active: frozenset[ModuleId]     # the same blocks as a set
-    gated: frozenset[ModuleId]      # every other block of the layout, spares included
-
-
-@functools.cache
-def _partition(layout: _Layout, mask: int) -> _Partition:
-    """The partition of ``layout``'s blocks for the powered grid blocks ``mask``.
-
-    ``mask`` is an energised mask with no spare in use. It depends only on
-    which operand groups are powered, never on operand values, faults or
-    repairs: each operand has 12 power patterns (1-3 groups of the low half
-    on, 0-3 of the high half), so there are at most 144 masks for mul24 and
-    9 for mul12.
-    """
-    bits = [k for k in range(len(BLOCK_IDS)) if mask >> k & 1]
-    ids = tuple(BLOCK_IDS[k] for k in bits)
-    shifts = tuple((4 * r, 4 * c) for r, c in map(layout.pos.get, bits))
-    active = frozenset(ids)
-    return _Partition(ids, shifts, active, layout.ids - active)
-
-
 def _report(layout: _Layout, mask: int, repaired: tuple, x: int, y: int) -> dict:
     """The ActivityReport fields of one scalar call, from its power-pattern mask.
 
-    ``mask`` is the call's power pattern with no spare in use. Its partition
-    (:func:`_partition`) gives the powered block ids, their operand group
-    offsets and the active and gated sets. A call without repairs only looks
-    up the adder levels of those blocks. A repaired call also reports each
-    powered target under its spare and works out its disabled and gated
-    sets, for at most four quadrants.
+    ``mask`` is the call's power pattern with no spare in use. Its set bits,
+    walked in ascending order through the layout's grid positions, give the
+    powered blocks, and each block's adder levels come from the mul4 table
+    at its operand groups. A repaired call reports each powered target under
+    its spare, the spares last, and reports a target disabled when any block
+    of its quadrant is powered. Every other block of the layout is gated.
     """
-    part = _partition(layout, mask)
     table = _mul4_tables()[1]
     levels = {
-        m: table[(y >> c & 0xF) << 4 | (x >> r & 0xF)]
-        for m, (r, c) in zip(part.ids, part.shifts)
+        BLOCK_IDS[k]: table[(y >> 4 * c & 0xF) << 4 | x >> 4 * r & 0xF]
+        for k, (r, c) in layout.pos.items()     # in mask bit order
+        if mask >> k & 1
     }
-    active, gated, disabled = part.active, part.gated, frozenset()
-    if repaired:
-        disabled = frozenset(
-            t for t, _, _ in repaired if mask & layout.quad_bits[t.quadrant]
-        )
-        for t, _, _ in repaired:        # in bit order, so the spares come last
-            if t in levels:
-                levels[SPARE_IDS[t.quadrant]] = levels.pop(t)
-        active = frozenset(levels)
-        gated = layout.ids - active - disabled
+    disabled = frozenset(t for t, _, _ in repaired if mask & layout.quad_bits[t.quadrant])
+    for t, _, _ in repaired:            # in bit order, so the spares come last
+        if t in levels:
+            levels[SPARE_IDS[t.quadrant]] = levels.pop(t)
+    active = frozenset(levels)
     return {
         "active_mul4": active,
-        "gated_mul4": gated,
+        "gated_mul4": layout.ids - active - disabled,
         "disabled_faulty": disabled,
         "adder_levels_active": levels,
     }

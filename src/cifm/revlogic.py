@@ -216,7 +216,12 @@ class RevNetlist:
         """``line_ids`` as a tuple of ints, checked by :meth:`apply`'s rule."""
         if not isinstance(gate, RevGate):
             raise ValueError(f"gate must be a RevGate, got {type(gate).__name__}")
-        lines = tuple(map(self._line, line_ids))
+        try:
+            lines = tuple(map(self._line, line_ids))
+        except TypeError:               # line_ids is not iterable
+            raise ValueError(
+                f"{gate.name} lines must be line indices, got {line_ids!r}"
+            ) from None
         if len(lines) != gate.arity or len(set(lines)) != gate.arity:
             raise ValueError(
                 f"{gate.name} touches {gate.arity} distinct lines, got {lines}"
@@ -363,13 +368,17 @@ def _compile(n: RevNetlist) -> _CompiledRev:
     Each gate gets the :func:`_forward_program` of what it knows of its
     lines. The inverse runs the gates backwards with each gate's inverse
     mapping, unfolded. Each application, one appended past ``apply``
-    included, is checked by apply's rule, so a step's rows are distinct.
+    included, is checked by apply's rule, so a step's rows are distinct; an
+    entry that is not a GateApp, or whose lines are not line indices, raises
+    ValueError too.
     """
     depth = [0] * len(n.lines)
     # line -> the constant it holds, while the forward run is known to hold one
     known = {i: l.const for i, l in enumerate(n.lines) if l.tag is LineTag.ANCILLA}
     forward, inverse = [], []
-    for app in n.gates:
+    for k, app in enumerate(n.gates):
+        if not isinstance(app, GateApp):
+            raise ValueError(f"gates[{k}] must be a GateApp, got {app!r}")
         lines = n._gate_lines(app.gate, app.lines)
         lines = app.lines if lines == app.lines else lines      # no copy of apply's tuple
         level = 1 + max(map(depth.__getitem__, lines))

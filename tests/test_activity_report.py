@@ -1,10 +1,11 @@
 """Scalar activity reports against reports built here from the batch masks.
 
-The expected report is put together without the per-pattern cache that
-``mul12``/``mul24`` use: the energised and unrepaired masks of
-``mul12_batch``/``mul24_batch`` are mapped through ``BLOCK_IDS``, each
-powered block's adder levels come from the mul4 table (through ``mul4``),
-and the gated and disabled sets follow from the report's rules.
+The expected report is put together apart from the power-pattern walk
+that ``mul12``/``mul24`` make when a report is first read: the energised
+and unrepaired masks of ``mul12_batch``/``mul24_batch`` are mapped through
+``BLOCK_IDS``, each powered block's adder levels come from the mul4 table
+(through ``mul4``), and the gated and disabled sets follow from the
+report's rules.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
+from cifm.fp32 import fp_mul
 from cifm.multiplier import (
     BLOCK_IDS,
     GRID_IDS,
@@ -23,7 +25,6 @@ from cifm.multiplier import (
     FaultSpec,
     Quadrant,
     RepairConfig,
-    _partition,
     mul4,
     mul12,
     mul12_batch,
@@ -161,26 +162,29 @@ def _pattern_operand(low_groups: int, high_groups: int) -> int:
     return high << 12 | 1 << 4 * (low_groups - 1)
 
 
-def test_partition_cache_holds_one_entry_per_power_pattern():
-    _partition.cache_clear()
+def test_a_report_builds_nothing_until_one_read_fills_every_field():
     operands = [_pattern_operand(lo, hi) for lo in (1, 2, 3) for hi in range(4)]
-    results = []
+    reports = []
     for x, y in itertools.product(operands, repeat=2):
-        results.append(mul24(x, y, gating=False))
+        reports.append(mul24(x, y, gating=False).activity)
         for target in POSITIONS:
             repair = {target.quadrant: RepairConfig(True, target)}
-            results.append(mul24(x, y, faults=[FaultSpec(target, 0x11)], repair=repair))
+            reports.append(mul24(x, y, faults=[FaultSpec(target, 0x11)], repair=repair).activity)
     for x, y in itertools.product(operands[::4], repeat=2):
         for target in POSITIONS[27:]:
-            results.append(mul12(x, y, repair=RepairConfig(True, target)))
-    # a report that is never read looks up no partition
-    assert _partition.cache_info().currsize == 0
-    for r in results:
-        r.activity.power_proxy
-    assert _partition.cache_info().currsize == 144 + 9
-    mul24(0xFFFFFF, 0xFFFFFF).activity.power_proxy
-    mul12(0xFFF, 0xFFF, gating=False).activity.power_proxy
-    assert _partition.cache_info().currsize == 144 + 9
+            reports.append(mul12(x, y, repair=RepairConfig(True, target)).activity)
+    for x, y in itertools.product((0x3F800000, 0x40490FDB, 0x00800000), repeat=2):
+        _, trace = fp_mul(x, y)
+        assert vars(trace).keys() == {"_inputs"}
+        reports.append(trace.activity)
+    # a report that is never read holds only the inputs it was made from
+    for r in reports:
+        assert type(r).active_mul4 is vars(type(r))["active_mul4"]    # a class read
+        assert vars(r).keys() == {"_inputs"}
+    for k, r in enumerate(reports):
+        getattr(r, ("power_proxy", *REPORT_FIELDS)[k % 5])      # one read of any field
+        assert vars(r).keys() == {"_inputs", *REPORT_FIELDS}
+        assert r == ActivityReport(*(vars(r)[name] for name in REPORT_FIELDS))
 
 
 # The scalar calls build their reports on first read. The tests below read

@@ -306,6 +306,12 @@ def test_evaluate_nets_gives_int64_arrays_for_any_batch():
         assert np.array_equal(got, a + 3)
 
 
+def test_net_values_print_as_the_dict_they_stand_for():
+    nl = _ripple2().build()
+    nets = nl.evaluate_nets({"a": 2, "b": 3})
+    assert repr(nets) == f"_NetValues({dict(nets)!r})"
+
+
 def _with_first(doc: dict, key: str, value) -> dict:
     return {**doc, key: [value, *doc[key][1:]]}
 

@@ -107,6 +107,15 @@ def test_verify_times_itself_on_stderr_only():
     assert r.stdout == json.dumps(run_suite("rev-expand", 3).to_json(), indent=2) + "\n"
 
 
+def test_verify_prints_a_suites_notes_on_stderr():
+    # gating-safety always notes the power proxies of its narrow and wide pairs
+    notes = run_suite("gating-safety", 1).notes
+    assert notes
+    r = run("verify", "gating-safety", "--seed", "1")
+    assert r.returncode == 0
+    assert r.stderr.splitlines()[1:] == [f"  {note}" for note in notes]
+
+
 def test_metrics_full_adders():
     expected = {
         "fa-tsg": (1, 2, 1),

@@ -210,7 +210,8 @@ def test_bad_fault_or_repair_argument_is_value_error(width, kwargs):
         batch([1], [1], **kwargs)
 
 
-@pytest.mark.parametrize("faults", [(), []], ids=["tuple", "list"])
+@pytest.mark.parametrize("faults", [(), [], iter(()), set()],
+                         ids=["tuple", "list", "iterator", "set"])
 def test_calls_without_faults_or_repairs_share_the_plain_plan(faults):
     assert multiplier._plan24(faults, None, True) is multiplier._PLAIN
     assert multiplier._plan24(faults, {Quadrant.LL: RepairConfig()}, False) is multiplier._PLAIN
@@ -221,6 +222,25 @@ def test_calls_without_faults_or_repairs_share_the_plain_plan(faults):
             mul24(1, 1, faults, gating=gating)
         with pytest.raises(ValueError, match="gating must be a bool"):
             mul12(1, 1, faults, gating=gating)
+
+
+@pytest.mark.parametrize("width", [24, 12])
+def test_a_generator_of_faults_gives_what_the_list_gives(width):
+    if width == 24:
+        scalar, batch, repairs = mul24, mul24_batch, [None, {Quadrant.LL: repair_of(LL00)}]
+        faults = [FaultSpec(LL00, 0x5A), FaultSpec(GRID_IDS[Quadrant.HL][(1, 2)], 0x11)]
+        a, b = [0xABCDEF, 0x000FFF, 0xFFF001, 0], [0xFEDCBA, 0x000FFF, 0x123456, 5]
+    else:
+        scalar, batch, repairs = mul12, mul12_batch, [RepairConfig(), repair_of(LL00)]
+        faults = [FaultSpec(LL00, 0x5A), FaultSpec(LL22, 0x11)]
+        a, b = [0xABC, 0xFFF, 0x001, 0], [0xDEF, 0xFFF, 0x456, 5]
+    for repair in repairs:
+        got = batch(a, b, (f for f in faults), repair)
+        assert all(map(np.array_equal, got, batch(a, b, faults, repair)))
+        for x, y in zip(a, b):
+            result, want = scalar(x, y, (f for f in faults), repair), scalar(x, y, faults, repair)
+            assert result == want
+            assert result.activity.to_json() == want.activity.to_json()
 
 
 def test_activity_json_hands_out_fresh_dicts():

@@ -97,6 +97,17 @@ def test_every_exported_name_resolves():
         *(importlib.import_module(f"cifm.{s}").__all__ for s in sources))
 
 
+@pytest.mark.parametrize("name", ["fp32", "softfloat", "revlogic", "verify"])
+def test_a_lazy_module_loads_by_name(name, monkeypatch):
+    import cifm
+
+    module = importlib.import_module(f"cifm.{name}")
+    # without the attribute that importing it left, cifm.__getattr__ resolves the name
+    monkeypatch.delattr(cifm, name)
+    assert name not in vars(cifm)
+    assert getattr(cifm, name) is module
+
+
 def test_test_oracles_are_not_in_the_library():
     # the width classifier is a test oracle (tests/width_oracle.py): the
     # library keeps one classifier per rule

@@ -491,6 +491,46 @@ def test_a_hand_appended_application_is_checked(bad, circuit):
         assert str(got.value) == str(raised.value)
 
 
+@pytest.mark.parametrize("entry", ["tuple", "int_lines", "no_lines"])
+def test_a_hand_appended_entry_of_the_wrong_type_is_value_error(entry):
+    """An entry of ``gates`` that is not a GateApp, or whose lines are not
+    line indices, makes every call that compiles raise a ValueError that
+    names it, never an AttributeError or a TypeError."""
+    n = expand(export_netlist("mul4"))
+    feynman = gate_library()["FEYNMAN"]
+    bad = {"tuple": (feynman, (0, 1)),
+           "int_lines": GateApp(feynman, 5),
+           "no_lines": GateApp(feynman, None)}[entry]
+    n.gates.append(bad)
+    size = len(n.lines)
+    names = {l.name for l in n.lines if l.name is not None}
+    calls = [lambda: simulate(n, dict.fromkeys(names, 1)),
+             lambda: simulate(n, dict.fromkeys(names, np.array([0, 1]))),
+             lambda: simulate_inverse(n, [0] * size),
+             lambda: simulate_inverse(n, np.zeros((size, 2), dtype=np.uint8)),
+             lambda: metrics_of(n)]
+    want = (f"gates[{len(n.gates) - 1}] must be a GateApp, got {bad!r}" if entry == "tuple"
+            else f"FEYNMAN lines must be line indices, got {bad.lines!r}")
+    for call in calls:
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == want
+
+
+def test_a_hand_appended_cell_of_the_wrong_type_is_value_error():
+    template = export_netlist("mul4")
+    nl = CellNetlist(list(template.inputs), list(template.cells), list(template.outputs))
+    bad = ("AND", ("a0", "b0"), ("x",))
+    nl.cells.append(bad)
+    want = f"cell {len(nl.cells) - 1} must be a Cell, got {bad!r}"
+    for call in (nl.validate, lambda: nl.evaluate({"a": 3, "b": 5}),
+                 lambda: nl.evaluate({"a": np.array([3, 1]), "b": np.array([5, 2])}),
+                 lambda: expand(nl)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == want
+
+
 def test_cells_that_read_one_net_twice():
     b = NetlistBuilder()
     x, y = b.input_bus("a", 2)
