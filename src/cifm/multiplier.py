@@ -17,9 +17,9 @@ the faulty block itself is powered off.
 Every 4x4 block is simulated bit-accurately through a fixed three-level
 cell netlist (16 AND cells feeding two parallel adder chains, then a
 low/high merge, then final carry resolution). The netlist's truth table
-for all 256 operand pairs is computed once, by one run of the compiled
-netlist on Python-int bit planes of 256 vectors, and every block product
-is a lookup in it.
+for all 256 operand pairs is computed once, by evaluating its cells in
+order on Python-int bit planes of the 256 pairs, not by the compiled
+engine, and every block product is a lookup in it.
 
 One numpy engine evaluates the quadrant and top levels for a batch of
 operand pairs (:func:`mul24_batch`, :func:`mul12_batch`). It works per
@@ -55,8 +55,9 @@ matches faults and repairs by their mask bits.
 The call's :class:`ActivityReport` keeps its power-pattern mask, repairs and
 operands, and is built on first read by walking the mask's powered blocks;
 a report never read builds nothing. The scalar calls, :func:`mul4`, the
-netlists and the cost model never load numpy; the batch functions import it
-when called.
+netlists and the cost model never load numpy, and the block datapath,
+batches included, never loads the plan engine, :mod:`cifm._plans`; the
+batch functions import numpy when called.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import lshift
+from operator import lshift, or_
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -77,10 +78,10 @@ from .bitcore import (
     CellKind,
     CellNetlist,
     NetlistBuilder,
+    _CELL_FUNCTIONS,
     as_flag,
     as_int,
     deferred_record,
-    run_planes,
     uint_rows,
     uint_value,
 )
@@ -343,33 +344,24 @@ def _build_mul4(
 
 
 # Truth tables of the 4x4 netlist: product and active adder levels for all
-# 256 operand pairs (index b << 4 | a), derived by one run of the compiled
-# netlist on Python-int bit planes, vector v holding pair v.
+# 256 operand pairs (index b << 4 | a), from its cells' functions on bit
+# planes, vector v holding pair v: mul4-exhaustive checks the engine by them.
 @functools.cache
 def _mul4_tables() -> tuple[list[int], list[int]]:
     nl = export_netlist("mul4")
-    plan, nets, outputs = nl._compiled()
     pairs = range(1 << 8)
     operands = ([v & 0xF for v in pairs], [v >> 4 for v in pairs])   # buses a, b
-    planes = [
-        sum(1 << v for v in pairs if operands[src][v] >> shift & 1)
-        for src, shift in zip(plan.load_src, plan.load_shift)
-    ]
-    state = run_planes(plan, planes, len(pairs))
-    product = [0] * len(pairs)
-    for k, row in enumerate(outputs):
-        plane = state[row]
-        for v in pairs:
-            product[v] |= (plane >> v & 1) << k
-    levels = [0] * len(pairs)
-    for lvl in (1, 2, 3):
-        seen = 0
-        for cell in nl.cells:
-            if cell.level == lvl and cell.kind in (CellKind.HA, CellKind.FA):
-                for net in cell.inputs:
-                    seen |= state[nets[net]]
-        for v in pairs:
-            levels[v] += seen >> v & 1
+    plane = {net: sum(1 << v for v in pairs if x[v] >> k & 1)
+             for (_, nets), x in zip(nl.inputs, operands) for k, net in enumerate(nets)}
+    seen = [0] * 4          # per adder level: the pairs with a nonzero HA/FA input
+    for cell in nl.cells:
+        ins = [plane[net] for net in cell.inputs]
+        plane.update(zip(cell.outputs, _CELL_FUNCTIONS[cell.kind](*ins)))
+        if cell.kind is not CellKind.AND:
+            seen[cell.level] |= functools.reduce(or_, ins)
+    product = [sum((plane[net] >> v & 1) << k for k, (_, net) in enumerate(nl.outputs))
+               for v in pairs]
+    levels = [sum(seen[lvl] >> v & 1 for lvl in (1, 2, 3)) for v in pairs]
     return product, levels
 
 

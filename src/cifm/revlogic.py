@@ -20,7 +20,7 @@ is built from:
 Toffoli per AND, NG per HA, TSG per FA, and a Feynman copy per extra
 consumer of a net. Simulation accepts ints or numpy arrays per input line,
 so exhaustive and bulk random equivalence sweeps stay fast: the circuit
-runs on the bit-plane engine in :mod:`cifm.bitcore`. Each gate application
+runs on the bit-plane engine in :mod:`cifm._plans`. Each gate application
 is one step, a factored AND/XOR program of its mapping on its lines (or of
 the inverse mapping, with the gates in reverse order), and each direction's
 steps become generated Python on that direction's first run. The forward
@@ -31,7 +31,7 @@ lines, so ``expand``'s gates onto fresh 0-ancillas become their adders
 copy: one assignment) and writes only the lines a gate changes. The
 inverse plan knows nothing of its input, any final state, and folds
 nothing. Its collector,
-:func:`cifm.bitcore.run_rows`, checks the line values and returns them all.
+:func:`cifm._plans.run_rows`, checks the line values and returns them all.
 Batch results are read-only uint8 arrays that keep the bit planes they were
 decoded from, so :func:`simulate_inverse` of a :func:`simulate` batch's own
 ``line_values`` loads those planes and neither checks nor packs the lines.
@@ -52,18 +52,8 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .bitcore import (
-    CellKind,
-    CellNetlist,
-    Plan,
-    as_int,
-    cached,
-    element_program,
-    named_values,
-    run_rows,
-    truth_table,
-    uint_value,
-)
+from ._plans import Plan, element_program, run_rows
+from .bitcore import CellKind, CellNetlist, as_int, cached, named_values, truth_table, uint_value
 
 __all__ = [
     "RevGate",
@@ -228,6 +218,15 @@ class RevNetlist:
             )
         return lines
 
+    def _applications(self):
+        """``(gate, lines)`` per entry of ``gates``, in order, each checked by
+        :meth:`apply`'s rule; ValueError for an entry that is not a GateApp."""
+        for k, app in enumerate(self.gates):
+            if not isinstance(app, GateApp):
+                raise ValueError(f"gates[{k}] must be a GateApp, got {app!r}")
+            lines = self._gate_lines(app.gate, app.lines)
+            yield app.gate, app.lines if lines == app.lines else lines  # apply's tuple, not a copy
+
     def set_output(self, line: int, name: str) -> None:
         if not isinstance(name, str):
             raise ValueError(f"output name must be a str, got {name!r}")
@@ -254,6 +253,7 @@ class RevNetlist:
         )
 
     def to_json(self) -> dict:
+        """JSON-ready form; ValueError as :meth:`_applications` raises."""
         lines = []
         for l in self.lines:
             if l.tag is LineTag.PRIMARY_INPUT:
@@ -263,8 +263,8 @@ class RevNetlist:
         return {
             "lines": lines,
             "gates": [
-                {"name": g.gate.name, "lines": list(g.lines), "ordinal": i}
-                for i, g in enumerate(self.gates)
+                {"name": gate.name, "lines": list(lines), "ordinal": i}
+                for i, (gate, lines) in enumerate(self._applications())
             ],
             "output_roles": [
                 {"line": i, "role": role.value, "name": name}
@@ -368,30 +368,25 @@ def _compile(n: RevNetlist) -> _CompiledRev:
     Each gate gets the :func:`_forward_program` of what it knows of its
     lines. The inverse runs the gates backwards with each gate's inverse
     mapping, unfolded. Each application, one appended past ``apply``
-    included, is checked by apply's rule, so a step's rows are distinct; an
-    entry that is not a GateApp, or whose lines are not line indices, raises
-    ValueError too.
+    included, is checked by :meth:`RevNetlist._applications`, so a step's
+    rows are distinct.
     """
     depth = [0] * len(n.lines)
     # line -> the constant it holds, while the forward run is known to hold one
     known = {i: l.const for i, l in enumerate(n.lines) if l.tag is LineTag.ANCILLA}
     forward, inverse = [], []
-    for k, app in enumerate(n.gates):
-        if not isinstance(app, GateApp):
-            raise ValueError(f"gates[{k}] must be a GateApp, got {app!r}")
-        lines = n._gate_lines(app.gate, app.lines)
-        lines = app.lines if lines == app.lines else lines      # no copy of apply's tuple
+    for gate, lines in n._applications():
         level = 1 + max(map(depth.__getitem__, lines))
         for l in lines:
             depth[l] = level
-        program = _forward_program(app.gate, tuple(map(known.get, lines)))
+        program = _forward_program(gate, tuple(map(known.get, lines)))
         for k, invert, regs in program[2]:
             if regs:
                 known.pop(lines[k], None)
             else:
                 known[lines[k]] = int(invert)
         forward.append((program, lines))
-        inverse.append((_inverse_program(app.gate), lines))
+        inverse.append((_inverse_program(gate), lines))
     inverse.reverse()
 
     inputs = [(i, l.name) for i, l in enumerate(n.lines) if l.tag is LineTag.PRIMARY_INPUT]

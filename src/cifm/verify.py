@@ -79,8 +79,8 @@ def _mul4_index_space() -> tuple[np.ndarray, np.ndarray]:
 def suite_mul4_exhaustive(seed: int = 0) -> SuiteResult:
     """Every pair of 4-bit operands against native multiplication.
 
-    Checks both the gate-level netlist evaluation and the table-driven
-    fast path mul4 actually runs on.
+    Checks both the compiled engine's evaluation of the gate-level netlist
+    and the table mul4 reads, made from the cells' functions without it.
     """
     a, b = _mul4_index_space()
     want = a * b

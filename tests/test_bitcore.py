@@ -371,6 +371,12 @@ ODD_INPUTS = {
     "gate-mapping-numpy": (lambda: _not_gate_on_one(RevGate("NOT", 1, np.array([1, 0]))), None),
     "builder-cell-str": (lambda: NetlistBuilder().cell(CellKind.AND, "n0"), "iterable of net"),
     "builder-cell-list": (lambda: NetlistBuilder().cell(CellKind.AND, ["a", "b"]), None),
+    "builder-cell-none": (lambda: NetlistBuilder().cell(CellKind.AND, None),
+                          "ins must be an iterable of net names, got None"),
+    "builder-cell-int": (lambda: NetlistBuilder().cell(CellKind.AND, 5),
+                         "ins must be an iterable of net names, got 5"),
+    "builder-outputs-none": (lambda: NetlistBuilder().set_outputs("p", None),
+                             "nets must be an iterable of net names, got None"),
     "netlist-bus-repeated": (
         lambda: CellNetlist(inputs=[("a", ["n0"]), ("a", ["n1"])]).validate(), "bus name a repeats"),
     "netlist-bus-int": (lambda: CellNetlist(inputs=[(3, ["n0"])]).validate(), "must be a str"),

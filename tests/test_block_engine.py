@@ -6,6 +6,7 @@ against the scalar ``classify_width`` in ``width_oracle``.
 """
 
 import itertools
+import json
 import subprocess
 import sys
 
@@ -225,6 +226,50 @@ def test_import_builds_no_table():
                          timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["0", "0", "0", "0", "0"]
+
+
+# Block-level work, run in a fresh interpreter: every scalar and batch entry
+# point, with a fault and a repair, the netlists' documents, and the block
+# commands in-process; then the first netlist evaluation.
+BLOCK_WORK = """
+import contextlib, io, json, sys
+import numpy as np
+from cifm import (GRID_IDS, FaultSpec, Quadrant, RepairConfig, export_netlist, fp_mul,
+                  fp_mul_batch, mul4, mul12, mul12_batch, mul24, mul24_batch)
+from cifm.cli import main
+
+target = GRID_IDS[Quadrant.LL][(1, 2)]
+faults = [FaultSpec(target, 0xA5)]
+repair = {Quadrant.LL: RepairConfig(True, target)}
+mul4(0xF, 0xD)
+for args in ((), (faults,), (faults, RepairConfig(True, target))):
+    mul12(0xABC, 0x987, *args).activity.power_proxy
+    mul12_batch(np.array([0xABC]), np.array([0x987]), *args)
+for args in ((), (faults,), (faults, repair)):
+    mul24(0xABCDEF, 0x987654, *args).activity.to_json()
+    mul24_batch(np.array([0xABCDEF]), np.array([0x987654]), *args)
+    fp_mul(0x3FC00000, 0x40490FDB, *args)
+    fp_mul_batch(np.array([0x3FC00000]), np.array([0x40490FDB]), *args)
+for level in ("mul4", "mul12", "mul24"):
+    json.dumps(export_netlist(level).to_json())
+for args in (["mul", "0x123", "0x456", "--report"], ["report", "0x123456", "0xFEDCBA"],
+             ["fpmul", "0x3FC00000", "0x40200000", "--trace"], ["netlist", "mul24"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+before = "cifm._plans" in sys.modules
+export_netlist("mul4").evaluate({"a": 3, "b": 5})
+from cifm._plans import anf_program
+print(json.dumps([before, anf_program.cache_info().misses]))
+"""
+
+
+def test_block_level_work_never_loads_the_engine():
+    out = subprocess.run([sys.executable, "-c", BLOCK_WORK], capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    # the first evaluation factors the mul4 netlist's three cell kinds, and
+    # nothing before it had factored any
+    assert json.loads(out.stdout) == [False, 3]
 
 
 def test_scalar_calls_read_one_record_per_layout():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cifm.bitcore import BitVec
+from cifm import multiplier
+from cifm.bitcore import BitVec, CellKind
 from cifm.multiplier import export_netlist, mul4
 
 
@@ -56,3 +57,21 @@ def test_netlist_matches_native_on_full_index_space():
     idx = np.arange(1 << 8, dtype=np.int64)
     a, b = idx & 0xF, idx >> 4
     assert np.array_equal(net.evaluate({"a": a, "b": b}), a * b)
+
+
+def test_the_block_tables_agree_with_the_engine():
+    """The tables mul4 reads come from the cells' functions, not from the
+    compiled engine: for every pair, the engine's product and, per adder
+    level, the OR of that level's HA/FA input nets give the same values."""
+    net = export_netlist("mul4")
+    idx = np.arange(1 << 8, dtype=np.int64)
+    ops = {"a": idx & 0xF, "b": idx >> 4}
+    product, levels = multiplier._mul4_tables()
+    assert net.evaluate(ops).tolist() == product
+    nets = net.evaluate_nets(ops)
+    active = np.zeros(1 << 8, dtype=np.int64)
+    for level in (1, 2, 3):
+        reads = [nets[n] for c in net.cells if c.level == level and c.kind is not CellKind.AND
+                 for n in c.inputs]
+        active += np.bitwise_or.reduce(reads)
+    assert active.tolist() == levels

@@ -1,7 +1,7 @@
 """Every step program the engine generates, run on every input pattern.
 
 A step's program is the factored AND/XOR form of a truth table
-(``bitcore.anf_program``); a reversible gate's forward program is also
+(``_plans.anf_program``); a reversible gate's forward program is also
 folded where some of its lines are known to hold a constant. Each test
 below writes the program out as the engine does, runs it once on bit planes
 that hold every input pattern, one vector per pattern, and compares each
@@ -14,15 +14,8 @@ import random
 
 import pytest
 
-from cifm.bitcore import (
-    CellKind,
-    Plan,
-    _cell_program,
-    anf_program,
-    element_program,
-    run_planes,
-    truth_table,
-)
+from cifm._plans import Plan, anf_program, element_program, run_planes
+from cifm.bitcore import CellKind, _cell_program, truth_table
 from cifm.revlogic import _forward_program, _inverse_program, gate_library
 
 CELL_FUNCTIONS = {

@@ -13,17 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from cifm import bitcore
-from cifm.bitcore import (
-    CHUNK_VECTORS,
-    SEGMENT_STEPS,
-    Cell,
-    CellKind,
-    CellNetlist,
-    NetlistBuilder,
-    _from_planes,
-    _to_planes,
-)
+from cifm import _plans, bitcore
+from cifm._plans import SEGMENT_STEPS, _from_planes, _to_planes
+from cifm.bitcore import CHUNK_VECTORS, Cell, CellKind, CellNetlist, NetlistBuilder
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
     GateApp,
@@ -290,6 +282,7 @@ def test_numpy_integer_scalars_are_a_batch_of_one(kinds, monkeypatch):
     want_fwd = simulate(n, {"x0": 1, "x1": 0, "x2": 1})
     want_back = simulate_inverse(n, want_fwd.line_values)
     monkeypatch.setattr(bitcore, "uint_rows", _no_arrays)
+    monkeypatch.setattr(_plans, "uint_rows", _no_arrays)
 
     def mixed(values):
         return [kinds[k % 2](v) for k, v in enumerate(values)]
@@ -531,6 +524,32 @@ def test_a_hand_appended_cell_of_the_wrong_type_is_value_error():
         assert str(got.value) == want
 
 
+@pytest.mark.parametrize("entry", ["tuple", "int_lines", "repeated_lines"])
+def test_to_json_raises_the_compiles_error_for_a_hand_appended_entry(entry):
+    """to_json writes no entry that every compile, and so from_json,
+    refuses: it raises the compile's own ValueError."""
+    n = expand(export_netlist("mul4"))
+    feynman = gate_library()["FEYNMAN"]
+    n.gates.append({"tuple": (feynman, (0, 1)), "int_lines": GateApp(feynman, 5),
+                    "repeated_lines": GateApp(feynman, (0, 0))}[entry])
+    with pytest.raises(ValueError) as compiled:
+        metrics_of(n)
+    with pytest.raises(ValueError) as written:
+        n.to_json()
+    assert str(written.value) == str(compiled.value)
+
+
+def test_cell_to_json_raises_the_compiles_error_for_a_hand_appended_cell():
+    template = export_netlist("mul4")
+    nl = CellNetlist(list(template.inputs), list(template.cells), list(template.outputs))
+    nl.cells.append(("AND", ("a0", "b0"), ("x",)))
+    with pytest.raises(ValueError) as compiled:
+        nl.evaluate({"a": 3, "b": 5})
+    with pytest.raises(ValueError) as written:
+        nl.to_json()
+    assert str(written.value) == str(compiled.value)
+
+
 def test_cells_that_read_one_net_twice():
     b = NetlistBuilder()
     x, y = b.input_bus("a", 2)
@@ -733,13 +752,13 @@ def test_inverse_takes_one_array_or_rows():
 def _count_packs(monkeypatch) -> list:
     """Monkeypatch ``_to_planes`` to count its calls, in the list returned."""
     calls = []
-    real = bitcore._to_planes
+    real = _plans._to_planes
 
     def counted(bits):
         calls.append(bits.shape)
         return real(bits)
 
-    monkeypatch.setattr(bitcore, "_to_planes", counted)
+    monkeypatch.setattr(_plans, "_to_planes", counted)
     return calls
 
 
@@ -825,7 +844,7 @@ def test_a_plan_that_loads_rows_out_of_order_packs_them(monkeypatch):
         n.add_input(name)
     plan = _compiled(n).forward             # operand 0 loads rows 0 and 2
     calls = _count_packs(monkeypatch)
-    got = bitcore.run_rows(plan, lines, [1, 1], "line {}".format)
+    got = _plans.run_rows(plan, lines, [1, 1], "line {}".format)
     assert calls == [(3, 2)] and got.tolist() == [[1, 0], [0, 1], [1, 0]]
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from cifm import bitcore, verify
+from cifm import _plans, verify
 from cifm.multiplier import BlockBatch
 from cifm.softfloat import softfloat_mul
 
@@ -293,7 +293,7 @@ FLIP = 0x25     # the vector whose values the broken runner inverts
 
 def _break_the_runner(monkeypatch):
     """Invert every value the netlist runner reads out for vector FLIP."""
-    real = bitcore.run_kernels
+    real = _plans.run_kernels
 
     def flipped(plan, values, read):
         for lo, hi, planes in real(plan, values, read):
@@ -301,7 +301,7 @@ def _break_the_runner(monkeypatch):
                 planes = [plane ^ 1 << FLIP - lo for plane in planes]
             yield lo, hi, planes
 
-    monkeypatch.setattr(bitcore, "run_kernels", flipped)
+    monkeypatch.setattr(_plans, "run_kernels", flipped)
 
 
 def test_mul4_exhaustive_names_failing_inputs(monkeypatch):
