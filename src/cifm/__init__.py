@@ -55,6 +55,7 @@ SUITE_NAMES = (
     "rev-roundtrip",
     "rev-expand",
     "repair-all",
+    "fault-values",
 )
 
 

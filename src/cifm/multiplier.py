@@ -33,13 +33,14 @@ table, built from the width checkers' rule, maps how many groups of each
 12-bit half are powered to the pair's 40-bit mask of powered blocks, bit k
 standing for ``BLOCK_IDS[k]``; a repaired block's bit moves to its
 quadrant's spare, which computes the true product. The call's fault and
-repair plan is validated once, before any operand is looked at. Only a
-call with a live, unrepaired fault sums per quadrant: each such fault that
-is powered adds its forced value minus the true block product to its
-quadrant, which wraps modulo 2**24. Besides the products and the powered
-mask, the engine returns per pair the mask of the faulty blocks that drove
-their forced value. Batches run in chunks of
-:data:`CHUNK` pairs, which bounds the temporaries. The tables are built on
+repair plan is validated once, before the engine runs. Only a plan with a
+live, unrepaired fault sums per quadrant: each such fault that is powered
+adds its forced value minus the true block product to its quadrant, which
+wraps modulo 2**24. Besides the products and the powered mask, the engine
+returns per pair the mask of the faulty blocks that drove their forced
+value. Batches run in chunks of :data:`CHUNK` pairs, which bounds the
+temporaries. A pass serves any number of plans on one operand set, each
+adding only its own repair swap and fault corrections. The tables are built on
 first use, never at import, in pure Python as ``array`` buffers; the engine
 wraps the same buffers with ``np.frombuffer``, without a copy.
 
@@ -68,7 +69,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import lshift, or_
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -365,16 +366,6 @@ def _mul4_tables() -> tuple[list[int], list[int]]:
     return product, levels
 
 
-def _operands(a, b, width: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Equal-shape ``width``-bit operands as one int64 stack [2 x vectors],
-    with their shape, or ValueError."""
-    import numpy as np
-
-    if np.shape(a) != np.shape(b):
-        raise ValueError(f"a and b differ in shape: {np.shape(a)} vs {np.shape(b)}")
-    return uint_rows((a, b), (width, width), "ab".__getitem__)
-
-
 def mul4(a: BitVec | int, b: BitVec | int) -> MulResult:
     """Multiply two 4-bit operands through the block netlist's truth table.
 
@@ -572,7 +563,9 @@ def _tables(layout: _Layout) -> _Tables:
 
 
 class _Engine(NamedTuple):
-    """One layout's tables and weights as numpy arrays, for :func:`_blocks`."""
+    """One layout's tables and weights as numpy arrays, for :func:`_blocks`.
+    The weights are float64, so the sums run in BLAS, exactly: every partial
+    sum is an integer below 2**50."""
 
     sums: np.ndarray            # views of the layout's :func:`_tables` buffers
     counts: np.ndarray
@@ -599,9 +592,9 @@ def _engine(layout: _Layout) -> _Engine:
         masks=np.frombuffer(t.masks, dtype=np.int64),
         half_shift=12 * h[:, None],
         group_up=np.array([[12], [8], [4]]),
-        row_weight=(1 << 4 * r[:, None] + 12 * h[None, :]).ravel(),
-        quad_row_weight=np.array([1, 1 << 4, 1 << 8]),
-        quad_weight=(1 << 12 * (h[:, None] + h[None, :])).ravel(),
+        row_weight=2.0 ** (4 * r[:, None] + 12 * h[None, :]).ravel(),
+        quad_row_weight=np.array([1.0, 2.0 ** 4, 2.0 ** 8]),
+        quad_weight=2.0 ** (12 * (h[:, None] + h[None, :])).ravel(),
         pattern_weight=4 ** np.arange(2 * layout.halves),
     )
 
@@ -693,57 +686,79 @@ def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig, gating: bool) -> 
 
 
 def _blocks(
-    layout: _Layout, plan: _Plan, ab: np.ndarray, gating: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One engine pass over a (2, n) array of operand pairs.
+    layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, gating: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One engine pass over a (2, n) array of operand pairs, for all ``plans``.
 
-    Returns products, energised and unrepaired masks. One gather of the
-    row-sum table gives every (a group, b half) row of blocks, and one of
-    the power-pattern table the energised masks. A gated block's operand
-    group is zero, so its product is zero and the row sums need no gating.
-    Each powered repaired target hands its mask bit to its spare, which
-    computes the true product. Each live fault that is powered adds its
-    forced value minus the true block product to its quadrant, which then
-    sums modulo 2**24; without one, no quadrant can wrap.
+    Yields each plan's products, energised and unrepaired masks, its own
+    arrays. One gather of the row-sum table gives every (a group, b half)
+    row of blocks, and one of the power-pattern table the energised masks.
+    A gated block's operand group is zero, so its product is zero and the
+    row sums need no gating. Each powered repaired target hands its mask bit
+    to its spare, which computes the true product. Each live fault that is
+    powered adds its forced value minus the true block product to its
+    quadrant, which then sums modulo 2**24; without one, no quadrant can
+    wrap. Only the repair swaps and fault corrections are made per plan.
     """
     import numpy as np
 
     e = _engine(layout)
     n = ab.shape[1]
+    h = layout.halves
     halves = ab[:, None, :] >> e.half_shift & 0xFFF                  # (2, h, n)
     rows = halves[0][:, None, :] << e.group_up & 0xF000              # (h, 3, n)
     index = rows.reshape(-1, 1, n) | halves[1]                       # (g, h, n)
     sums = e.sums.take(index)
     if gating:
-        energised = e.masks.take(e.pattern_weight @ e.counts.take(halves).reshape(-1, n))
+        powered = e.masks.take(e.pattern_weight @ e.counts.take(halves).reshape(-1, n))
     else:
-        energised = np.full(n, e.masks[-1])
-    for _, target, spare in plan.repaired:
-        energised ^= (energised >> target & 1) * (1 << target | 1 << spare)
-    if not plan.faults:
-        products = e.row_weight @ sums.reshape(-1, n)
-        return products, energised, energised & plan.fault_bits
-    h = layout.halves
-    quads = (e.quad_row_weight @ sums.reshape(h, 3, h * n)).reshape(h * h, n)
-    for f in plan.faults:
-        # the row sum of a group r and b group j alone is the true block product
-        # at weight 4*j; in int32, as every value here is below 256 << 16
-        wrong = f.forced - (e.sums.take(index[f.row, f.half] & f.keep) << f.shift)
-        quads[f.quad] += wrong * (energised >> f.bit & 1)
-    products = e.quad_weight @ (quads & 0xFFFFFF) & _MASK48
-    return products, energised, energised & plan.fault_bits
+        powered = np.full(n, e.masks[-1])
+    plain = quads = None
+    last = len(plans) - 1
+    for k, plan in enumerate(plans):
+        # later plans read the shared arrays again: only the last may keep them
+        energised = powered.copy() if k < last else powered
+        for _, target, spare in plan.repaired:
+            energised ^= (energised >> target & 1) * (1 << target | 1 << spare)
+        if not plan.faults:
+            if plain is None:
+                plain = (e.row_weight @ sums.reshape(-1, n)).astype(np.int64)
+            yield plain.copy() if k < last else plain, energised, energised & plan.fault_bits
+            continue
+        if quads is None:
+            quads = (e.quad_row_weight @ sums.reshape(h, 3, h * n)).astype(np.int64)
+            quads = quads.reshape(h * h, n)
+        faulty = quads.copy() if k < last else quads
+        for f in plan.faults:
+            # the row sum of a group r and b group j alone is the true block product
+            # at weight 4*j; in int32, as every value here is below 256 << 16
+            wrong = f.forced - (e.sums.take(index[f.row, f.half] & f.keep) << f.shift)
+            faulty[f.quad] += wrong * (energised >> f.bit & 1)
+        products = (e.quad_weight @ (faulty & 0xFFFFFF)).astype(np.int64) & _MASK48
+        yield products, energised, energised & plan.fault_bits
 
 
 def _run_batch(
-    layout: _Layout, plan: _Plan, ab: np.ndarray, shape: tuple[int, ...], gating: bool
-) -> BlockBatch:
+    layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, shape: tuple[int, ...],
+    gating: bool,
+) -> Iterator[BlockBatch]:
+    """Each plan's BlockBatch, from :func:`_blocks` run chunk by chunk. A
+    one-chunk call yields each batch as it is made; a longer one fills one
+    array for all plans first."""
     import numpy as np
 
-    out = np.empty((3, ab.shape[1]), dtype=np.int64)
-    for lo in range(0, ab.shape[1], CHUNK):
+    n = ab.shape[1]
+    if 0 < n <= CHUNK:
+        for result in _blocks(layout, plans, ab, gating):
+            yield BlockBatch(*(row.reshape(shape) for row in result))
+        return
+    out = np.empty((len(plans), 3, n), dtype=np.int64)
+    for lo in range(0, n, CHUNK):
         chunk = slice(lo, lo + CHUNK)
-        out[:, chunk] = _blocks(layout, plan, ab[:, chunk], gating)
-    return BlockBatch(*(row.reshape(shape) for row in out))
+        for k, result in enumerate(_blocks(layout, plans, ab[:, chunk], gating)):
+            out[k, :, chunk] = result
+    for rows in out:
+        yield BlockBatch(*(row.reshape(shape) for row in rows))
 
 
 def _report(layout: _Layout, mask: int, repaired: tuple, x: int, y: int) -> dict:
@@ -831,6 +846,25 @@ def _run_scalar(
 # 12x12 quadrant module and 24x24 top level
 # ---------------------------------------------------------------------------
 
+_DATAPATHS = {12: (_MUL12, _plan12), 24: (_MUL24, _plan24)}     # by operand width
+
+
+def _batches(
+    width: int, a, b, setups: Iterable[tuple], gating: bool = True
+) -> Iterator[BlockBatch]:
+    """What ``mul{width}_batch`` gives for each ``(faults, repair)`` of
+    ``setups``, from one engine pass. Checks all arguments before it returns:
+    the operands must be ``width``-bit and of one shape."""
+    import numpy as np
+
+    if np.shape(a) != np.shape(b):
+        raise ValueError(f"a and b differ in shape: {np.shape(a)} vs {np.shape(b)}")
+    layout, plan = _DATAPATHS[width]
+    ab, shape = uint_rows((a, b), (width, width), "ab".__getitem__)
+    plans = [plan(faults, repair, gating) for faults, repair in setups]
+    return _run_batch(layout, plans, ab, shape, gating)
+
+
 def mul12_batch(
     a,
     b,
@@ -840,9 +874,8 @@ def mul12_batch(
     gating: bool = True,
 ) -> BlockBatch:
     """:func:`mul12` over integer arrays of 12-bit operands."""
-    ab, shape = _operands(a, b, 12)
-    plan = _plan12(faults, repair, gating)
-    return _run_batch(_MUL12, plan, ab, shape, gating)
+    (batch,) = _batches(12, a, b, [(faults, repair)], gating)
+    return batch
 
 
 def mul24_batch(
@@ -854,9 +887,8 @@ def mul24_batch(
     gating: bool = True,
 ) -> BlockBatch:
     """:func:`mul24` over integer arrays of 24-bit operands."""
-    ab, shape = _operands(a, b, 24)
-    plan = _plan24(faults, repair, gating)
-    return _run_batch(_MUL24, plan, ab, shape, gating)
+    (batch,) = _batches(24, a, b, [(faults, repair)], gating)
+    return batch
 
 
 def mul12(

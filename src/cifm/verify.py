@@ -9,9 +9,12 @@ a sweep that fails in CI fails identically at the shell.
 The block-level suites compute only what their answer depends on.
 ``fp32-oracle`` lets numpy pick its 10 000 random pairs with a normal
 product in bulk and gets their expected patterns from one call of the batch
-soft-float oracle. ``repair-all`` learns whether an unrepaired fault shows
-from a 32-pair prefix, running the rest of its 1000 pairs only when the
-prefix shows nothing.
+soft-float oracle. ``repair-all`` and ``fault-values`` run many fault plans
+on one operand set, and reach the block engine through one name,
+``_batches``: one engine pass serves all of a suite's plans on one width,
+so its gathers are made once, not once per plan. ``fault-values`` checks
+each unrepaired faulted product and mask against a closed form of the
+datapath's spec, :func:`_faulted`, which shares no code with the engine.
 
 Only ``rev-roundtrip`` and ``rev-expand`` use :mod:`cifm.revlogic`, and
 they import it when they run, so ``cifm verify`` of a block-level suite
@@ -27,10 +30,13 @@ import numpy as np
 from . import SUITE_NAMES, fp32, softfloat
 from .bitcore import as_int
 from .multiplier import (  # noqa: F401  (perfbench wraps verify.mul12 by name)
+    BLOCK_IDS,
     GRID_IDS,
     FaultSpec,
+    ModuleId,
     Quadrant,
     RepairConfig,
+    _batches,
     export_netlist,
     mul4,
     mul12,
@@ -289,38 +295,96 @@ def suite_rev_expand(seed: int = 0) -> SuiteResult:
 def suite_repair_all(seed: int = 0) -> SuiteResult:
     """Every block position: repair restores exactness, no repair shows the fault.
 
-    The repaired datapath runs on all 1000 pairs, each pair a case. The
-    unrepaired one counts one case per position, passed when any pair's
-    product differs from a*b: it runs on the first 32 pairs, and on the
-    other 968 only when those show nothing.
+    Each of the 36 positions is faulted at 0xFF, once repaired and once
+    not, and one engine pass over the 1000 pairs serves all 72 plans. The
+    repaired datapath counts each pair as a case. The unrepaired one counts
+    one case per position, passed when any pair's product differs from a*b.
     """
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, 1 << 24, size=(2, 1000))
     want = a * b
+    targets = [t for q in Quadrant for _, t in sorted(GRID_IDS[q].items())]
+    setups = []
+    for target in targets:
+        fault = [FaultSpec(target, 0xFF)]
+        setups += [(fault, {target.quadrant: RepairConfig(enabled=True, target=target)}),
+                   (fault, None)]
+    batches = _batches(24, a, b, setups)
     passed = total = 0
     notes, failures = [], []
-    for quadrant in Quadrant:
-        for position, target in sorted(GRID_IDS[quadrant].items()):
-            fault = [FaultSpec(target, 0xFF)]
-            repair = {quadrant: RepairConfig(enabled=True, target=target)}
-            r = mul24_batch(a, b, faults=fault, repair=repair)
-            ok = (r.products == want) & (r.unrepaired == 0)
-            passed += int(np.count_nonzero(ok))
-            failures += [f"{target} {note}" for note in _failures(a, b, r.products, want, ok)]
-            total += a.size + 1
-            exposed = any(
-                np.any(mul24_batch(a[s], b[s], faults=fault).products != want[s])
-                for s in _EXPOSE_SLICES
-            )
-            passed += exposed
-            if not exposed:
-                notes.append(f"fault at {target} never observable")
+    # zip draws two batches per position from the one iterator: repaired, then not
+    for target, fixed, faulty in zip(targets, batches, batches):
+        ok = (fixed.products == want) & (fixed.unrepaired == 0)
+        passed += int(np.count_nonzero(ok))
+        failures += [f"{target} {note}" for note in _failures(a, b, fixed.products, want, ok)]
+        total += a.size + 1
+        exposed = bool(np.any(faulty.products != want))
+        passed += exposed
+        if not exposed:
+            notes.append(f"fault at {target} never observable")
     return SuiteResult("repair-all", passed, total, tuple(notes + failures[:3]))
 
 
-# A forced 0xFF differs from every 4x4 product, so a fault is hidden only
-# where gating darkens its block: the short prefix almost always exposes it.
-_EXPOSE_SLICES = (slice(0, 32), slice(32, None))
+def suite_fault_values(seed: int = 0) -> SuiteResult:
+    """Unrepaired faulted products and masks against a closed form of the spec.
+
+    Every block position of mul24 (36) and of mul12 (9) is faulted alone and
+    left unrepaired, forced to 0x00, to 0xFF and to one value the seed draws
+    per position. Each fault runs on 1000 random pairs of its width, one
+    engine pass per width serving all its plans, and each pair is a case:
+    passed when both its product and its unrepaired mask equal
+    :func:`_faulted`'s. A failing case's note names the width, the block and
+    its forced value in front of the pair's products; a note whose products
+    agree is a case that failed on its unrepaired mask.
+    """
+    rng = np.random.default_rng(seed)
+    passed = total = 0
+    failures = []
+    for width, quadrants, no_repair in ((24, tuple(Quadrant), None),
+                                        (12, (Quadrant.LL,), RepairConfig())):
+        a, b = _random_pairs(rng, width, 1000)
+        targets = [t for q in quadrants for _, t in sorted(GRID_IDS[q].items())]
+        setups = [([FaultSpec(t, int(v))], no_repair) for t in targets
+                  for v in (0x00, 0xFF, rng.integers(256))]
+        for (faults, _), r in zip(setups, _batches(width, a, b, setups)):
+            (fault,) = faults
+            want, shows = _faulted(a, b, width, fault.target, fault.forced_output.value)
+            mask = shows * (1 << BLOCK_IDS.index(fault.target))
+            ok = (r.products == want) & (r.unrepaired == mask)
+            passed += int(np.count_nonzero(ok))
+            total += a.size
+            failures += [f"mul{width} {fault.target}=0x{fault.forced_output.value:02X} {note}"
+                         for note in _failures(a, b, r.products, want, ok)]
+    return SuiteResult("fault-values", passed, total, tuple(failures[:3]))
+
+
+def _faulted(
+    x: np.ndarray, y: np.ndarray, width: int, target: ModuleId, forced: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(product, fault shows) of each pair with block ``target`` stuck at ``forced``.
+
+    From the datapath's spec. Block (i, j) of a quadrant multiplies 4-bit
+    group i of the quadrant's a half by group j of its b half. A 12-bit half
+    is in width class 4, 8 or 12, the narrowest that holds it, and powers
+    the groups below its class; a high half that is zero is in class 0,
+    and its quadrants are dark. A powered faulty block drives its forced
+    value in place of its product: its quadrant sums the blocks modulo
+    2**24, and the top level sums the quadrants modulo 2**(2*width).
+    """
+    ha, hb = int(target.quadrant.a_high), int(target.quadrant.b_high)
+    i, j = target.row, target.col
+    xh, yh = x >> 12 * ha & 0xFFF, y >> 12 * hb & 0xFFF
+
+    def width_class(half, high):
+        narrowest = 4 + 4 * (half >= 1 << 4) + 4 * (half >= 1 << 8)
+        return np.where(half == 0, 0, narrowest) if high else narrowest
+
+    shows = (4 * i < width_class(xh, ha)) & (4 * j < width_class(yh, hb))
+    quad = xh * yh
+    block = (xh >> 4 * i & 0xF) * (yh >> 4 * j & 0xF)
+    faulty = (quad + ((forced - block) << 4 * (i + j))) % (1 << 24)
+    product = (x * y + ((faulty - quad) << 12 * (ha + hb))) % (1 << 2 * width)
+    return np.where(shows, product, x * y), shows
 
 
 # Each of the package's SUITE_NAMES, "x-y", runs the function suite_x_y above.

@@ -571,3 +571,86 @@ def test_faults_compose_in_mul12(gating, repaired):
                 m for n, m in enumerate(BLOCK_IDS) if mask >> n & 1
             )
     assert wraps > 0
+
+
+def random_setups(rng: np.random.Generator, width: int, count: int) -> list[tuple]:
+    """``count`` random (faults, repair) arguments of ``mul{width}_batch``.
+
+    Each has 0-3 faults at distinct blocks with random forced values. Each
+    quadrant, in turn, repairs a faulty block, a healthy one, or nothing.
+    """
+    quads = list(Quadrant) if width == 24 else [Quadrant.LL]
+    blocks = [t for q in quads for t in GRID_IDS[q].values()]
+    setups = []
+    for _ in range(count):
+        faults = [FaultSpec(blocks[k], int(rng.integers(256)))
+                  for k in rng.choice(len(blocks), size=rng.integers(4), replace=False)]
+        faulty = {f.target for f in faults}
+        targets = []
+        for q in quads:
+            healthy = [t for t in GRID_IDS[q].values() if t not in faulty]
+            kind = rng.integers(3)
+            pool = [f.target for f in faults if f.target.quadrant is q] if kind == 1 else healthy
+            if kind and pool:
+                targets.append(pool[rng.integers(len(pool))])
+        if width == 12:
+            repair = RepairConfig(bool(targets), targets[0] if targets else None)
+        else:
+            repair = {t.quadrant: RepairConfig(True, t) for t in targets} or None
+        setups.append((faults, repair))
+    return setups
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (1000,), (CHUNK,), (CHUNK + 1,), (2500,),
+                                   (20, 30), (40, 30)], ids=str)
+@pytest.mark.parametrize("width", [24, 12])
+def test_one_pass_gives_what_separate_calls_give(width, shape):
+    """Every plan of one shared engine pass equals its own mul*_batch call,
+    in products, energised and unrepaired masks, with gating on and off."""
+    rng = np.random.default_rng(width + sum(shape))
+    a, b = rng.integers(0, 1 << width, (2, *shape)) >> rng.integers(0, width + 1, (2, *shape))
+    batch = mul24_batch if width == 24 else mul12_batch
+    for gating in (True, False):
+        setups = random_setups(rng, width, 16)
+        got = list(multiplier._batches(width, a, b, setups, gating))
+        assert len(got) == len(setups)
+        for (faults, repair), r in zip(setups, got):
+            want = batch(a, b, faults, repair, gating=gating)
+            for g, w in zip(r, want):
+                assert g.dtype == np.int64 and g.shape == shape and g.flags.writeable
+                assert np.array_equal(g, w), (faults, repair, gating)
+
+
+@pytest.mark.parametrize("n", [1000, 2500])
+def test_changing_one_plans_batch_leaves_the_others_alone(n):
+    """Plans that could share the pass's arrays (no fault, no repair, or
+    only a repaired fault) each get their own: a batch overwritten as soon
+    as it comes out, before the next plan runs, changes no later batch."""
+    a, b = _operands(13, n)
+    a, b = a[:n], b[:n]
+    target = GRID_IDS[Quadrant.LH][(1, 1)]
+    fault = [FaultSpec(target, 0xFF)]
+    repaired = {Quadrant.LH: RepairConfig(True, target)}
+    healthy = {Quadrant.LH: RepairConfig(True, GRID_IDS[Quadrant.LH][(0, 2)])}
+    setups = [((), None), ((), None), (fault, repaired), (fault, None), (fault, None),
+              ((), healthy), (fault, repaired), ((), None)]
+    want = [mul24_batch(a, b, faults, repair) for faults, repair in setups]
+    for r, w in zip(multiplier._batches(24, a, b, setups), want, strict=True):
+        for g, expected in zip(r, w):
+            assert np.array_equal(g, expected)
+            g[...] = -1
+
+
+def test_the_largest_sums_are_exact():
+    """Every block of mul24 forced to 0xFF on all-ones operands: the largest
+    quadrant and top-level sums the engine forms, which its float64 matmuls
+    must give exactly."""
+    faults = [FaultSpec(t, 0xFF) for t in BLOCK_IDS[:36]]
+    quad = sum(0xFF << 4 * (i + j) for i in range(3) for j in range(3))
+    assert quad >= 2**24                    # the quadrant wraps
+    want = sum((quad % 2**24) << 12 * (ha + hb) for ha, hb in HALVES.values()) % 2**48
+    top = (1 << 24) - 1
+    r = mul24_batch([top, top - 1], [top, top])
+    f = mul24_batch([top, top - 1], [top, top], faults)
+    assert r.products.tolist() == [top * top, (top - 1) * top]
+    assert f.products.tolist() == [want, want]

@@ -128,8 +128,10 @@ def test_invalid_netlist_is_value_error(cells, outputs):
 def test_netlists_and_expansions_pickle_after_they_have_run():
     # a run plan holds generated functions, which do not pickle: the plan
     # leaves them out, and a loaded copy makes its own on its first run
-    mul4(0x3, 0x5)                      # builds the mul4 tables from its netlist
-    assert pickle.loads(pickle.dumps(export_netlist("mul4"))).evaluate({"a": 3, "b": 5}) == 15
+    mul4_netlist = export_netlist("mul4")
+    assert mul4_netlist.evaluate({"a": 3, "b": 5}) == 15
+    assert mul4_netlist._compiled().plan._segments is not None     # its generated code
+    assert pickle.loads(pickle.dumps(mul4_netlist)).evaluate({"a": 3, "b": 5}) == 15
     rng = np.random.default_rng(7)
     nl = export_netlist("mul24")
     ops = {"a": rng.integers(0, 1 << 24, 100), "b": rng.integers(0, 1 << 24, 100)}

@@ -774,8 +774,11 @@ def test_a_round_trip_hands_the_planes_over(shape, monkeypatch):
         n = random_circuit(random.Random(21))
     ins = {l.name: rng.integers(0, 2, shape) for l in n.lines if l.name is not None}
     fwd = simulate(n, ins)
-    packed = simulate_inverse(n, np.array(fwd.line_values))
     calls = _count_packs(monkeypatch)
+    packed = simulate_inverse(n, np.array(fwd.line_values))
+    # the patch sees the packed call, which packs every vector
+    assert sum(cols for _, cols in calls) == fwd.line_values[0].size
+    calls.clear()
     back = simulate_inverse(n, fwd.line_values)
     again = simulate_inverse(n, back)       # an inverse's result is handed over too
     assert calls == []
@@ -793,6 +796,9 @@ def test_a_round_trip_of_0d_inputs_hands_the_planes_over(monkeypatch):
     ins = {f"x{k}": np.array(k & 1) for k in range(3)}
     lines = simulate(n, ins).line_values
     calls = _count_packs(monkeypatch)
+    assert simulate_inverse(n, np.array(lines)).tolist() == simulate_inverse(n, lines).tolist()
+    assert calls == [(len(n.lines), 1)]         # the patch sees the packed call only
+    calls.clear()
     back = simulate_inverse(n, lines)
     assert calls == []
     assert type(back) is np.ndarray and back.shape == (len(n.lines),)

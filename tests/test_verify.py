@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cifm import _plans, verify
-from cifm.multiplier import BlockBatch
+from cifm.multiplier import GRID_IDS, BlockBatch, FaultSpec, mul12, mul24
 from cifm.softfloat import softfloat_mul
 
 NOTE = re.compile(r"a=0x([0-9A-F]+) b=0x([0-9A-F]+) got=0x([0-9A-F]+) want=0x([0-9A-F]+)")
@@ -24,7 +24,7 @@ def _parsed(notes):
 
 TOTALS = {"mul4-exhaustive": 256, "mul12-random": 10009, "mul24-random": 10025,
           "fp32-oracle": 10009, "rev-roundtrip": 1262, "rev-expand": 1256,
-          "repair-all": 36036}
+          "repair-all": 36036, "fault-values": 135000}
 
 
 @pytest.mark.parametrize("suite", TOTALS)
@@ -187,36 +187,79 @@ def test_fp32_pair_selection_agrees_with_the_oracle_at_its_edges():
     assert 0 < np.count_nonzero(picked) < picked.size
 
 
-def test_repair_all_exposes_a_fault_shown_by_its_last_pair_only(monkeypatch):
-    real = verify.mul24_batch
-    a, b = np.random.default_rng(5).integers(0, 1 << 24, size=(2, 1000))
+def _each_batch(real, edit):
+    """A stand-in for ``verify._batches`` that passes each setup's batch from
+    ``real`` through ``edit(faults, repair, x, y, batch)``."""
 
-    def fault_hidden_but_in_the_last_pair(x, y, faults=(), repair=None, **kwargs):
-        r = real(x, y, faults, repair, **kwargs)
+    def edited(width, x, y, setups, *args, **kwargs):
+        for (faults, repair), r in zip(setups, real(width, x, y, setups, *args, **kwargs)):
+            yield edit(faults, repair, x, y, r)
+
+    return edited
+
+
+def test_repair_all_exposes_a_fault_shown_by_its_last_pair_only(monkeypatch):
+    a, b = np.random.default_rng(5).integers(0, 1 << 24, size=(2, 1000))
+    hidden = []
+
+    def fault_hidden_but_in_the_last_pair(faults, repair, x, y, r):
         if repair:
             return r
+        hidden.append(faults[0].target)
         last = (x == a[-1]) & (y == b[-1])
         return BlockBatch(np.where(last, r.products, x * y), r.energised, r.unrepaired)
 
-    monkeypatch.setattr(verify, "mul24_batch", fault_hidden_but_in_the_last_pair)
+    monkeypatch.setattr(verify, "_batches",
+                        _each_batch(verify._batches, fault_hidden_but_in_the_last_pair))
     r = verify.run_suite("repair-all", seed=5)
+    assert len(hidden) == 36                # every unrepaired fault went through the stand-in
     assert r.ok and r.notes == () and r.total == TOTALS["repair-all"], r
 
 
 def test_repair_all_notes_a_fault_that_never_shows(monkeypatch):
-    real = verify.mul24_batch
     hidden = verify.GRID_IDS[verify.Quadrant.HL][(2, 0)]
 
-    def one_fault_hidden(x, y, faults=(), repair=None, **kwargs):
-        r = real(x, y, faults, repair, **kwargs)
+    def one_fault_hidden(faults, repair, x, y, r):
         if repair or faults[0].target != hidden:
             return r
         return BlockBatch(x * y, r.energised, r.unrepaired)
 
-    monkeypatch.setattr(verify, "mul24_batch", one_fault_hidden)
+    monkeypatch.setattr(verify, "_batches", _each_batch(verify._batches, one_fault_hidden))
     r = verify.run_suite("repair-all", seed=5)
     assert r.total - r.passed == 1
     assert r.notes == (f"fault at {hidden} never observable",)
+
+
+FAULT_NOTE = re.compile(r"mul(12|24) ((?:LL|LH|HL|HH):(\d):(\d))=0x([0-9A-F]{2}) (.*)")
+
+
+def test_fault_values_names_a_misplaced_fault(monkeypatch):
+    """A datapath that puts the fault at block (j, i) of its quadrant, not
+    (i, j), fails the suite; each note names the block the fault was meant
+    for and its forced value, and shows the product of block (j, i)."""
+    real = verify._batches
+
+    def transposed(width, a, b, setups, *args, **kwargs):
+        moved = [([FaultSpec(GRID_IDS[f.target.quadrant][(f.target.col, f.target.row)],
+                             f.forced_output) for f in faults], repair)
+                 for faults, repair in setups]
+        return real(width, a, b, moved, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_batches", transposed)
+    r = verify.run_suite("fault-values", seed=4)
+    assert not r.ok and r.total == TOTALS["fault-values"] and len(r.notes) == 3, r
+    for note in r.notes:
+        m = FAULT_NOTE.fullmatch(note)
+        assert m, note
+        width, i, j, forced = int(m[1]), int(m[3]), int(m[4]), int(m[5], 16)
+        assert i != j                       # a block on the diagonal stays put
+        (a, b, got, want), = _parsed([m[6]])
+        quadrant = verify.Quadrant(m[2][:2])
+        scalar = mul24 if width == 24 else mul12
+        meant, placed = GRID_IDS[quadrant][(i, j)], GRID_IDS[quadrant][(j, i)]
+        assert str(meant) == m[2]
+        assert want == int(scalar(a, b, [FaultSpec(meant, forced)]).product)
+        assert got == int(scalar(a, b, [FaultSpec(placed, forced)]).product)
 
 
 @pytest.mark.parametrize("name", [[], None, 3, b"mul4-exhaustive", "no-such-suite"])
@@ -268,16 +311,15 @@ def test_gating_safety_names_failing_inputs(monkeypatch):
 
 
 def test_repair_all_names_failing_inputs_with_their_block(monkeypatch):
-    real = verify.mul24_batch
     broken = verify.GRID_IDS[verify.Quadrant.LH][(1, 2)]
 
-    def spare_off_by_one_at_one_position(a, b, faults=(), repair=None, **kwargs):
-        r = real(a, b, faults, repair, **kwargs)
+    def spare_off_by_one_at_one_position(faults, repair, a, b, r):
         if repair and faults[0].target == broken:
             return BlockBatch(r.products ^ (b & 1), r.energised, r.unrepaired)
         return r
 
-    monkeypatch.setattr(verify, "mul24_batch", spare_off_by_one_at_one_position)
+    monkeypatch.setattr(verify, "_batches",
+                        _each_batch(verify._batches, spare_off_by_one_at_one_position))
     r = verify.run_suite("repair-all", seed=3)
     assert not r.ok and r.total - r.passed > 3
     assert len(r.notes) == 3
