@@ -15,6 +15,12 @@ without numpy, and otherwise a read-only array that keeps its bit planes:
 handed back for a plan that loads every row in order, as a round trip's
 line values are, it loads them with no check and no packing.
 
+The read-out costs what the planes hold, not how many rows there are. A
+plan that loads rows 0..k-1 in order, as every cell plan and every inverse
+plan does, loads them with one slice assignment; a run that reads every row
+hands its state list over as it is; and a zero plane, such as each ancilla
+an inverse run returns to 0, decodes to a zero row without being converted.
+
 :mod:`cifm.bitcore` imports it on a cell plan's first compile or run and
 :mod:`cifm.revlogic` on load, so the block datapath never loads it. Of cifm
 it imports only bitcore's operand rules and CHUNK_VECTORS.
@@ -25,7 +31,7 @@ from __future__ import annotations
 import functools
 import struct
 from collections import Counter
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -255,11 +261,15 @@ class Plan:
     The steps run as Python generated from them (:func:`_segments`), made
     on the plan's first run and kept with it. Nothing else generates it. A
     plan pickles without it and makes it again on its first run after
-    loading, so a netlist that has run pickles too.
+    loading, so a netlist that has run pickles too. ``_load_slice`` is
+    ``slice(0, k)`` when ``load_rows`` is 0..k-1 in order, so that
+    :func:`run_planes` loads the k planes with one slice assignment, and
+    None when it is not; it is derived from ``load_rows`` when the plan is
+    made, a loaded one included.
     """
 
     __slots__ = ("rows", "steps", "load_rows", "load_src", "load_shift", "ones", "depth",
-                 "_segments")
+                 "_load_slice", "_segments")
 
     def __init__(self, rows: int, steps: tuple, load_rows: tuple[int, ...],
                  load_src: tuple[int, ...] | slice, load_shift: tuple[int, ...] | None,
@@ -267,6 +277,8 @@ class Plan:
         self.rows, self.steps, self.depth = rows, steps, depth
         self.load_rows, self.load_src, self.load_shift = load_rows, load_src, load_shift
         self.ones = ones
+        k = len(load_rows)
+        self._load_slice = slice(0, k) if load_rows == tuple(range(k)) else None
         self._segments: tuple[Callable, ...] | None = None
 
     def segments(self) -> tuple[Callable, ...]:
@@ -285,11 +297,15 @@ def run_planes(plan: Plan, planes: Iterable[int], n: int) -> list[int]:
     """Every state row's final bit plane after ``plan`` runs on ``n`` vectors.
 
     ``planes`` holds the starting plane of each of ``plan.load_rows``, in
-    that order: bit v of a plane is vector v's value.
+    that order: bit v of a plane is vector v's value. The result is a new
+    list; ``planes`` is left as it was.
     """
     state = [0] * plan.rows
-    for row, plane in zip(plan.load_rows, planes):
-        state[row] = plane
+    if plan._load_slice is not None:
+        state[plan._load_slice] = planes
+    else:
+        for row, plane in zip(plan.load_rows, planes):
+            state[row] = plane
     ones = (1 << n) - 1
     for row in plan.ones:
         state[row] = ones
@@ -314,15 +330,36 @@ def _to_planes(bits: np.ndarray) -> list[int]:
 
 
 def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
-    """The inverse of :func:`_to_planes`: uint8 [len(planes) x n]."""
+    """The inverse of :func:`_to_planes`: uint8 [len(planes) x n].
+
+    Each plane is turned into ``ceil(n / 8)`` bytes and the bytes unpacked
+    to bits in one call. A zero plane needs neither: when at least half the
+    planes are zero, as in an inverse run's final state, where every ancilla
+    is back at 0, the rows start as one zeroed array and only the nonzero
+    planes are converted, unpacked and written into their rows. A mostly
+    nonzero list is decoded in one buffer, which spares that scatter.
+    """
     import numpy as np
 
     size = -(-n // 8)
-    data = b"".join(map(int.to_bytes, planes, repeat(size), repeat("little")))
-    return np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8).reshape(len(planes), size),
-        axis=1, bitorder="little", count=n,
-    )
+    if 2 * planes.count(0) <= len(planes):
+        data = b"".join(map(int.to_bytes, planes, repeat(size), repeat("little")))
+        return _unpacked(data, len(planes), size, n)
+    out = np.zeros((len(planes), n), dtype=np.uint8)
+    rows = list(compress(range(len(planes)), planes))
+    if rows:
+        data = b"".join(map(int.to_bytes, filter(None, planes), repeat(size), repeat("little")))
+        out[rows] = _unpacked(data, len(rows), size, n)
+    return out
+
+
+def _unpacked(data: bytes, rows: int, size: int, n: int) -> np.ndarray:
+    """uint8 [rows x n]: the first n bits of each ``size``-byte row of
+    ``data``, least significant bit first."""
+    import numpy as np
+
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(rows, size),
+                         axis=1, bitorder="little", count=n)
 
 
 class _Planes:
@@ -354,11 +391,14 @@ def run_kernels(plan: Plan, values: np.ndarray | _Planes, read: Sequence[int]):
     planes load the state as they were kept. Yields ``(lo, hi, planes)``:
     the final bit planes of state rows ``read`` for vectors lo..hi-1, bit v
     of a plane holding vector lo + v. The caller decodes what it needs.
+    When ``read`` is ``range(plan.rows)``, every row, ``planes`` is the
+    state list that :func:`run_planes` made, not a copy of it.
     """
     loads = values.chunks if type(values) is _Planes else _loads(plan, values)
+    every = read == range(plan.rows)
     for lo, hi, planes in loads:
         state = run_planes(plan, planes, hi - lo)
-        yield lo, hi, [state[row] for row in read]
+        yield lo, hi, state if every else [state[row] for row in read]
 
 
 def _loads(plan: Plan, values: np.ndarray):

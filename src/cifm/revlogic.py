@@ -37,7 +37,8 @@ decoded from, so :func:`simulate_inverse` of a :func:`simulate` batch's own
 ``line_values`` loads those planes and neither checks nor packs the lines.
 A circuit keeps its primary outputs until it gains a line or
 :meth:`RevNetlist.set_output` relabels one, so :func:`simulate` and
-:func:`metrics_of` do not rescan ``output_roles``.
+:func:`metrics_of` do not rescan ``output_roles``; :func:`metrics_of` counts
+the ancillas as the lines its forward plan does not load.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, countOf, itemgetter, or_
+from operator import or_
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -645,8 +646,11 @@ def metrics_of(n: RevNetlist) -> Metrics:
     touches, control or data. ValueError unless ``n`` is a RevNetlist
     whose gate applications ``apply`` would take.
     """
-    depth = _compiled(n).forward.depth
-    delay = max((depth[i] for _, i in n._output_rows()), default=0)
-    garbage = countOf(map(itemgetter(0), n.output_roles), OutputRole.GARBAGE)
-    ancilla = countOf(map(attrgetter("tag"), n.lines), LineTag.ANCILLA)
+    forward = _compiled(n).forward
+    outputs = n._output_rows()
+    delay = max((forward.depth[i] for _, i in outputs), default=0)
+    # every line is a primary output or garbage, and a primary input, which
+    # the forward plan loads, or an ancilla: so neither list is scanned
+    garbage = len(n.output_roles) - len(outputs)
+    ancilla = len(n.lines) - len(forward.load_rows)
     return Metrics(len(n.gates), garbage, ancilla, delay)

@@ -12,6 +12,8 @@ from cifm.multiplier import export_netlist
 from cifm.revlogic import (
     FullAdderVariant,
     LineTag,
+    Metrics,
+    OutputRole,
     RevGate,
     RevLine,
     RevNetlist,
@@ -344,6 +346,65 @@ def test_expanded_mul4_metrics_are_stable():
     assert m1 == m2
     assert m1.gate_count == 57
     assert m1.unit_delay == 12
+
+
+def scanned_metrics(n: RevNetlist) -> Metrics:
+    """metrics_of by scanning the circuit's lists, as a reference: garbage
+    counts the GARBAGE roles, ancilla the ANCILLA lines, and the unit delay
+    is the deepest primary-output line's chain."""
+    depth = [0] * len(n.lines)
+    for app in n.gates:
+        level = 1 + max(depth[l] for l in app.lines)
+        for l in app.lines:
+            depth[l] = level
+    roles = [role for role, _ in n.output_roles]
+    return Metrics(
+        len(n.gates),
+        roles.count(OutputRole.GARBAGE),
+        [line.tag for line in n.lines].count(LineTag.ANCILLA),
+        max((depth[i] for i, role in enumerate(roles) if role is OutputRole.PRIMARY_OUTPUT),
+            default=0),
+    )
+
+
+SHIPPED = [*(f"fa:{v.value}" for v in FullAdderVariant), "mul4", "mul12", "mul24"]
+
+
+def shipped(name: str) -> RevNetlist:
+    if name.startswith("fa:"):
+        return build_full_adder(FullAdderVariant(name[3:]))
+    return expand(export_netlist(name))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_metrics_of_every_shipped_circuit_match_a_scan(name):
+    n = shipped(name)
+    assert metrics_of(n) == scanned_metrics(n)
+    # a circuit read back from its document counts the same
+    assert metrics_of(RevNetlist.from_json(n.to_json())) == scanned_metrics(n)
+
+
+@pytest.mark.parametrize("level", ["mul4", "mul12"])
+def test_metrics_of_an_expansion_follow_its_edits(level):
+    nl = export_netlist(level)
+    template = metrics_of(expand(nl))
+    rev = expand(nl)
+    metrics_of(rev)                     # the counts are kept before the edits
+    garbage = next(i for i, (role, _) in enumerate(rev.output_roles)
+                   if role is OutputRole.GARBAGE)
+    output = rev.outputs()[0][1]
+    for edit in (lambda: rev.set_output(garbage, "extra"),
+                 lambda: rev.set_output(output, "renamed"),     # still one output
+                 lambda: rev.add_input("z"),
+                 lambda: rev.add_ancilla(0),
+                 lambda: rev.add_ancilla(1),
+                 lambda: rev.apply(gate_library()["FEYNMAN"], 0, len(rev.lines) - 1),
+                 lambda: rev.set_output(len(rev.lines) - 2, "z_out")):
+        edit()
+        assert metrics_of(rev) == scanned_metrics(rev)
+    assert metrics_of(rev).garbage_count == template.garbage_count + 3 - 2
+    assert metrics_of(rev).ancilla_count == template.ancilla_count + 2
+    assert metrics_of(expand(nl)) == template
 
 
 def test_expanded_mul24_random_spot():

@@ -6,6 +6,7 @@ cells use their textbook formulas and gates look their output up in
 """
 
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from cifm import _plans, bitcore
-from cifm._plans import SEGMENT_STEPS, _from_planes, _to_planes
+from cifm._plans import SEGMENT_STEPS, _from_planes, _to_planes, run_kernels, run_planes
 from cifm.bitcore import CHUNK_VECTORS, Cell, CellKind, CellNetlist, NetlistBuilder
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
@@ -892,3 +893,138 @@ def test_planes_do_not_depend_on_dtype(n):
     assert planes == _to_planes(bits.astype(np.uint8))
     assert planes[0] == sum(int(b) << v for v, b in enumerate(bits[0]))
     assert np.array_equal(_from_planes(planes, n), bits)
+
+
+def ref_decode(planes, n):
+    """uint8 [len(planes) x n], bit v of plane k in row k, column v."""
+    return np.array([[p >> v & 1 for v in range(n)] for p in planes], dtype=np.uint8).reshape(
+        len(planes), n)
+
+
+ZERO_MIXES = {           # which of 8 planes are zero
+    "all-zero": [1] * 8,
+    "no-zero": [0] * 8,
+    "one-nonzero": [1] * 7 + [0],
+    "mostly-zero": [1, 0, 1, 1, 0, 1, 1, 1],
+    "half-zero": [0, 1] * 4,
+    "mostly-nonzero": [0, 1, 0, 0, 0, 1, 0, 0],
+}
+
+
+@pytest.mark.parametrize("mix", ZERO_MIXES)
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, CHUNK_VECTORS + 1])
+def test_zero_planes_decode_as_the_reference(n, mix):
+    """Zero planes decode to zero rows whether the list is decoded from one
+    buffer or from a zeroed array, and every nonzero plane, its top bit
+    and an all-ones plane included, lands in its own row."""
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    nonzero = [full, 1, 1 << n - 1] + [rng.randrange(1, 1 << n) for _ in range(5)]
+    planes = [0 if zero else nonzero[k] for k, zero in enumerate(ZERO_MIXES[mix])]
+    got = _from_planes(planes, n)
+    assert got.dtype == np.uint8 and got.shape == (8, n)
+    assert np.array_equal(got, ref_decode(planes, n))
+    assert _to_planes(got) == planes
+
+
+def _mostly_zero(array) -> bool:
+    """Whether the planes an engine result keeps are mostly zero in every
+    chunk, so the result was decoded from a zeroed array."""
+    return all(2 * planes.count(0) > len(planes) for _, _, planes in array.base.chunks)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, CHUNK_VECTORS + 1, (), 0])
+def test_an_inverse_decodes_its_zero_ancillas(n):
+    """An inverse run returns every ancilla of an expansion to 0, so most of
+    its final planes are zero; the result still holds every line's start
+    value, read-only, in the shape of the inputs."""
+    rng = np.random.default_rng(31)
+    rev = expand(export_netlist("mul4"))
+    shape = n if n == () else (n,)
+    ins = {l.name: rng.integers(0, 2, shape) for l in rev.lines if l.name is not None}
+    back = simulate_inverse(rev, simulate(rev, ins).line_values)
+    assert back.dtype == np.uint8 and back.shape == (len(rev.lines), *shape)
+    assert not back.flags.writeable
+    with pytest.raises(ValueError):
+        back.flags.writeable = True
+    if back.size:
+        assert _mostly_zero(back)
+    for i, line in enumerate(rev.lines):
+        assert np.array_equal(back[i], np.broadcast_to(
+            ins[line.name] if line.name is not None else line.const, shape))
+
+
+def test_a_zero_skipped_inverse_hands_its_planes_over(monkeypatch):
+    rng = np.random.default_rng(32)
+    rev = expand(export_netlist("mul12"))
+    ins = {l.name: rng.integers(0, 2, 300) for l in rev.lines if l.name is not None}
+    back = simulate_inverse(rev, simulate(rev, ins).line_values)
+    assert _mostly_zero(back)
+    calls = _count_packs(monkeypatch)
+    packed = simulate_inverse(rev, np.array(back))
+    assert calls == [(len(rev.lines), 300)]     # the patch sees the packed call
+    calls.clear()
+    again = simulate_inverse(rev, back)
+    assert calls == []
+    assert np.array_equal(again, packed) and not again.flags.writeable
+
+
+def per_row_load(plan, planes, n):
+    """run_planes with every plane loaded into its row one at a time."""
+    state = [0] * plan.rows
+    for row, plane in zip(plan.load_rows, planes):
+        state[row] = plane
+    for row in plan.ones:
+        state[row] = (1 << n) - 1
+    for segment in plan.segments():
+        segment(state, (1 << n) - 1)
+    return state
+
+
+def _mul12_plan(which):
+    if which == "cells":
+        return export_netlist("mul12")._compiled().plan
+    compiled = _compiled(expand(export_netlist("mul12")))
+    return compiled.forward if which == "forward" else compiled.inverse
+
+
+@pytest.mark.parametrize("which", ["cells", "forward", "inverse"])
+def test_a_slice_load_gives_the_per_row_state(which):
+    """Cell and inverse plans load rows 0..k-1 in order, with one slice
+    assignment; a forward plan loads scattered input lines one by one. Both
+    give the state a per-row load gives, leave the planes handed in as they
+    were, and keep their choice through a pickle."""
+    plan = _mul12_plan(which)
+    k = len(plan.load_rows)
+    if which == "forward":
+        assert plan._load_slice is None and plan.load_rows != tuple(range(k))
+    else:
+        assert plan._load_slice == slice(0, k) and plan.load_rows == tuple(range(k))
+    rng = random.Random(k)
+    n = 100
+    planes = [rng.randrange(1 << n) for _ in range(k)]
+    given = list(planes)
+    want = per_row_load(plan, planes, n)
+    assert run_planes(plan, planes, n) == want
+    assert planes == given
+    loaded = pickle.loads(pickle.dumps(plan))
+    assert loaded._load_slice == plan._load_slice
+    assert run_planes(loaded, planes, n) == want
+
+
+def test_reading_every_row_yields_the_state_itself(monkeypatch):
+    """A run that reads every row yields the list run_planes made, not a
+    copy; a run that reads some rows yields a list of those."""
+    plan = _mul12_plan("inverse")
+    values = np.random.default_rng(33).integers(0, 2, (plan.rows, 10))
+    made = []
+
+    def kept(*args):
+        made.append(run_planes(*args))
+        return made[-1]
+
+    monkeypatch.setattr(_plans, "run_planes", kept)
+    (_, _, every), = run_kernels(plan, values, range(plan.rows))
+    (_, _, some), = run_kernels(plan, values, (3, 1))
+    assert every is made[0] and some is not made[1] and some == [made[1][3], made[1][1]]
+    assert every == made[1] == per_row_load(plan, _to_planes(values), 10)
