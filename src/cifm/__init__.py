@@ -56,6 +56,7 @@ SUITE_NAMES = (
     "rev-expand",
     "repair-all",
     "fault-values",
+    "block-paths",
 )
 
 

@@ -212,7 +212,7 @@ def cmd_verify(parser, args) -> int:
     start = time.perf_counter()
     result = run_suite(args.suite, seed=args.seed)
     elapsed = time.perf_counter() - start
-    print(f"{result.summary()} in {elapsed:.3f} s", file=sys.stderr)
+    print(f"{result.summary()} in {elapsed:.3f} s, seed {args.seed}", file=sys.stderr)
     for note in result.notes:
         print(f"  {note}", file=sys.stderr)
     _write_json(result.to_json())

@@ -15,6 +15,10 @@ on one operand set, and reach the block engine through one name,
 so its gathers are made once, not once per plan. ``fault-values`` checks
 each unrepaired faulted product and mask against a closed form of the
 datapath's spec, :func:`_faulted`, which shares no code with the engine.
+``block-paths`` checks the model's two paths against each other. Its
+oracle is the batch engine, whose masks give each scalar call's expected
+report (:func:`_scalar_plan`) and whose one-plan calls give each plan of a
+shared ``_batches`` pass; both paths read one set of tables.
 
 Only ``rev-roundtrip`` and ``rev-expand`` use :mod:`cifm.revlogic`, and
 they import it when they run, so ``cifm verify`` of a block-level suite
@@ -23,15 +27,18 @@ starts without it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import SUITE_NAMES, fp32, softfloat
 from .bitcore import as_int
-from .multiplier import (  # noqa: F401  (perfbench wraps verify.mul12 by name)
+from .multiplier import (
     BLOCK_IDS,
+    CHUNK,
     GRID_IDS,
+    SPARE_IDS,
     FaultSpec,
     ModuleId,
     Quadrant,
@@ -120,11 +127,15 @@ def _failures(a, b, got, want, ok: np.ndarray) -> tuple[str, ...]:
     )
 
 
-def _int_sweep(name: str, width: int, fn, seed: int, n: int) -> SuiteResult:
-    a, b = _random_pairs(np.random.default_rng(seed), width, n)
+def _with_boundary(a: np.ndarray, b: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` followed by every pair of the BOUNDARY_VALUES that fit ``width``."""
     fits = [v for v in BOUNDARY_VALUES if v < (1 << width)]
-    a = np.concatenate([a, np.repeat(fits, len(fits))])
-    b = np.concatenate([b, np.tile(fits, len(fits))])
+    return (np.concatenate([a, np.repeat(fits, len(fits))]),
+            np.concatenate([b, np.tile(fits, len(fits))]))
+
+
+def _int_sweep(name: str, width: int, fn, seed: int, n: int) -> SuiteResult:
+    a, b = _with_boundary(*_random_pairs(np.random.default_rng(seed), width, n), width)
     got, want = fn(a, b).products, a * b
     ok = got == want
     return SuiteResult(name, int(np.count_nonzero(ok)), a.size, _failures(a, b, got, want, ok))
@@ -385,6 +396,157 @@ def _faulted(
     faulty = (quad + ((forced - block) << 4 * (i + j))) % (1 << 24)
     product = (x * y + ((faulty - quad) << 12 * (ha + hb))) % (1 << 2 * width)
     return np.where(shows, product, x * y), shows
+
+
+def suite_block_paths(seed: int = 0) -> SuiteResult:
+    """The scalar pass and shared engine passes against the batch engine.
+
+    Gating is on at even seeds. Per width, each scalar call on 200 drawn
+    pairs and the BOUNDARY_VALUES grid, under the fault-free plan and each
+    position's fault at a drawn value, unrepaired and repaired, is a case
+    (:func:`_scalar_plan`). So is each of 24 drawn plans of a shared pass on
+    1000 and on ``CHUNK + 1`` pairs that a fresh generator of the seed draws.
+    """
+    gating = seed % 2 == 0
+    rng = np.random.default_rng(seed)
+    total, failures = 0, []             # each note is one failing case
+    for width, quads in ((24, tuple(Quadrant)), (12, (Quadrant.LL,))):
+        a, b = _with_boundary(*_shifted_pairs(rng, width, 200), width)
+        setups = [((), None if width == 24 else RepairConfig())]
+        for target in [t for q in quads for t in GRID_IDS[q].values()]:
+            fault = [FaultSpec(target, int(rng.integers(256)))]
+            for cfg in (RepairConfig(), RepairConfig(True, target)):
+                setups.append((fault, cfg if width == 12 else {target.quadrant: cfg}))
+        for faults, repair in setups:
+            failures += _scalar_plan(width, a, b, faults, repair, gating)
+        total += len(setups) * a.size
+    rng = np.random.default_rng(seed)
+    for width in (24, 12):
+        for n in (1000, CHUNK + 1):
+            a, b = _shifted_pairs(rng, width, n)
+            setups = _random_setups(rng, width, 24)
+            failures += _shared_pass(width, a, b, setups, gating)
+            total += len(setups)
+    return SuiteResult("block-paths", total - len(failures), total, tuple(failures[:3]))
+
+
+def _shifted_pairs(rng: np.random.Generator, width: int, n: int) -> np.ndarray:
+    """(2, n) random ``width``-bit operands, each shifted right by 0 to ``width`` bits."""
+    return rng.integers(0, 1 << width, (2, n)) >> rng.integers(0, width + 1, (2, n))
+
+
+def _random_setups(rng: np.random.Generator, width: int, count: int) -> list[tuple]:
+    """``count`` random (faults, repair) arguments of ``mul{width}_batch``.
+
+    Each has 0-3 faults at distinct blocks with random forced values. Each
+    quadrant, in turn, repairs a faulty block, a healthy one, or nothing.
+    """
+    quads = list(Quadrant) if width == 24 else [Quadrant.LL]
+    blocks = [t for q in quads for t in GRID_IDS[q].values()]
+    setups = []
+    for _ in range(count):
+        faults = [FaultSpec(blocks[k], int(rng.integers(256)))
+                  for k in rng.choice(len(blocks), size=rng.integers(4), replace=False)]
+        faulty = {f.target for f in faults}
+        targets = []
+        for q in quads:
+            healthy = [t for t in GRID_IDS[q].values() if t not in faulty]
+            kind = rng.integers(3)
+            pool = [f.target for f in faults if f.target.quadrant is q] if kind == 1 else healthy
+            if kind and pool:
+                targets.append(pool[rng.integers(len(pool))])
+        if width == 12:
+            repair = RepairConfig(bool(targets), targets[0] if targets else None)
+        else:
+            repair = {t.quadrant: RepairConfig(True, t) for t in targets} or None
+        setups.append((faults, repair))
+    return setups
+
+
+def _repaired(repair) -> list[ModuleId]:
+    """The repair targets of a ``mul12`` or ``mul24`` repair argument."""
+    configs = [repair] if isinstance(repair, RepairConfig) else (repair or {}).values()
+    return [c.target for c in configs if c.target is not None]
+
+
+def _plan_name(width: int, faults, repair, gating: bool) -> str:
+    forced = " ".join(f"{f.target}=0x{f.forced_output.value:02X}" for f in faults)
+    fixed = " ".join(map(str, _repaired(repair)))
+    return (f"mul{width} fault {forced or 'none'} repair {fixed or 'none'} "
+            f"gating {'on' if gating else 'off'}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _blocks_of(mask: int) -> tuple[ModuleId, ...]:
+    """The blocks of a mask's set bits, in bit order."""
+    return tuple(m for n, m in enumerate(BLOCK_IDS) if mask >> n & 1)
+
+
+@functools.cache
+def _mul4_levels() -> list[int]:
+    """The adder levels ``mul4`` reports for each operand pair, at ``gb << 4 | ga``."""
+    return [mul4(g & 0xF, g >> 4).activity.adder_levels_active[None] for g in range(256)]
+
+
+_SCALAR_FIELDS = ("product", "active_mul4", "gated_mul4", "disabled_faulty",
+                  "adder_levels_active", "power_proxy", "unrepaired_faults")
+
+
+def _scalar_plan(width: int, a, b, faults, repair, gating: bool) -> list[str]:
+    """Notes of the pairs whose ``mul{width}`` call breaks the rule that its
+    ``mul{width}_batch`` element sets: the batch's product; the energised
+    mask's blocks active, each with the adder levels ``mul4`` gives for the
+    groups of the block it stands for (a spare, its repair target's); a
+    target disabled when a block of its quadrant is active; every other
+    block gated; power_proxy the active count; and the unrepaired mask's
+    faults, in bit order. A note names the plan, the pair and the fields.
+    """
+    scalar, batch = (mul24, mul24_batch) if width == 24 else (mul12, mul12_batch)
+    r = batch(a, b, faults, repair, gating=gating)
+    repaired = _repaired(repair)
+    stands_in = {SPARE_IDS[t.quadrant]: t for t in repaired}
+    every = frozenset(m for m in BLOCK_IDS if width == 24 or m.quadrant is Quadrant.LL)
+    groups = {}                         # the shifts of the a and b groups a block multiplies
+    for m in every:
+        t = stands_in.get(m, m)
+        groups[m] = (12 * t.quadrant.a_high + 4 * t.row, 12 * t.quadrant.b_high + 4 * t.col)
+    table = _mul4_levels()
+    plan = _plan_name(width, faults, repair, gating)
+    notes = []
+    rows = zip(np.asarray(a).tolist(), np.asarray(b).tolist(), *(v.tolist() for v in r))
+    for x, y, product, energised, unrepaired in rows:
+        s = scalar(x, y, faults, repair, gating=gating)
+        report = s.activity
+        got = (int(s.product), report.active_mul4, report.gated_mul4, report.disabled_faulty,
+               report.adder_levels_active, report.power_proxy, s.unrepaired_faults)
+        active = _blocks_of(energised)
+        disabled = {t for t in repaired if any(m.quadrant is t.quadrant for m in active)}
+        levels = {m: table[(y >> groups[m][1] & 0xF) << 4 | x >> groups[m][0] & 0xF]
+                  for m in active}
+        want = (product, set(active), every - set(active) - disabled, disabled, levels,
+                len(active), _blocks_of(unrepaired))
+        if got != want:
+            differ = [name for name, g, w in zip(_SCALAR_FIELDS, got, want) if g != w]
+            notes.append(f"scalar {plan} a=0x{x:X} b=0x{y:X}: {', '.join(differ)} differ")
+    return notes
+
+
+def _shared_pass(width: int, a, b, setups, gating: bool) -> list[str]:
+    """Notes of the plans of one ``_batches`` pass that differ from their own
+    ``mul{width}_batch`` call, each at its first differing pair."""
+    batch = mul24_batch if width == 24 else mul12_batch
+    notes = []
+    shared = _batches(width, a, b, setups, gating)
+    for k, ((faults, repair), r) in enumerate(zip(setups, shared, strict=True)):
+        want = batch(a, b, faults, repair, gating=gating)
+        bad = [np.flatnonzero(g != w) for g, w in zip(r, want)]
+        if any(at.size for at in bad):
+            i = min(int(at[0]) for at in bad if at.size)
+            differ = [name for name, at in zip(r._fields, bad) if i in at]
+            pair = f"a=0x{int(a.flat[i]):X} b=0x{int(b.flat[i]):X}"
+            notes.append(f"shared {_plan_name(width, faults, repair, gating)} n={a.size} "
+                         f"plan {k} {pair}: {', '.join(differ)} differ")
+    return notes
 
 
 # Each of the package's SUITE_NAMES, "x-y", runs the function suite_x_y above.

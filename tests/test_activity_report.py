@@ -1,21 +1,18 @@
-"""Scalar activity reports against reports built here from the batch masks.
+"""Scalar activity reports in chosen scenarios, and the deferred report.
 
-The expected report is put together apart from the power-pattern walk
-that ``mul12``/``mul24`` make when a report is first read: the energised
-and unrepaired masks of ``mul12_batch``/``mul24_batch`` are mapped through
-``BLOCK_IDS``, each powered block's adder levels come from the mul4 table
-(through ``mul4``), and the gated and disabled sets follow from the
-report's rules.
+The scenario tests run each plan through ``verify._scalar_plan``, the
+``block-paths`` suite's rule: every scalar call must equal the report that
+the energised and unrepaired masks of ``mul12_batch``/``mul24_batch`` give.
 """
 
 import dataclasses
-import functools
 import itertools
 import pickle
 
 import numpy as np
 import pytest
 
+from cifm import verify
 from cifm.fp32 import fp_mul
 from cifm.multiplier import (
     BLOCK_IDS,
@@ -25,55 +22,13 @@ from cifm.multiplier import (
     FaultSpec,
     Quadrant,
     RepairConfig,
-    mul4,
     mul12,
     mul12_batch,
     mul24,
     mul24_batch,
 )
 
-HALVES = {Quadrant.LL: (0, 0), Quadrant.HL: (1, 0), Quadrant.LH: (0, 1), Quadrant.HH: (1, 1)}
 POSITIONS = [GRID_IDS[q][(i, j)] for q in Quadrant for i in range(3) for j in range(3)]
-
-
-def _ids(mask: int) -> set:
-    return {m for n, m in enumerate(BLOCK_IDS) if mask >> n & 1}
-
-
-@functools.cache
-def _mul4_levels(ga: int, gb: int) -> int:
-    return mul4(ga, gb).activity.adder_levels_active[None]
-
-
-def _levels(x: int, y: int, block) -> int:
-    ha, hb = HALVES[block.quadrant]
-    ga = (x >> 12 * ha + 4 * block.row) & 0xF
-    gb = (y >> 12 * hb + 4 * block.col) & 0xF
-    return _mul4_levels(ga, gb)
-
-
-def _expected(batch, k: int, x: int, y: int, quadrants, repaired) -> tuple:
-    """(active, gated, disabled, levels, unrepaired) for pair k of ``batch``."""
-    stands_in = {SPARE_IDS[t.quadrant]: t for t in repaired}
-    active = _ids(int(batch.energised[k]))
-    levels = {m: _levels(x, y, stands_in.get(m, m)) for m in active}
-    lit = {m.quadrant for m in active}
-    disabled = {t for t in repaired if t.quadrant in lit}
-    every = {m for m in BLOCK_IDS if m.quadrant in quadrants}
-    faulty = _ids(int(batch.unrepaired[k]))
-    unrepaired = tuple(m for m in BLOCK_IDS if m in faulty)
-    return active, every - active - disabled, disabled, levels, unrepaired
-
-
-def _check(result, expected) -> None:
-    active, gated, disabled, levels, unrepaired = expected
-    report = result.activity
-    assert report.active_mul4 == active
-    assert report.gated_mul4 == gated
-    assert report.disabled_faulty == disabled
-    assert report.adder_levels_active == levels
-    assert report.power_proxy == len(active)
-    assert result.unrepaired_faults == unrepaired
 
 
 def _pairs(seed: int, n: int, width: int) -> tuple[list, list]:
@@ -90,28 +45,10 @@ def _pairs(seed: int, n: int, width: int) -> tuple[list, list]:
     return a + drawn[0].tolist(), b + drawn[1].tolist()
 
 
-def _compare24(a, b, faults=(), repair=None, gating=True) -> None:
-    batch = mul24_batch(a, b, faults=faults, repair=repair, gating=gating)
-    repaired = [cfg.target for cfg in (repair or {}).values() if cfg.target is not None]
-    for k, (x, y) in enumerate(zip(a, b)):
-        result = mul24(x, y, faults=faults, repair=repair, gating=gating)
-        assert int(result.product) == int(batch.products[k])
-        _check(result, _expected(batch, k, x, y, set(Quadrant), repaired))
-
-
-def _compare12(a, b, faults=(), repair=RepairConfig(), gating=True) -> None:
-    batch = mul12_batch(a, b, faults=faults, repair=repair, gating=gating)
-    repaired = [] if repair.target is None else [repair.target]
-    for k, (x, y) in enumerate(zip(a, b)):
-        result = mul12(x, y, faults=faults, repair=repair, gating=gating)
-        assert int(result.product) == int(batch.products[k])
-        _check(result, _expected(batch, k, x, y, {Quadrant.LL}, repaired))
-
-
 @pytest.mark.parametrize("gating", [True, False])
 def test_fault_free_reports(gating):
-    _compare24(*_pairs(1, 150, 24), gating=gating)
-    _compare12(*_pairs(2, 100, 12), gating=gating)
+    assert verify._scalar_plan(24, *_pairs(1, 150, 24), (), None, gating) == []
+    assert verify._scalar_plan(12, *_pairs(2, 100, 12), (), RepairConfig(), gating) == []
 
 
 @pytest.mark.parametrize("repaired", [False, True], ids=["unrepaired", "repaired"])
@@ -120,7 +57,7 @@ def test_every_fault_position(repaired):
     for n, target in enumerate(POSITIONS):
         faults = [FaultSpec(target, (0xA5, 0x00, 0xFF)[n % 3])]
         repair = {target.quadrant: RepairConfig(True, target)} if repaired else None
-        _compare24(a, b, faults, repair, gating=n % 4 != 3)
+        assert verify._scalar_plan(24, a, b, faults, repair, n % 4 != 3) == []
 
 
 def test_repair_in_a_dark_quadrant():
@@ -128,7 +65,7 @@ def test_repair_in_a_dark_quadrant():
     repair = {Quadrant.HH: RepairConfig(True, target)}
     a = [0x000ABC, 0x000ABC, 0xABC000, 0xABCDEF]
     b = [0xABCDEF, 0x000123, 0x000123, 0xFEDCBA]
-    _compare24(a, b, [FaultSpec(target, 0x77)], repair)
+    assert verify._scalar_plan(24, a, b, [FaultSpec(target, 0x77)], repair, True) == []
     dark = mul24(0x000ABC, 0xABCDEF, repair=repair).activity
     assert target in dark.gated_mul4 and SPARE_IDS[Quadrant.HH] in dark.gated_mul4
     assert not dark.disabled_faulty
@@ -140,7 +77,7 @@ def test_repair_of_a_gated_block_in_a_lit_quadrant():
               Quadrant.HL: RepairConfig(True, GRID_IDS[Quadrant.HL][(0, 0)])}
     a = [0x000012, 0x000FFF, 0x001012, 0xFFFFFF]
     b = [0x000034, 0x000005, 0x000FFF, 0xFFFFFF]
-    _compare24(a, b, [FaultSpec(target, 0x3C)], repair)
+    assert verify._scalar_plan(24, a, b, [FaultSpec(target, 0x3C)], repair, True) == []
     report = mul24(0x12, 0x34, repair=repair).activity
     assert report.disabled_faulty == {target}
     assert SPARE_IDS[Quadrant.LL] in report.gated_mul4
@@ -150,9 +87,10 @@ def test_repair_of_a_gated_block_in_a_lit_quadrant():
 def test_mul12_with_ll_repairs(row, col):
     target = GRID_IDS[Quadrant.LL][(row, col)]
     a, b = _pairs(10 + 3 * row + col, 20, 12)
-    _compare12(a, b, [FaultSpec(target, 0x5A)], RepairConfig(True, target))
-    _compare12(a, b, [FaultSpec(target, 0x5A)], RepairConfig(True, target), gating=False)
-    _compare12(a, b, [FaultSpec(target, 0x5A)])
+    fault = [FaultSpec(target, 0x5A)]
+    for repair, gating in ((RepairConfig(True, target), True),
+                           (RepairConfig(True, target), False), (RepairConfig(), True)):
+        assert verify._scalar_plan(12, a, b, fault, repair, gating) == []
 
 
 def _pattern_operand(low_groups: int, high_groups: int) -> int:

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from cifm import multiplier
+from cifm import multiplier, verify
 from cifm.bitcore import BitVec
 from cifm.fp32 import fp_mul
 from cifm.multiplier import (
@@ -31,7 +31,6 @@ from cifm.multiplier import (
     mul24,
     mul24_batch,
 )
-from cifm.verify import BOUNDARY_VALUES
 from width_oracle import INNER_CLASSES, OUTER_CLASSES, classify_width
 
 # (a half, b half) of each quadrant
@@ -380,51 +379,6 @@ def _ids(mask: int) -> set:
     return {m for n, m in enumerate(BLOCK_IDS) if mask >> n & 1}
 
 
-def test_scalar_is_element_k_of_the_batch():
-    """Scalar mul24/mul12 against the batch engine pair by pair, on random and
-    boundary pairs: a fault at every position, repaired or not, and no fault,
-    with gating on and off. The batch's masks give the product, the three
-    activity sets and the unrepaired faults; a repaired target is disabled
-    when its quadrant is powered."""
-    for width in (24, 12):
-        _scalar_matches_batch(width)
-
-
-def _scalar_matches_batch(width: int) -> None:
-    a, b = _operands(8, 300, width)
-    edge = [v for v in BOUNDARY_VALUES if v < 1 << width]
-    edge_a, edge_b = zip(*itertools.product(edge, repeat=2))
-    a = np.concatenate([a[::7], edge_a])
-    b = np.concatenate([b[::7], edge_b])
-    quads = list(Quadrant) if width == 24 else [Quadrant.LL]
-    ids = {m for q in quads for m in (*GRID_IDS[q].values(), SPARE_IDS[q])}
-    scalar, batch = (mul24, mul24_batch) if width == 24 else (mul12, mul12_batch)
-    plans = [((), None)]
-    for n, target in enumerate(t for q in quads for t in GRID_IDS[q].values()):
-        fault = [FaultSpec(target, FORCED[n % len(FORCED)])]
-        plans += [(fault, None), (fault, target)]
-    for faults, fixed in plans:
-        if width == 12:
-            repair = RepairConfig(enabled=fixed is not None, target=fixed)
-        else:
-            repair = {fixed.quadrant: RepairConfig(enabled=True, target=fixed)} if fixed else None
-        for gating in (True, False):
-            r = batch(a, b, faults, repair, gating=gating)
-            for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
-                s = scalar(x, y, faults, repair, gating=gating)
-                active = _ids(int(r.energised[k]))
-                disabled = {
-                    t for t in [fixed] if t and any(m.quadrant is t.quadrant for m in active)
-                }
-                assert int(s.product) == int(r.products[k]), (faults, fixed, gating, x, y)
-                assert s.activity.active_mul4 == active
-                assert s.activity.disabled_faulty == disabled
-                assert s.activity.gated_mul4 == ids - active - disabled
-                assert s.unrepaired_faults == tuple(
-                    m for n, m in enumerate(BLOCK_IDS) if int(r.unrepaired[k]) >> n & 1
-                )
-
-
 def test_batch_keeps_the_operand_shape():
     a = np.arange(12, dtype=np.uint16).reshape(3, 4)
     r = mul24_batch(a, a.T.copy().reshape(3, 4))
@@ -573,34 +527,6 @@ def test_faults_compose_in_mul12(gating, repaired):
     assert wraps > 0
 
 
-def random_setups(rng: np.random.Generator, width: int, count: int) -> list[tuple]:
-    """``count`` random (faults, repair) arguments of ``mul{width}_batch``.
-
-    Each has 0-3 faults at distinct blocks with random forced values. Each
-    quadrant, in turn, repairs a faulty block, a healthy one, or nothing.
-    """
-    quads = list(Quadrant) if width == 24 else [Quadrant.LL]
-    blocks = [t for q in quads for t in GRID_IDS[q].values()]
-    setups = []
-    for _ in range(count):
-        faults = [FaultSpec(blocks[k], int(rng.integers(256)))
-                  for k in rng.choice(len(blocks), size=rng.integers(4), replace=False)]
-        faulty = {f.target for f in faults}
-        targets = []
-        for q in quads:
-            healthy = [t for t in GRID_IDS[q].values() if t not in faulty]
-            kind = rng.integers(3)
-            pool = [f.target for f in faults if f.target.quadrant is q] if kind == 1 else healthy
-            if kind and pool:
-                targets.append(pool[rng.integers(len(pool))])
-        if width == 12:
-            repair = RepairConfig(bool(targets), targets[0] if targets else None)
-        else:
-            repair = {t.quadrant: RepairConfig(True, t) for t in targets} or None
-        setups.append((faults, repair))
-    return setups
-
-
 @pytest.mark.parametrize("shape", [(0,), (1,), (1000,), (CHUNK,), (CHUNK + 1,), (2500,),
                                    (20, 30), (40, 30)], ids=str)
 @pytest.mark.parametrize("width", [24, 12])
@@ -609,16 +535,12 @@ def test_one_pass_gives_what_separate_calls_give(width, shape):
     in products, energised and unrepaired masks, with gating on and off."""
     rng = np.random.default_rng(width + sum(shape))
     a, b = rng.integers(0, 1 << width, (2, *shape)) >> rng.integers(0, width + 1, (2, *shape))
-    batch = mul24_batch if width == 24 else mul12_batch
     for gating in (True, False):
-        setups = random_setups(rng, width, 16)
-        got = list(multiplier._batches(width, a, b, setups, gating))
-        assert len(got) == len(setups)
-        for (faults, repair), r in zip(setups, got):
-            want = batch(a, b, faults, repair, gating=gating)
-            for g, w in zip(r, want):
+        setups = verify._random_setups(rng, width, 16)
+        assert verify._shared_pass(width, a, b, setups, gating) == []
+        for r in multiplier._batches(width, a, b, setups, gating):
+            for g in r:
                 assert g.dtype == np.int64 and g.shape == shape and g.flags.writeable
-                assert np.array_equal(g, w), (faults, repair, gating)
 
 
 @pytest.mark.parametrize("n", [1000, 2500])

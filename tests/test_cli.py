@@ -113,6 +113,7 @@ def test_verify_prints_a_suites_notes_on_stderr():
     assert notes
     r = run("verify", "gating-safety", "--seed", "1")
     assert r.returncode == 0
+    assert r.stderr.splitlines()[0].endswith(" s, seed 1")
     assert r.stderr.splitlines()[1:] == [f"  {note}" for note in notes]
 
 

@@ -6,8 +6,18 @@ import re
 import numpy as np
 import pytest
 
-from cifm import _plans, verify
-from cifm.multiplier import GRID_IDS, BlockBatch, FaultSpec, mul12, mul24
+from cifm import _plans, multiplier, verify
+from cifm.bitcore import deferred_record
+from cifm.multiplier import (
+    GRID_IDS,
+    ActivityReport,
+    BlockBatch,
+    FaultSpec,
+    Quadrant,
+    RepairConfig,
+    mul12,
+    mul24,
+)
 from cifm.softfloat import softfloat_mul
 
 NOTE = re.compile(r"a=0x([0-9A-F]+) b=0x([0-9A-F]+) got=0x([0-9A-F]+) want=0x([0-9A-F]+)")
@@ -24,12 +34,13 @@ def _parsed(notes):
 
 TOTALS = {"mul4-exhaustive": 256, "mul12-random": 10009, "mul24-random": 10025,
           "fp32-oracle": 10009, "rev-roundtrip": 1262, "rev-expand": 1256,
-          "repair-all": 36036, "fault-values": 135000}
+          "repair-all": 36036, "fault-values": 135000, "block-paths": 20492}
 
 
 @pytest.mark.parametrize("suite", TOTALS)
 def test_green_sweep_has_no_notes(suite):
-    for seed in range(5):
+    # block-paths makes 20,396 scalar calls a seed; seeds 0 and 1 gate and do not
+    for seed in range(2 if suite == "block-paths" else 5):
         r = verify.run_suite(suite, seed=seed)
         assert r.ok and r.notes == () and r.total == TOTALS[suite], (seed, r)
 
@@ -260,6 +271,56 @@ def test_fault_values_names_a_misplaced_fault(monkeypatch):
         assert str(meant) == m[2]
         assert want == int(scalar(a, b, [FaultSpec(meant, forced)]).product)
         assert got == int(scalar(a, b, [FaultSpec(placed, forced)]).product)
+
+
+SCALAR_NOTE = re.compile(r"scalar mul24 fault ((\w\w):(\d):(\d))=0x(\w\w) repair (\S+) "
+                         r"gating on a=0x(\w+) b=0x(\w+): gated_mul4, disabled_faulty differ")
+
+
+def test_block_paths_names_a_target_reported_disabled_in_a_dark_quadrant(monkeypatch):
+    """Scalar reports that call every repair target disabled, even in a dark
+    quadrant, turn the suite red. Each note names a repaired plan, a pair
+    that leaves its quadrant dark, and the two sets that differ."""
+    real = multiplier._report
+
+    def always_disabled(layout, mask, repaired, x, y):
+        fields = real(layout, mask, repaired, x, y)
+        targets = frozenset(t for t, _, _ in repaired)
+        return fields | {"disabled_faulty": targets, "gated_mul4": fields["gated_mul4"] - targets}
+
+    monkeypatch.setattr(multiplier, "_deferred_report",
+                        deferred_record(ActivityReport, always_disabled))
+    r = verify.run_suite("block-paths", seed=2)
+    monkeypatch.undo()
+    assert r.total - r.passed > 3 and len(r.notes) == 3, r
+    for note in r.notes:
+        m = SCALAR_NOTE.fullmatch(note)
+        target = GRID_IDS[Quadrant(m[2])][(int(m[3]), int(m[4]))]
+        assert m[6] == m[1] == str(target), note       # a repaired plan
+        report = mul24(int(m[7], 16), int(m[8], 16), [FaultSpec(target, int(m[5], 16))],
+                       {target.quadrant: RepairConfig(True, target)}).activity
+        assert target in report.gated_mul4 and not report.disabled_faulty
+
+
+def test_block_paths_names_an_altered_plan_of_a_shared_pass(monkeypatch):
+    """Plan 5 of each shared pass flips its products' low bit where b is odd:
+    one failing case per pass, each noted at the pass's first odd b."""
+    real = verify._batches
+
+    def plan_5_altered(width, a, b, setups, *args):
+        for k, r in enumerate(real(width, a, b, setups, *args)):
+            yield BlockBatch(r.products ^ (b & 1), r.energised, r.unrepaired) if k == 5 else r
+
+    monkeypatch.setattr(verify, "_batches", plan_5_altered)
+    r = verify.run_suite("block-paths", seed=2)
+    assert r.total - r.passed == 4 and len(r.notes) == 3, r
+    rng = np.random.default_rng(2)
+    for note, (width, n) in zip(r.notes, [(24, 1000), (24, 1025), (12, 1000)]):
+        a, b = verify._shifted_pairs(rng, width, n)
+        verify._random_setups(rng, width, 24)
+        k = np.flatnonzero(b & 1)[0]
+        assert re.fullmatch(rf"shared mul{width} fault .+ gating on n={n} plan 5 a=0x{a[k]:X} "
+                            rf"b=0x{b[k]:X}: products differ", note), note
 
 
 @pytest.mark.parametrize("name", [[], None, 3, b"mul4-exhaustive", "no-such-suite"])
