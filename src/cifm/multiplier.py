@@ -761,16 +761,31 @@ def _run_batch(
         yield BlockBatch(*(row.reshape(shape) for row in rows))
 
 
-def _report(layout: _Layout, mask: int, repaired: tuple, x: int, y: int) -> dict:
+def _power_mask(t: _Tables, x: int, y: int) -> int:
+    """The energised mask of the pair ``x``, ``y`` with no spare in use: the
+    power pattern of their halves' group counts, looked up in ``t.masks``.
+    The scalar pass and its report share it; :func:`_tables` states the rule."""
+    counts = t.counts
+    pattern = 0
+    for at, a_shift, b_shift in t.halves:
+        pattern |= counts[x >> at & 0xFFF] << a_shift | counts[y >> at & 0xFFF] << b_shift
+    return t.masks[pattern]
+
+
+def _report(layout: _Layout, mask: int | None, repaired: tuple, x: int, y: int) -> dict:
     """The ActivityReport fields of one scalar call, from its power-pattern mask.
 
-    ``mask`` is the call's power pattern with no spare in use. Its set bits,
-    walked in ascending order through the layout's grid positions, give the
-    powered blocks, and each block's adder levels come from the mul4 table
-    at its operand groups. A repaired call reports each powered target under
-    its spare, the spares last, and reports a target disabled when any block
-    of its quadrant is powered. Every other block of the layout is gated.
+    ``mask`` is the call's power pattern with no spare in use, or None when
+    the call did not need it: then :func:`_power_mask` looks it up from the
+    operands here, on the report's first read. Its set bits, walked in
+    ascending order through the layout's grid positions, give the powered
+    blocks, and each block's adder levels come from the mul4 table at its
+    operand groups. A repaired call reports each powered target under its
+    spare, the spares last, and reports a target disabled when any block of
+    its quadrant is powered. Every other block of the layout is gated.
     """
+    if mask is None:
+        mask = _power_mask(_tables(layout), x, y)
     table = _mul4_tables()[1]
     levels = {
         BLOCK_IDS[k]: table[(y >> 4 * c & 0xF) << 4 | x >> 4 * r & 0xF]
@@ -806,20 +821,22 @@ def _run_scalar(
     Everything it reads of the layout comes from the one cached record
     (:func:`_tables`): the ``array`` tables that :func:`_engine` wraps, which
     give Python ints, and the bit offsets of each half, group and quadrant.
-    The faults are looked at only when one of them is powered. The report
-    keeps the mask, the repairs and the operands, and :func:`_report` builds
-    it from them when it is first read.
+    A fault-free product does not depend on the power pattern, so the call
+    looks it up (:func:`_power_mask`) only when the plan has a live fault,
+    and looks at the faults only when one of them is powered. With gating
+    off the mask is the last, all-on one, which needs no lookup. The report
+    keeps the mask, or None when the call did not look it up, with the
+    repairs and the operands, and :func:`_report` builds it from them when
+    it is first read.
     """
     t = _tables(layout)
     sums = t.sums
-    if gating:
-        counts = t.counts
-        pattern = 0
-        for at, a_shift, b_shift in t.halves:
-            pattern |= counts[x >> at & 0xFFF] << a_shift | counts[y >> at & 0xFFF] << b_shift
-        mask = t.masks[pattern]
-    else:
+    if not gating:
         mask = t.masks[-1]
+    elif plan.fault_bits:
+        mask = _power_mask(t, x, y)
+    else:
+        mask = None
     # xs >> 4*r & 0xF000 is a's group r, where a row-sum index holds it
     xs = x << 12
     quads = []
@@ -828,7 +845,7 @@ def _run_scalar(
         quads.append(sums[xs >> a0 & 0xF000 | yh] + (sums[xs >> a1 & 0xF000 | yh] << 4)
                      + (sums[xs >> a2 & 0xF000 | yh] << 8))
     faulty = ()
-    live = mask & plan.fault_bits
+    live = plan.fault_bits and mask & plan.fault_bits
     if live:                            # only a faulted quadrant can wrap
         powered = []
         for f in plan.faults:           # in mask bit order

@@ -7,12 +7,13 @@ the energised and unrepaired masks of ``mul12_batch``/``mul24_batch`` give.
 
 import dataclasses
 import itertools
+import operator
 import pickle
 
 import numpy as np
 import pytest
 
-from cifm import verify
+from cifm import multiplier, verify
 from cifm.fp32 import fp_mul
 from cifm.multiplier import (
     BLOCK_IDS,
@@ -225,3 +226,73 @@ def test_setting_a_report_attribute_raises(read_first):
     with pytest.raises(AttributeError):
         del report.active_mul4
     assert report == mul24(0xABCDEF, 0xFEDCBA).activity
+
+
+# A fault-free product does not depend on the power pattern, so the scalar
+# pass looks it up only for a plan with a live fault, and otherwise leaves it
+# to the report's first read.
+
+_FAULT = FaultSpec(GRID_IDS[Quadrant.HL][(1, 2)], 0x5A)
+DEFERRED = {  # gated calls whose pattern waits for the report
+    "mul12": lambda: mul12(0xABC, 0x987),
+    "mul24-wide": lambda: mul24(0xABCDEF, 0x987654),
+    "mul24-narrow": lambda: mul24(0xAB, 0x98),
+    "mul24-repaired": lambda: mul24(0xABCDEF, 0x987654, [_FAULT],
+                                    {Quadrant.HL: RepairConfig(True, _FAULT.target)}),
+    "fp_mul": lambda: fp_mul(0x3FC00000, 0x40490FDB),
+}
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """The calls of the pattern helper that the scalar pass and its report share."""
+    calls = []
+    real = multiplier._power_mask
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(multiplier, "_power_mask", counted)
+    return calls
+
+
+def _activity(result):
+    return result[1].activity if isinstance(result, tuple) else result.activity
+
+
+READS = {name: operator.attrgetter(name) for name in ("power_proxy", *REPORT_FIELDS)}
+READS["to_json()"] = operator.methodcaller("to_json")
+
+
+@pytest.mark.parametrize("first", READS.values(), ids=READS.keys())
+@pytest.mark.parametrize("call", DEFERRED.values(), ids=DEFERRED.keys())
+def test_a_fault_free_call_looks_up_its_pattern_on_first_read(call, first, lookups):
+    report = _activity(call())
+    assert lookups == []
+    first(report)
+    assert len(lookups) == 1
+    for read in READS.values():
+        read(report)
+    assert len(lookups) == 1
+
+
+@pytest.mark.parametrize("x, y, powered", [(0xABCDEF, 0x987654, True), (0xAB, 0x98, False)],
+                         ids=["lit", "dark"])
+def test_an_unrepaired_fault_looks_up_its_pattern_in_the_call(x, y, powered, lookups):
+    result = mul24(x, y, [_FAULT])
+    assert len(lookups) == 1
+    assert result.unrepaired_faults == ((_FAULT.target,) if powered else ())
+    result.activity.to_json()
+    assert len(lookups) == 1
+
+
+@pytest.mark.parametrize("scalar, x, y", [(mul12, 0xABC, 0x987), (mul24, 0xABCDEF, 0x987654)],
+                         ids=["mul12", "mul24"])
+def test_no_gating_never_looks_up_a_pattern(scalar, x, y, lookups):
+    plain = scalar(x, y, gating=False)
+    numpy_flag = scalar(x, y, gating=np.bool_(False))
+    assert plain.activity == numpy_flag.activity
+    assert plain.activity.power_proxy == (9 if scalar is mul12 else 36)
+    assert plain.activity.to_json() == numpy_flag.activity.to_json()
+    assert lookups == []
