@@ -18,8 +18,10 @@ line values are, it loads them with no check and no packing.
 The read-out costs what the planes hold, not how many rows there are. A
 plan that loads rows 0..k-1 in order, as every cell plan and every inverse
 plan does, loads them with one slice assignment; a run that reads every row
-hands its state list over as it is; and a zero plane, such as each ancilla
-an inverse run returns to 0, decodes to a zero row without being converted.
+hands its state list over as it is; a zero plane, such as each ancilla
+an inverse run returns to 0, decodes to a zero row without being converted;
+and a batch of many chunks is decoded into one array, not chunk by chunk
+and then joined.
 
 :mod:`cifm.bitcore` imports it on a cell plan's first compile or run and
 :mod:`cifm.revlogic` on load, so the block datapath never loads it. Of cifm
@@ -29,9 +31,10 @@ it imports only bitcore's operand rules and CHUNK_VECTORS.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from collections import Counter
-from itertools import compress, repeat
+from itertools import chain, compress, cycle, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -353,6 +356,35 @@ def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
     return out
 
 
+def _from_chunks(chunks: Sequence[tuple], count: int, n: int) -> np.ndarray:
+    """uint8 [count x n] from the ``(lo, hi, planes)`` of consecutive chunks
+    covering n vectors, by :func:`_from_planes`'s rule, in one array.
+
+    Every chunk but the last holds CHUNK_VECTORS vectors, a whole number of
+    bytes, so a row's bytes, chunk after chunk, hold its bits in vector
+    order, and one unpacking call decodes every row at full length. A row
+    that is zero in every chunk is neither converted nor unpacked when at
+    least half the rows are such.
+    """
+    import numpy as np
+
+    sizes = [-(-(hi - lo) // 8) for lo, hi, _ in chunks]
+    rows = list(zip(*(planes for _, _, planes in chunks))) or [()] * count
+
+    def data(kept: Iterable[tuple]) -> bytes:
+        return b"".join(map(int.to_bytes, chain.from_iterable(kept), cycle(sizes),
+                            repeat("little")))
+
+    nonzero = [k for k, row in enumerate(rows) if any(row)]
+    if 2 * (count - len(nonzero)) <= count:
+        return _unpacked(data(rows), count, sum(sizes), n)
+    out = np.zeros((count, n), dtype=np.uint8)
+    if nonzero:
+        out[nonzero] = _unpacked(data(map(rows.__getitem__, nonzero)), len(nonzero),
+                                 sum(sizes), n)
+    return out
+
+
 def _unpacked(data: bytes, rows: int, size: int, n: int) -> np.ndarray:
     """uint8 [rows x n]: the first n bits of each ``size``-byte row of
     ``data``, least significant bit first."""
@@ -442,8 +474,8 @@ def run_rows(
     ``values`` and the ValueError it may raise are as in :func:`uint_rows`,
     and the result is one uint8 array [plan.rows x *shape] for the
     broadcast shape of the values. A batch of one chunk is returned as it
-    was decoded, longer batches are joined, and an empty one gives
-    [plan.rows x 0].
+    was decoded, a longer one is decoded into one array allocated once
+    (:func:`_from_chunks`), and an empty one gives [plan.rows x 0].
 
     An array result is read-only, and setting its ``writeable`` flag
     raises: ``.copy()`` gives one to change, and keeps only the values. Its
@@ -471,7 +503,9 @@ def run_rows(
     else:
         rows, shape = uint_rows(values, widths, name)
     chunks = tuple(run_kernels(plan, rows, range(plan.rows)))
-    parts = [_from_planes(planes, hi - lo) for lo, hi, planes in chunks]
-    memory = parts[0] if len(parts) == 1 else np.concatenate(
-        parts or [np.empty((plan.rows, 0), dtype=np.uint8)], axis=1)
+    if len(chunks) == 1:
+        (lo, hi, planes), = chunks
+        memory = _from_planes(planes, hi - lo)
+    else:
+        memory = _from_chunks(chunks, plan.rows, math.prod(shape))
     return np.asarray(_Planes(memory, chunks, (plan.rows,) + shape))

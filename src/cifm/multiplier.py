@@ -36,13 +36,18 @@ quadrant's spare, which computes the true product. The call's fault and
 repair plan is validated once, before the engine runs. Only a plan with a
 live, unrepaired fault sums per quadrant: each such fault that is powered
 adds its forced value minus the true block product to its quadrant, which
-wraps modulo 2**24. Besides the products and the powered mask, the engine
-returns per pair the mask of the faulty blocks that drove their forced
-value. Batches run in chunks of :data:`CHUNK` pairs, which bounds the
-temporaries. A pass serves any number of plans on one operand set, each
-adding only its own repair swap and fault corrections. The tables are built on
-first use, never at import, in pure Python as ``array`` buffers; the engine
-wraps the same buffers with ``np.frombuffer``, without a copy.
+wraps modulo 2**24. Besides the products, a :class:`BlockBatch` holds per
+pair the powered mask and the mask of the faulty blocks that drove their
+forced value. No product depends on the powered masks but through a live
+fault, so a call looks them up only when a plan has one; otherwise the
+first read of a batch's powered masks looks them up, once for all plans of
+its call, and a plan with no live fault drove no forced value. Batches run
+in chunks of :data:`CHUNK` pairs, which bounds the temporaries. A pass
+serves any number of plans on one operand set, each adding only its own
+fault corrections, and its repair swap when its masks are read. The tables
+are built on first use, never at import, in pure Python as ``array``
+buffers; the engine wraps the same buffers with ``np.frombuffer``, without
+a copy.
 
 :func:`mul12` and :func:`mul24` run the same rule for one pair on Python
 ints, indexing the same ``array`` tables, since numpy's per-call cost would
@@ -69,7 +74,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import lshift, or_
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -404,18 +409,64 @@ _ID_JSON = {m: m.to_json() for m in BLOCK_IDS}
 
 
 # Operand pairs per engine pass: bounds each (rows x halves x pairs) temporary
-# to 96 KB, below the C allocator's 128 KB mmap threshold.
+# to 96 KB, below the C allocator's 128 KB mmap threshold. A longer call fills
+# one products array for all plans, chunk by chunk: a one-plan call with no
+# live fault allocates its products and an all-zero unrepaired mask only.
 CHUNK = 1024
 
 _MASK48 = (1 << 48) - 1
 
 
-class BlockBatch(NamedTuple):
-    """Per-pair results of the block engine, int64 arrays shaped like the operands."""
+class BlockBatch:
+    """Per-pair results of the block engine, int64 arrays shaped like the operands.
+
+    Built from its three arrays, a batch unpacks in field order, prints and
+    pickles as a record of them. A batch from the engine builds its
+    ``energised`` masks on first read (:func:`_run_batch`); a batch whose
+    masks are never read builds none.
+    """
+
+    __slots__ = ("products", "_energised", "unrepaired", "_deferred")
+    _fields = ("products", "energised", "unrepaired")
 
     products: np.ndarray    # mod 2**48 for mul24, 2**24 for mul12
-    energised: np.ndarray   # bit k set: BLOCK_IDS[k] was powered
     unrepaired: np.ndarray  # bit k set: faulty BLOCK_IDS[k] drove its forced value
+
+    def __init__(
+        self, products: np.ndarray, energised: np.ndarray, unrepaired: np.ndarray
+    ) -> None:
+        self.products = products
+        self._energised = energised
+        self.unrepaired = unrepaired
+
+    @property
+    def energised(self) -> np.ndarray:
+        """Bit k set: BLOCK_IDS[k] was powered."""
+        try:
+            return self._energised
+        except AttributeError:          # an engine batch, read for the first time
+            self._energised = masks = self._deferred()
+            del self._deferred
+            return masks
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter((self.products, self.energised, self.unrepaired))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"BlockBatch({fields})"
+
+    def __reduce__(self):
+        return BlockBatch, tuple(self)
+
+
+def _deferred_batch(
+    products: np.ndarray, energised: Callable[[], np.ndarray], unrepaired: np.ndarray
+) -> BlockBatch:
+    """A BlockBatch whose first read of ``energised`` calls ``energised()``."""
+    batch = object.__new__(BlockBatch)
+    batch.products, batch._deferred, batch.unrepaired = products, energised, unrepaired
+    return batch
 
 
 class _Fault(NamedTuple):
@@ -571,7 +622,7 @@ class _Engine(NamedTuple):
     counts: np.ndarray
     masks: np.ndarray
     half_shift: np.ndarray      # (h, 1) bit offset 12*h of operand half h
-    group_up: np.ndarray        # (3, 1) shifts moving group i of a half to bits 12..15
+    group_shift: np.ndarray     # (g, 1, 1) 4*r: a << 12 >> 4*r holds group r at bits 12..15
     row_weight: np.ndarray      # (g*h,) 2**(4*r + 12*hb) of row sum (r, hb)
     quad_row_weight: np.ndarray  # (3,) weights of a quadrant's three row sums
     quad_weight: np.ndarray     # (h*h,) 2**(12*(ha + hb)) of quadrant (ha, hb)
@@ -591,7 +642,7 @@ def _engine(layout: _Layout) -> _Engine:
         counts=np.frombuffer(t.counts, dtype=np.uint8),
         masks=np.frombuffer(t.masks, dtype=np.int64),
         half_shift=12 * h[:, None],
-        group_up=np.array([[12], [8], [4]]),
+        group_shift=4 * r[:, None, None],
         row_weight=2.0 ** (4 * r[:, None] + 12 * h[None, :]).ravel(),
         quad_row_weight=np.array([1.0, 2.0 ** 4, 2.0 ** 8]),
         quad_weight=2.0 ** (12 * (h[:, None] + h[None, :])).ravel(),
@@ -685,45 +736,57 @@ def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig, gating: bool) -> 
     return _plan(_MUL12, faults, () if target is None else (target,), gating)
 
 
+def _power_masks(layout: _Layout, ab: np.ndarray) -> np.ndarray:
+    """The energised mask of each pair of ``ab``, (2, n), with no spare in
+    use: the power pattern of the pair's halves' group counts, looked up in
+    the layout's mask table, :data:`CHUNK` pairs at a time. The batch
+    engine's one lookup, made in a call that has a live fault or on a
+    batch's first read of its masks; :func:`_tables` states the rule."""
+    import numpy as np
+
+    e = _engine(layout)
+    masks = np.empty(ab.shape[1], dtype=np.int64)
+    for lo in range(0, ab.shape[1], CHUNK):
+        halves = ab[:, None, lo:lo + CHUNK] >> e.half_shift & 0xFFF    # (2, h, m)
+        # in range, so "wrap" only skips the bounds check, as in _blocks
+        counts = e.counts.take(halves, mode="wrap").reshape(2 * layout.halves, -1)
+        e.masks.take(e.pattern_weight @ counts, out=masks[lo:lo + CHUNK], mode="wrap")
+    return masks
+
+
 def _blocks(
-    layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, gating: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, powered: np.ndarray | None
+) -> Iterator[np.ndarray]:
     """One engine pass over a (2, n) array of operand pairs, for all ``plans``.
 
-    Yields each plan's products, energised and unrepaired masks, its own
-    arrays. One gather of the row-sum table gives every (a group, b half)
-    row of blocks, and one of the power-pattern table the energised masks.
-    A gated block's operand group is zero, so its product is zero and the
-    row sums need no gating. Each powered repaired target hands its mask bit
-    to its spare, which computes the true product. Each live fault that is
-    powered adds its forced value minus the true block product to its
-    quadrant, which then sums modulo 2**24; without one, no quadrant can
-    wrap. Only the repair swaps and fault corrections are made per plan.
+    Yields each plan's products, its own array. One gather of the row-sum
+    table gives every (a group, b half) row of blocks. A gated block's
+    operand group is zero, so its product is zero and the row sums need no
+    gating, and no plan's products depend on which blocks are powered but
+    through its live faults. ``powered`` holds the pairs' energised masks
+    with no spare in use, which a plan with a live fault reads, or None
+    when no plan has one. A live fault's block is never a repair target, so
+    its mask bit is the same with the plan's spares in use. Each live fault
+    that is powered adds its forced value minus the true block product to
+    its quadrant, which then sums modulo 2**24; without one, no quadrant can
+    wrap. Only the fault corrections are made per plan.
     """
     import numpy as np
 
     e = _engine(layout)
     n = ab.shape[1]
     h = layout.halves
-    halves = ab[:, None, :] >> e.half_shift & 0xFFF                  # (2, h, n)
-    rows = halves[0][:, None, :] << e.group_up & 0xF000              # (h, 3, n)
-    index = rows.reshape(-1, 1, n) | halves[1]                       # (g, h, n)
-    sums = e.sums.take(index)
-    if gating:
-        powered = e.masks.take(e.pattern_weight @ e.counts.take(halves).reshape(-1, n))
-    else:
-        powered = np.full(n, e.masks[-1])
+    # every index is in range, so "wrap" never wraps: it only skips the bounds check
+    index = (ab[0] << 12 >> e.group_shift & 0xF000) | (ab[1] >> e.half_shift & 0xFFF)
+    sums = e.sums.take(index, mode="wrap")                           # (g, h, n)
     plain = quads = None
     last = len(plans) - 1
     for k, plan in enumerate(plans):
         # later plans read the shared arrays again: only the last may keep them
-        energised = powered.copy() if k < last else powered
-        for _, target, spare in plan.repaired:
-            energised ^= (energised >> target & 1) * (1 << target | 1 << spare)
         if not plan.faults:
             if plain is None:
                 plain = (e.row_weight @ sums.reshape(-1, n)).astype(np.int64)
-            yield plain.copy() if k < last else plain, energised, energised & plan.fault_bits
+            yield plain.copy() if k < last else plain
             continue
         if quads is None:
             quads = (e.quad_row_weight @ sums.reshape(h, 3, h * n)).astype(np.int64)
@@ -732,33 +795,68 @@ def _blocks(
         for f in plan.faults:
             # the row sum of a group r and b group j alone is the true block product
             # at weight 4*j; in int32, as every value here is below 256 << 16
-            wrong = f.forced - (e.sums.take(index[f.row, f.half] & f.keep) << f.shift)
-            faulty[f.quad] += wrong * (energised >> f.bit & 1)
-        products = (e.quad_weight @ (faulty & 0xFFFFFF)).astype(np.int64) & _MASK48
-        yield products, energised, energised & plan.fault_bits
+            wrong = f.forced - (e.sums.take(index[f.row, f.half] & f.keep, mode="wrap")
+                                << f.shift)
+            faulty[f.quad] += wrong * (powered >> f.bit & 1)
+        yield (e.quad_weight @ (faulty & 0xFFFFFF)).astype(np.int64) & _MASK48
 
 
 def _run_batch(
     layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, shape: tuple[int, ...],
     gating: bool,
 ) -> Iterator[BlockBatch]:
-    """Each plan's BlockBatch, from :func:`_blocks` run chunk by chunk. A
-    one-chunk call yields each batch as it is made; a longer one fills one
-    array for all plans first."""
+    """Each plan's BlockBatch: its products from :func:`_blocks`, run chunk
+    by chunk, and its masks. A one-chunk call yields each batch as it is
+    made; a longer one fills one products array for all plans first.
+
+    The call's energised masks with no spare in use come from one
+    :func:`_power_masks` pass over its operand stack ``ab``, which all its
+    plans share, or are the all-on mask with gating off, which needs no
+    lookup. The pass runs in the call when a plan has a live fault, whose
+    corrections and unrepaired mask read it; otherwise on the first read of
+    any plan's ``energised``, and not at all if none is read. A plan with no
+    live fault has an all-zero unrepaired mask. Each plan's ``energised`` is
+    built on its first read, in its own array, from the shared masks and
+    its own repair swaps: each powered repaired target hands its mask bit to
+    its spare. ``ab`` is the call's own copy, so a caller that changes its
+    operands afterwards changes no mask.
+    """
     import numpy as np
 
     n = ab.shape[1]
+    shared = []                         # the call's masks, once looked up
+
+    def powered() -> np.ndarray:
+        if not shared:
+            shared.append(_power_masks(layout, ab) if gating
+                          else np.full(n, _engine(layout).masks[-1]))
+        return shared[0]
+
+    live = powered() if any(plan.faults for plan in plans) else None
     if 0 < n <= CHUNK:
-        for result in _blocks(layout, plans, ab, gating):
-            yield BlockBatch(*(row.reshape(shape) for row in result))
-        return
-    out = np.empty((len(plans), 3, n), dtype=np.int64)
-    for lo in range(0, n, CHUNK):
-        chunk = slice(lo, lo + CHUNK)
-        for k, result in enumerate(_blocks(layout, plans, ab[:, chunk], gating)):
-            out[k, :, chunk] = result
-    for rows in out:
-        yield BlockBatch(*(row.reshape(shape) for row in rows))
+        products = _blocks(layout, plans, ab, live)
+    else:
+        products = np.empty((len(plans), n), dtype=np.int64)
+        for lo in range(0, n, CHUNK):
+            chunk = slice(lo, lo + CHUNK)
+            part = None if live is None else live[chunk]
+            for k, row in enumerate(_blocks(layout, plans, ab[:, chunk], part)):
+                products[k, chunk] = row
+    for plan, row in zip(plans, products):
+        unrepaired = live & plan.fault_bits if plan.faults else np.zeros(n, dtype=np.int64)
+        energised = functools.partial(_energised, powered, plan.repaired, shape)
+        yield _deferred_batch(row.reshape(shape), energised, unrepaired.reshape(shape))
+
+
+def _energised(
+    powered: Callable[[], np.ndarray], repaired: tuple, shape: tuple[int, ...]
+) -> np.ndarray:
+    """One plan's energised masks: a copy of the call's masks, which its
+    other plans read too, with the plan's repair swaps."""
+    masks = powered().copy()
+    for _, target, spare in repaired:
+        masks ^= (masks >> target & 1) * (1 << target | 1 << spare)
+    return masks.reshape(shape)
 
 
 def _power_mask(t: _Tables, x: int, y: int) -> int:

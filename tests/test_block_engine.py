@@ -7,6 +7,7 @@ against the scalar ``classify_width`` in ``width_oracle``.
 
 import itertools
 import json
+import pickle
 import subprocess
 import sys
 
@@ -15,9 +16,10 @@ import pytest
 
 from cifm import multiplier, verify
 from cifm.bitcore import BitVec
-from cifm.fp32 import fp_mul
+from cifm.fp32 import fp_mul, fp_mul_batch
 from cifm.multiplier import (
     BLOCK_IDS,
+    BlockBatch,
     CHUNK,
     GRID_IDS,
     SPARE_IDS,
@@ -576,3 +578,167 @@ def test_the_largest_sums_are_exact():
     f = mul24_batch([top, top - 1], [top, top], faults)
     assert r.products.tolist() == [top * top, (top - 1) * top]
     assert f.products.tolist() == [want, want]
+
+
+
+# No batch product depends on which blocks are powered but through a live
+# fault, so a call looks up its power masks only when a plan has one, and
+# otherwise leaves them to the first read of a batch's masks.
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The calls of the mask helper that a call's pass and a batch's first
+    read share: one per mask pass over a call's operands."""
+    calls = []
+    real = multiplier._power_masks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(multiplier, "_power_masks", counted)
+    return calls
+
+
+_LIVE = FaultSpec(GRID_IDS[Quadrant.LL][(1, 2)], 0xA5)
+_SWAP = 1 << _bit(_LIVE.target) | 1 << _bit(SPARE_IDS[Quadrant.LL])
+NO_LIVE_FAULT = [(24, False), (24, True), (12, False), (12, True)]
+NO_LIVE_IDS = ["mul24", "mul24-repaired", "mul12", "mul12-repaired"]
+SIZES = [0, 1, CHUNK, CHUNK + 1]
+
+
+def _pairs(seed: int, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _operands(seed, n, width)
+    return a[:n], b[:n]
+
+
+def _no_live_fault(width: int, repaired: bool, a, b, gating: bool = True):
+    """A call of ``mul{width}_batch`` with no live fault: plain, or with
+    ``_LIVE`` repaired by its quadrant's spare."""
+    batch = mul24_batch if width == 24 else mul12_batch
+    if not repaired:
+        return batch(a, b, gating=gating)
+    cfg = RepairConfig(True, _LIVE.target)
+    return batch(a, b, [_LIVE], {Quadrant.LL: cfg} if width == 24 else cfg, gating=gating)
+
+
+def _want_masks(width: int, repaired: bool, a, b) -> list[int]:
+    """The energised masks of the width classes, with ``_LIVE``'s bit on its
+    spare when it is repaired and powered."""
+    want = [_classified(x, y, width) for x, y in zip(a.tolist(), b.tolist())]
+    return [m ^ _SWAP if repaired and m >> _bit(_LIVE.target) & 1 else m for m in want]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_a_call_with_no_live_fault_makes_no_mask_pass(n, passes):
+    for width, repaired in NO_LIVE_FAULT:
+        r = _no_live_fault(width, repaired, *_pairs(20, n, width))
+        r.products, r.unrepaired
+    patterns = 0x3F800000 | np.arange(n, dtype=np.int64) * 0x3FF % (1 << 23)
+    repair = {Quadrant.LL: RepairConfig(True, _LIVE.target)}
+    fp_mul_batch(patterns, patterns[::-1])
+    fp_mul_batch(patterns, patterns[::-1], [_LIVE], repair)
+    assert passes == []
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("width, repaired", NO_LIVE_FAULT, ids=NO_LIVE_IDS)
+def test_the_first_read_of_the_masks_makes_the_one_pass(width, repaired, n, passes):
+    a, b = _pairs(21, n, width)
+    r = _no_live_fault(width, repaired, a, b)
+    assert passes == []
+    masks = r.energised
+    assert len(passes) == 1
+    assert r.energised is masks
+    list(r), repr(r), pickle.dumps(r)
+    assert len(passes) == 1
+    assert masks.dtype == np.int64 and masks.shape == (n,) and masks.flags.writeable
+    assert masks.tolist() == _want_masks(width, repaired, a, b)
+    assert np.array_equal(r.unrepaired, np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_a_live_fault_makes_the_one_pass_in_the_call(n, passes):
+    a, b = _pairs(22, n, 24)
+    r = mul24_batch(a, b, [_LIVE])
+    assert len(passes) == 1
+    masks = r.energised
+    assert len(passes) == 1
+    assert masks.tolist() == _want_masks(24, False, a, b)
+    assert np.array_equal(r.unrepaired, masks & 1 << _bit(_LIVE.target))
+
+
+@pytest.mark.parametrize("width", [24, 12])
+def test_no_gating_keeps_the_all_on_mask_with_no_pass(width, passes):
+    a, b = _pairs(23, CHUNK + 1, width)
+    placed = BLOCK_IDS[:36] if width == 24 else GRID_IDS[Quadrant.LL].values()
+    grid = sum(1 << _bit(m) for m in placed)
+    for r in (_no_live_fault(width, False, a, b, gating=False),
+              _no_live_fault(width, True, a, b, gating=False),
+              (mul24_batch if width == 24 else mul12_batch)(a, b, [_LIVE], gating=False)):
+        spare = r.energised >> _bit(SPARE_IDS[Quadrant.LL]) & 1
+        assert np.array_equal(r.energised ^ spare * _SWAP, np.full(a.shape, grid))
+    assert passes == []
+
+
+@pytest.mark.parametrize("n", [1000, CHUNK + 1])
+@pytest.mark.parametrize("width", [24, 12])
+def test_one_pass_serves_every_plan_of_a_shared_call(width, n, passes):
+    """24 plans of one _batches call read their masks after one pass: in the
+    call when a plan has a live fault, else on the first read. No two of
+    their arrays share memory."""
+    rng = np.random.default_rng(width + n)
+    a, b = rng.integers(0, 1 << width, (2, n)) >> rng.integers(0, width + 1, (2, n))
+    drawn = verify._random_setups(rng, width, 24)
+    # the same plans with only their repaired faults kept: no fault is live
+    repaired = [([f for f in faults if f.target in verify._repaired(repair)], repair)
+                for faults, repair in drawn]
+    for setups, in_call in ((drawn, 1), (repaired, 0)):
+        passes.clear()
+        batches = list(multiplier._batches(width, a, b, setups))
+        assert len(passes) == in_call
+        arrays = [array for r in batches for array in r]
+        assert len(passes) == 1
+        for one, other in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(one, other)
+        assert verify._shared_pass(width, a, b, setups, True) == []
+
+
+@pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("width, repaired", NO_LIVE_FAULT, ids=NO_LIVE_IDS)
+def test_masks_read_late_equal_masks_read_at_once(width, repaired, n):
+    a, b = _pairs(24, n, width)
+    want = _want_masks(width, repaired, a, b)
+    eager = _no_live_fault(width, repaired, a, b).energised
+    late = _no_live_fault(width, repaired, a, b)
+    a[...] = 0
+    b[...] = (1 << width) - 1
+    assert late.energised.tolist() == eager.tolist() == want
+
+
+def test_block_batch_keeps_its_record_forms():
+    """Built from three arrays or by the engine, a batch unpacks in field
+    order, under the field names ``verify._shared_pass`` reads, prints and
+    pickles as the record of its arrays, and keeps 0-d and empty shapes."""
+    fields = [np.arange(3, dtype=np.int64) << k for k in range(3)]
+    batch = BlockBatch(*fields)
+    assert BlockBatch._fields == batch._fields == ("products", "energised", "unrepaired")
+    assert [getattr(batch, name) for name in batch._fields] == list(batch)
+    assert all(got is want for got, want in zip(batch, fields, strict=True))
+    products, energised, unrepaired = batch
+    assert energised is fields[1]
+    assert repr(batch) == ("BlockBatch(products=array([0, 1, 2]), energised=array([0, 2, 4]), "
+                           "unrepaired=array([0, 4, 8]))")
+    a = np.array([[0xABCDEF, 0xF, 0]])
+    engine = [mul24_batch(a, a), mul24_batch(a, a, [_LIVE]), mul24_batch(7, 9),
+              mul24_batch(np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int)),
+              mul12_batch(0xABC, 0x987)]
+    for r, shape in zip([batch, *engine], [(3,), (1, 3), (1, 3), (), (0, 2), ()]):
+        rebuilt = BlockBatch(*r)
+        copy = pickle.loads(pickle.dumps(r))
+        assert type(copy) is BlockBatch
+        assert repr(copy) == repr(r) == repr(rebuilt)
+        for got, want in zip(copy, r, strict=True):
+            assert got.dtype == want.dtype == np.int64 and got.shape == want.shape == shape
+            assert np.array_equal(got, want)
+    assert int(engine[2].products) == 63 and int(engine[2].energised) == _classified(7, 9)

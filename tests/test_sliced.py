@@ -927,6 +927,60 @@ def test_zero_planes_decode_as_the_reference(n, mix):
     assert _to_planes(got) == planes
 
 
+@pytest.mark.parametrize("mix", ZERO_MIXES)
+@pytest.mark.parametrize("last", [1, 7, 8, 9, CHUNK_VECTORS])
+def test_chunks_decode_into_one_array_as_their_joined_decodes(last, mix):
+    """Three chunks, the last of ``last`` vectors, decode into one array
+    that equals the chunks decoded one by one and joined: whether a row is
+    zero in every chunk, in some or in none."""
+    rng = random.Random(last)
+    sizes = [CHUNK_VECTORS, CHUNK_VECTORS, last]
+    chunks, lo = [], 0
+    for k, size in enumerate(sizes):
+        planes = [0 if zero and (k or mix != "half-zero") else rng.randrange(1, 1 << size)
+                  for zero in ZERO_MIXES[mix]]
+        chunks.append((lo, lo + size, planes))
+        lo += size
+    got = _plans._from_chunks(chunks, 8, lo)
+    want = np.concatenate([_from_planes(planes, hi - lo) for lo, hi, planes in chunks], axis=1)
+    assert got.dtype == np.uint8 and got.shape == (8, lo)
+    assert np.array_equal(got, want)
+    assert _plans._from_chunks([], 8, 0).shape == (8, 0)
+
+
+def test_a_long_round_trip_decodes_into_one_array(monkeypatch):
+    """A 2**16-vector round trip of the mul12 expansion: line values and the
+    inverse's result equal their chunks decoded one by one, are read-only
+    uint8 and hand their planes over, and no array is joined."""
+    rng = np.random.default_rng(34)
+    rev = expand(export_netlist("mul12"))
+    n = 1 << 16
+    ins = {l.name: rng.integers(0, 2, n) for l in rev.lines if l.name is not None}
+    joins = []
+    real = np.concatenate
+    monkeypatch.setattr(np, "concatenate", lambda *args, **kw: joins.append(1) or real(*args, **kw))
+    lines = simulate(rev, ins).line_values
+    back = simulate_inverse(rev, lines)
+    assert joins == []
+    monkeypatch.undo()
+    calls = _count_packs(monkeypatch)
+    again = simulate_inverse(rev, back)
+    assert calls == []
+    for result in (lines, back, again):
+        assert type(result) is np.ndarray and result.dtype == np.uint8
+        assert result.shape == (len(rev.lines), n) and not result.flags.writeable
+        with pytest.raises(ValueError):
+            result.flags.writeable = True
+        assert len(result.base.chunks) == n // CHUNK_VECTORS
+        assert np.array_equal(result, np.concatenate(
+            [_from_planes(planes, hi - lo) for lo, hi, planes in result.base.chunks], axis=1))
+    assert _mostly_zero(back)
+    for i, line in enumerate(rev.lines):
+        assert np.array_equal(back[i], np.broadcast_to(
+            ins[line.name] if line.name is not None else line.const, n))
+    assert np.array_equal(again, simulate_inverse(rev, np.array(back)))
+
+
 def _mostly_zero(array) -> bool:
     """Whether the planes an engine result keeps are mostly zero in every
     chunk, so the result was decoded from a zeroed array."""
