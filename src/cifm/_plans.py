@@ -18,10 +18,10 @@ line values are, it loads them with no check and no packing.
 The read-out costs what the planes hold, not how many rows there are. A
 plan that loads rows 0..k-1 in order, as every cell plan and every inverse
 plan does, loads them with one slice assignment; a run that reads every row
-hands its state list over as it is; a zero plane, such as each ancilla
-an inverse run returns to 0, decodes to a zero row without being converted;
-and a batch of many chunks is decoded into one array, not chunk by chunk
-and then joined.
+hands its state list over as it is; and one decoder, :func:`_decoded`,
+turns the planes of any number of chunks into one array, with no join,
+and, when most rows are zero in every chunk, as each ancilla an inverse
+run returns to 0 is, decodes only the others.
 
 :mod:`cifm.bitcore` imports it on a cell plan's first compile or run and
 :mod:`cifm.revlogic` on load, so the block datapath never loads it. Of cifm
@@ -34,7 +34,7 @@ import functools
 import math
 import struct
 from collections import Counter
-from itertools import chain, compress, cycle, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -332,66 +332,45 @@ def _to_planes(bits: np.ndarray) -> list[int]:
     return list(map(int.from_bytes, map(itemgetter(0), rows), repeat("little")))
 
 
-def _from_planes(planes: Sequence[int], n: int) -> np.ndarray:
-    """The inverse of :func:`_to_planes`: uint8 [len(planes) x n].
+def _decoded(chunks: Sequence[tuple], count: int, n: int) -> np.ndarray:
+    """The inverse of :func:`_to_planes`: uint8 [count x n] from the
+    ``(lo, hi, planes)`` of consecutive chunks covering n vectors, each
+    holding ``count`` planes.
 
-    Each plane is turned into ``ceil(n / 8)`` bytes and the bytes unpacked
-    to bits in one call. A zero plane needs neither: when at least half the
-    planes are zero, as in an inverse run's final state, where every ancilla
-    is back at 0, the rows start as one zeroed array and only the nonzero
-    planes are converted, unpacked and written into their rows. A mostly
-    nonzero list is decoded in one buffer, which spares that scatter.
+    Each plane becomes as many bytes as the first chunk's planes fill. Every
+    chunk but the last holds CHUNK_VECTORS vectors, a whole number of bytes,
+    so a row's bytes, chunk after chunk, hold its bits in vector order, the
+    last chunk's padded with zeros past n, and one unpacking call decodes
+    every row at full length. A lone chunk's planes are its rows as they
+    are. A row zero in every chunk needs no work: when at least half the
+    rows are such, as in an inverse run's final state, where every ancilla
+    is back at 0, the rows start as one zeroed array and only the others are
+    converted, unpacked and written into their rows. A mostly nonzero list
+    is decoded in one buffer, which spares that scatter.
     """
     import numpy as np
 
-    size = -(-n // 8)
-    if 2 * planes.count(0) <= len(planes):
-        data = b"".join(map(int.to_bytes, planes, repeat(size), repeat("little")))
-        return _unpacked(data, len(planes), size, n)
-    out = np.zeros((len(planes), n), dtype=np.uint8)
-    rows = list(compress(range(len(planes)), planes))
-    if rows:
-        data = b"".join(map(int.to_bytes, filter(None, planes), repeat(size), repeat("little")))
-        out[rows] = _unpacked(data, len(rows), size, n)
-    return out
+    size = -(-(chunks[0][1] - chunks[0][0]) // 8) if chunks else 0
+    if len(chunks) == 1:
+        rows = flags = chunks[0][2]
+        planes_of = iter
+    else:
+        rows = list(zip(*(planes for _, _, planes in chunks))) or [()] * count
+        flags = list(map(any, rows))
+        planes_of = chain.from_iterable
 
+    def unpacked(kept: Iterable, k: int) -> np.ndarray:
+        data = b"".join(map(int.to_bytes, planes_of(kept), repeat(size), repeat("little")))
+        return np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(k, size * len(chunks)),
+                             axis=1, bitorder="little", count=n)
 
-def _from_chunks(chunks: Sequence[tuple], count: int, n: int) -> np.ndarray:
-    """uint8 [count x n] from the ``(lo, hi, planes)`` of consecutive chunks
-    covering n vectors, by :func:`_from_planes`'s rule, in one array.
-
-    Every chunk but the last holds CHUNK_VECTORS vectors, a whole number of
-    bytes, so a row's bytes, chunk after chunk, hold its bits in vector
-    order, and one unpacking call decodes every row at full length. A row
-    that is zero in every chunk is neither converted nor unpacked when at
-    least half the rows are such.
-    """
-    import numpy as np
-
-    sizes = [-(-(hi - lo) // 8) for lo, hi, _ in chunks]
-    rows = list(zip(*(planes for _, _, planes in chunks))) or [()] * count
-
-    def data(kept: Iterable[tuple]) -> bytes:
-        return b"".join(map(int.to_bytes, chain.from_iterable(kept), cycle(sizes),
-                            repeat("little")))
-
-    nonzero = [k for k, row in enumerate(rows) if any(row)]
-    if 2 * (count - len(nonzero)) <= count:
-        return _unpacked(data(rows), count, sum(sizes), n)
+    if 2 * flags.count(0) <= count:
+        return unpacked(rows, count)
     out = np.zeros((count, n), dtype=np.uint8)
+    nonzero = list(compress(range(count), flags))
     if nonzero:
-        out[nonzero] = _unpacked(data(map(rows.__getitem__, nonzero)), len(nonzero),
-                                 sum(sizes), n)
+        out[nonzero] = unpacked(map(rows.__getitem__, nonzero), len(nonzero))
     return out
-
-
-def _unpacked(data: bytes, rows: int, size: int, n: int) -> np.ndarray:
-    """uint8 [rows x n]: the first n bits of each ``size``-byte row of
-    ``data``, least significant bit first."""
-    import numpy as np
-
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(rows, size),
-                         axis=1, bitorder="little", count=n)
 
 
 class _Planes:
@@ -473,9 +452,9 @@ def run_rows(
     or one numpy array as ``values`` included, is an array call:
     ``values`` and the ValueError it may raise are as in :func:`uint_rows`,
     and the result is one uint8 array [plan.rows x *shape] for the
-    broadcast shape of the values. A batch of one chunk is returned as it
-    was decoded, a longer one is decoded into one array allocated once
-    (:func:`_from_chunks`), and an empty one gives [plan.rows x 0].
+    broadcast shape of the values. Its chunks, however many, are decoded
+    into one array by :func:`_decoded`, and an empty batch gives
+    [plan.rows x 0].
 
     An array result is read-only, and setting its ``writeable`` flag
     raises: ``.copy()`` gives one to change, and keeps only the values. Its
@@ -503,9 +482,5 @@ def run_rows(
     else:
         rows, shape = uint_rows(values, widths, name)
     chunks = tuple(run_kernels(plan, rows, range(plan.rows)))
-    if len(chunks) == 1:
-        (lo, hi, planes), = chunks
-        memory = _from_planes(planes, hi - lo)
-    else:
-        memory = _from_chunks(chunks, plan.rows, math.prod(shape))
+    memory = _decoded(chunks, plan.rows, math.prod(shape))
     return np.asarray(_Planes(memory, chunks, (plan.rows,) + shape))

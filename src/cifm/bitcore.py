@@ -569,7 +569,7 @@ class CellNetlist:
         weights = 2.0 ** np.arange(min(n_out, 53))
         total = np.zeros(rows.shape[1], dtype=np.int64)
         for lo, hi, planes in engine.run_kernels(compiled.plan, rows, compiled.outputs):
-            bits = engine._from_planes(planes, hi - lo)
+            bits = engine._decoded(((lo, hi, planes),), n_out, hi - lo)
             for k in range(0, n_out, 53):
                 total[lo:hi] |= (weights[:n_out - k] @ bits[k : k + 53]).astype(np.int64) << k
         return total.reshape(shape)

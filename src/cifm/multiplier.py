@@ -41,23 +41,25 @@ pair the powered mask and the mask of the faulty blocks that drove their
 forced value. No product depends on the powered masks but through a live
 fault, so a call looks them up only when a plan has one; otherwise the
 first read of a batch's powered masks looks them up, once for all plans of
-its call, and a plan with no live fault drove no forced value. Batches run
-in chunks of :data:`CHUNK` pairs, which bounds the temporaries. A pass
-serves any number of plans on one operand set, each adding only its own
-fault corrections, and its repair swap when its masks are read. The tables
-are built on first use, never at import, in pure Python as ``array``
-buffers; the engine wraps the same buffers with ``np.frombuffer``, without
-a copy.
+its call, and a plan with no live fault drove no forced value. The products
+run in chunks of :data:`CHUNK` pairs, which bounds the gathers'
+temporaries; the masks are one :func:`_power_mask` lookup over the call's
+operands. A pass serves any number of plans on one operand set, each adding
+only its own fault corrections, and its repair swap when its masks are
+read. The tables are built on first use, never at import, in pure Python as
+``array`` buffers; the engine wraps the same buffers with
+``np.frombuffer``, without a copy.
 
 :func:`mul12` and :func:`mul24` run the same rule for one pair on Python
 ints, indexing the same ``array`` tables, since numpy's per-call cost would
-dominate one pair. Each datapath's tables and the bit offsets of its halves,
-groups and quadrants are one record, which one cached builder,
+dominate one pair. Each datapath's tables and the bit offsets of its
+halves, groups and quadrants are one record, which one cached builder,
 :func:`_tables`, makes once per datapath: the scalar pass reads it, and the
-batch engine wraps its buffers. The row sums and group counts are the same
-for every datapath, so the records share one of each. A scalar call's
-faults are looked at only when one of them is powered, and its plan
-matches faults and repairs by their mask bits.
+batch engine wraps its buffers, and both look power patterns up through
+:func:`_power_mask`. The row sums and group counts are the same for every
+datapath, so the records share one of each. A scalar call's faults are
+looked at only when one of them is powered, and its plan matches faults and
+repairs by their mask bits.
 The call's :class:`ActivityReport` keeps its power-pattern mask, repairs and
 operands, and is built on first read by walking the mask's powered blocks;
 a report never read builds nothing. The scalar calls, :func:`mul4`, the
@@ -408,8 +410,9 @@ _ID_STR: dict[ModuleId | None, str] = {None: "None", **{m: str(m) for m in BLOCK
 _ID_JSON = {m: m.to_json() for m in BLOCK_IDS}
 
 
-# Operand pairs per engine pass: bounds each (rows x halves x pairs) temporary
-# to 96 KB, below the C allocator's 128 KB mmap threshold. A longer call fills
+# Operand pairs per pass of _blocks: bounds each (rows x halves x pairs)
+# gather to 96 KB, below the C allocator's 128 KB mmap threshold. The power
+# masks are not chunked: their one lookup spans the call. A longer call fills
 # one products array for all plans, chunk by chunk: a one-plan call with no
 # live fault allocates its products and an all-zero unrepaired mask only.
 CHUNK = 1024
@@ -614,9 +617,9 @@ def _tables(layout: _Layout) -> _Tables:
 
 
 class _Engine(NamedTuple):
-    """One layout's tables and weights as numpy arrays, for :func:`_blocks`.
-    The weights are float64, so the sums run in BLAS, exactly: every partial
-    sum is an integer below 2**50."""
+    """One layout's tables and weights as numpy arrays, for :func:`_blocks`
+    and :func:`_power_mask`. The weights are float64, so the sums run in
+    BLAS, exactly: every partial sum is an integer below 2**50."""
 
     sums: np.ndarray            # views of the layout's :func:`_tables` buffers
     counts: np.ndarray
@@ -626,7 +629,7 @@ class _Engine(NamedTuple):
     row_weight: np.ndarray      # (g*h,) 2**(4*r + 12*hb) of row sum (r, hb)
     quad_row_weight: np.ndarray  # (3,) weights of a quadrant's three row sums
     quad_weight: np.ndarray     # (h*h,) 2**(12*(ha + hb)) of quadrant (ha, hb)
-    pattern_weight: np.ndarray  # (2*h,) 4**k: the weight of half k in a power pattern
+    halves: tuple[tuple[int, int, int], ...]    # the record's, for :func:`_power_mask`
 
 
 @functools.cache
@@ -646,7 +649,7 @@ def _engine(layout: _Layout) -> _Engine:
         row_weight=2.0 ** (4 * r[:, None] + 12 * h[None, :]).ravel(),
         quad_row_weight=np.array([1.0, 2.0 ** 4, 2.0 ** 8]),
         quad_weight=2.0 ** (12 * (h[:, None] + h[None, :])).ravel(),
-        pattern_weight=4 ** np.arange(2 * layout.halves),
+        halves=t.halves,
     )
 
 
@@ -736,24 +739,6 @@ def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig, gating: bool) -> 
     return _plan(_MUL12, faults, () if target is None else (target,), gating)
 
 
-def _power_masks(layout: _Layout, ab: np.ndarray) -> np.ndarray:
-    """The energised mask of each pair of ``ab``, (2, n), with no spare in
-    use: the power pattern of the pair's halves' group counts, looked up in
-    the layout's mask table, :data:`CHUNK` pairs at a time. The batch
-    engine's one lookup, made in a call that has a live fault or on a
-    batch's first read of its masks; :func:`_tables` states the rule."""
-    import numpy as np
-
-    e = _engine(layout)
-    masks = np.empty(ab.shape[1], dtype=np.int64)
-    for lo in range(0, ab.shape[1], CHUNK):
-        halves = ab[:, None, lo:lo + CHUNK] >> e.half_shift & 0xFFF    # (2, h, m)
-        # in range, so "wrap" only skips the bounds check, as in _blocks
-        counts = e.counts.take(halves, mode="wrap").reshape(2 * layout.halves, -1)
-        e.masks.take(e.pattern_weight @ counts, out=masks[lo:lo + CHUNK], mode="wrap")
-    return masks
-
-
 def _blocks(
     layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, powered: np.ndarray | None
 ) -> Iterator[np.ndarray]:
@@ -810,16 +795,16 @@ def _run_batch(
     made; a longer one fills one products array for all plans first.
 
     The call's energised masks with no spare in use come from one
-    :func:`_power_masks` pass over its operand stack ``ab``, which all its
-    plans share, or are the all-on mask with gating off, which needs no
-    lookup. The pass runs in the call when a plan has a live fault, whose
-    corrections and unrepaired mask read it; otherwise on the first read of
-    any plan's ``energised``, and not at all if none is read. A plan with no
-    live fault has an all-zero unrepaired mask. Each plan's ``energised`` is
-    built on its first read, in its own array, from the shared masks and
-    its own repair swaps: each powered repaired target hands its mask bit to
-    its spare. ``ab`` is the call's own copy, so a caller that changes its
-    operands afterwards changes no mask.
+    :func:`_power_mask` lookup over its whole operand stack ``ab``, which
+    all its plans share, or are the all-on mask with gating off, which needs
+    no lookup. The lookup runs in the call when a plan has a live fault,
+    whose corrections and unrepaired mask read it; otherwise on the first
+    read of any plan's ``energised``, and not at all if none is read. A plan
+    with no live fault has an all-zero unrepaired mask. Each plan's
+    ``energised`` is built on its first read, in its own array, from the
+    shared masks and its own repair swaps: each powered repaired target
+    hands its mask bit to its spare. ``ab`` is the call's own copy, so a
+    caller that changes its operands afterwards changes no mask.
     """
     import numpy as np
 
@@ -828,8 +813,8 @@ def _run_batch(
 
     def powered() -> np.ndarray:
         if not shared:
-            shared.append(_power_masks(layout, ab) if gating
-                          else np.full(n, _engine(layout).masks[-1]))
+            e = _engine(layout)
+            shared.append(_power_mask(e, *ab) if gating else np.full(n, e.masks[-1]))
         return shared[0]
 
     live = powered() if any(plan.faults for plan in plans) else None
@@ -859,10 +844,15 @@ def _energised(
     return masks.reshape(shape)
 
 
-def _power_mask(t: _Tables, x: int, y: int) -> int:
+def _power_mask(t: _Tables | _Engine, x, y):
     """The energised mask of the pair ``x``, ``y`` with no spare in use: the
-    power pattern of their halves' group counts, looked up in ``t.masks``.
-    The scalar pass and its report share it; :func:`_tables` states the rule."""
+    power pattern of their halves' group counts, looked up in ``t.masks``;
+    :func:`_tables` states the rule. The scalar pass and its report call it
+    on the record with ints, and get an int; the batch engine calls it once
+    per call on the :func:`_engine` views with the operand stack's int64
+    rows, and gets int64 masks through O(n) temporaries, as the operand
+    check makes.
+    A pattern has at most 8 bits, so it stays in the uint8 of the counts."""
     counts = t.counts
     pattern = 0
     for at, a_shift, b_shift in t.halves:

@@ -217,6 +217,32 @@ def test_every_power_pattern(width):
     assert np.all(batch(a, b, gating=False).energised == grid)
 
 
+@pytest.mark.parametrize("width", [24, 12])
+def test_one_lookup_gives_the_same_masks_to_ints_and_arrays(width):
+    """For every power pattern, :func:`_power_mask` gives the same masks on
+    the record with Python ints as on the engine's views with an int64
+    stack: an int for each pair, and one int64 array for the stack."""
+    rng = np.random.default_rng(13)
+    halves = width // 12
+    counts = list(itertools.product(range(4), repeat=halves))
+    operands = []
+    for ca, cb in itertools.product(counts, repeat=2):
+        x = y = 0
+        for h in range(halves):
+            x |= _half_with_groups(rng, ca[h]) << 12 * h
+            y |= _half_with_groups(rng, cb[h]) << 12 * h
+        operands.append((x, y))
+    layout = multiplier._MUL24 if width == 24 else multiplier._MUL12
+    record, engine = multiplier._tables(layout), multiplier._engine(layout)
+    ints = [multiplier._power_mask(record, x, y) for x, y in operands]
+    assert all(type(mask) is int for mask in ints)
+    assert ints == [_classified(x, y, width) for x, y in operands]
+    a, b = np.array(operands, dtype=np.int64).T
+    masks = multiplier._power_mask(engine, a, b)
+    assert masks.dtype == np.int64 and masks.shape == (len(operands),)
+    assert masks.tolist() == ints
+
+
 def test_import_builds_no_table():
     code = (
         "import cifm; from cifm import multiplier as m; "
@@ -587,16 +613,18 @@ def test_the_largest_sums_are_exact():
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The calls of the mask helper that a call's pass and a batch's first
-    read share: one per mask pass over a call's operands."""
+    """The batch engine's calls of the pattern lookup, which a call's pass
+    and a batch's first read share: one per mask pass over a call's
+    operands. Scalar calls, made on the record, are not counted."""
     calls = []
-    real = multiplier._power_masks
+    real = multiplier._power_mask
 
     def counted(*args):
-        calls.append(args)
+        if type(args[0]) is multiplier._Engine:
+            calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(multiplier, "_power_masks", counted)
+    monkeypatch.setattr(multiplier, "_power_mask", counted)
     return calls
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cifm import _plans, bitcore
-from cifm._plans import SEGMENT_STEPS, _from_planes, _to_planes, run_kernels, run_planes
+from cifm._plans import SEGMENT_STEPS, _decoded, _to_planes, run_kernels, run_planes
 from cifm.bitcore import CHUNK_VECTORS, Cell, CellKind, CellNetlist, NetlistBuilder
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
@@ -892,7 +892,7 @@ def test_planes_do_not_depend_on_dtype(n):
     planes = _to_planes(bits)
     assert planes == _to_planes(bits.astype(np.uint8))
     assert planes[0] == sum(int(b) << v for v, b in enumerate(bits[0]))
-    assert np.array_equal(_from_planes(planes, n), bits)
+    assert np.array_equal(_decoded([(0, n, planes)], 5, n), bits)
 
 
 def ref_decode(planes, n):
@@ -911,41 +911,45 @@ ZERO_MIXES = {           # which of 8 planes are zero
 }
 
 
+def _decodes_as_the_reference(sizes, mix):
+    """Chunks of ``sizes`` vectors, 8 planes each, decode into one uint8
+    array equal to :func:`ref_decode` of the joined planes, which it packs
+    back to, whether the rows are decoded from one buffer or from a zeroed
+    array. A row of ``mix`` is zero in every chunk, or with several chunks
+    and "half-zero", zero in every chunk but the first: a row zero in some
+    chunks only. Every nonzero plane, its top bit and an all-ones plane
+    included, lands in its own row."""
+    rng = random.Random(sum(sizes))
+    some = mix == "half-zero" and len(sizes) > 1
+    chunks, joined, lo = [], [0] * 8, 0
+    for k, size in enumerate(sizes):
+        nonzero = [(1 << size) - 1, 1, 1 << size - 1]
+        nonzero += [rng.randrange(1, 1 << size) for _ in range(5)]
+        planes = [0 if zero and (k or not some) else nonzero[j]
+                  for j, zero in enumerate(ZERO_MIXES[mix])]
+        chunks.append((lo, lo + size, planes))
+        joined = [p | q << lo for p, q in zip(joined, planes)]
+        lo += size
+    got = _decoded(chunks, 8, lo)
+    assert got.dtype == np.uint8 and got.shape == (8, lo)
+    assert np.array_equal(got, ref_decode(joined, lo))
+    if lo:                              # _to_planes takes at least one vector
+        assert _to_planes(got) == joined
+
+
+# The decoder's one check, run by two tests: a lone chunk of any length, and
+# three chunks, the last of ``last`` vectors, or none at all.
 @pytest.mark.parametrize("mix", ZERO_MIXES)
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, CHUNK_VECTORS + 1])
 def test_zero_planes_decode_as_the_reference(n, mix):
-    """Zero planes decode to zero rows whether the list is decoded from one
-    buffer or from a zeroed array, and every nonzero plane, its top bit
-    and an all-ones plane included, lands in its own row."""
-    rng = random.Random(n)
-    full = (1 << n) - 1
-    nonzero = [full, 1, 1 << n - 1] + [rng.randrange(1, 1 << n) for _ in range(5)]
-    planes = [0 if zero else nonzero[k] for k, zero in enumerate(ZERO_MIXES[mix])]
-    got = _from_planes(planes, n)
-    assert got.dtype == np.uint8 and got.shape == (8, n)
-    assert np.array_equal(got, ref_decode(planes, n))
-    assert _to_planes(got) == planes
+    _decodes_as_the_reference([n], mix)
 
 
 @pytest.mark.parametrize("mix", ZERO_MIXES)
-@pytest.mark.parametrize("last", [1, 7, 8, 9, CHUNK_VECTORS])
+@pytest.mark.parametrize("last", [1, 7, 8, 9, CHUNK_VECTORS, None])
 def test_chunks_decode_into_one_array_as_their_joined_decodes(last, mix):
-    """Three chunks, the last of ``last`` vectors, decode into one array
-    that equals the chunks decoded one by one and joined: whether a row is
-    zero in every chunk, in some or in none."""
-    rng = random.Random(last)
-    sizes = [CHUNK_VECTORS, CHUNK_VECTORS, last]
-    chunks, lo = [], 0
-    for k, size in enumerate(sizes):
-        planes = [0 if zero and (k or mix != "half-zero") else rng.randrange(1, 1 << size)
-                  for zero in ZERO_MIXES[mix]]
-        chunks.append((lo, lo + size, planes))
-        lo += size
-    got = _plans._from_chunks(chunks, 8, lo)
-    want = np.concatenate([_from_planes(planes, hi - lo) for lo, hi, planes in chunks], axis=1)
-    assert got.dtype == np.uint8 and got.shape == (8, lo)
-    assert np.array_equal(got, want)
-    assert _plans._from_chunks([], 8, 0).shape == (8, 0)
+    sizes = [] if last is None else [CHUNK_VECTORS, CHUNK_VECTORS, last]
+    _decodes_as_the_reference(sizes, mix)
 
 
 def test_a_long_round_trip_decodes_into_one_array(monkeypatch):
@@ -973,7 +977,8 @@ def test_a_long_round_trip_decodes_into_one_array(monkeypatch):
             result.flags.writeable = True
         assert len(result.base.chunks) == n // CHUNK_VECTORS
         assert np.array_equal(result, np.concatenate(
-            [_from_planes(planes, hi - lo) for lo, hi, planes in result.base.chunks], axis=1))
+            [_decoded([chunk], len(rev.lines), chunk[1] - chunk[0])
+             for chunk in result.base.chunks], axis=1))
     assert _mostly_zero(back)
     for i, line in enumerate(rev.lines):
         assert np.array_equal(back[i], np.broadcast_to(
