@@ -362,14 +362,20 @@ def _cell_program(kind: CellKind) -> tuple:
     return _engine().element_program(table, n_in, n_out, False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cell:
     """One gate instance.
 
     HA and FA outputs are ordered (sum, carry). ``level`` tags the pipeline
     stage inside a 4x4 block (1..3); composition adders outside any block
-    use level 0. ``module_id`` is the owning 4x4 block's id string, or None
-    for shared logic.
+    use level 0, and it is stored as a Python int. ``module_id`` is the
+    owning 4x4 block's id string, or None for shared logic.
+
+    The constructor is written out, as :class:`BitVec`'s is, so that it
+    checks the arguments, not the stored fields, and runs no
+    ``__post_init__``. It stores each field with ``object.__setattr__``,
+    not through ``__dict__`` as ``BitVec`` does: that would give each of a
+    netlist's thousands of cells a dict of its own, 64 bytes more.
     """
 
     kind: CellKind
@@ -378,20 +384,39 @@ class Cell:
     level: int = 0
     module_id: str | None = None
 
-    def __post_init__(self) -> None:
-        n_in, n_out = _arity(self.kind)
-        object.__setattr__(self, "level", as_int(self.level, "level"))
-        if not (type(self.inputs) is tuple and type(self.outputs) is tuple
-                and all(isinstance(net, str) for net in self.inputs + self.outputs)):
+    def __init__(
+        self,
+        kind: CellKind,
+        inputs: tuple[str, ...],
+        outputs: tuple[str, ...],
+        level: int = 0,
+        module_id: str | None = None,
+    ) -> None:
+        self._fill(_arity(kind), kind, inputs, outputs, level, module_id)
+
+    def _fill(self, arity: tuple[int, int], kind, inputs, outputs, level, module_id) -> None:
+        """Check and store the fields of a ``kind`` cell, whose input and
+        output counts :func:`_arity` gave as ``arity``."""
+        if type(level) is not int:
+            level = as_int(level, "level")
+        if not (type(inputs) is tuple and type(outputs) is tuple
+                and all(isinstance(net, str) for net in inputs + outputs)):
             raise ValueError(f"cell nets must be tuples of str, got "
-                             f"{self.inputs!r} -> {self.outputs!r}")
-        if len(self.inputs) != n_in or len(self.outputs) != n_out:
+                             f"{inputs!r} -> {outputs!r}")
+        n_in, n_out = arity
+        if len(inputs) != n_in or len(outputs) != n_out:
             raise ValueError(
-                f"{self.kind.value} cell needs {n_in} inputs and {n_out} outputs, "
-                f"got {len(self.inputs)}/{len(self.outputs)}"
+                f"{kind.value} cell needs {n_in} inputs and {n_out} outputs, "
+                f"got {len(inputs)}/{len(outputs)}"
             )
-        if self.module_id is not None and not isinstance(self.module_id, str):
-            raise ValueError(f"cell module_id must be None or a str, got {self.module_id!r}")
+        if module_id is not None and not isinstance(module_id, str):
+            raise ValueError(f"cell module_id must be None or a str, got {module_id!r}")
+        store = object.__setattr__
+        store(self, "kind", kind)
+        store(self, "inputs", inputs)
+        store(self, "outputs", outputs)
+        store(self, "level", level)
+        store(self, "module_id", module_id)
 
 
 class _CompiledCells(NamedTuple):
@@ -663,10 +688,12 @@ class NetlistBuilder:
         level: int = 0,
         module_id: str | None = None,
     ) -> tuple[str, ...]:
-        n_out = _arity(kind)[1]
+        arity = _arity(kind)
         ins = _net_names(ins, "ins")
-        outs = tuple(self.new_net() for _ in range(n_out))
-        self.netlist.cells.append(Cell(kind, ins, outs, level, module_id))
+        outs = tuple(self.new_net() for _ in range(arity[1]))
+        cell = object.__new__(Cell)
+        cell._fill(arity, kind, ins, outs, level, module_id)
+        self.netlist.cells.append(cell)
         return outs
 
     def and2(self, a: str, b: str, level: int = 0, module_id: str | None = None) -> str:

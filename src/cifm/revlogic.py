@@ -164,10 +164,28 @@ class RevLine:
             object.__setattr__(self, "const", const)
 
 
-@dataclass(frozen=True)
+# The record of every ancilla line, by constant: what add_ancilla appends.
+_ANCILLAS = (RevLine(LineTag.ANCILLA, const=0), RevLine(LineTag.ANCILLA, const=1))
+
+
+@dataclass(frozen=True, init=False)
 class GateApp:
+    """One gate application: ``gate`` on ``lines``, first line first.
+
+    The constructor is written out, as :class:`~cifm.bitcore.BitVec`'s is,
+    and stores each field with ``object.__setattr__``, as
+    :class:`~cifm.bitcore.Cell`'s does. It checks nothing:
+    :meth:`RevNetlist.apply` checks what it appends, and every compile and
+    ``to_json`` checks each entry of ``gates``.
+    """
+
     gate: RevGate
     lines: tuple[int, ...]
+
+    def __init__(self, gate: RevGate, lines: tuple[int, ...]) -> None:
+        store = object.__setattr__
+        store(self, "gate", gate)
+        store(self, "lines", lines)
 
 
 @dataclass
@@ -185,7 +203,10 @@ class RevNetlist:
         return len(self.lines) - 1
 
     def add_ancilla(self, const: int) -> int:
-        self.lines.append(RevLine(LineTag.ANCILLA, const=const))
+        """Append a line that starts at ``const``, 0 or 1, as ``RevLine``
+        checks it. Every ancilla line of one constant is the same frozen
+        record, so none is built per line."""
+        self.lines.append(_ANCILLAS[uint_value(const, 1, "ancilla constant")])
         self.output_roles.append((OutputRole.GARBAGE, None))
         return len(self.lines) - 1
 
@@ -550,6 +571,13 @@ def expand(netlist: CellNetlist) -> RevNetlist:
     so the first simulation of any copy compiles the plan, and generates
     its code, for all. A copy's primary outputs are its own: they start as
     the template's, and ``set_output`` on the copy changes only the copy's.
+
+    The template's ancilla lines are the two frozen records that
+    :meth:`RevNetlist.add_ancilla` shares, one per constant. Its gates are
+    ``GateApp``s, whose constructor is written out as ``BitVec``'s is,
+    appended to ``gates`` on lines the build made, not through ``apply``:
+    like any appended application, each is checked by the compile and by
+    ``to_json``, and not also when it is appended.
     """
     if not isinstance(netlist, CellNetlist):
         raise ValueError(f"netlist must be a CellNetlist, got {type(netlist).__name__}")
@@ -569,6 +597,7 @@ def _build_expansion(netlist: CellNetlist) -> RevNetlist:
     netlist.validate()
     lib = _GATES
     rev = RevNetlist()
+    gates = rev.gates
 
     # every use of a net, as a cell input or as an output, is one consumer
     consumers = Counter(net for cell in netlist.cells for net in cell.inputs)
@@ -582,7 +611,7 @@ def _build_expansion(netlist: CellNetlist) -> RevNetlist:
         lines = [home]
         for _ in range(max(consumers[net], 1) - 1):
             copy = rev.add_ancilla(0)
-            rev.apply(lib["FEYNMAN"], home, copy)
+            gates.append(GateApp(lib["FEYNMAN"], (home, copy)))
             lines.append(copy)
         slots[net] = lines
         taken[net] = 0
@@ -600,16 +629,16 @@ def _build_expansion(netlist: CellNetlist) -> RevNetlist:
         in_lines = [claim(net) for net in cell.inputs]
         if cell.kind is CellKind.AND:
             target = rev.add_ancilla(0)
-            rev.apply(lib["TOFFOLI"], in_lines[0], in_lines[1], target)
+            gates.append(GateApp(lib["TOFFOLI"], (in_lines[0], in_lines[1], target)))
             provision(cell.outputs[0], target)
         elif cell.kind is CellKind.HA:
             z = rev.add_ancilla(0)
-            rev.apply(lib["NG"], in_lines[0], in_lines[1], z)
+            gates.append(GateApp(lib["NG"], (in_lines[0], in_lines[1], z)))
             provision(cell.outputs[0], z)             # sum
             provision(cell.outputs[1], in_lines[1])   # carry
         else:
             z = rev.add_ancilla(0)
-            rev.apply(lib["TSG"], in_lines[0], in_lines[1], z, in_lines[2])
+            gates.append(GateApp(lib["TSG"], (in_lines[0], in_lines[1], z, in_lines[2])))
             provision(cell.outputs[0], z)             # sum
             provision(cell.outputs[1], in_lines[2])   # carry
 

@@ -31,6 +31,7 @@ from cifm.multiplier import (
     mul24,
 )
 from cifm.revlogic import (
+    GateApp,
     LineTag,
     RevGate,
     RevLine,
@@ -74,7 +75,8 @@ def test_bitvec_stores_a_numpy_value_as_an_int(value):
 
 _RESULT = mul24(0x12, 0x345)
 # Per record: its fields by keyword, the same fields built from numpy ints,
-# one changed field, and the ValueError message for each bad (value, width).
+# one changed field, and the ValueError message for each bad set of
+# positional arguments.
 RECORDS = {
     "bitvec": (
         BitVec, dict(value=5, width=8), dict(value=np.uint8(5), width=np.int64(8)),
@@ -94,6 +96,34 @@ RECORDS = {
         dict(product=BitVec(np.uint64(0x12 * 0x345), np.int64(48)), activity=_RESULT.activity,
              unrepaired_faults=()),
         dict(unrepaired_faults=(GRID_IDS[Quadrant.LL][(0, 0)],)),
+        [],
+    ),
+    "cell": (
+        Cell,
+        dict(kind=CellKind.FA, inputs=("a", "b", "c"), outputs=("s", "co"), level=2,
+             module_id="LL.0.1"),
+        dict(kind=CellKind.FA, inputs=("a", "b", "c"), outputs=("s", "co"), level=np.int64(2),
+             module_id="LL.0.1"),
+        dict(level=3),
+        [(("AND", ("a", "b"), ("p",)), "kind must be a CellKind, got 'AND'"),
+         ((None, ("a", "b"), ("p",)), "kind must be a CellKind, got None"),
+         ((CellKind.AND, ["a", "b"], ("p",)),
+          "cell nets must be tuples of str, got ['a', 'b'] -> ('p',)"),
+         ((CellKind.AND, ("a", "b"), "p"), "cell nets must be tuples of str, got ('a', 'b') -> 'p'"),
+         ((CellKind.AND, ("a", 1), ("p",)), "cell nets must be tuples of str, got ('a', 1) -> ('p',)"),
+         ((CellKind.HA, ("a", "b"), ("s",)), "HA cell needs 2 inputs and 2 outputs, got 2/1"),
+         ((CellKind.FA, ("a", "b"), ("s", "co")), "FA cell needs 3 inputs and 2 outputs, got 2/2"),
+         ((CellKind.AND, ("a", "b"), ("p",), True), "level must be an int, got bool"),
+         ((CellKind.AND, ("a", "b"), ("p",), "1"), "level must be an int, got str"),
+         ((CellKind.AND, ("a", "b"), ("p",), 0, 5), "cell module_id must be None or a str, got 5")],
+    ),
+    "gate-app": (
+        GateApp,
+        dict(gate=gate_library()["TOFFOLI"], lines=(0, 1, 2)),
+        # a gate built from numpy ints stores Python ints, so it is the library's
+        dict(gate=RevGate("TOFFOLI", np.int64(3), np.array(gate_library()["TOFFOLI"].mapping)),
+             lines=(0, 1, 2)),
+        dict(lines=(2, 1, 0)),
         [],
     ),
 }
@@ -118,8 +148,9 @@ def test_records_with_written_out_constructors_behave_as_dataclasses(
         assert twin == r and hash(twin) == hash(r)
     from_numpy = record(**numpy_fields)
     assert from_numpy == r and hash(from_numpy) == hash(r) and repr(from_numpy) == repr(r)
-    if record is BitVec:
-        assert type(from_numpy.value) is type(from_numpy.width) is int
+    for name, value in numpy_fields.items():
+        if isinstance(value, np.integer):
+            assert type(getattr(from_numpy, name)) is int
     for name in fields:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(r, name, fields[name])

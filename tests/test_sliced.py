@@ -20,7 +20,9 @@ from cifm.bitcore import CHUNK_VECTORS, Cell, CellKind, CellNetlist, NetlistBuil
 from cifm.multiplier import export_netlist
 from cifm.revlogic import (
     GateApp,
+    LineTag,
     RevGate,
+    RevLine,
     RevNetlist,
     _compiled,
     _forward_program,
@@ -453,12 +455,52 @@ def test_any_bijection_both_ways():
     assert simulate_inverse(idle, [0]) == [0]
 
 
+def _rebuilt(n: RevNetlist) -> RevNetlist:
+    """``n``'s lines, gates and outputs, made again through the public calls."""
+    again = RevNetlist()
+    for line in n.lines:
+        if line.tag is LineTag.PRIMARY_INPUT:
+            again.add_input(line.name)
+        else:
+            again.add_ancilla(line.const)
+    for app in n.gates:
+        again.apply(app.gate, *app.lines)
+    for name, line in n.outputs():
+        again.set_output(line, name)
+    return again
+
+
+@pytest.mark.parametrize("netlist", ["mul4", "mul12", "mul24"]
+                         + [f"random-{seed}-{repeats}" for seed in range(6) for repeats in (0, 3)])
+def test_an_expansion_is_the_circuit_the_public_calls_build(netlist):
+    """``expand`` appends its gates past ``apply``: each is one that
+    ``apply`` takes, on a tuple of int lines, so the circuit made again
+    through the public calls is equal and writes the same bytes. Every
+    ancilla line of one constant is one record, equal to a new one."""
+    if netlist.startswith("random"):
+        _, seed, repeats = netlist.split("-")
+        rev = expand(random_cells(random.Random(int(seed)), repeats=int(repeats)).build())
+    else:
+        rev = expand(export_netlist(netlist))
+    again = _rebuilt(rev)
+    assert rev == again
+    assert json.dumps(rev.to_json()).encode() == json.dumps(again.to_json()).encode()
+    for c in (0, 1):
+        extra = RevNetlist()
+        extra.add_ancilla(np.uint8(c))
+        lines = [l for l in rev.lines + again.lines + extra.lines
+                 if l.tag is LineTag.ANCILLA and l.const == c]
+        fresh = RevLine(LineTag.ANCILLA, const=c)
+        assert len({id(l) for l in lines}) == 1
+        assert all(l == fresh and hash(l) == hash(fresh) for l in lines)
+
+
 @pytest.mark.parametrize("bad", ["repeated", "short", "out_of_range", "not_a_gate"])
 @pytest.mark.parametrize("circuit", ["built", "expansion"])
 def test_a_hand_appended_application_is_checked(bad, circuit):
     """An application appended to ``gates`` past ``apply`` meets apply's
-    check when the circuit compiles: simulate, simulate_inverse and
-    metrics_of raise apply's ValueError, never an IndexError."""
+    check when the circuit compiles: simulate, simulate_inverse,
+    metrics_of and to_json raise apply's ValueError, never an IndexError."""
     if circuit == "built":
         n = random_circuit(random.Random(26))
     else:
@@ -478,7 +520,8 @@ def test_a_hand_appended_application_is_checked(bad, circuit):
              lambda: simulate(n, dict.fromkeys(names, np.array([0, 1]))),
              lambda: simulate_inverse(n, [0] * size),
              lambda: simulate_inverse(n, np.zeros((size, 2), dtype=np.uint8)),
-             lambda: metrics_of(n)]
+             lambda: metrics_of(n),
+             n.to_json]
     for call in calls:
         with pytest.raises(ValueError) as got:
             call()
