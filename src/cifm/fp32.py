@@ -187,16 +187,22 @@ def _finish(exponent_sum, raw, nearest_even):
     0x00800000. Overflow is tested after the carry. Written with operators
     that Python ints and int64 arrays share, so :func:`fp_mul` and
     :func:`fp_mul_batch` run the same rule.
+
+    The kept significand and the rest come from one shift: ``raw`` is moved
+    up by one place unless it is normalised, which puts the hidden bit at
+    bit 47, so the 24 bits from bit 24 up are kept and the 24 below are
+    rounded at their half point 0x800000. A ``raw`` below 2**46, which only
+    a fault makes, is moved up by one place too: it keeps the exponent of
+    an unnormalised product and a significand without its hidden bit.
     """
     normalized = raw >> 47
     exponent = exponent_sum - 127 + normalized
-    drop = 23 + normalized                  # keep 23 bits below the hidden bit
-    kept = raw >> drop
-    half = 1 << (drop - 1)
-    rest = raw & (2 * half - 1)
+    aligned = raw << (1 - normalized)       # the hidden bit at bit 47
+    kept = aligned >> 24
+    rest = aligned & 0xFFFFFF
     underflow = exponent <= 0
     in_range = (exponent > 0) & (exponent < 255)
-    round_up = (rest > half) | ((rest == half) & (kept & 1))
+    round_up = (rest > 0x800000) | ((rest == 0x800000) & (kept & 1))
     increment = round_up & in_range & nearest_even
     kept = kept + increment
     carry = kept >> 24                      # rounded up to the next power of two
@@ -276,7 +282,7 @@ def fp_mul(
     """
     x = uint_value(a, 32, "a")
     y = uint_value(b, 32, "b")
-    nearest_even = _nearest_even(rounding)
+    nearest_even = rounding is Rounding.NEAREST_EVEN or _nearest_even(rounding)
     plan = _plan24(faults, repair, True)
     ca, cb = _operand_class(x), _operand_class(y)
     sign = (x ^ y) >> 31

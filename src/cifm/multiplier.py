@@ -57,7 +57,10 @@ halves, groups and quadrants are one record, which one cached builder,
 :func:`_tables`, makes once per datapath: the scalar pass reads it, and the
 batch engine wraps its buffers, and both look power patterns up through
 :func:`_power_mask`. The row sums and group counts are the same for every
-datapath, so the records share one of each. A scalar call's faults are
+datapath, so the records share one of each. A quadrant whose a half or b
+half is zero takes no row-sum lookup in the scalar pass: such a half reads
+only zero entries, since a zero group times any group is 0, so its quadrant
+sum is 0 whether its blocks are gated or not. A scalar call's faults are
 looked at only when one of them is powered, and its plan matches faults and
 repairs by their mask bits.
 The call's :class:`ActivityReport` keeps its power-pattern mask, repairs and
@@ -559,7 +562,9 @@ def _row_sums() -> array:
 
 class _Tables(NamedTuple):
     """One layout's tables and bit offsets: what :func:`_run_scalar` reads,
-    and the ``array`` buffers that :func:`_engine` wraps."""
+    and the ``array`` buffers that :func:`_engine` wraps. Each quadrant's
+    entry starts with the mask of its a half, so that the scalar pass tells
+    a quadrant with a zero a half by one ``&``."""
 
     sums: array                 # the row-sum table of :func:`_row_sums`
     counts: array               # per 12-bit half x, how many of its groups are powered,
@@ -567,8 +572,9 @@ class _Tables(NamedTuple):
     masks: array                # per power pattern, its energised mask
     halves: tuple[tuple[int, int, int], ...]    # per 12-bit half k: its bit offset
                                 # 12*k, and where a's and b's counts sit in a pattern
-    quads: tuple[tuple[int, int, int, int], ...]  # per quadrant (ha, hb), at h*ha + hb:
-                                # the bit offsets of a's three groups and of b's half
+    quads: tuple[tuple[int, int, int, int, int], ...]  # per quadrant (ha, hb), at
+                                # h*ha + hb: the mask 0xFFF << 12*ha of a's half, the
+                                # bit offsets of a's three groups and of b's half
     places: tuple[int, ...]     # per quadrant, the bit offset 12*(ha + hb) of its product
 
 
@@ -610,7 +616,7 @@ def _tables(layout: _Layout) -> _Tables:
         counts=_group_counts(),
         masks=masks,
         halves=tuple((12 * k, 2 * k, 2 * (h + k)) for k in range(h)),
-        quads=tuple((12 * ha, 12 * ha + 4, 12 * ha + 8, 12 * hb)
+        quads=tuple((0xFFF << 12 * ha, 12 * ha, 12 * ha + 4, 12 * ha + 8, 12 * hb)
                     for ha in range(h) for hb in range(h)),
         places=tuple(12 * (ha + hb) for ha in range(h) for hb in range(h)),
     )
@@ -667,7 +673,8 @@ def _plan(
     faults with no repair, the default, is the plain plan at once. Faults
     and repair targets are matched by their mask bits.
     """
-    as_flag(gating, "gating")
+    if gating is not True and gating is not False:
+        as_flag(gating, "gating")
     if type(faults) in (tuple, list) and not faults and not repairs:
         return _PLAIN
     try:
@@ -689,11 +696,14 @@ def _plan(
         if bit in forced:
             raise ValueError(f"duplicate fault target {f.target}")
         forced[bit] = f.forced_output.value
-    targets = sorted(map(_BIT.__getitem__, repairs))
-    if not forced and not targets:
+    if repairs:
+        targets = sorted(map(_BIT.__getitem__, repairs))
+        # each target's quadrant q = t // 9 has its spare at bit 36 + q
+        repaired = tuple([(BLOCK_IDS[t], t, 36 + t // 9) for t in targets])
+    elif not forced:
         return _PLAIN
-    # each target's quadrant q = t // 9 has its spare at bit 36 + q
-    repaired = tuple([(BLOCK_IDS[t], t, 36 + t // 9) for t in targets])
+    else:
+        targets, repaired = (), ()
     placed, fault_bits = [], 0
     for bit in sorted(forced):
         if bit in targets:
@@ -715,7 +725,7 @@ def _plan24(
 ) -> _Plan:
     if repair is None:
         return _plan(_MUL24, faults, (), gating)
-    if not isinstance(repair, Mapping):
+    if type(repair) is not dict and not isinstance(repair, Mapping):
         raise ValueError(
             f"repair must map Quadrant to RepairConfig, got {type(repair).__name__}"
         )
@@ -906,6 +916,9 @@ def _run_scalar(
     operand halves picks the energised mask, three row sums make each
     quadrant, each powered live fault adds its forced value minus the true
     block product to its quadrant, and the quadrants sum modulo 2**24 each.
+    A quadrant whose a half or b half is zero is 0 without a lookup, with
+    gating on or off: every row sum it would read is 0. A live fault in it
+    still adds its forced value, less a true block product of 0.
     Everything it reads of the layout comes from the one cached record
     (:func:`_tables`): the ``array`` tables that :func:`_engine` wraps, which
     give Python ints, and the bit offsets of each half, group and quadrant.
@@ -928,10 +941,13 @@ def _run_scalar(
     # xs >> 4*r & 0xF000 is a's group r, where a row-sum index holds it
     xs = x << 12
     quads = []
-    for a0, a1, a2, at in t.quads:
+    for a_half, a0, a1, a2, at in t.quads:
         yh = y >> at & 0xFFF
-        quads.append(sums[xs >> a0 & 0xF000 | yh] + (sums[xs >> a1 & 0xF000 | yh] << 4)
-                     + (sums[xs >> a2 & 0xF000 | yh] << 8))
+        if x & a_half and yh:
+            quads.append(sums[xs >> a0 & 0xF000 | yh] + (sums[xs >> a1 & 0xF000 | yh] << 4)
+                         + (sums[xs >> a2 & 0xF000 | yh] << 8))
+        else:                           # every row sum of a zero half is 0
+            quads.append(0)
     faulty = ()
     live = plan.fault_bits and mask & plan.fault_bits
     if live:                            # only a faulted quadrant can wrap

@@ -186,7 +186,7 @@ def suite_fp32_oracle(seed: int = 0) -> SuiteResult:
         exponent = rng.integers(1, 255, size=(2, n))
         fraction = rng.integers(0, 1 << 23, size=(2, n))
         bits = (sign << 31) | (exponent << 23) | fraction
-        kept.append(bits[:, _normal_product(bits)])
+        kept.append(np.compress(_normal_product(bits), bits, axis=1))
         n -= kept[-1].shape[1]
     xs, ys = np.concatenate(kept + [_SPECIAL_BITS[:2]], axis=1)
     special = len(_SPECIAL_CASES)

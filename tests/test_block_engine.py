@@ -337,10 +337,14 @@ def test_datapaths_share_one_group_count_table():
 
 def test_row_sums_are_group_times_half():
     """Entry a << 12 | b of the row-sum table is a * b: it is built from the
-    mul4 netlist's truth table, so a wrong table would show here."""
+    mul4 netlist's truth table, so a wrong table would show here. Every
+    entry of a zero a group or a zero b half is 0, which lets the scalar
+    pass give a quadrant with a zero operand half 0 without a lookup."""
     a = np.arange(16)[:, None]
     b = np.arange(1 << 12)[None, :]
     assert np.array_equal(_row_sums(), (a * b).ravel())
+    sums = np.frombuffer(_row_sums(), dtype=np.intc).reshape(16, 1 << 12)
+    assert not sums[0].any() and not sums[:, 0].any()
 
 
 def _numpy_row_sums(product: np.ndarray) -> np.ndarray:
@@ -770,3 +774,120 @@ def test_block_batch_keeps_its_record_forms():
             assert got.dtype == want.dtype == np.int64 and got.shape == want.shape == shape
             assert np.array_equal(got, want)
     assert int(engine[2].products) == 63 and int(engine[2].energised) == _classified(7, 9)
+
+
+# Per 12-bit half: a nonzero value of one group, of three groups, and all ones.
+_HALF_VALUES = (0x001, 0xA5C, 0xFFF)
+
+
+def _zero_pattern_pairs(width: int) -> tuple[list[int], list[int]]:
+    """Operand pairs in every zero/nonzero pattern of the operands' 12-bit
+    halves (16 for mul24, 4 for mul12), each nonzero half taking each of
+    ``_HALF_VALUES`` in turn, rotated so that the halves differ."""
+    h = width // 12
+    a, b = [], []
+    for pattern in range(1 << 2 * h):
+        for k in range(len(_HALF_VALUES)):
+            halves = [_HALF_VALUES[(k + n) % len(_HALF_VALUES)] if pattern >> n & 1 else 0
+                      for n in range(2 * h)]
+            a.append(sum(v << 12 * n for n, v in enumerate(halves[:h])))
+            b.append(sum(v << 12 * n for n, v in enumerate(halves[h:])))
+    return a, b
+
+
+def _expected_report(width: int, x: int, y: int, energised: int, repair) -> dict:
+    """The activity JSON that a batch element's energised mask states: its
+    blocks active, each with the adder levels ``mul4`` gives for the groups
+    of the block it stands for; a repair target disabled when a block of its
+    quadrant is active; every other block of the datapath gated."""
+    every = {m for m in BLOCK_IDS if width == 24 or m.quadrant is Quadrant.LL}
+    configs = [repair] if isinstance(repair, RepairConfig) else (repair or {}).values()
+    targets = [c.target for c in configs if c.target is not None]
+    stands_in = {SPARE_IDS[t.quadrant]: t for t in targets}
+    active = _ids(energised)
+    disabled = {t for t in targets if any(m.quadrant is t.quadrant for m in active)}
+    levels = {}
+    for m in active:
+        t = stands_in.get(m, m)
+        ga = x >> 12 * t.quadrant.a_high + 4 * t.row & 0xF
+        gb = y >> 12 * t.quadrant.b_high + 4 * t.col & 0xF
+        levels[m] = mul4(ga, gb).activity.adder_levels_active[None]
+    report = multiplier.ActivityReport(
+        frozenset(active), frozenset(every - active - disabled), frozenset(disabled), levels
+    )
+    return report.to_json()
+
+
+@pytest.mark.parametrize("gating", [True, False], ids=["gating", "no-gating"])
+@pytest.mark.parametrize("width", [24, 12])
+def test_scalar_calls_with_zero_halves_equal_their_batch_rows(width, gating):
+    """The scalar pass gives a quadrant with a zero a half or b half 0
+    without a lookup. Each call equals its batch element, in product,
+    unrepaired faults and report JSON, on pairs in every zero pattern of
+    the halves, fault-free and with one fault at each grid position,
+    repaired and not. A powered fault in a quadrant with a zero half (any
+    block with gating off, group 0 of a low half with it on) still shows
+    its forced value in the product, as the block formula of this file
+    gives it."""
+    scalar, batch = (mul24, mul24_batch) if width == 24 else (mul12, mul12_batch)
+    a, b = _zero_pattern_pairs(width)
+    setups = [((), None if width == 24 else RepairConfig(), None)]
+    for n, (q, i, j) in enumerate(p for p in POSITIONS if width == 24 or p[0] == "LL"):
+        target = GRID_IDS[Quadrant[q]][(i, j)]
+        fault = [FaultSpec(target, FORCED[n % len(FORCED)])]
+        for cfg in (RepairConfig(), RepairConfig(True, target)):
+            repair = cfg if width == 12 else {target.quadrant: cfg} if cfg.enabled else None
+            setups.append((fault, repair, None if cfg.enabled else (q, i, j)))
+    live_in_dark = 0
+    for faults, repair, unrepaired in setups:
+        rows = batch(a, b, faults, repair, gating=gating)
+        for x, y, product, energised, faulty in zip(a, b, *(r.tolist() for r in rows)):
+            got = scalar(x, y, faults, repair, gating=gating)
+            assert int(got.product) == product
+            assert got.unrepaired_faults == tuple(BLOCK_IDS[k] for k in range(40)
+                                                  if faulty >> k & 1)
+            assert got.activity.to_json() == _expected_report(width, x, y, energised, repair)
+            if unrepaired is None:
+                assert product == x * y
+                continue
+            q, i, j = unrepaired
+            ha, hb = HALVES[q]
+            want, visible = _faulted(x, y, ha, hb, i, j, faults[0].forced_output.value, gating)
+            assert (product, bool(faulty)) == (want, visible)
+            live_in_dark += visible and not all(_halves(x, y, ha, hb))
+    # gating on powers group 0 of a zero low half, gating off every block
+    assert live_in_dark > 0
+
+
+class _CountedSums:
+    """The row-sum table, counting the scalar pass's lookups in it."""
+
+    def __init__(self, sums) -> None:
+        self.sums, self.lookups = sums, 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return self.sums[index]
+
+
+@pytest.mark.parametrize("gating", [True, False], ids=["gating", "no-gating"])
+def test_a_quadrant_with_a_zero_half_takes_no_lookup(monkeypatch, gating):
+    """Three row-sum lookups per quadrant whose a half and b half are both
+    nonzero, none for the others, and one more per powered live fault."""
+    counted = _CountedSums(_row_sums())
+    tables = multiplier._tables
+    monkeypatch.setattr(multiplier, "_tables", lambda layout: tables(layout)._replace(sums=counted))
+    dark = GRID_IDS[Quadrant.HH][(0, 0)]          # dark with a zero high half, gating on
+    for call, lookups in (
+        (lambda: mul24(0xABCDEF, 0x987654, gating=gating), 12),
+        (lambda: mul24(0xAB, 0x987654, gating=gating), 6),
+        (lambda: mul24(0xAB000, 0x98, gating=gating), 3),
+        (lambda: mul24(0, 0x987654, gating=gating), 0),
+        (lambda: mul12(0xABC, 0x987, gating=gating), 3),
+        (lambda: mul12(0, 0x987, gating=gating), 0),
+        (lambda: mul24(0xAB, 0x987654, [FaultSpec(dark, 0x5A)], gating=gating),
+         6 + (not gating)),
+    ):
+        counted.lookups = 0
+        call()
+        assert counted.lookups == lookups

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import pickle
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cifm.bitcore import BitVec
-from cifm.fp32 import Fp32Class, FpMulTrace, Rounding, fp_mul
+from cifm.fp32 import Fp32Class, FpMulTrace, Rounding, _finish, fp_mul
 from cifm.multiplier import GRID_IDS, ActivityReport, FaultSpec, Quadrant, RepairConfig, mul24
 from cifm.softfloat import CANONICAL_QNAN, softfloat_mul
 
@@ -268,3 +270,81 @@ def test_setting_a_trace_attribute_raises(read_first):
     with pytest.raises(AttributeError):
         del trace.raw_product
     assert trace == fp_mul(0x3FC01234, 0x40236543)[1]
+
+
+def _finish_reference(exponent_sum: int, raw: int, nearest_even: bool) -> tuple:
+    """``fp32._finish`` by exact rational arithmetic, sharing none of its code.
+
+    The product of the two significands is the rational
+    ``W = raw * 2**(exponent_sum - 127 - 46)``, scaled so that a normal
+    result with biased exponent E has 2**E <= W < 2**(E + 1). The datapath
+    normalises by at most one position, so E is ``floor(log2(W))`` kept in
+    ``exponent_sum - 127 .. exponent_sum - 126``: a ``raw`` below 2**46,
+    which only a fault makes, keeps the lower exponent and a significand
+    without its hidden bit. The 24-bit significand ``W / 2**E * 2**23`` is
+    rounded to nearest, ties to even, or truncated. Tininess is tested
+    before rounding: E <= 0 flushes to zero with no rounding. Otherwise a
+    rounding carry to 2**24 raises E by one, and E >= 255 saturates to
+    infinity.
+    """
+    w = Fraction(raw) * Fraction(2) ** (exponent_sum - 127 - 46)
+    e = exponent_sum - 127
+    if w >= Fraction(2) ** (e + 1):
+        e += 1
+    scaled = w / Fraction(2) ** e * 2**23
+    down = math.floor(scaled)
+    above = scaled - down
+    up = above > Fraction(1, 2) or above == Fraction(1, 2) and down % 2 == 1
+    if e <= 0:
+        return 0, False, False, True
+    if e >= 255:
+        return 0xFF << 23, False, True, False
+    increment = nearest_even and up
+    significand = down + increment
+    if significand == 2**24:
+        e, significand = e + 1, 2**23
+    if e >= 255:
+        return 0xFF << 23, increment, True, False
+    return e << 23 | significand % 2**23, increment, False, False
+
+
+def _finish_inputs() -> list[tuple[int, int]]:
+    """(exponent_sum, raw) pairs: raws of two normal significands, raws only
+    a fault makes (below 2**46, zero among them), exact ties with an odd and
+    an even kept significand, roundings that carry to 2**24, and exponent
+    sums at the underflow and overflow edges with and without normalising."""
+    rng = np.random.default_rng(41)
+    raws = [2**46, 2**47, 2**48 - 1, 2**47 - 1, 2**46 + 1]
+    raws += [0, 1, 2**23 - 1, 2**23, 0xABCDEF, 2**40 + 2**22, 2**46 - 1, 2**46 - 2**22]
+    for kept in (2**23, 2**23 + 1, 2**24 - 2, 2**24 - 1, 0x7FFFFF, 0x5A5A5):
+        # a tie at bit 22, unnormalised, and at bit 23 once kept has its hidden bit
+        raws += [kept << 23 | 0x400000, kept << 24 | 0x800000]
+        raws += [kept << 23 | 0x3FFFFF, kept << 23 | 0x400001,
+                 kept << 24 | 0x7FFFFF, kept << 24 | 0x800001]
+    raws += [(2**24 - 1) << 23 | 0x7FFFFF, (2**24 - 1) << 24 | 0xFFFFFF]  # carry to 2**24
+    raws += rng.integers(2**46, 2**48, 40).tolist() + rng.integers(0, 2**46, 20).tolist()
+    raws = [r for r in raws if r < 2**48]
+    sums = [2, 100, 125, 126, 127, 128, 129, 254, 300, 379, 380, 381, 382, 383, 508]
+    return [(s, r) for s in sums for r in raws]
+
+
+@pytest.mark.parametrize("rounding", list(Rounding), ids=lambda r: r.value)
+def test_finish_rounds_as_exact_rationals_do(rounding):
+    """``_finish`` on ints and on int64 arrays against exact rational
+    rounding of the raw product, its flags included."""
+    nearest_even = rounding is Rounding.NEAREST_EVEN
+    cases = _finish_inputs()
+    want = [_finish_reference(s, r, nearest_even) for s, r in cases]
+    got = [_finish(s, r, nearest_even) for s, r in cases]
+    assert [tuple(v if k == 0 else bool(v) for k, v in enumerate(g)) for g in got] == want
+    assert all(type(g[0]) is int for g in got)
+    sums, raws = np.array(cases, dtype=np.int64).T
+    arrays = _finish(sums, raws, nearest_even)
+    assert all(a.dtype in (np.int64, np.bool_) for a in arrays)
+    assert [tuple(int(a[k]) if i == 0 else bool(a[k]) for i, a in enumerate(arrays))
+            for k in range(len(cases))] == want
+    # every branch of the reference is reached
+    assert {w[1:] for w in want} >= ({(False, False, True), (False, True, False),
+                                      (False, False, False)}
+                                     | ({(True, False, False), (True, True, False)}
+                                        if nearest_even else set()))
