@@ -167,6 +167,9 @@ def deferred_record(record: type, build: Callable) -> Callable:
     return make
 
 
+_PADDED_WIDTH = 1 << 16     # widest BitVec whose str pads its value to the width
+
+
 @dataclass(frozen=True, init=False)
 class BitVec:
     """An unsigned integer constrained to a fixed bit width.
@@ -174,7 +177,9 @@ class BitVec:
     Both fields are stored as Python ints. The constructor is written out,
     not generated, so that it stores them without the frozen per-field
     setter; equality, hashing, ``repr``, ``dataclasses.replace`` and
-    pickling are the generated ones.
+    pickling are the generated ones. ``str`` gives ``0x<hex>/<width>``,
+    zero-padded to the width up to :data:`_PADDED_WIDTH` bits; a wider one
+    prints the value's own digits, where padding would build a huge str.
     """
 
     value: int
@@ -200,7 +205,8 @@ class BitVec:
         return self.value
 
     def __str__(self) -> str:
-        return f"{self.value:#0{2 + (self.width + 3) // 4}x}/{self.width}"
+        digits = (self.width + 3) // 4 if self.width <= _PADDED_WIDTH else 0
+        return f"{self.value:#0{2 + digits}x}/{self.width}"
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,14 @@ pair the powered mask and the mask of the faulty blocks that drove their
 forced value. No product depends on the powered masks but through a live
 fault, so a call looks them up only when a plan has one; otherwise the
 first read of a batch's powered masks looks them up, once for all plans of
-its call, and a plan with no live fault drove no forced value. The products
-run in chunks of :data:`CHUNK` pairs, which bounds the gathers'
-temporaries; the masks are one :func:`_power_mask` lookup over the call's
-operands. A pass serves any number of plans on one operand set, each adding
-only its own fault corrections, and its repair swap when its masks are
-read. The tables are built on first use, never at import, in pure Python as
-``array`` buffers; the engine wraps the same buffers with
-``np.frombuffer``, without a copy.
+its call, and a plan with no live fault drove no forced value. A call fills
+one products array, a row per plan, :data:`CHUNK` pairs at a time, which
+bounds the gathers' temporaries; the masks are one :func:`_power_mask`
+lookup over the call's operands. A pass serves any number of plans on one
+operand set, each adding only its own fault corrections, and its repair
+swap when its masks are read. The tables are built on first use, never at
+import, in pure Python as ``array`` buffers; the engine wraps the same
+buffers with ``np.frombuffer``, without a copy.
 
 :func:`mul12` and :func:`mul24` run the same rule for one pair on Python
 ints, indexing the same ``array`` tables, since numpy's per-call cost would
@@ -415,7 +415,7 @@ _ID_JSON = {m: m.to_json() for m in BLOCK_IDS}
 
 # Operand pairs per pass of _blocks: bounds each (rows x halves x pairs)
 # gather to 96 KB, below the C allocator's 128 KB mmap threshold. The power
-# masks are not chunked: their one lookup spans the call. A longer call fills
+# masks are not chunked: their one lookup spans the call. Every call fills
 # one products array for all plans, chunk by chunk: a one-plan call with no
 # live fault allocates its products and an all-zero unrepaired mask only.
 CHUNK = 1024
@@ -427,19 +427,20 @@ class BlockBatch:
     """Per-pair results of the block engine, int64 arrays shaped like the operands.
 
     Built from its three arrays, a batch unpacks in field order, prints and
-    pickles as a record of them. A batch from the engine builds its
-    ``energised`` masks on first read (:func:`_run_batch`); a batch whose
-    masks are never read builds none.
+    pickles as a record of them. An ``energised`` that is a function of no
+    arguments is called on the first read, and its masks kept: that is how
+    an engine batch defers them (:func:`_run_batch`), so a batch whose masks
+    are never read builds none.
     """
 
-    __slots__ = ("products", "_energised", "unrepaired", "_deferred")
+    __slots__ = ("products", "_energised", "unrepaired")
     _fields = ("products", "energised", "unrepaired")
 
     products: np.ndarray    # mod 2**48 for mul24, 2**24 for mul12
     unrepaired: np.ndarray  # bit k set: faulty BLOCK_IDS[k] drove its forced value
 
     def __init__(
-        self, products: np.ndarray, energised: np.ndarray, unrepaired: np.ndarray
+        self, products: np.ndarray, energised: np.ndarray | Callable, unrepaired: np.ndarray
     ) -> None:
         self.products = products
         self._energised = energised
@@ -448,12 +449,10 @@ class BlockBatch:
     @property
     def energised(self) -> np.ndarray:
         """Bit k set: BLOCK_IDS[k] was powered."""
-        try:
-            return self._energised
-        except AttributeError:          # an engine batch, read for the first time
-            self._energised = masks = self._deferred()
-            del self._deferred
-            return masks
+        masks = self._energised
+        if callable(masks):             # deferred: built on this first read
+            self._energised = masks = masks()
+        return masks
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter((self.products, self.energised, self.unrepaired))
@@ -464,15 +463,6 @@ class BlockBatch:
 
     def __reduce__(self):
         return BlockBatch, tuple(self)
-
-
-def _deferred_batch(
-    products: np.ndarray, energised: Callable[[], np.ndarray], unrepaired: np.ndarray
-) -> BlockBatch:
-    """A BlockBatch whose first read of ``energised`` calls ``energised()``."""
-    batch = object.__new__(BlockBatch)
-    batch.products, batch._deferred, batch.unrepaired = products, energised, unrepaired
-    return batch
 
 
 class _Fault(NamedTuple):
@@ -750,21 +740,26 @@ def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig, gating: bool) -> 
 
 
 def _blocks(
-    layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, powered: np.ndarray | None
-) -> Iterator[np.ndarray]:
+    layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, powered: np.ndarray | None,
+    out: np.ndarray,
+) -> None:
     """One engine pass over a (2, n) array of operand pairs, for all ``plans``.
 
-    Yields each plan's products, its own array. One gather of the row-sum
-    table gives every (a group, b half) row of blocks. A gated block's
-    operand group is zero, so its product is zero and the row sums need no
-    gating, and no plan's products depend on which blocks are powered but
-    through its live faults. ``powered`` holds the pairs' energised masks
-    with no spare in use, which a plan with a live fault reads, or None
-    when no plan has one. A live fault's block is never a repair target, so
-    its mask bit is the same with the plan's spares in use. Each live fault
-    that is powered adds its forced value minus the true block product to
-    its quadrant, which then sums modulo 2**24; without one, no quadrant can
-    wrap. Only the fault corrections are made per plan.
+    Writes plan k's products into row k of the (plans, n) int64 ``out``.
+    One gather of the row-sum table gives every (a group, b half) row of
+    blocks. A gated block's operand group is zero, so its product is zero
+    and the row sums need no gating, and no plan's products depend on which
+    blocks are powered but through its live faults. A plan with no live
+    fault is assigned the one float64 weighted sum of the row sums, made
+    for the first such plan; the assignment casts it exactly, since every
+    value is an integer below 2**50. ``powered`` holds the pairs' energised
+    masks with no spare in use, which a plan with a live fault reads, or
+    None when no plan has one. A live fault's block is never a repair
+    target, so its mask bit is the same with the plan's spares in use. The
+    quadrant sums are made for the first plan with a live fault, and each
+    such plan works on its own copy: each of its faults that is powered
+    adds its forced value minus the true block product to its quadrant,
+    which then sums modulo 2**24; without one, no quadrant can wrap.
     """
     import numpy as np
 
@@ -775,34 +770,35 @@ def _blocks(
     index = (ab[0] << 12 >> e.group_shift & 0xF000) | (ab[1] >> e.half_shift & 0xFFF)
     sums = e.sums.take(index, mode="wrap")                           # (g, h, n)
     plain = quads = None
-    last = len(plans) - 1
     for k, plan in enumerate(plans):
-        # later plans read the shared arrays again: only the last may keep them
         if not plan.faults:
             if plain is None:
-                plain = (e.row_weight @ sums.reshape(-1, n)).astype(np.int64)
-            yield plain.copy() if k < last else plain
+                plain = e.row_weight @ sums.reshape(-1, n)
+            out[k] = plain
             continue
         if quads is None:
             quads = (e.quad_row_weight @ sums.reshape(h, 3, h * n)).astype(np.int64)
             quads = quads.reshape(h * h, n)
-        faulty = quads.copy() if k < last else quads
+        faulty = quads.copy()
         for f in plan.faults:
             # the row sum of a group r and b group j alone is the true block product
             # at weight 4*j; in int32, as every value here is below 256 << 16
             wrong = f.forced - (e.sums.take(index[f.row, f.half] & f.keep, mode="wrap")
                                 << f.shift)
             faulty[f.quad] += wrong * (powered >> f.bit & 1)
-        yield (e.quad_weight @ (faulty & 0xFFFFFF)).astype(np.int64) & _MASK48
+        faulty &= 0xFFFFFF
+        row = out[k]
+        row[...] = e.quad_weight @ faulty
+        row &= _MASK48
 
 
 def _run_batch(
     layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, shape: tuple[int, ...],
     gating: bool,
 ) -> Iterator[BlockBatch]:
-    """Each plan's BlockBatch: its products from :func:`_blocks`, run chunk
-    by chunk, and its masks. A one-chunk call yields each batch as it is
-    made; a longer one fills one products array for all plans first.
+    """Each plan's BlockBatch: its row of one (plans, n) int64 products
+    array, which :func:`_blocks` fills :data:`CHUNK` pairs at a time, and
+    its masks.
 
     The call's energised masks with no spare in use come from one
     :func:`_power_mask` lookup over its whole operand stack ``ab``, which
@@ -828,19 +824,15 @@ def _run_batch(
         return shared[0]
 
     live = powered() if any(plan.faults for plan in plans) else None
-    if 0 < n <= CHUNK:
-        products = _blocks(layout, plans, ab, live)
-    else:
-        products = np.empty((len(plans), n), dtype=np.int64)
-        for lo in range(0, n, CHUNK):
-            chunk = slice(lo, lo + CHUNK)
-            part = None if live is None else live[chunk]
-            for k, row in enumerate(_blocks(layout, plans, ab[:, chunk], part)):
-                products[k, chunk] = row
-    for plan, row in zip(plans, products):
+    products = np.empty((len(plans), n), dtype=np.int64)
+    for lo in range(0, n, CHUNK):
+        chunk = slice(lo, lo + CHUNK)
+        part = None if live is None else live[chunk]
+        _blocks(layout, plans, ab[:, chunk], part, products[:, chunk])
+    for k, plan in enumerate(plans):
         unrepaired = live & plan.fault_bits if plan.faults else np.zeros(n, dtype=np.int64)
         energised = functools.partial(_energised, powered, plan.repaired, shape)
-        yield _deferred_batch(row.reshape(shape), energised, unrepaired.reshape(shape))
+        yield BlockBatch(products[k].reshape(shape), energised, unrepaired.reshape(shape))
 
 
 def _energised(

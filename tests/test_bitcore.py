@@ -50,6 +50,16 @@ def test_bitvec_basics():
     assert str(v) == "0xb/4"
 
 
+@pytest.mark.parametrize("width, text", [
+    (2**16, "0x" + "abc".zfill(2**14)),
+    (2**16 + 1, "0xabc"),
+    (2**70, "0xabc"),
+], ids=["bound", "past-the-bound", "2**70"])
+def test_bitvec_str_pads_to_the_width_up_to_a_bound(width, text):
+    # padded to 2**70 bits, the format spec raised "Too many decimal digits"
+    assert str(BitVec(0xABC, width)) == f"{text}/{width}"
+
+
 def test_bitvec_rejects_out_of_range():
     with pytest.raises(ValueError):
         BitVec(16, 4)

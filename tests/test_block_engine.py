@@ -575,24 +575,30 @@ def test_one_pass_gives_what_separate_calls_give(width, shape):
                 assert g.dtype == np.int64 and g.shape == shape and g.flags.writeable
 
 
-@pytest.mark.parametrize("n", [1000, 2500])
+@pytest.mark.parametrize("n", [1, 1000, CHUNK, CHUNK + 1, 2500])
 def test_changing_one_plans_batch_leaves_the_others_alone(n):
     """Plans that could share the pass's arrays (no fault, no repair, or
-    only a repaired fault) each get their own: a batch overwritten as soon
-    as it comes out, before the next plan runs, changes no later batch."""
+    only a repaired fault) and plans with a live fault each get their own,
+    whether the last plan is fault-free or has a live fault: a batch
+    overwritten as soon as it comes out changes no later batch."""
     a, b = _operands(13, n)
     a, b = a[:n], b[:n]
     target = GRID_IDS[Quadrant.LH][(1, 1)]
     fault = [FaultSpec(target, 0xFF)]
+    other = [FaultSpec(GRID_IDS[Quadrant.HL][(2, 0)], 0x5A)]
     repaired = {Quadrant.LH: RepairConfig(True, target)}
     healthy = {Quadrant.LH: RepairConfig(True, GRID_IDS[Quadrant.LH][(0, 2)])}
-    setups = [((), None), ((), None), (fault, repaired), (fault, None), (fault, None),
-              ((), healthy), (fault, repaired), ((), None)]
-    want = [mul24_batch(a, b, faults, repair) for faults, repair in setups]
-    for r, w in zip(multiplier._batches(24, a, b, setups), want, strict=True):
-        for g, expected in zip(r, w):
-            assert np.array_equal(g, expected)
-            g[...] = -1
+    for setups in (
+        [((), None), ((), None), (fault, repaired), (fault, None), (fault, None),
+         ((), healthy), (fault, repaired), ((), None)],
+        [(fault, None), ((), None), ((), healthy), (other, None), (fault, repaired),
+         ((), None), (other, None), (fault, None)],
+    ):
+        want = [mul24_batch(a, b, faults, repair) for faults, repair in setups]
+        for r, w in zip(multiplier._batches(24, a, b, setups), want, strict=True):
+            for g, expected in zip(r, w):
+                assert np.array_equal(g, expected)
+                g[...] = -1
 
 
 def test_the_largest_sums_are_exact():
@@ -795,41 +801,18 @@ def _zero_pattern_pairs(width: int) -> tuple[list[int], list[int]]:
     return a, b
 
 
-def _expected_report(width: int, x: int, y: int, energised: int, repair) -> dict:
-    """The activity JSON that a batch element's energised mask states: its
-    blocks active, each with the adder levels ``mul4`` gives for the groups
-    of the block it stands for; a repair target disabled when a block of its
-    quadrant is active; every other block of the datapath gated."""
-    every = {m for m in BLOCK_IDS if width == 24 or m.quadrant is Quadrant.LL}
-    configs = [repair] if isinstance(repair, RepairConfig) else (repair or {}).values()
-    targets = [c.target for c in configs if c.target is not None]
-    stands_in = {SPARE_IDS[t.quadrant]: t for t in targets}
-    active = _ids(energised)
-    disabled = {t for t in targets if any(m.quadrant is t.quadrant for m in active)}
-    levels = {}
-    for m in active:
-        t = stands_in.get(m, m)
-        ga = x >> 12 * t.quadrant.a_high + 4 * t.row & 0xF
-        gb = y >> 12 * t.quadrant.b_high + 4 * t.col & 0xF
-        levels[m] = mul4(ga, gb).activity.adder_levels_active[None]
-    report = multiplier.ActivityReport(
-        frozenset(active), frozenset(every - active - disabled), frozenset(disabled), levels
-    )
-    return report.to_json()
-
-
 @pytest.mark.parametrize("gating", [True, False], ids=["gating", "no-gating"])
 @pytest.mark.parametrize("width", [24, 12])
 def test_scalar_calls_with_zero_halves_equal_their_batch_rows(width, gating):
     """The scalar pass gives a quadrant with a zero a half or b half 0
-    without a lookup. Each call equals its batch element, in product,
-    unrepaired faults and report JSON, on pairs in every zero pattern of
-    the halves, fault-free and with one fault at each grid position,
-    repaired and not. A powered fault in a quadrant with a zero half (any
-    block with gating off, group 0 of a low half with it on) still shows
-    its forced value in the product, as the block formula of this file
-    gives it."""
-    scalar, batch = (mul24, mul24_batch) if width == 24 else (mul12, mul12_batch)
+    without a lookup. Each call keeps the rule its batch element sets
+    (``verify._scalar_plan``: product, report and unrepaired faults), on
+    pairs in every zero pattern of the halves, fault-free and with one
+    fault at each grid position, repaired and not. A powered fault in a
+    quadrant with a zero half (any block with gating off, group 0 of a low
+    half with it on) still shows its forced value in the product, as the
+    block formula of this file gives it."""
+    batch = mul24_batch if width == 24 else mul12_batch
     a, b = _zero_pattern_pairs(width)
     setups = [((), None if width == 24 else RepairConfig(), None)]
     for n, (q, i, j) in enumerate(p for p in POSITIONS if width == 24 or p[0] == "LL"):
@@ -840,13 +823,9 @@ def test_scalar_calls_with_zero_halves_equal_their_batch_rows(width, gating):
             setups.append((fault, repair, None if cfg.enabled else (q, i, j)))
     live_in_dark = 0
     for faults, repair, unrepaired in setups:
+        assert verify._scalar_plan(width, a, b, faults, repair, gating) == []
         rows = batch(a, b, faults, repair, gating=gating)
-        for x, y, product, energised, faulty in zip(a, b, *(r.tolist() for r in rows)):
-            got = scalar(x, y, faults, repair, gating=gating)
-            assert int(got.product) == product
-            assert got.unrepaired_faults == tuple(BLOCK_IDS[k] for k in range(40)
-                                                  if faulty >> k & 1)
-            assert got.activity.to_json() == _expected_report(width, x, y, energised, repair)
+        for x, y, product, faulty in zip(a, b, rows.products.tolist(), rows.unrepaired.tolist()):
             if unrepaired is None:
                 assert product == x * y
                 continue
