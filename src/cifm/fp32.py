@@ -37,7 +37,6 @@ if TYPE_CHECKING:
 
 from .bitcore import BitVec, deferred_record, uint_rows, uint_value
 from .multiplier import (
-    _MUL24,
     ActivityReport,
     FaultSpec,
     Quadrant,
@@ -291,7 +290,7 @@ def fp_mul(
         trace = _deferred_trace(x, y, ca, cb, None, None, None)
         return BitVec(bits | (sign << 31) * signed, 32), trace
     sig_a, sig_b = _HIDDEN | x & _FRAC_MASK, _HIDDEN | y & _FRAC_MASK
-    raw, activity, _ = _run_scalar(_MUL24, plan, sig_a, sig_b, True)
+    raw, activity, _ = _run_scalar(24, plan, sig_a, sig_b, True)
     finished = _finish((x >> 23 & 0xFF) + (y >> 23 & 0xFF), raw, nearest_even)
     trace = _deferred_trace(x, y, ca, cb, raw, finished, activity)
     return BitVec((sign << 31) | finished[0], 32), trace

@@ -52,12 +52,14 @@ buffers with ``np.frombuffer``, without a copy.
 
 :func:`mul12` and :func:`mul24` run the same rule for one pair on Python
 ints, indexing the same ``array`` tables, since numpy's per-call cost would
-dominate one pair. Each datapath's tables and the bit offsets of its
-halves, groups and quadrants are one record, which one cached builder,
-:func:`_tables`, makes once per datapath: the scalar pass reads it, and the
-batch engine wraps its buffers, and both look power patterns up through
+dominate one pair. Every private engine function takes the datapath's
+operand width, 12 or 24. Each width's placement of its blocks on the grid,
+its tables and the bit offsets of its halves, groups and quadrants are one
+record, which one cached builder, :func:`_tables`, makes on first use, once
+per width: the planner and the scalar pass read it, and the batch engine
+wraps its buffers, and both look power patterns up through
 :func:`_power_mask`. The row sums and group counts are the same for every
-datapath, so the records share one of each. A quadrant whose a half or b
+width, so the records share one of each. A quadrant whose a half or b
 half is zero takes no row-sum lookup in the scalar pass: such a half reads
 only zero entries, since a zero group times any group is 0, so its quadrant
 sum is 0 whether its blocks are gated or not. A scalar call's faults are
@@ -262,12 +264,10 @@ class ActivityReport:
         return len(self.active_mul4)
 
     def to_json(self) -> dict:
-        """Each set and the level map sorted by the blocks' ``str``. The 40
-        block ids' strs and JSON forms are looked up, not made again; each
-        JSON form is a fresh copy, so callers may change what they get."""
+        """Each set and the level map sorted by the blocks' ``str``."""
 
         def ids(s: Iterable[ModuleId]) -> list[dict]:
-            return [dict(_ID_JSON[m]) for m in sorted(s, key=_ID_STR.__getitem__)]
+            return [m.to_json() for m in sorted(s, key=str)]
 
         return {
             "active": ids(self.active_mul4),
@@ -275,10 +275,8 @@ class ActivityReport:
             "disabled_faulty": ids(self.disabled_faulty),
             "power_proxy": self.power_proxy,
             "adder_levels_active": [
-                {"block": None if m is None else dict(_ID_JSON[m]), "levels": n}
-                for m, n in sorted(
-                    self.adder_levels_active.items(), key=lambda kv: _ID_STR[kv[0]]
-                )
+                {"block": None if m is None else m.to_json(), "levels": n}
+                for m, n in sorted(self.adder_levels_active.items(), key=lambda kv: str(kv[0]))
             ],
         }
 
@@ -407,11 +405,6 @@ BLOCK_IDS: tuple[ModuleId, ...] = tuple(
 ) + tuple(SPARE_IDS[q] for q in Quadrant)
 _BIT = {m: k for k, m in enumerate(BLOCK_IDS)}
 
-# Each block id's str, which orders the ids of a report's JSON, and its JSON
-# form, made once; None is the key of a lone block's levels.
-_ID_STR: dict[ModuleId | None, str] = {None: "None", **{m: str(m) for m in BLOCK_IDS}}
-_ID_JSON = {m: m.to_json() for m in BLOCK_IDS}
-
 
 # Operand pairs per pass of _blocks: bounds each (rows x halves x pairs)
 # gather to 96 KB, below the C allocator's 128 KB mmap threshold. The power
@@ -486,43 +479,6 @@ class _Plan(NamedTuple):
                                         # for, its mask bit, the spare's), in bit order
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
-    """Where one datapath's quadrants sit on the grid of operand groups.
-
-    Grid row r multiplies 4-bit group r of a and column c group c of b, so
-    block (i, j) of the quadrant on halves (ha, hb) sits at (3*ha + i,
-    3*hb + j). The blocks of row r on b half hb make one row sum, at weight
-    4*r + 12*hb. A layout compares and hashes by identity, so it can key
-    :func:`_tables` and :func:`_engine`.
-    """
-
-    halves: int                       # 12-bit halves per operand
-    ids: frozenset[ModuleId]          # every instantiated block, spares included
-    quad_bits: Mapping[Quadrant, int]  # mask bits of each placed quadrant's ten blocks
-    pos: Mapping[int, tuple[int, int]]  # mask bit -> grid block it multiplies, in bit order
-
-
-def _layout(placed: Mapping[Quadrant, tuple[int, int]]) -> _Layout:
-    halves = 1 + max(max(p) for p in placed.values())
-    pos = {}
-    for q, (ha, hb) in placed.items():
-        for (i, j), mid in GRID_IDS[q].items():
-            pos[_BIT[mid]] = (3 * ha + i, 3 * hb + j)
-    return _Layout(
-        halves=halves,
-        ids=frozenset(BLOCK_IDS[b] for q in placed for b in _quad_bits(q)),
-        quad_bits={q: sum(1 << b for b in _quad_bits(q)) for q in placed},
-        pos=pos,
-    )
-
-
-def _quad_bits(q: Quadrant) -> list[int]:
-    return [_BIT[m] for m in GRID_IDS[q].values()] + [_BIT[SPARE_IDS[q]]]
-
-
-_MUL24 = _layout({q: (int(q.a_high), int(q.b_high)) for q in Quadrant})
-_MUL12 = _layout({Quadrant.LL: (0, 0)})
 _PLAIN = _Plan((), 0, ())                # no faults, no repairs
 
 
@@ -551,11 +507,22 @@ def _row_sums() -> array:
 
 
 class _Tables(NamedTuple):
-    """One layout's tables and bit offsets: what :func:`_run_scalar` reads,
-    and the ``array`` buffers that :func:`_engine` wraps. Each quadrant's
-    entry starts with the mask of its a half, so that the scalar pass tells
-    a quadrant with a zero a half by one ``&``."""
+    """One datapath width's record: where its blocks sit, its tables and
+    its bit offsets. It is what :func:`_plan`, :func:`_run_scalar` and
+    :func:`_report` read, and holds the ``array`` buffers that
+    :func:`_engine` wraps. Each quadrant's entry starts with the mask of its
+    a half, so that the scalar pass tells a quadrant with a zero a half by
+    one ``&``.
 
+    Grid row r multiplies 4-bit group r of a and column c group c of b, so
+    block (i, j) of the quadrant on halves (ha, hb) sits at (3*ha + i,
+    3*hb + j). The blocks of row r on b half hb make one row sum, at weight
+    4*r + 12*hb.
+    """
+
+    pos: dict[int, tuple[int, int]]  # mask bit -> grid block it multiplies, in bit order
+    quad_bits: dict[Quadrant, int]  # mask bits of each placed quadrant's ten blocks
+    ids: frozenset[ModuleId]    # every instantiated block, spares included
     sums: array                 # the row-sum table of :func:`_row_sums`
     counts: array               # per 12-bit half x, how many of its groups are powered,
                                 # the one table of :func:`_group_counts`
@@ -572,14 +539,16 @@ class _Tables(NamedTuple):
 def _group_counts() -> array:
     """Per 12-bit half x, how many of its 4-bit groups are powered: group i
     is powered when x >> 4*i is non-zero, that is when x >= 16**i (its class
-    exceeds 4*i). Every layout's record shares this one table."""
+    exceeds 4*i). Every width's record shares this one table."""
     return array("B", [(x >= 1) + (x >= 16) + (x >= 256) for x in range(1 << 12)])
 
 
 @functools.cache
-def _tables(layout: _Layout) -> _Tables:
-    """The record of ``layout``, built on first use: the one builder of its
-    masks, which reads the shared builders of the row sums and group counts.
+def _tables(width: int) -> _Tables:
+    """The record of the ``width``-bit datapath, 12 or 24, built on first
+    use: the one builder of its placement and masks, which reads the shared
+    builders of the row sums and group counts. mul24 places every quadrant
+    on its halves; mul12 is quadrant LL alone, on halves (0, 0).
 
     ``counts`` and ``masks`` state the width checkers' rule. ``counts[x]``
     is how many groups of the 12-bit half x are powered
@@ -591,17 +560,27 @@ def _tables(layout: _Layout) -> _Tables:
     which is the same as all its groups dark. The last pattern powers every
     block, as with gating off.
     """
-    h = layout.halves
+    h = width // 12
+    quadrants = tuple(Quadrant) if h == 2 else (Quadrant.LL,)
+    pos = {}                            # in bit order, as Quadrant order is
+    for q in quadrants:
+        ha, hb = int(q.a_high), int(q.b_high)
+        for (i, j), mid in GRID_IDS[q].items():
+            pos[_BIT[mid]] = (3 * ha + i, 3 * hb + j)
     masks = array("q")
     for pattern in range(1 << 4 * h):
         groups = [pattern >> 2 * k & 3 for k in range(2 * h)]
         groups[0] = max(groups[0], 1)           # the low halves of a and b
         groups[h] = max(groups[h], 1)
         masks.append(sum(
-            1 << bit for bit, (r, c) in layout.pos.items()
+            1 << bit for bit, (r, c) in pos.items()
             if r % 3 < groups[r // 3] and c % 3 < groups[h + c // 3]
         ))
     return _Tables(
+        pos=pos,
+        quad_bits={q: sum(1 << _BIT[m] for m in (*GRID_IDS[q].values(), SPARE_IDS[q]))
+                   for q in quadrants},
+        ids=frozenset(m for m in BLOCK_IDS if m.quadrant in quadrants),
         sums=_row_sums(),
         counts=_group_counts(),
         masks=masks,
@@ -613,11 +592,11 @@ def _tables(layout: _Layout) -> _Tables:
 
 
 class _Engine(NamedTuple):
-    """One layout's tables and weights as numpy arrays, for :func:`_blocks`
+    """One width's tables and weights as numpy arrays, for :func:`_blocks`
     and :func:`_power_mask`. The weights are float64, so the sums run in
     BLAS, exactly: every partial sum is an integer below 2**50."""
 
-    sums: np.ndarray            # views of the layout's :func:`_tables` buffers
+    sums: np.ndarray            # views of the width's :func:`_tables` buffers
     counts: np.ndarray
     masks: np.ndarray
     half_shift: np.ndarray      # (h, 1) bit offset 12*h of operand half h
@@ -629,13 +608,14 @@ class _Engine(NamedTuple):
 
 
 @functools.cache
-def _engine(layout: _Layout) -> _Engine:
-    """The batch engine's arrays for ``layout``: the tables are wrapped, not copied."""
+def _engine(width: int) -> _Engine:
+    """The batch engine's arrays for the ``width``-bit datapath: its one
+    record's tables are wrapped, not copied."""
     import numpy as np
 
-    t = _tables(layout)
-    r = np.arange(3 * layout.halves)
-    h = np.arange(layout.halves)
+    t = _tables(width)
+    r = np.arange(width // 4)
+    h = np.arange(width // 12)
     return _Engine(
         sums=np.frombuffer(t.sums, dtype=np.intc),
         counts=np.frombuffer(t.counts, dtype=np.uint8),
@@ -650,12 +630,12 @@ def _engine(layout: _Layout) -> _Engine:
 
 
 def _plan(
-    layout: _Layout,
+    width: int,
     faults: Sequence[FaultSpec],
     repairs: Iterable[ModuleId],
     gating: bool,
 ) -> _Plan:
-    """Validate faults against the layout and route repairs to the spares.
+    """Validate faults against the width's blocks and route repairs to the spares.
 
     Runs once per call, whichever quadrants the operands would switch on.
     Also rejects a ``gating`` that is not a bool, and ``faults`` that is not
@@ -673,12 +653,13 @@ def _plan(
         raise ValueError(
             f"faults must be a sequence of FaultSpec, got {type(faults).__name__}"
         ) from None
+    t = _tables(width)
     forced: dict[int, int] = {}         # mask bit -> forced value
     for f in faults:
         if not isinstance(f, FaultSpec):
             raise ValueError(f"faults must hold FaultSpec, got {f!r}")
-        if f.target.quadrant not in layout.quad_bits:
-            (quadrant,) = layout.quad_bits
+        if f.target.quadrant not in t.quad_bits:
+            (quadrant,) = t.quad_bits
             raise ValueError(
                 f"fault target {f.target} is outside quadrant {quadrant.value}"
             )
@@ -698,10 +679,10 @@ def _plan(
     for bit in sorted(forced):
         if bit in targets:
             continue
-        r, c = layout.pos[bit]
+        r, c = t.pos[bit]
         i, j = r % 3, c % 3
         placed.append(_Fault(
-            bit, r, c // 3, layout.halves * (r // 3) + c // 3,
+            bit, r, c // 3, width // 12 * (r // 3) + c // 3,
             0xF000 | 0xF << 4 * j, 4 * i, forced[bit] << 4 * (i + j),
         ))
         fault_bits |= 1 << bit
@@ -714,7 +695,7 @@ def _plan24(
     gating: bool,
 ) -> _Plan:
     if repair is None:
-        return _plan(_MUL24, faults, (), gating)
+        return _plan(24, faults, (), gating)
     if type(repair) is not dict and not isinstance(repair, Mapping):
         raise ValueError(
             f"repair must map Quadrant to RepairConfig, got {type(repair).__name__}"
@@ -727,7 +708,7 @@ def _plan24(
             if cfg.target.quadrant is not q:
                 raise ValueError(f"repair target {cfg.target} filed under {q.value}")
             targets.append(cfg.target)
-    return _plan(_MUL24, faults, targets, gating)
+    return _plan(24, faults, targets, gating)
 
 
 def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig, gating: bool) -> _Plan:
@@ -736,11 +717,11 @@ def _plan12(faults: Sequence[FaultSpec], repair: RepairConfig, gating: bool) -> 
     target = repair.target
     if target is not None and target.quadrant is not Quadrant.LL:
         raise ValueError(f"repair target {target} is outside quadrant LL")
-    return _plan(_MUL12, faults, () if target is None else (target,), gating)
+    return _plan(12, faults, () if target is None else (target,), gating)
 
 
 def _blocks(
-    layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, powered: np.ndarray | None,
+    width: int, plans: Sequence[_Plan], ab: np.ndarray, powered: np.ndarray | None,
     out: np.ndarray,
 ) -> None:
     """One engine pass over a (2, n) array of operand pairs, for all ``plans``.
@@ -763,9 +744,9 @@ def _blocks(
     """
     import numpy as np
 
-    e = _engine(layout)
+    e = _engine(width)
     n = ab.shape[1]
-    h = layout.halves
+    h = width // 12
     # every index is in range, so "wrap" never wraps: it only skips the bounds check
     index = (ab[0] << 12 >> e.group_shift & 0xF000) | (ab[1] >> e.half_shift & 0xFFF)
     sums = e.sums.take(index, mode="wrap")                           # (g, h, n)
@@ -793,7 +774,7 @@ def _blocks(
 
 
 def _run_batch(
-    layout: _Layout, plans: Sequence[_Plan], ab: np.ndarray, shape: tuple[int, ...],
+    width: int, plans: Sequence[_Plan], ab: np.ndarray, shape: tuple[int, ...],
     gating: bool,
 ) -> Iterator[BlockBatch]:
     """Each plan's BlockBatch: its row of one (plans, n) int64 products
@@ -819,7 +800,7 @@ def _run_batch(
 
     def powered() -> np.ndarray:
         if not shared:
-            e = _engine(layout)
+            e = _engine(width)
             shared.append(_power_mask(e, *ab) if gating else np.full(n, e.masks[-1]))
         return shared[0]
 
@@ -828,7 +809,7 @@ def _run_batch(
     for lo in range(0, n, CHUNK):
         chunk = slice(lo, lo + CHUNK)
         part = None if live is None else live[chunk]
-        _blocks(layout, plans, ab[:, chunk], part, products[:, chunk])
+        _blocks(width, plans, ab[:, chunk], part, products[:, chunk])
     for k, plan in enumerate(plans):
         unrepaired = live & plan.fault_bits if plan.faults else np.zeros(n, dtype=np.int64)
         energised = functools.partial(_energised, powered, plan.repaired, shape)
@@ -862,34 +843,35 @@ def _power_mask(t: _Tables | _Engine, x, y):
     return t.masks[pattern]
 
 
-def _report(layout: _Layout, mask: int | None, repaired: tuple, x: int, y: int) -> dict:
+def _report(width: int, mask: int | None, repaired: tuple, x: int, y: int) -> dict:
     """The ActivityReport fields of one scalar call, from its power-pattern mask.
 
     ``mask`` is the call's power pattern with no spare in use, or None when
     the call did not need it: then :func:`_power_mask` looks it up from the
     operands here, on the report's first read. Its set bits, walked in
-    ascending order through the layout's grid positions, give the powered
+    ascending order through the record's grid positions, give the powered
     blocks, and each block's adder levels come from the mul4 table at its
     operand groups. A repaired call reports each powered target under its
     spare, the spares last, and reports a target disabled when any block of
-    its quadrant is powered. Every other block of the layout is gated.
+    its quadrant is powered. Every other block of the datapath is gated.
     """
+    t = _tables(width)
     if mask is None:
-        mask = _power_mask(_tables(layout), x, y)
+        mask = _power_mask(t, x, y)
     table = _mul4_tables()[1]
     levels = {
         BLOCK_IDS[k]: table[(y >> 4 * c & 0xF) << 4 | x >> 4 * r & 0xF]
-        for k, (r, c) in layout.pos.items()     # in mask bit order
+        for k, (r, c) in t.pos.items()          # in mask bit order
         if mask >> k & 1
     }
-    disabled = frozenset(t for t, _, _ in repaired if mask & layout.quad_bits[t.quadrant])
-    for t, _, _ in repaired:            # in bit order, so the spares come last
-        if t in levels:
-            levels[SPARE_IDS[t.quadrant]] = levels.pop(t)
+    disabled = frozenset(b for b, _, _ in repaired if mask & t.quad_bits[b.quadrant])
+    for b, _, _ in repaired:            # in bit order, so the spares come last
+        if b in levels:
+            levels[SPARE_IDS[b.quadrant]] = levels.pop(b)
     active = frozenset(levels)
     return {
         "active_mul4": active,
-        "gated_mul4": layout.ids - active - disabled,
+        "gated_mul4": t.ids - active - disabled,
         "disabled_faulty": disabled,
         "adder_levels_active": levels,
     }
@@ -900,7 +882,7 @@ _deferred_report = deferred_record(ActivityReport, _report)
 
 
 def _run_scalar(
-    layout: _Layout, plan: _Plan, x: int, y: int, gating: bool
+    width: int, plan: _Plan, x: int, y: int, gating: bool
 ) -> tuple[int, ActivityReport, tuple[ModuleId, ...]]:
     """One pair through the engine's tables on Python ints, and its ActivityReport.
 
@@ -911,8 +893,8 @@ def _run_scalar(
     A quadrant whose a half or b half is zero is 0 without a lookup, with
     gating on or off: every row sum it would read is 0. A live fault in it
     still adds its forced value, less a true block product of 0.
-    Everything it reads of the layout comes from the one cached record
-    (:func:`_tables`): the ``array`` tables that :func:`_engine` wraps, which
+    Everything it reads of the datapath comes from the width's one cached
+    record (:func:`_tables`): the ``array`` tables that :func:`_engine` wraps, which
     give Python ints, and the bit offsets of each half, group and quadrant.
     A fault-free product does not depend on the power pattern, so the call
     looks it up (:func:`_power_mask`) only when the plan has a live fault,
@@ -922,7 +904,7 @@ def _run_scalar(
     repairs and the operands, and :func:`_report` builds it from them when
     it is first read.
     """
-    t = _tables(layout)
+    t = _tables(width)
     sums = t.sums
     if not gating:
         mask = t.masks[-1]
@@ -951,7 +933,7 @@ def _run_scalar(
                 powered.append(BLOCK_IDS[f.bit])
         faulty = tuple(powered)
     product = sum(map(lshift, quads, t.places))
-    report = _deferred_report(layout, mask, plan.repaired, x, y)
+    report = _deferred_report(width, mask, plan.repaired, x, y)
     return product & _MASK48, report, faulty
 
 
@@ -959,7 +941,7 @@ def _run_scalar(
 # 12x12 quadrant module and 24x24 top level
 # ---------------------------------------------------------------------------
 
-_DATAPATHS = {12: (_MUL12, _plan12), 24: (_MUL24, _plan24)}     # by operand width
+_PLANNERS = {12: _plan12, 24: _plan24}      # by operand width
 
 
 def _batches(
@@ -972,10 +954,10 @@ def _batches(
 
     if np.shape(a) != np.shape(b):
         raise ValueError(f"a and b differ in shape: {np.shape(a)} vs {np.shape(b)}")
-    layout, plan = _DATAPATHS[width]
+    plan = _PLANNERS[width]
     ab, shape = uint_rows((a, b), (width, width), "ab".__getitem__)
     plans = [plan(faults, repair, gating) for faults, repair in setups]
-    return _run_batch(layout, plans, ab, shape, gating)
+    return _run_batch(width, plans, ab, shape, gating)
 
 
 def mul12_batch(
@@ -1022,7 +1004,7 @@ def mul12(
     x = uint_value(a, 12, "a")
     y = uint_value(b, 12, "b")
     plan = _plan12(faults, repair, gating)
-    product, report, unrepaired = _run_scalar(_MUL12, plan, x, y, gating)
+    product, report, unrepaired = _run_scalar(12, plan, x, y, gating)
     return MulResult(BitVec(product, 24), report, unrepaired)
 
 
@@ -1047,7 +1029,7 @@ def mul24(
     x = uint_value(a, 24, "a")
     y = uint_value(b, 24, "b")
     plan = _plan24(faults, repair, gating)
-    product, report, unrepaired = _run_scalar(_MUL24, plan, x, y, gating)
+    product, report, unrepaired = _run_scalar(24, plan, x, y, gating)
     return MulResult(BitVec(product, 48), report, unrepaired)
 
 

@@ -232,8 +232,7 @@ def test_one_lookup_gives_the_same_masks_to_ints_and_arrays(width):
             x |= _half_with_groups(rng, ca[h]) << 12 * h
             y |= _half_with_groups(rng, cb[h]) << 12 * h
         operands.append((x, y))
-    layout = multiplier._MUL24 if width == 24 else multiplier._MUL12
-    record, engine = multiplier._tables(layout), multiplier._engine(layout)
+    record, engine = multiplier._tables(width), multiplier._engine(width)
     ints = [multiplier._power_mask(record, x, y) for x, y in operands]
     assert all(type(mask) is int for mask in ints)
     assert ints == [_classified(x, y, width) for x, y in operands]
@@ -299,29 +298,52 @@ def test_block_level_work_never_loads_the_engine():
     assert json.loads(out.stdout) == [False, 3]
 
 
-def test_scalar_calls_read_one_record_per_layout():
-    """mul12, mul24 and fp_mul, plain, faulted and repaired, build the one
-    record of each layout once, and it holds the engine's own tables."""
+def test_every_entry_point_reads_one_record_per_width():
+    """mul12, mul24 and fp_mul, their batch forms and ``_batches``, plain,
+    faulted and repaired, gating on and off, with every report and
+    ``energised`` read, build the one record of each width once, and the
+    engine's arrays once per width batched; the record holds the engine's
+    own tables."""
     # the engine keeps views of the record's buffers, so it goes with them
     multiplier._tables.cache_clear()
     multiplier._engine.cache_clear()
+
+    def misses():
+        return multiplier._tables.cache_info().misses, multiplier._engine.cache_info().misses
+
     target = GRID_IDS[Quadrant.LL][(1, 2)]
     faults = [FaultSpec(target, 0xA5)]
+    setups12 = [((), RepairConfig()), (faults, RepairConfig(True, target))]
+    setups24 = [((), None), (faults, {Quadrant.LL: RepairConfig(True, target)})]
+    a12, b12 = np.array([0xABC, 0]), np.array([0x987, 0x987])
+    a24, b24 = np.array([0xABCDEF, 0xAB]), np.array([0x987654, 0x987654])
     for gating in (True, False):
-        mul12(0xABC, 0x987, gating=gating)
-        mul12(0xABC, 0x987, faults, RepairConfig(True, target), gating=gating)
-    assert multiplier._tables.cache_info().currsize == 1
-    fp_mul(0x3FC00000, 0x40490FDB)
-    fp_mul(0x3FC00000, 0x40490FDB, faults)
+        for setup in setups12:
+            mul12(0xABC, 0x987, *setup, gating=gating).activity.to_json()
+    assert misses() == (1, 0)
     for gating in (True, False):
-        mul24(0xABCDEF, 0x987654, gating=gating)
-        mul24(0xABCDEF, 0x987654, faults, {Quadrant.LL: RepairConfig(True, target)},
-              gating=gating)
-    info = multiplier._tables.cache_info()
-    assert (info.currsize, info.misses) == (2, 2)
-    for layout in (multiplier._MUL12, multiplier._MUL24):
-        record = multiplier._tables(layout)
-        engine = multiplier._engine(layout)
+        for setup in setups12:
+            mul12_batch(a12, b12, *setup, gating=gating).energised
+        for batch in multiplier._batches(12, a12, b12, setups12, gating):
+            batch.energised
+    assert misses() == (1, 1)
+    for setup in setups24:
+        fp_mul(0x3FC00000, 0x40490FDB, *setup)[1].to_json()
+    for gating in (True, False):
+        for setup in setups24:
+            mul24(0xABCDEF, 0x987654, *setup, gating=gating).activity.to_json()
+    assert misses() == (2, 1)
+    for setup in setups24:
+        fp_mul_batch(np.array([0x3FC00000]), np.array([0x40490FDB]), *setup)
+    for gating in (True, False):
+        for setup in setups24:
+            mul24_batch(a24, b24, *setup, gating=gating).energised
+        for batch in multiplier._batches(24, a24, b24, setups24, gating):
+            batch.energised
+    assert misses() == (2, 2) and multiplier._tables.cache_info().currsize == 2
+    for width in (12, 24):
+        record = multiplier._tables(width)
+        engine = multiplier._engine(width)
         assert record.sums is _row_sums()
         assert record.counts is multiplier._group_counts()
         for buffer, view in ((record.counts, engine.counts), (record.masks, engine.masks)):
@@ -329,7 +351,7 @@ def test_scalar_calls_read_one_record_per_layout():
 
 
 def test_datapaths_share_one_group_count_table():
-    mul12_record, mul24_record = map(multiplier._tables, (multiplier._MUL12, multiplier._MUL24))
+    mul12_record, mul24_record = map(multiplier._tables, (12, 24))
     assert mul12_record.counts is mul24_record.counts
     assert mul12_record.sums is mul24_record.sums
     assert mul12_record.masks is not mul24_record.masks
@@ -356,32 +378,38 @@ def _numpy_row_sums(product: np.ndarray) -> np.ndarray:
     return (b2 + b1 + block[:, None, None, :]).ravel()
 
 
-def _numpy_power_tables(layout) -> tuple[np.ndarray, np.ndarray]:
+def _numpy_power_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
     """Group counts per 12-bit half and the energised mask per power pattern,
-    from the width rule applied to every pattern at once."""
+    from the width rule applied to every pattern at once. Each grid block of
+    ``BLOCK_IDS`` is placed here from its own quadrant's halves, row and
+    column; mul12 is quadrant LL alone."""
+    halves = width // 12
     x = np.arange(1 << 12)[:, None]
     counts = (x >= 16 ** np.arange(3)).sum(axis=1, dtype=np.uint8)
-    weights = 4 ** np.arange(2 * layout.halves)
-    patterns = np.arange(1 << 4 * layout.halves)
-    groups = (patterns // weights[:, None] & 3).reshape(2, layout.halves, -1)
+    weights = 4 ** np.arange(2 * halves)
+    patterns = np.arange(1 << 4 * halves)
+    groups = (patterns // weights[:, None] & 3).reshape(2, halves, -1)
     groups[:, 0] = np.maximum(groups[:, 0], 1)
     masks = np.zeros(patterns.size, dtype=np.int64)
-    for bit, (r, c) in layout.pos.items():
-        on = (r % 3 < groups[0, r // 3]) & (c % 3 < groups[1, c // 3])
+    for bit, m in enumerate(BLOCK_IDS):
+        if m.redundant or (width == 12 and m.quadrant is not Quadrant.LL):
+            continue
+        ha, hb = HALVES[m.quadrant.value]
+        # a block multiplies a's group i of half ha by b's group j of half hb
+        on = (m.row < groups[0, ha]) & (m.col < groups[1, hb])
         masks |= on.astype(np.int64) << bit
     return counts, masks
 
 
-@pytest.mark.parametrize("layout", [multiplier._MUL24, multiplier._MUL12],
-                         ids=["mul24", "mul12"])
-def test_tables_equal_their_numpy_builds_and_the_engine_wraps_them(layout):
+@pytest.mark.parametrize("width", [24, 12], ids=["mul24", "mul12"])
+def test_tables_equal_their_numpy_builds_and_the_engine_wraps_them(width):
     product = np.array(multiplier._mul4_tables()[0])
     assert np.array_equal(product, np.arange(256) % 16 * (np.arange(256) // 16))
     row_sums = multiplier._row_sums()
-    record = multiplier._tables(layout)
+    record = multiplier._tables(width)
     counts, masks = record.counts, record.masks
-    engine = multiplier._engine(layout)
-    want_counts, want_masks = _numpy_power_tables(layout)
+    engine = multiplier._engine(width)
+    want_counts, want_masks = _numpy_power_tables(width)
     for got, view, want in ((row_sums, engine.sums, _numpy_row_sums(product)),
                             (counts, engine.counts, want_counts),
                             (masks, engine.masks, want_masks)):
@@ -855,7 +883,7 @@ def test_a_quadrant_with_a_zero_half_takes_no_lookup(monkeypatch, gating):
     nonzero, none for the others, and one more per powered live fault."""
     counted = _CountedSums(_row_sums())
     tables = multiplier._tables
-    monkeypatch.setattr(multiplier, "_tables", lambda layout: tables(layout)._replace(sums=counted))
+    monkeypatch.setattr(multiplier, "_tables", lambda width: tables(width)._replace(sums=counted))
     dark = GRID_IDS[Quadrant.HH][(0, 0)]          # dark with a zero high half, gating on
     for call, lookups in (
         (lambda: mul24(0xABCDEF, 0x987654, gating=gating), 12),

@@ -283,8 +283,8 @@ def test_block_paths_names_a_target_reported_disabled_in_a_dark_quadrant(monkeyp
     that leaves its quadrant dark, and the two sets that differ."""
     real = multiplier._report
 
-    def always_disabled(layout, mask, repaired, x, y):
-        fields = real(layout, mask, repaired, x, y)
+    def always_disabled(width, mask, repaired, x, y):
+        fields = real(width, mask, repaired, x, y)
         targets = frozenset(t for t, _, _ in repaired)
         return fields | {"disabled_faulty": targets, "gated_mul4": fields["gated_mul4"] - targets}
 
